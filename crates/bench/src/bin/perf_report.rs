@@ -17,7 +17,7 @@
 //!                     baseline — inside a two-sided band (a large
 //!                     negative reading means the hand-rolled replica
 //!                     went stale, not that the engine got fast), and
-//!                     gate the serve layer (warm hits ≥50x faster
+//!                     gate the serve layer (warm hits ≥8x faster
 //!                     than cold at p50 with zero solver invocations,
 //!                     identical bursts collapsing to one solve,
 //!                     byte-identical responses throughout), and hold
@@ -122,7 +122,15 @@ const SERVE_SUSTAIN_THREADS: usize = 4;
 const SERVE_SUSTAIN_REQUESTS: usize = 200;
 /// Smoke gate: a warm cache hit must be at least this many times
 /// faster than a cold solve at p50.
-const SERVE_WARM_SPEEDUP_FLOOR: u64 = 50;
+///
+/// Derived from measurement, not aspiration. Heuristic 2 now ends its
+/// sweep once the best set is frozen at the lower bound, which made the
+/// corpus' cold solves ~5x cheaper (p50 ~3.8 ms → 0.55–0.92 ms) while
+/// the warm hit stayed at 24–38 µs. Six `--check` runs on a shared
+/// 2-vCPU VM then read 14–25x. A warm path that solved again, or a cache
+/// that stopped hitting, reads ~1x; a floor of 8 catches that with room
+/// below the measured spread, so CPU contention does not trip it.
+const SERVE_WARM_SPEEDUP_FLOOR: u64 = 8;
 /// Smoke gate: the default `NoopFaults` warm path must cost at most
 /// this much more than a fault-armed service running an all-quiet
 /// plan. The fault plane is a generic parameter monomorphized out on

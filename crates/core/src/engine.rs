@@ -37,7 +37,7 @@ use crate::error::RotationError;
 use crate::heuristics::{HeuristicConfig, HeuristicOutcome};
 use crate::objective::{Objective, Score};
 use crate::phase::{BestSet, PhaseStats};
-use crate::portfolio::PruneSignal;
+use crate::portfolio::{kernel_lower_bound, PruneSignal};
 use crate::rotate::{down_rotate, initial_state, RotationState};
 
 /// A structured event emitted by the [`SearchDriver`] at every decision
@@ -83,7 +83,8 @@ pub enum SearchEvent<'a> {
     /// point with the incumbent intact.
     Stopped(StopReason),
     /// A rotation phase ended (by exhausting `alpha`, pruning,
-    /// stopping, or running out of schedule to rotate).
+    /// stopping, running out of schedule to rotate, or — in Heuristic
+    /// 2 — the best set freezing at the lower bound).
     PhaseEnd {
         /// Down-rotations actually performed.
         rotations: usize,
@@ -410,7 +411,7 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
     /// rotations of size `size` on `state`, halving the effective size
     /// whenever it reaches the schedule length, recording improvements
     /// into `best`. This is the paper's one core loop; every public
-    /// phase/heuristic entry point reduces to calls of this method.
+    /// phase/heuristic entry point reduces to runs of it.
     ///
     /// # Errors
     ///
@@ -423,6 +424,21 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         best: &mut BestSet,
         size: u32,
         alpha: usize,
+    ) -> Result<PhaseStats, RotationError> {
+        self.phase(state, best, size, alpha, None)
+    }
+
+    /// The loop behind [`SearchDriver::run_phase`]. With
+    /// `frozen_at = Some(bound)` the phase also ends, at the top of a
+    /// rotation, once `best` is frozen at `bound` (see
+    /// [`SearchDriver::heuristic2`]); `None` runs the plain phase.
+    fn phase(
+        &mut self,
+        state: &mut RotationState,
+        best: &mut BestSet,
+        size: u32,
+        alpha: usize,
+        frozen_at: Option<u32>,
     ) -> Result<PhaseStats, RotationError> {
         self.step
             .begin_phase(self.dfg, self.scheduler, self.resources, state)?;
@@ -449,6 +465,9 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             if self.prune.is_some_and(|p| p.should_stop(best.score)) {
                 self.observer.on_event(SearchEvent::Pruned);
                 break;
+            }
+            if frozen_at.is_some_and(|bound| best.is_frozen(bound)) {
+                break; // every further offer would be rejected
             }
             let length = state.schedule.length(self.dfg);
             if length <= 1 {
@@ -570,14 +589,31 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
     /// is skipped, so the incumbent is exactly what the truncated search
     /// produced).
     ///
+    /// The sweep also ends as soon as `Q` is **frozen**: its best score
+    /// achieves the combined lower bound and it holds `keep_best`
+    /// schedules. From then on every offer is rejected — a tie finds the
+    /// set full and nothing beats a proven bound — so the returned `Q`
+    /// is byte-identical to the full sweep's; only the rotation counts,
+    /// phase statistics, and events shrink. The check runs where the
+    /// prune signal is checked (after the budget poll at the top of each
+    /// rotation, and before each phase), so a budget still takes
+    /// precedence. The bound is computed once per sweep (a portfolio
+    /// task reads its prune signal's) and returned in
+    /// [`HeuristicOutcome::lower_bound`].
+    ///
     /// # Errors
     ///
-    /// Propagates graph and scheduling failures.
+    /// Propagates graph and scheduling failures, and lower-bound
+    /// failures.
     pub fn heuristic2(
         &mut self,
         config: &HeuristicConfig,
     ) -> Result<HeuristicOutcome, RotationError> {
         let init = initial_state(self.dfg, self.scheduler, self.resources)?;
+        let bound = match self.prune {
+            Some(p) => p.bound(),
+            None => kernel_lower_bound(self.dfg, self.resources)?,
+        };
         let mut best = BestSet::new(config.keep_best);
         let wrapped = init.wrapped_length(self.dfg, self.resources)?;
         self.offer(&mut best, wrapped, &init);
@@ -594,8 +630,16 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
                     self.observer.on_event(SearchEvent::Pruned);
                     break 'sweep;
                 }
-                let stats =
-                    self.run_phase(&mut state, &mut best, size, config.rotations_per_phase)?;
+                if best.is_frozen(bound) {
+                    break 'sweep;
+                }
+                let stats = self.phase(
+                    &mut state,
+                    &mut best,
+                    size,
+                    config.rotations_per_phase,
+                    Some(bound),
+                )?;
                 let stopped = stats.stopped.is_some();
                 phases.push(stats);
                 if stopped {
@@ -614,7 +658,10 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
                 self.offer(&mut best, wrapped, &state);
             }
         }
-        Ok(HeuristicOutcome::from_parts(best, phases))
+        Ok(HeuristicOutcome {
+            lower_bound: Some(bound),
+            ..HeuristicOutcome::from_parts(best, phases)
+        })
     }
 }
 

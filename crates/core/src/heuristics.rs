@@ -66,17 +66,28 @@ pub struct HeuristicOutcome {
     pub best: Vec<RotationState>,
     /// Per-phase statistics in execution order, for convergence studies.
     pub phases: Vec<PhaseStats>,
-    /// Total rotations performed across all phases.
+    /// Total rotations performed across all phases. For Heuristic 2
+    /// this counts rotations until `Q` froze at the lower bound (see
+    /// [`SearchDriver::heuristic2`]) — fewer than the full sweep's
+    /// `rounds × β × α` whenever the set fills at the bound, with the
+    /// identical `best`.
+    ///
+    /// [`SearchDriver::heuristic2`]: crate::engine::SearchDriver::heuristic2
     pub total_rotations: usize,
     /// Why the run stopped early, if a [`Budget`](crate::Budget) limit
-    /// fired mid-run; `None` for a run that finished its full sweep.
+    /// fired mid-run; `None` for a run that finished its full sweep or
+    /// ended with `Q` frozen at the lower bound.
     pub stopped: Option<StopReason>,
+    /// The combined recurrence + resource lower bound the run proved
+    /// against, when it computed one: Heuristic 2 always does (its
+    /// frozen-set stop needs it), Heuristic 1 does not.
+    pub lower_bound: Option<u32>,
 }
 
 impl HeuristicOutcome {
     /// Assembles an outcome from a final best set and the per-phase
     /// statistics in execution order (the [`SearchDriver`]'s raw
-    /// products).
+    /// products), with no lower bound recorded.
     ///
     /// [`SearchDriver`]: crate::engine::SearchDriver
     #[must_use]
@@ -88,6 +99,7 @@ impl HeuristicOutcome {
             total_rotations: phases.iter().map(|p| p.rotations).sum(),
             stopped: phases.iter().find_map(|p| p.stopped),
             phases,
+            lower_bound: None,
         }
     }
 }

@@ -114,6 +114,19 @@ impl Score {
         self.0 == u64::MAX
     }
 
+    /// True when this score sits at the proven kernel-length lower bound
+    /// `bound`: at most [`Score::from_length`] of the bound, so the
+    /// length reached the bound and every secondary component is zero.
+    /// No kernel can score strictly better. For the default objective
+    /// this is exactly "length reached the bound"; for multi-criteria
+    /// objectives the zero-secondaries requirement is conservative
+    /// (a search stopping less often can only explore more).
+    /// [`Score::NONE`] never achieves a bound.
+    #[must_use]
+    pub(crate) const fn achieves_bound(self, bound: u32) -> bool {
+        !self.is_none() && self.0 <= Score::from_length(bound).0
+    }
+
     /// The raw packed word — the value the portfolio's shared atomic
     /// carries through `fetch_min`.
     #[must_use]

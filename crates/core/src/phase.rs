@@ -187,6 +187,15 @@ impl BestSet {
     pub fn count(&self) -> usize {
         self.schedules.len()
     }
+
+    /// True when no offer can change the set any more: the best score
+    /// achieves the proven lower bound `bound` (nothing beats it, see
+    /// [`Score::achieves_bound`]) and the set is full (a tie finds no
+    /// room). From then on [`BestSet::offer`] rejects every state.
+    #[must_use]
+    pub(crate) fn is_frozen(&self, bound: u32) -> bool {
+        self.count() >= self.capacity && self.score.achieves_bound(bound)
+    }
 }
 
 /// Statistics from one rotation phase, for convergence studies

@@ -58,6 +58,13 @@ use crate::phase::{BestSet, PhaseStats};
 use crate::rotate::{initial_state, RotationState};
 use crate::trace::{SearchTrace, TaskTrace, TraceRecorder};
 
+/// The combined recurrence + resource lower bound
+/// ([`rotsched_baselines::lower_bound`]) as a kernel length; bounds
+/// past `u32` saturate to `u32::MAX - 1`, which no real kernel reaches.
+pub(crate) fn kernel_lower_bound(dfg: &Dfg, resources: &ResourceSet) -> Result<u32, RotationError> {
+    Ok(u32::try_from(lower_bound(dfg, resources)?).unwrap_or(u32::MAX - 1))
+}
+
 /// The shared pruning state of one portfolio run.
 ///
 /// The incumbent is a packed [`Score`] in a single `AtomicU64`: because
@@ -116,26 +123,23 @@ pub struct PruneSignal<'a> {
 }
 
 impl PruneSignal<'_> {
-    /// True when `own_best` proves the task can stop on its own: its
-    /// score is at or below the length-only packed bound. For the
-    /// default objective this is exactly "length reached the bound";
-    /// for multi-criteria objectives it additionally requires zero
-    /// secondary components — a conservative rule (pruning less can
-    /// only explore more), and deterministic either way because it
-    /// reads only task-local state.
-    fn achieves_bound(&self, own_best: Score) -> bool {
-        !own_best.is_none() && own_best <= Score::from_length(self.shared.bound)
+    /// The combined lower bound of the shared state (see
+    /// [`SharedBound::bound`]).
+    #[must_use]
+    pub(crate) fn bound(&self) -> u32 {
+        self.shared.bound
     }
 
     /// Publishes the task's current best score. Marks this task as a
-    /// bound achiever when the score reaches the packed lower bound —
-    /// never for scores above it, and lengths *below* the bound cannot
-    /// occur (the bound is proven; see the pruning test).
+    /// bound achiever when the score reaches the packed lower bound
+    /// (length at the bound, zero secondaries) — never for scores above it, and
+    /// lengths *below* the bound cannot occur (the bound is proven; see
+    /// the pruning test).
     pub fn record(&self, own_best: Score) {
         self.shared
             .incumbent
             .fetch_min(own_best.to_bits(), Ordering::Relaxed);
-        if self.achieves_bound(own_best) {
+        if own_best.achieves_bound(self.shared.bound) {
             self.shared
                 .achiever
                 .fetch_min(self.task_index, Ordering::Relaxed);
@@ -143,12 +147,13 @@ impl PruneSignal<'_> {
     }
 
     /// Should this task stop searching? True on self-prune (own best
-    /// reached the lower bound — deterministic) or cross-prune (a
-    /// strictly lower-indexed task reached it — result discarded by the
-    /// canonical merge, so stopping is unobservable).
+    /// reached the lower bound — deterministic, because it reads only
+    /// task-local state) or cross-prune (a strictly lower-indexed task
+    /// reached it — result discarded by the canonical merge, so stopping
+    /// is unobservable).
     #[must_use]
     pub fn should_stop(&self, own_best: Score) -> bool {
-        self.achieves_bound(own_best) || self.lost_to_lower_task()
+        own_best.achieves_bound(self.shared.bound) || self.lost_to_lower_task()
     }
 
     /// True when a strictly lower-indexed task has achieved the bound.
@@ -451,7 +456,7 @@ impl Portfolio {
         O: SearchObserver + Send,
         F: Fn(usize) -> O + Sync,
     {
-        let bound = u32::try_from(lower_bound(dfg, resources)?).unwrap_or(u32::MAX - 1);
+        let bound = kernel_lower_bound(dfg, resources)?;
         let shared = SharedBound::new(bound);
         // Arm only when limited so the unlimited path provably does no
         // budget work at all (bit-identical to the pre-budget API).
@@ -533,9 +538,9 @@ impl Portfolio {
             .find_map(|p| p.stopped);
         let completed: Vec<TaskRun> = completed.into_iter().map(|(run, _)| run).collect();
 
-        let canonical_task = completed.iter().position(|run| {
-            !run.best.score.is_none() && run.best.score <= Score::from_length(bound)
-        });
+        let canonical_task = completed
+            .iter()
+            .position(|run| run.best.score.achieves_bound(bound));
         let mut best = BestSet::new(self.keep_best);
         let mut phases = Vec::new();
         match canonical_task {

@@ -8,7 +8,6 @@
 //! lower-level functions remain available for research code that wants
 //! to compose its own heuristics.
 
-use rotsched_baselines::lower_bound;
 use rotsched_dfg::Dfg;
 use rotsched_sched::{
     simulate, ListScheduler, LoopSchedule, PriorityPolicy, ResourceSet, SimulationReport,
@@ -56,7 +55,10 @@ impl core::fmt::Display for SolveQuality {
 /// Search-effort accounting carried by every [`SolveOutcome`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Total down-rotations performed.
+    /// Total down-rotations performed. A single-sweep solve counts the
+    /// rotations until its best set froze at the lower bound (see
+    /// [`SearchDriver::heuristic2`]); a portfolio solve counts its
+    /// deterministic task prefix.
     pub total_rotations: usize,
     /// Why the search stopped early, when a budget limit fired.
     pub stopped: Option<StopReason>,
@@ -418,7 +420,9 @@ impl<'a> RotationScheduler<'a> {
     }
 
     fn package_heuristic(&self, outcome: HeuristicOutcome) -> Result<SolveOutcome, RotationError> {
-        let bound = u32::try_from(lower_bound(self.dfg, &self.resources)?).unwrap_or(u32::MAX - 1);
+        let bound = outcome
+            .lower_bound
+            .expect("Heuristic 2 records the lower bound it proved against");
         let state = outcome
             .best
             .first()
@@ -623,6 +627,7 @@ impl<'a> RotationScheduler<'a> {
                 total_rotations: outcome.total_rotations,
                 phases: outcome.phases,
                 stopped: outcome.stopped,
+                lower_bound: Some(outcome.lower_bound),
             },
             quality,
             stats,
@@ -781,6 +786,34 @@ mod tests {
         // The incumbent is executable end to end.
         let report = rs.verify(&solved.state, 5).unwrap();
         assert_eq!(report.iterations, 5);
+    }
+
+    #[test]
+    fn budget_beyond_the_frozen_point_completes_optimally() {
+        // An 80-add ring on 2 adders: the initial schedule is the 80-step
+        // chain, so the full sweep would run rounds × β × α = 4 × 80 × 32
+        // = 10,240 rotations — past the budget. The best set freezes at
+        // the bound (40) long before, so the budget never fires.
+        let names: Vec<String> = (0..80).map(|i| format!("v{i}")).collect();
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let g = DfgBuilder::new("ring80")
+            .nodes("v", 80, OpKind::Add, 1)
+            .chain(&refs)
+            .edge("v79", "v0", 40)
+            .build()
+            .unwrap();
+        let rs = RotationScheduler::new(&g, ResourceSet::adders_multipliers(2, 0, false))
+            .with_budget(Budget::default().with_max_rotations(10_000));
+        let config = HeuristicConfig::default();
+        let full_sweep =
+            config.rounds * rs.initial().unwrap().length(&g) as usize * config.rotations_per_phase;
+        assert!(full_sweep > 10_000);
+        let solved = rs.solve().unwrap();
+        assert_eq!(solved.quality, SolveQuality::Optimal);
+        assert_eq!(solved.stats.stopped, None);
+        assert_eq!(solved.length, 40);
+        assert!(solved.stats.total_rotations < 10_000);
+        assert_eq!(solved.outcome.best.len(), config.keep_best, "Q is full");
     }
 
     #[test]

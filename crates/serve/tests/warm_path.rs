@@ -140,6 +140,36 @@ fn eviction_under_pressure_keeps_answers_identical_to_a_fresh_service() {
 }
 
 #[test]
+fn rotation_budgeted_solve_that_freezes_first_completes_and_feeds_the_cache() {
+    // A 4-add ring: the full sweep would take rounds × β × α = 4 × 4 × 32
+    // = 512 rotations, past the 100-rotation budget, but with room for
+    // one best schedule the set freezes at the bound (2) within a few
+    // rotations. The budget never fires, so the solve completes, reports
+    // `ok`, and is cached for the budget-free key.
+    let problem = "dfg ring\nnode v0 add 1\nnode v1 add 1\nnode v2 add 1\nnode v3 add 1\n\
+                   edge v0 v1 0\nedge v1 v2 0\nedge v2 v3 0\nedge v3 v0 2\n\
+                   config keep-best 1\n";
+    let service = SolveService::new(ServeConfig::default());
+    let budgeted = service
+        .handle(&format!("solve\n{problem}budget max-rotations 100\n"))
+        .response()
+        .to_owned();
+    assert!(budgeted.contains("\"status\": \"ok\""), "{budgeted}");
+    assert!(budgeted.contains("\"quality\": \"optimal\""), "{budgeted}");
+    assert!(budgeted.contains("\"length\": 2"), "{budgeted}");
+    assert_eq!(service.cache_report().insertions, 1);
+    // The budget-free request reads the cached answer.
+    let warm = service
+        .handle(&format!("solve\n{problem}"))
+        .response()
+        .to_owned();
+    assert_eq!(warm, budgeted);
+    let counters = service.counters();
+    assert_eq!(counters.solver_invocations, 1);
+    assert_eq!(counters.cache_hits, 1);
+}
+
+#[test]
 fn cache_disabled_service_still_answers_identically() {
     // cache_bytes 0 rejects every insert: all requests solve, and the
     // responses still match a cached service byte for byte.

@@ -187,11 +187,13 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
         .iter()
         .map(|&e| (csr.edge_from()[e], csr.edge_to()[e]))
         .collect();
-    let bound = ratio.ceil();
-    // The exact ratio's ceiling IS the recurrence bound (the property
+    // A kernel-length bound is max(1, ⌈ratio⌉): every kernel has at
+    // least one step, even when the critical cycle is all zero-time ops
+    // (ratio 0). So stated, it IS the recurrence bound (the property
     // suite proves the agreement); seed the shared cell so no other
     // pass re-runs the Bellman–Ford binary search. `recurrence_bound`
     // reports bounds past u32::MAX − 1 as None — mirror that here.
+    let bound = ratio.ceil().max(1);
     ctx.seed_recurrence(u32::try_from(bound).ok().filter(|&b| b < u32::MAX));
     let head = nodes.first().copied().unwrap_or(0);
     report.findings.push(

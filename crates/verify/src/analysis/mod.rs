@@ -359,7 +359,10 @@ mod review_probe {
         g.add_edge(b, a, 1).unwrap();
         let report = analyze(&g, &ResourceSpec::unlimited(), None);
         let cc = report.critical_cycle.as_ref().unwrap();
-        assert_eq!(cc.iteration_bound, 0);
-        assert_eq!(crate::bound::recurrence_bound(&g), Some(1));
+        assert_eq!(cc.iteration_bound, 1, "a kernel has at least one step");
+        assert_eq!(
+            u32::try_from(cc.iteration_bound).ok(),
+            crate::bound::recurrence_bound(&g)
+        );
     }
 }

@@ -73,7 +73,8 @@ pub struct CriticalCycleSection {
     pub total_delays: u64,
     /// The maximum cycle ratio `max_C T(C)/D(C)`, exact and reduced.
     pub ratio: RatioU64,
-    /// `⌈ratio⌉` — the iteration bound.
+    /// `max(1, ⌈ratio⌉)` — the iteration bound as a kernel length (a
+    /// cycle of zero-time ops still needs a one-step kernel).
     pub iteration_bound: u64,
 }
 

@@ -62,6 +62,46 @@ fn zero_time_node_is_rejected_everywhere() {
 }
 
 #[test]
+fn zero_time_cycle_analyzes_at_a_one_step_bound() {
+    // Checked-in reproducer: the critical cycle's ratio is 0, but the
+    // analysis must report (and seed into lint) the kernel-length bound
+    // max(1, ⌈ratio⌉) = 1 — in debug builds a seeded 0 trips lint's
+    // consistency assertion. `text::parse` validates, and validation
+    // rejects zero-time ops, so the graph is rebuilt line by line: the
+    // analyzer must be total on graphs that were never validated.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/regressions/zero-time-cycle.dfg"
+    );
+    let mut g = Dfg::new("zero-time-cycle");
+    let mut ids = std::collections::HashMap::new();
+    for line in std::fs::read_to_string(path).unwrap().lines() {
+        match line.split_whitespace().collect::<Vec<_>>()[..] {
+            ["node", name, op, time] => {
+                let id = g.add_node(name, op.parse().unwrap(), time.parse().unwrap());
+                ids.insert(name.to_owned(), id);
+            }
+            ["edge", from, to, delays] => {
+                g.add_edge(ids[from], ids[to], delays.parse().unwrap())
+                    .unwrap();
+            }
+            _ => {}
+        }
+    }
+    assert!(matches!(g.validate(), Err(DfgError::ZeroTimeNode { .. })));
+    let spec = rotsched::verify::ResourceSpec::unlimited();
+    let report = rotsched::verify::analyze(&g, &spec, None);
+    let cc = report
+        .critical_cycle
+        .as_ref()
+        .expect("the graph has a cycle");
+    assert_eq!(cc.ratio.num, 0);
+    assert_eq!(cc.iteration_bound, 1);
+    assert_eq!(rotsched::verify::recurrence_bound(&g), Some(1));
+    let _ = report.render_json(&g);
+}
+
+#[test]
 fn zero_delay_cycle_is_rejected_everywhere() {
     let mut g = Dfg::new("bad");
     let a = g.add_node("a", OpKind::Add, 1);
