@@ -6,7 +6,7 @@
 use core::time::Duration;
 use rotsched_bench::harness::Harness;
 use rotsched_benchmarks::{all_benchmarks, TimingModel};
-use rotsched_core::{heuristic1, heuristic2, heuristic2_reference, HeuristicConfig};
+use rotsched_core::{HeuristicConfig, SearchDriver};
 use rotsched_sched::{ListScheduler, ResourceSet};
 
 fn main() {
@@ -25,15 +25,21 @@ fn main() {
         let res = ResourceSet::adders_multipliers(2, 2, false);
         let sched = ListScheduler::default();
         h.bench(&format!("heuristic2/{name}"), || {
-            heuristic2(&g, &sched, &res, &config).expect("schedulable");
+            SearchDriver::incremental(&g, &sched, &res)
+                .heuristic2(&config)
+                .expect("schedulable");
         });
         // The from-scratch ablation of the incremental rotation context
         // (identical output, see DESIGN.md §6).
         h.bench(&format!("heuristic2-reference/{name}"), || {
-            heuristic2_reference(&g, &sched, &res, &config, None).expect("schedulable");
+            SearchDriver::reference(&g, &sched, &res)
+                .heuristic2(&config)
+                .expect("schedulable");
         });
         h.bench(&format!("heuristic1/{name}"), || {
-            heuristic1(&g, &sched, &res, &config).expect("schedulable");
+            SearchDriver::incremental(&g, &sched, &res)
+                .heuristic1(&config)
+                .expect("schedulable");
         });
     }
     h.finish();

@@ -11,7 +11,7 @@
 use rotsched_baselines::lower_bound;
 use rotsched_bench::jobs_from_args;
 use rotsched_benchmarks::{all_benchmarks, TimingModel};
-use rotsched_core::{heuristic1, heuristic2, parallel_indexed, HeuristicConfig};
+use rotsched_core::{parallel_indexed, HeuristicConfig, SearchDriver};
 use rotsched_dfg::Dfg;
 use rotsched_sched::{ListScheduler, PriorityPolicy, ResourceSet};
 
@@ -61,7 +61,9 @@ fn run(res: &ResourceSet, jobs: usize) {
                 keep_best: 4,
                 rounds: 1,
             };
-            let out = heuristic2(g, &ListScheduler::new(policy), res, &cfg).expect("schedulable");
+            let out = SearchDriver::incremental(g, &ListScheduler::new(policy), res)
+                .heuristic2(&cfg)
+                .expect("schedulable");
             cells.push(out.best_length);
         }
         format!(
@@ -86,8 +88,12 @@ fn run(res: &ResourceSet, jobs: usize) {
             rounds: 1,
         };
         let sched = ListScheduler::default();
-        let h1 = heuristic1(g, &sched, res, &cfg).expect("schedulable");
-        let h2 = heuristic2(g, &sched, res, &cfg).expect("schedulable");
+        let h1 = SearchDriver::incremental(g, &sched, res)
+            .heuristic1(&cfg)
+            .expect("schedulable");
+        let h2 = SearchDriver::incremental(g, &sched, res)
+            .heuristic2(&cfg)
+            .expect("schedulable");
         format!(
             "{:<28} {:>3} {:>4} {:>4} | {:>5} / {:>5}",
             name, lb, h1.best_length, h2.best_length, h1.total_rotations, h2.total_rotations
@@ -111,7 +117,9 @@ fn run(res: &ResourceSet, jobs: usize) {
                 keep_best: 4,
                 rounds,
             };
-            let out = heuristic2(g, &ListScheduler::default(), res, &cfg).expect("schedulable");
+            let out = SearchDriver::incremental(g, &ListScheduler::default(), res)
+                .heuristic2(&cfg)
+                .expect("schedulable");
             cells.push(out.best_length);
         }
         format!(

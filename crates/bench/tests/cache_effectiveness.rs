@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use rotsched_benchmarks::{all_benchmarks, TimingModel};
-use rotsched_core::{heuristic1, heuristic2, HeuristicConfig};
+use rotsched_core::{HeuristicConfig, SearchDriver};
 use rotsched_dfg::{NodeId, Retiming};
 use rotsched_sched::{ListScheduler, ResourceSet};
 
@@ -27,8 +27,9 @@ fn weight_cache_gets_hits_on_real_sweeps() {
     for (name, g) in all_benchmarks(&TimingModel::paper()) {
         let res = ResourceSet::adders_multipliers(2, 2, false);
         let sched = ListScheduler::default();
-        heuristic1(&g, &sched, &res, &config()).expect("schedulable");
-        heuristic2(&g, &sched, &res, &config()).expect("schedulable");
+        let mut driver = SearchDriver::incremental(&g, &sched, &res);
+        driver.heuristic1(&config()).expect("schedulable");
+        driver.heuristic2(&config()).expect("schedulable");
         let (hits, misses) = sched.weight_cache_stats();
         println!("{name}: weight cache {hits} hits / {misses} misses");
         total_hits += hits;

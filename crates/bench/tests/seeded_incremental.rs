@@ -12,9 +12,8 @@
 
 use rotsched_benchmarks::{random_dfg, RandomDfgConfig};
 use rotsched_core::{
-    heuristic1, heuristic1_budgeted, heuristic2, heuristic2_pruned, heuristic2_reference,
-    initial_state, rotation_phase, rotation_phase_reference, BestSet, Budget, HeuristicConfig,
-    HeuristicOutcome, RotationScheduler, Score,
+    initial_state, BestSet, Budget, HeuristicConfig, HeuristicOutcome, RotationScheduler, Score,
+    SearchDriver,
 };
 use rotsched_dfg::Dfg;
 use rotsched_sched::{ListScheduler, PriorityPolicy, ResourceSet};
@@ -68,21 +67,12 @@ fn phases_match_the_reference_under_every_policy() {
                 let mut reference = init.clone();
                 let mut best_inc = BestSet::new(4);
                 let mut best_ref = BestSet::new(4);
-                let stats_inc =
-                    rotation_phase(&g, &sched, &res, &mut incremental, &mut best_inc, size, 24)
-                        .expect("phase runs");
-                let stats_ref = rotation_phase_reference(
-                    &g,
-                    &sched,
-                    &res,
-                    &mut reference,
-                    &mut best_ref,
-                    size,
-                    24,
-                    None,
-                    None,
-                )
-                .expect("phase runs");
+                let stats_inc = SearchDriver::incremental(&g, &sched, &res)
+                    .run_phase(&mut incremental, &mut best_inc, size, 24)
+                    .expect("phase runs");
+                let stats_ref = SearchDriver::reference(&g, &sched, &res)
+                    .run_phase(&mut reference, &mut best_ref, size, 24)
+                    .expect("phase runs");
                 let what = format!("seed {seed}, {policy:?}, size {size}");
                 assert_eq!(stats_inc, stats_ref, "{what}: phase stats diverged");
                 assert_eq!(incremental, reference, "{what}: final state diverged");
@@ -102,9 +92,12 @@ fn heuristic2_matches_the_reference_on_random_graphs() {
     for seed in SEEDS {
         let g = suite_graph(seed);
         let sched = ListScheduler::default();
-        let incremental = heuristic2(&g, &sched, &res, &config()).expect("schedulable");
-        let reference =
-            heuristic2_reference(&g, &sched, &res, &config(), None).expect("schedulable");
+        let incremental = SearchDriver::incremental(&g, &sched, &res)
+            .heuristic2(&config())
+            .expect("schedulable");
+        let reference = SearchDriver::reference(&g, &sched, &res)
+            .heuristic2(&config())
+            .expect("schedulable");
         assert_outcomes_identical(
             &incremental,
             &reference,
@@ -122,7 +115,9 @@ fn heuristic1_matches_a_reference_driven_sweep() {
     for seed in SEEDS {
         let g = suite_graph(seed);
         let sched = ListScheduler::default();
-        let incremental = heuristic1(&g, &sched, &res, &cfg).expect("schedulable");
+        let incremental = SearchDriver::incremental(&g, &sched, &res)
+            .heuristic1(&cfg)
+            .expect("schedulable");
 
         let init = initial_state(&g, &sched, &res).expect("schedulable");
         let mut best = BestSet::new(cfg.keep_best);
@@ -132,20 +127,12 @@ fn heuristic1_matches_a_reference_driven_sweep() {
         );
         let beta = cfg.max_size.unwrap_or_else(|| init.length(&g)).max(1);
         let mut phases = Vec::new();
+        let mut reference = SearchDriver::reference(&g, &sched, &res);
         for size in 1..=beta {
             let mut state = init.clone();
-            let stats = rotation_phase_reference(
-                &g,
-                &sched,
-                &res,
-                &mut state,
-                &mut best,
-                size,
-                cfg.rotations_per_phase,
-                None,
-                None,
-            )
-            .expect("phase runs");
+            let stats = reference
+                .run_phase(&mut state, &mut best, size, cfg.rotations_per_phase)
+                .expect("phase runs");
             phases.push(stats);
         }
 
@@ -172,17 +159,25 @@ fn unlimited_budget_is_bit_identical_to_no_budget() {
         let sched = ListScheduler::default();
         let what = format!("seed {seed}");
 
-        let plain2 = heuristic2(&g, &sched, &res, &config()).expect("schedulable");
+        let plain2 = SearchDriver::incremental(&g, &sched, &res)
+            .heuristic2(&config())
+            .expect("schedulable");
         let meter = Budget::unlimited().arm();
-        let budgeted2 = heuristic2_pruned(&g, &sched, &res, &config(), None, Some(&meter))
+        let budgeted2 = SearchDriver::incremental(&g, &sched, &res)
+            .with_budget(Some(&meter))
+            .heuristic2(&config())
             .expect("schedulable");
         assert_outcomes_identical(&plain2, &budgeted2, &format!("{what}, heuristic2+budget"));
         assert_eq!(budgeted2.stopped, None, "{what}: unlimited budget fired");
 
-        let plain1 = heuristic1(&g, &sched, &res, &config()).expect("schedulable");
+        let plain1 = SearchDriver::incremental(&g, &sched, &res)
+            .heuristic1(&config())
+            .expect("schedulable");
         let meter = Budget::unlimited().arm();
-        let budgeted1 =
-            heuristic1_budgeted(&g, &sched, &res, &config(), Some(&meter)).expect("schedulable");
+        let budgeted1 = SearchDriver::incremental(&g, &sched, &res)
+            .with_budget(Some(&meter))
+            .heuristic1(&config())
+            .expect("schedulable");
         assert_outcomes_identical(&plain1, &budgeted1, &format!("{what}, heuristic1+budget"));
 
         let rs = RotationScheduler::new(&g, res.clone()).with_config(config());
@@ -209,7 +204,9 @@ fn rotation_budgets_truncate_heuristic2_monotonically() {
     for seed in [11, 97] {
         let g = suite_graph(seed);
         let sched = ListScheduler::default();
-        let full = heuristic2(&g, &sched, &res, &config()).expect("schedulable");
+        let full = SearchDriver::incremental(&g, &sched, &res)
+            .heuristic2(&config())
+            .expect("schedulable");
         let full_trace: Vec<u32> = full
             .phases
             .iter()
@@ -224,7 +221,9 @@ fn rotation_budgets_truncate_heuristic2_monotonically() {
             .collect();
         for k in budgets {
             let meter = Budget::default().with_max_rotations(k as u64).arm();
-            let out = heuristic2_pruned(&g, &sched, &res, &config(), None, Some(&meter))
+            let out = SearchDriver::incremental(&g, &sched, &res)
+                .with_budget(Some(&meter))
+                .heuristic2(&config())
                 .expect("schedulable");
             let what = format!("seed {seed}, budget {k}");
             let trace: Vec<u32> = out
@@ -266,20 +265,28 @@ fn portfolio_is_identical_for_every_job_count() {
                 .portfolio()
                 .expect("schedulable");
             let what = format!("seed {seed}, jobs {jobs}");
-            assert_eq!(run.best_length, baseline.best_length, "{what}: best length");
-            assert_eq!(run.best, baseline.best, "{what}: canonical best set");
-            assert_eq!(run.lower_bound, baseline.lower_bound, "{what}: bound");
             assert_eq!(
-                run.bound_achieved, baseline.bound_achieved,
-                "{what}: bound achievement"
+                run.merged.best_length, baseline.merged.best_length,
+                "{what}: best length"
+            );
+            assert_eq!(
+                run.merged.best, baseline.merged.best,
+                "{what}: canonical best set"
+            );
+            assert_eq!(
+                run.merged.lower_bound, baseline.merged.lower_bound,
+                "{what}: bound"
             );
             assert_eq!(
                 run.canonical_task, baseline.canonical_task,
                 "{what}: canonical task"
             );
-            assert_eq!(run.phases, baseline.phases, "{what}: phase statistics");
             assert_eq!(
-                run.total_rotations, baseline.total_rotations,
+                run.merged.phases, baseline.merged.phases,
+                "{what}: phase statistics"
+            );
+            assert_eq!(
+                run.merged.total_rotations, baseline.merged.total_rotations,
                 "{what}: rotation count"
             );
         }

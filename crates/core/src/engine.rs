@@ -20,12 +20,14 @@
 //!
 //! The paper's Heuristic 1 and Heuristic 2 (DAC 1993 §5) are sweep
 //! policies *over* this one loop; [`SearchDriver::heuristic1`] and
-//! [`SearchDriver::heuristic2`] implement them, and every legacy entry
-//! point (`rotation_phase*`, `heuristic1*`, `heuristic2*`) is a thin
-//! wrapper over a driver. Results are bit-identical to the pre-engine
-//! code paths — enforced by the `seeded_incremental`,
+//! [`SearchDriver::heuristic2`] implement them, and every phase,
+//! heuristic, portfolio worker, and [`RotationScheduler`] solve runs
+//! through a driver. The incremental and reference step modes are
+//! bit-identical — enforced by the `seeded_incremental`,
 //! `seeded_portfolio`, and `seeded_anytime` suites and the byte-stable
 //! bench tables.
+//!
+//! [`RotationScheduler`]: crate::RotationScheduler
 
 use rotsched_dfg::{Dfg, NodeId};
 use rotsched_sched::{CacheStats, ListScheduler, ResourceSet, WrapScratch};
@@ -171,9 +173,9 @@ pub trait StepMode {
 #[derive(Debug, Default)]
 pub struct IncrementalStep {
     ctx: Option<RotationContext>,
-    /// Pools the prefix buffer across context rebuilds (and, through
-    /// [`SearchDriver::into_step`], across the items of a batch solve),
-    /// so only the first phase of the first solve grows it.
+    /// Pools the prefix buffer across context rebuilds (and, when a
+    /// batch solve hands the step from driver to driver, across its
+    /// items), so only the first phase of the first solve grows it.
     arena: SolveArena,
 }
 
@@ -302,28 +304,18 @@ pub struct SearchDriver<'a, S, O = NoopObserver> {
     pub observer: O,
 }
 
-impl<'a> SearchDriver<'a, IncrementalStep, NoopObserver> {
-    /// A driver on the incremental step mode (the production path).
+impl<'a, S: StepMode> SearchDriver<'a, S, NoopObserver> {
+    /// A driver on the given step mode. Passing an existing
+    /// [`IncrementalStep`] keeps its pooled buffers warm across drivers,
+    /// which is how [`solve_batch`](crate::RotationScheduler::solve_batch)
+    /// amortizes per-item setup; reclaim the step afterwards with
+    /// [`SearchDriver::into_parts`].
     #[must_use]
-    pub fn incremental(
+    pub(crate) fn new(
         dfg: &'a Dfg,
         scheduler: &'a ListScheduler,
         resources: &'a ResourceSet,
-    ) -> Self {
-        Self::incremental_with_step(dfg, scheduler, resources, IncrementalStep::default())
-    }
-
-    /// A driver reusing an existing [`IncrementalStep`] — its pooled
-    /// buffers stay warm across drivers, which is how
-    /// [`solve_batch`](crate::RotationScheduler::solve_batch) amortizes
-    /// per-item setup. Reclaim the step afterwards with
-    /// [`SearchDriver::into_step`].
-    #[must_use]
-    pub fn incremental_with_step(
-        dfg: &'a Dfg,
-        scheduler: &'a ListScheduler,
-        resources: &'a ResourceSet,
-        step: IncrementalStep,
+        step: S,
     ) -> Self {
         SearchDriver {
             dfg,
@@ -339,6 +331,18 @@ impl<'a> SearchDriver<'a, IncrementalStep, NoopObserver> {
     }
 }
 
+impl<'a> SearchDriver<'a, IncrementalStep, NoopObserver> {
+    /// A driver on the incremental step mode (the production path).
+    #[must_use]
+    pub fn incremental(
+        dfg: &'a Dfg,
+        scheduler: &'a ListScheduler,
+        resources: &'a ResourceSet,
+    ) -> Self {
+        Self::new(dfg, scheduler, resources, IncrementalStep::default())
+    }
+}
+
 impl<'a> SearchDriver<'a, ScratchStep, NoopObserver> {
     /// A driver on the from-scratch step mode (the reference arm).
     #[must_use]
@@ -347,17 +351,7 @@ impl<'a> SearchDriver<'a, ScratchStep, NoopObserver> {
         scheduler: &'a ListScheduler,
         resources: &'a ResourceSet,
     ) -> Self {
-        SearchDriver {
-            dfg,
-            scheduler,
-            resources,
-            prune: None,
-            budget: None,
-            step: ScratchStep::default(),
-            objective: Objective::Length,
-            wrap: None,
-            observer: NoopObserver,
-        }
+        Self::new(dfg, scheduler, resources, ScratchStep::default())
     }
 }
 
@@ -401,17 +395,17 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
     }
 
     /// Consumes the driver, handing back its step mode with every pooled
-    /// buffer intact (see [`SearchDriver::incremental_with_step`]).
+    /// buffer intact (see [`SearchDriver::new`]) and its observer.
     #[must_use]
-    pub fn into_step(self) -> S {
-        self.step
+    pub(crate) fn into_parts(self) -> (S, O) {
+        (self.step, self.observer)
     }
 
     /// Runs `RotationPhase(S_init, L_opt, Q, G, i, α)` — `alpha`
     /// rotations of size `size` on `state`, halving the effective size
     /// whenever it reaches the schedule length, recording improvements
-    /// into `best`. This is the paper's one core loop; every public
-    /// phase/heuristic entry point reduces to runs of it.
+    /// into `best`. This is the paper's one core loop; both heuristics
+    /// and every portfolio task reduce to runs of it.
     ///
     /// # Errors
     ///
@@ -668,8 +662,6 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heuristics::{heuristic2, heuristic2_reference};
-    use crate::phase::rotation_phase;
     use rotsched_dfg::{DfgBuilder, OpKind};
 
     fn ring(n: usize, delays: u32) -> Dfg {
@@ -743,7 +735,9 @@ mod tests {
             keep_best: 8,
             rounds: 1,
         };
-        let plain = heuristic2(&g, &sched, &res, &config).unwrap();
+        let plain = SearchDriver::incremental(&g, &sched, &res)
+            .heuristic2(&config)
+            .unwrap();
         let mut driver =
             SearchDriver::incremental(&g, &sched, &res).with_observer(Counter::default());
         let observed = driver.heuristic2(&config).unwrap();
@@ -773,38 +767,11 @@ mod tests {
         let fast = SearchDriver::incremental(&g, &sched, &res)
             .heuristic2(&config)
             .unwrap();
-        let slow = heuristic2_reference(&g, &sched, &res, &config, None).unwrap();
+        let slow = SearchDriver::reference(&g, &sched, &res)
+            .heuristic2(&config)
+            .unwrap();
         assert_eq!(fast.best_length, slow.best_length);
         assert_eq!(fast.best, slow.best);
         assert_eq!(fast.phases, slow.phases);
-    }
-
-    #[test]
-    fn driver_phase_matches_the_legacy_wrapper() {
-        let g = ring(5, 2);
-        let sched = ListScheduler::default();
-        let res = ResourceSet::adders_multipliers(2, 0, false);
-        for size in 1..=3 {
-            let mut st_wrapper = initial_state(&g, &sched, &res).unwrap();
-            let mut st_driver = st_wrapper.clone();
-            let mut best_wrapper = BestSet::new(8);
-            let mut best_driver = BestSet::new(8);
-            let a = rotation_phase(
-                &g,
-                &sched,
-                &res,
-                &mut st_wrapper,
-                &mut best_wrapper,
-                size,
-                8,
-            )
-            .unwrap();
-            let b = SearchDriver::incremental(&g, &sched, &res)
-                .run_phase(&mut st_driver, &mut best_driver, size, 8)
-                .unwrap();
-            assert_eq!(a, b);
-            assert_eq!(st_wrapper, st_driver);
-            assert_eq!(best_wrapper.schedules, best_driver.schedules);
-        }
     }
 }

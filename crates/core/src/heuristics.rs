@@ -10,16 +10,18 @@
 //!   the input DFG". It found strictly better schedules than Heuristic 1
 //!   in one of the paper's experiments (elliptic filter, 2A 1Mp) and is
 //!   the heuristic behind the reported tables.
+//!
+//! Both run as sweeps of one [`SearchDriver`]
+//! ([`SearchDriver::heuristic1`], [`SearchDriver::heuristic2`]); this
+//! module holds their shared configuration and outcome types.
+//!
+//! [`SearchDriver`]: crate::engine::SearchDriver
+//! [`SearchDriver::heuristic1`]: crate::engine::SearchDriver::heuristic1
+//! [`SearchDriver::heuristic2`]: crate::engine::SearchDriver::heuristic2
 
-use rotsched_dfg::Dfg;
-use rotsched_sched::{ListScheduler, ResourceSet};
-
-use crate::budget::{BudgetMeter, StopReason};
-use crate::engine::SearchDriver;
-use crate::error::RotationError;
+use crate::budget::StopReason;
 use crate::objective::Score;
 use crate::phase::{BestSet, PhaseStats};
-use crate::portfolio::PruneSignal;
 use crate::rotate::RotationState;
 
 /// Tuning knobs shared by both heuristics.
@@ -79,8 +81,8 @@ pub struct HeuristicOutcome {
     /// ended with `Q` frozen at the lower bound.
     pub stopped: Option<StopReason>,
     /// The combined recurrence + resource lower bound the run proved
-    /// against, when it computed one: Heuristic 2 always does (its
-    /// frozen-set stop needs it), Heuristic 1 does not.
+    /// against, when it computed one: Heuristic 2 (its frozen-set stop
+    /// needs it) and the portfolio always do, Heuristic 1 does not.
     pub lower_bound: Option<u32>,
 }
 
@@ -104,121 +106,15 @@ impl HeuristicOutcome {
     }
 }
 
-/// Heuristic 1: independent phases of sizes `1..=β`, each restarting
-/// from the initial schedule and the zero rotation function.
-///
-/// # Errors
-///
-/// Propagates graph and scheduling failures.
-pub fn heuristic1(
-    dfg: &Dfg,
-    scheduler: &ListScheduler,
-    resources: &ResourceSet,
-    config: &HeuristicConfig,
-) -> Result<HeuristicOutcome, RotationError> {
-    heuristic1_budgeted(dfg, scheduler, resources, config, None)
-}
-
-/// [`heuristic1`] under an optional armed [`Budget`](crate::Budget): a
-/// fired budget ends the current phase at its cancellation point and
-/// skips the remaining sizes, returning the incumbent best. With
-/// `budget = None` this is exactly [`heuristic1`].
-///
-/// This is a thin wrapper over [`SearchDriver::heuristic1`] on the
-/// incremental step mode.
-///
-/// # Errors
-///
-/// Propagates graph and scheduling failures.
-pub fn heuristic1_budgeted(
-    dfg: &Dfg,
-    scheduler: &ListScheduler,
-    resources: &ResourceSet,
-    config: &HeuristicConfig,
-    budget: Option<&BudgetMeter>,
-) -> Result<HeuristicOutcome, RotationError> {
-    SearchDriver::incremental(dfg, scheduler, resources)
-        .with_budget(budget)
-        .heuristic1(config)
-}
-
-/// Heuristic 2: iterative compaction with phases of decreasing size
-/// `β, β−1, …, 1`; each phase continues from the previous phase's final
-/// rotation function via a fresh `FullSchedule` of the retimed graph.
-///
-/// # Errors
-///
-/// Propagates graph and scheduling failures.
-pub fn heuristic2(
-    dfg: &Dfg,
-    scheduler: &ListScheduler,
-    resources: &ResourceSet,
-    config: &HeuristicConfig,
-) -> Result<HeuristicOutcome, RotationError> {
-    heuristic2_pruned(dfg, scheduler, resources, config, None, None)
-}
-
-/// [`heuristic2`] with an optional portfolio pruning signal and an
-/// optional armed [`Budget`](crate::Budget): the sweep publishes its
-/// best length as it goes and stops early when the signal says further
-/// work is pointless (see [`PruneSignal`])
-/// or when the budget meter fires. A budget stop ends the sweep after
-/// the phase that recorded it — its chained reschedule is skipped, so
-/// the incumbent is exactly what the truncated search produced. With
-/// `prune = None` and `budget = None` this is exactly [`heuristic2`].
-///
-/// This is a thin wrapper over [`SearchDriver::heuristic2`] on the
-/// incremental step mode.
-///
-/// # Errors
-///
-/// Propagates graph and scheduling failures.
-pub fn heuristic2_pruned(
-    dfg: &Dfg,
-    scheduler: &ListScheduler,
-    resources: &ResourceSet,
-    config: &HeuristicConfig,
-    prune: Option<&PruneSignal<'_>>,
-    budget: Option<&BudgetMeter>,
-) -> Result<HeuristicOutcome, RotationError> {
-    SearchDriver::incremental(dfg, scheduler, resources)
-        .with_prune(prune)
-        .with_budget(budget)
-        .heuristic2(config)
-}
-
-/// The from-scratch twin of [`heuristic2`]: the same sweep driven by
-/// the scratch step mode, i.e. without the incremental
-/// [`RotationContext`](crate::RotationContext). Kept as the reference
-/// arm for equivalence tests and end-to-end before/after measurements —
-/// its results are bit-identical to [`heuristic2`]'s, including under a
-/// rotation budget (`budget` mirrors [`heuristic2_pruned`]'s).
-///
-/// This is a thin wrapper over [`SearchDriver::heuristic2`] on the
-/// scratch step mode.
-///
-/// # Errors
-///
-/// Propagates graph and scheduling failures.
-pub fn heuristic2_reference(
-    dfg: &Dfg,
-    scheduler: &ListScheduler,
-    resources: &ResourceSet,
-    config: &HeuristicConfig,
-    budget: Option<&BudgetMeter>,
-) -> Result<HeuristicOutcome, RotationError> {
-    SearchDriver::reference(dfg, scheduler, resources)
-        .with_budget(budget)
-        .heuristic2(config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SearchDriver;
     use crate::rotate::initial_state;
     use rotsched_dfg::analysis::iteration_bound;
-    use rotsched_dfg::{DfgBuilder, OpKind};
+    use rotsched_dfg::{Dfg, DfgBuilder, OpKind};
     use rotsched_sched::validate::realizing_retiming;
+    use rotsched_sched::{ListScheduler, ResourceSet};
 
     fn ring(n: usize, delays: u32) -> Dfg {
         let names: Vec<String> = (0..n).map(|i| format!("v{i}")).collect();
@@ -246,7 +142,9 @@ mod tests {
         // ceil(6/2) = 3 — the binding constraint here.
         let g = ring(6, 3);
         let res = ResourceSet::adders_multipliers(2, 0, false);
-        let out = heuristic1(&g, &ListScheduler::default(), &res, &config()).unwrap();
+        let out = SearchDriver::incremental(&g, &ListScheduler::default(), &res)
+            .heuristic1(&config())
+            .unwrap();
         let ib = iteration_bound(&g).unwrap().unwrap();
         assert_eq!(ib, 2);
         assert_eq!(out.best_length, 3);
@@ -257,7 +155,9 @@ mod tests {
     fn heuristic1_reaches_the_iteration_bound_with_ample_resources() {
         let g = ring(6, 3);
         let res = ResourceSet::adders_multipliers(3, 0, false);
-        let out = heuristic1(&g, &ListScheduler::default(), &res, &config()).unwrap();
+        let out = SearchDriver::incremental(&g, &ListScheduler::default(), &res)
+            .heuristic1(&config())
+            .unwrap();
         assert_eq!(out.best_length, 2, "IB = 6/3 = 2 with 3 adders");
     }
 
@@ -265,7 +165,9 @@ mod tests {
     fn heuristic2_reaches_the_combined_lower_bound_on_a_ring() {
         let g = ring(6, 3);
         let res = ResourceSet::adders_multipliers(2, 0, false);
-        let out = heuristic2(&g, &ListScheduler::default(), &res, &config()).unwrap();
+        let out = SearchDriver::incremental(&g, &ListScheduler::default(), &res)
+            .heuristic2(&config())
+            .unwrap();
         assert_eq!(out.best_length, 3);
     }
 
@@ -275,7 +177,9 @@ mod tests {
         // delays.
         let g = ring(6, 6);
         let res = ResourceSet::adders_multipliers(1, 0, false);
-        let out = heuristic2(&g, &ListScheduler::default(), &res, &config()).unwrap();
+        let out = SearchDriver::incremental(&g, &ListScheduler::default(), &res)
+            .heuristic2(&config())
+            .unwrap();
         assert_eq!(out.best_length, 6);
     }
 
@@ -283,7 +187,9 @@ mod tests {
     fn every_best_schedule_is_statically_legal() {
         let g = ring(5, 2);
         let res = ResourceSet::adders_multipliers(2, 0, false);
-        let out = heuristic2(&g, &ListScheduler::default(), &res, &config()).unwrap();
+        let out = SearchDriver::incremental(&g, &ListScheduler::default(), &res)
+            .heuristic2(&config())
+            .unwrap();
         for st in &out.best {
             let r = realizing_retiming(&g, &st.schedule)
                 .expect("best schedules are static schedules of G");
@@ -295,7 +201,9 @@ mod tests {
     fn phases_and_rotation_counts_are_reported() {
         let g = ring(4, 2);
         let res = ResourceSet::adders_multipliers(2, 0, false);
-        let out = heuristic1(&g, &ListScheduler::default(), &res, &config()).unwrap();
+        let out = SearchDriver::incremental(&g, &ListScheduler::default(), &res)
+            .heuristic1(&config())
+            .unwrap();
         assert_eq!(out.phases.len(), 4, "one phase per size 1..=initial length");
         assert_eq!(
             out.total_rotations,
@@ -308,9 +216,12 @@ mod tests {
         for delays in 1..=3 {
             let g = ring(6, delays);
             let res = ResourceSet::adders_multipliers(2, 0, false);
-            let fast = heuristic2(&g, &ListScheduler::default(), &res, &config()).unwrap();
-            let slow =
-                heuristic2_reference(&g, &ListScheduler::default(), &res, &config(), None).unwrap();
+            let fast = SearchDriver::incremental(&g, &ListScheduler::default(), &res)
+                .heuristic2(&config())
+                .unwrap();
+            let slow = SearchDriver::reference(&g, &ListScheduler::default(), &res)
+                .heuristic2(&config())
+                .unwrap();
             assert_eq!(fast.best_length, slow.best_length);
             assert_eq!(fast.best, slow.best);
             assert_eq!(fast.phases, slow.phases);
@@ -322,19 +233,16 @@ mod tests {
         use crate::budget::{Budget, StopReason};
         let g = ring(6, 3);
         let res = ResourceSet::adders_multipliers(2, 0, false);
-        let full = heuristic2(&g, &ListScheduler::default(), &res, &config()).unwrap();
+        let full = SearchDriver::incremental(&g, &ListScheduler::default(), &res)
+            .heuristic2(&config())
+            .unwrap();
         let mut last_best = u32::MAX;
         for k in 0..=full.total_rotations {
             let meter = Budget::default().with_max_rotations(k as u64).arm();
-            let out = heuristic2_pruned(
-                &g,
-                &ListScheduler::default(),
-                &res,
-                &config(),
-                None,
-                Some(&meter),
-            )
-            .unwrap();
+            let out = SearchDriver::incremental(&g, &ListScheduler::default(), &res)
+                .with_budget(Some(&meter))
+                .heuristic2(&config())
+                .unwrap();
             assert!(out.total_rotations <= k);
             assert!(
                 out.best_length <= last_best,
@@ -354,7 +262,9 @@ mod tests {
         let g = ring(6, 3);
         let res = ResourceSet::adders_multipliers(2, 0, false);
         let meter = Budget::default().with_max_rotations(0).arm();
-        let out = heuristic1_budgeted(&g, &ListScheduler::default(), &res, &config(), Some(&meter))
+        let out = SearchDriver::incremental(&g, &ListScheduler::default(), &res)
+            .with_budget(Some(&meter))
+            .heuristic1(&config())
             .unwrap();
         assert_eq!(out.total_rotations, 0);
         assert!(out.stopped.is_some());
@@ -369,7 +279,9 @@ mod tests {
             let init_len = initial_state(&g, &ListScheduler::default(), &res)
                 .unwrap()
                 .length(&g);
-            let out = heuristic2(&g, &ListScheduler::default(), &res, &config()).unwrap();
+            let out = SearchDriver::incremental(&g, &ListScheduler::default(), &res)
+                .heuristic2(&config())
+                .unwrap();
             assert!(out.best_length <= init_len);
         }
     }

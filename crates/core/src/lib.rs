@@ -53,8 +53,9 @@
 //!   convergence telemetry over driver events (`rotsched solve
 //!   --trace`).
 //! * [`phase`] — rotation phases with best-set tracking (Section 5).
-//! * [`heuristics`] — Heuristic 1 (independent phases) and Heuristic 2
-//!   (chained, decreasing sizes) behind the paper's tables.
+//! * [`heuristics`] — the configuration and outcome of Heuristic 1
+//!   (independent phases) and Heuristic 2 (chained, decreasing sizes),
+//!   the sweeps behind the paper's tables.
 //! * [`portfolio`] — deterministic parallel portfolio search over many
 //!   independent configurations, with lower-bound-based pruning.
 //! * [`depth`] — pipeline-depth minimization via the shortest-path dual
@@ -89,14 +90,9 @@ pub use engine::{
     IncrementalStep, NoopObserver, ScratchStep, SearchDriver, SearchEvent, SearchObserver, StepMode,
 };
 pub use error::RotationError;
-pub use heuristics::{
-    heuristic1, heuristic1_budgeted, heuristic2, heuristic2_pruned, heuristic2_reference,
-    HeuristicConfig, HeuristicOutcome,
-};
+pub use heuristics::{HeuristicConfig, HeuristicOutcome};
 pub use objective::{Objective, Score};
-pub use phase::{
-    rotation_phase, rotation_phase_pruned, rotation_phase_reference, BestSet, PhaseStats,
-};
+pub use phase::{BestSet, PhaseStats};
 pub use portfolio::{
     effective_jobs, parallel_indexed, parallel_indexed_isolated, IsolatedResult, Portfolio,
     PortfolioOutcome, PruneSignal, SearchTask, SharedBound, TaskOutcome, TaskReport,
@@ -106,9 +102,7 @@ pub use rotate::{
     down_rotate, initial_state, is_down_rotatable, up_rotate, DownRotateOutcome, RotationState,
 };
 pub use rotate_chained::{down_rotate_chained, initial_chained_state, ChainedRotationState};
-pub use scheduler::{
-    ProblemSpec, RotationScheduler, SolveOutcome, SolveQuality, SolveStats, SolvedPipeline,
-};
+pub use scheduler::{ProblemSpec, RotationScheduler, SolveOutcome, SolveQuality, SolveStats};
 pub use trace::{
     PhaseCounters, SearchTrace, TaskTrace, TraceEvent, TraceRecorder, DEFAULT_TRACE_EVENTS,
     TRACE_SCHEMA,

@@ -8,19 +8,11 @@
 //! achieving it.
 
 use rotsched_dfg::rng::Fnv64;
-use rotsched_dfg::Dfg;
-use rotsched_sched::{ListScheduler, ResourceSet, Schedule};
+use rotsched_sched::Schedule;
 
-use crate::budget::{BudgetMeter, StopReason};
-use crate::engine::SearchDriver;
-use crate::error::RotationError;
+use crate::budget::StopReason;
 use crate::objective::Score;
-use crate::portfolio::PruneSignal;
 use crate::rotate::RotationState;
-
-/// A schedule achieving the best known length, with its rotation
-/// function.
-pub type BestSchedule = RotationState;
 
 /// A cheap order-insensitive-enough fingerprint of a schedule: FNV-1a
 /// over its `(node, control step)` pairs in node-index order (the order
@@ -55,7 +47,7 @@ pub struct BestSet {
     /// shortest wrapped schedule length under the default objective.
     pub score: Score,
     /// Distinct states achieving it, capped at a configurable size.
-    pub schedules: Vec<BestSchedule>,
+    pub schedules: Vec<RotationState>,
     /// Maximum number of schedules retained.
     pub capacity: usize,
     /// `fingerprints[i]` is the schedule fingerprint of `schedules[i]`;
@@ -219,109 +211,13 @@ pub struct PhaseStats {
     pub stopped: Option<StopReason>,
 }
 
-/// Runs `RotationPhase(S_init, L_opt, Q, G, i, α)`: `alpha` rotations of
-/// size `i` starting from `state`, halving the effective size whenever it
-/// reaches the schedule length.
-///
-/// `state` is advanced in place; improvements are recorded into `best`.
-/// Lengths are measured as *wrapped* lengths (Section 4's definition).
-///
-/// # Errors
-///
-/// Propagates scheduling failures. Invalid sizes cannot occur: the size
-/// is halved below the schedule length first, and a schedule of length 1
-/// terminates the phase early.
-pub fn rotation_phase(
-    dfg: &Dfg,
-    scheduler: &ListScheduler,
-    resources: &ResourceSet,
-    state: &mut RotationState,
-    best: &mut BestSet,
-    size: u32,
-    alpha: usize,
-) -> Result<PhaseStats, RotationError> {
-    rotation_phase_pruned(
-        dfg, scheduler, resources, state, best, size, alpha, None, None,
-    )
-}
-
-/// [`rotation_phase`] with an optional portfolio pruning signal and an
-/// optional armed [`Budget`](crate::Budget): the phase publishes its
-/// best length after every rotation and stops as soon as the signal
-/// says further work is pointless (the best reached the combined lower
-/// bound, or a lower-indexed portfolio task did), or as soon as the
-/// budget meter fires. A budget stop is recorded in
-/// [`PhaseStats::stopped`]; the state and best set always hold complete,
-/// legal schedules — no rotation is abandoned halfway.
-///
-/// With `prune = None` and `budget = None` this is exactly
-/// [`rotation_phase`].
-///
-/// The phase's rotations run through a
-/// [`RotationContext`](crate::RotationContext) built from the starting
-/// state, so per-step work is proportional to the rotated prefix rather
-/// than the graph. Each caller (portfolio worker) gets its own context;
-/// the results are bit-identical to [`rotation_phase_reference`].
-///
-/// This is a thin wrapper over
-/// [`SearchDriver::run_phase`] on the incremental step mode.
-///
-/// # Errors
-///
-/// See [`rotation_phase`].
-#[allow(clippy::too_many_arguments)]
-pub fn rotation_phase_pruned(
-    dfg: &Dfg,
-    scheduler: &ListScheduler,
-    resources: &ResourceSet,
-    state: &mut RotationState,
-    best: &mut BestSet,
-    size: u32,
-    alpha: usize,
-    prune: Option<&PruneSignal<'_>>,
-    budget: Option<&BudgetMeter>,
-) -> Result<PhaseStats, RotationError> {
-    SearchDriver::incremental(dfg, scheduler, resources)
-        .with_prune(prune)
-        .with_budget(budget)
-        .run_phase(state, best, size, alpha)
-}
-
-/// The from-scratch twin of [`rotation_phase_pruned`]: identical search,
-/// but every rotation uses the non-incremental
-/// [`down_rotate`](crate::rotate::down_rotate) operator. Kept as the
-/// reference arm for equivalence tests and the `rotation_step`
-/// before/after benchmark.
-///
-/// This is a thin wrapper over
-/// [`SearchDriver::run_phase`] on the scratch step mode.
-///
-/// # Errors
-///
-/// See [`rotation_phase`].
-#[allow(clippy::too_many_arguments)]
-pub fn rotation_phase_reference(
-    dfg: &Dfg,
-    scheduler: &ListScheduler,
-    resources: &ResourceSet,
-    state: &mut RotationState,
-    best: &mut BestSet,
-    size: u32,
-    alpha: usize,
-    prune: Option<&PruneSignal<'_>>,
-    budget: Option<&BudgetMeter>,
-) -> Result<PhaseStats, RotationError> {
-    SearchDriver::reference(dfg, scheduler, resources)
-        .with_prune(prune)
-        .with_budget(budget)
-        .run_phase(state, best, size, alpha)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SearchDriver;
     use crate::rotate::initial_state;
-    use rotsched_dfg::{DfgBuilder, OpKind};
+    use rotsched_dfg::{Dfg, DfgBuilder, OpKind};
+    use rotsched_sched::{ListScheduler, ResourceSet};
 
     fn ring(delays: u32) -> Dfg {
         DfgBuilder::new("ring")
@@ -353,7 +249,9 @@ mod tests {
             &st
         ));
         assert_eq!(best.length(), 4);
-        let stats = rotation_phase(&g, &sched, &res, &mut st, &mut best, 1, 8).unwrap();
+        let stats = SearchDriver::incremental(&g, &sched, &res)
+            .run_phase(&mut st, &mut best, 1, 8)
+            .unwrap();
         assert_eq!(stats.rotations, 8);
         assert!(best.length() <= 3, "size-1 rotation improves 4 -> 3");
     }
@@ -369,7 +267,9 @@ mod tests {
             Score::from_length(st.wrapped_length(&g, &res).unwrap()),
             &st
         ));
-        rotation_phase(&g, &sched, &res, &mut st, &mut best, 2, 8).unwrap();
+        SearchDriver::incremental(&g, &sched, &res)
+            .run_phase(&mut st, &mut best, 2, 8)
+            .unwrap();
         assert_eq!(best.length(), 2, "iteration bound 4/2 = 2");
     }
 
@@ -380,7 +280,9 @@ mod tests {
         let mut best = BestSet::new(8);
         // Size 100 >> length 4: must halve to below the length and still
         // perform rotations.
-        let stats = rotation_phase(&g, &sched, &res, &mut st, &mut best, 100, 4).unwrap();
+        let stats = SearchDriver::incremental(&g, &sched, &res)
+            .run_phase(&mut st, &mut best, 100, 4)
+            .unwrap();
         assert_eq!(stats.rotations, 4);
         assert!(best.length() <= 4);
     }
@@ -463,20 +365,12 @@ mod tests {
             let mut st_ref = st_ctx.clone();
             let mut best_ctx = BestSet::new(8);
             let mut best_ref = BestSet::new(8);
-            let stats_ctx =
-                rotation_phase(&g, &sched, &res, &mut st_ctx, &mut best_ctx, size, 8).unwrap();
-            let stats_ref = rotation_phase_reference(
-                &g,
-                &sched,
-                &res,
-                &mut st_ref,
-                &mut best_ref,
-                size,
-                8,
-                None,
-                None,
-            )
-            .unwrap();
+            let stats_ctx = SearchDriver::incremental(&g, &sched, &res)
+                .run_phase(&mut st_ctx, &mut best_ctx, size, 8)
+                .unwrap();
+            let stats_ref = SearchDriver::reference(&g, &sched, &res)
+                .run_phase(&mut st_ref, &mut best_ref, size, 8)
+                .unwrap();
             assert_eq!(stats_ctx, stats_ref);
             assert_eq!(st_ctx, st_ref);
             assert_eq!(best_ctx.score, best_ref.score);
@@ -491,24 +385,18 @@ mod tests {
         // Unlimited run as the reference trace.
         let mut st_full = initial_state(&g, &sched, &res).unwrap();
         let mut best_full = BestSet::new(8);
-        let full = rotation_phase(&g, &sched, &res, &mut st_full, &mut best_full, 1, 8).unwrap();
+        let full = SearchDriver::incremental(&g, &sched, &res)
+            .run_phase(&mut st_full, &mut best_full, 1, 8)
+            .unwrap();
         // Budget of k rotations reproduces exactly the first k lengths.
         for k in 0..=full.rotations {
             let meter = Budget::default().with_max_rotations(k as u64).arm();
             let mut st = initial_state(&g, &sched, &res).unwrap();
             let mut best = BestSet::new(8);
-            let stats = rotation_phase_pruned(
-                &g,
-                &sched,
-                &res,
-                &mut st,
-                &mut best,
-                1,
-                8,
-                None,
-                Some(&meter),
-            )
-            .unwrap();
+            let stats = SearchDriver::incremental(&g, &sched, &res)
+                .with_budget(Some(&meter))
+                .run_phase(&mut st, &mut best, 1, 8)
+                .unwrap();
             assert_eq!(stats.rotations, k);
             assert_eq!(stats.lengths, full.lengths[..k]);
             if k < full.rotations {
@@ -530,18 +418,10 @@ mod tests {
             Score::from_length(st.wrapped_length(&g, &res).unwrap()),
             &st
         ));
-        let stats = rotation_phase_pruned(
-            &g,
-            &sched,
-            &res,
-            &mut st,
-            &mut best,
-            2,
-            8,
-            None,
-            Some(&meter),
-        )
-        .unwrap();
+        let stats = SearchDriver::incremental(&g, &sched, &res)
+            .with_budget(Some(&meter))
+            .run_phase(&mut st, &mut best, 2, 8)
+            .unwrap();
         assert_eq!(stats.rotations, 0);
         assert_eq!(stats.stopped, Some(StopReason::Cancelled));
         assert_eq!(best.length(), 4, "pre-cancel incumbent survives");
@@ -552,7 +432,9 @@ mod tests {
         let (g, sched, res) = setup();
         let mut st = initial_state(&g, &sched, &res).unwrap();
         let mut best = BestSet::new(4);
-        let stats = rotation_phase(&g, &sched, &res, &mut st, &mut best, 1, 5).unwrap();
+        let stats = SearchDriver::incremental(&g, &sched, &res)
+            .run_phase(&mut st, &mut best, 1, 5)
+            .unwrap();
         assert_eq!(stats.lengths.len(), stats.rotations);
         assert!(stats.first_optimum_at.is_some());
         assert!(stats.lengths.iter().min().copied().unwrap() == best.length());

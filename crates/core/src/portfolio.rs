@@ -49,13 +49,13 @@ use rotsched_baselines::lower_bound;
 use rotsched_dfg::Dfg;
 use rotsched_sched::{ListScheduler, PriorityPolicy, ResourceSet};
 
-use crate::budget::{Budget, BudgetMeter, StopReason};
+use crate::budget::{Budget, BudgetMeter};
 use crate::engine::{NoopObserver, SearchDriver, SearchObserver};
 use crate::error::RotationError;
-use crate::heuristics::HeuristicConfig;
+use crate::heuristics::{HeuristicConfig, HeuristicOutcome};
 use crate::objective::{Objective, Score};
 use crate::phase::{BestSet, PhaseStats};
-use crate::rotate::{initial_state, RotationState};
+use crate::rotate::initial_state;
 use crate::trace::{SearchTrace, TaskTrace, TraceRecorder};
 
 /// The combined recurrence + resource lower bound
@@ -261,36 +261,29 @@ pub struct TaskReport {
 /// The deterministic result of a portfolio run.
 #[derive(Clone, Debug)]
 pub struct PortfolioOutcome {
-    /// Best (wrapped) schedule length found.
-    pub best_length: u32,
-    /// Best packed score found; its length component is `best_length`.
-    pub best_score: Score,
-    /// The canonical best set: the lowest-indexed bound achiever's `Q`
-    /// when the bound was reached, else the capacity-capped union of
-    /// all tasks' sets in index order. `best[0]` is the canonical
-    /// winner. Identical for every thread count.
-    pub best: Vec<RotationState>,
-    /// The combined recurrence + resource lower bound used for pruning.
-    pub lower_bound: u32,
-    /// Whether some task reached the lower bound (proving optimality).
-    pub bound_achieved: bool,
-    /// Index of the canonical achiever task, when the bound was reached.
+    /// The merged search result, identical for every thread count:
+    ///
+    /// * `best` is the canonical best set — the lowest-indexed bound
+    ///   achiever's `Q` when the bound was reached, else the
+    ///   capacity-capped union of all tasks' sets in index order;
+    ///   `best[0]` is the canonical winner;
+    /// * `phases` holds the deterministic part of the run: tasks
+    ///   `0..=canonical_task` when the bound was achieved, all tasks
+    ///   otherwise (`total_rotations` sums them);
+    /// * `stopped` is set when a [`Budget`] limit fired in any worker;
+    /// * `lower_bound` is always the combined recurrence + resource
+    ///   lower bound used for pruning.
+    pub merged: HeuristicOutcome,
+    /// Index of the canonical achiever task: the lowest-indexed task
+    /// whose best score reached the packed lower bound (length at the
+    /// bound, zero secondaries).
     pub canonical_task: Option<usize>,
-    /// Phase statistics from the deterministic part of the run: tasks
-    /// `0..=canonical_task` when the bound was achieved, all tasks
-    /// otherwise. Identical for every thread count.
-    pub phases: Vec<PhaseStats>,
-    /// Total rotations in `phases`.
-    pub total_rotations: usize,
     /// Advisory per-task summaries (timing-dependent above the
     /// canonical achiever).
     pub reports: Vec<TaskReport>,
     /// How many tasks panicked (each isolated; the portfolio degraded
     /// to the survivors).
     pub panicked_tasks: usize,
-    /// Why the run stopped early, if a [`Budget`] limit fired in any
-    /// worker; `None` when every surviving task ran to completion.
-    pub stopped: Option<StopReason>,
 }
 
 /// A portfolio: an indexed task list plus execution knobs.
@@ -415,12 +408,12 @@ impl Portfolio {
     /// The returned trace keeps the **deterministic prefix** of the
     /// task list — tasks `0..=canonical_task` when the bound was
     /// achieved, all tasks otherwise (the same rule
-    /// [`PortfolioOutcome::phases`] follows). Tasks above the canonical
-    /// achiever are cross-pruned at timing-dependent points, so their
-    /// streams are discarded; everything kept, and the outcome itself,
-    /// is bit-identical for every job count (tasks at or below the
-    /// canonical achiever can never observe a cross-prune, because any
-    /// recorded achiever index is at least the canonical one). A
+    /// [`PortfolioOutcome::merged`]'s phases follow). Tasks above the
+    /// canonical achiever are cross-pruned at timing-dependent points,
+    /// so their streams are discarded; everything kept, and the outcome
+    /// itself, is bit-identical for every job count (tasks at or below
+    /// the canonical achiever can never observe a cross-prune, because
+    /// any recorded achiever index is at least the canonical one). A
     /// panicked task leaves an empty placeholder trace.
     ///
     /// # Errors
@@ -568,17 +561,14 @@ impl Portfolio {
         }
         Ok((
             PortfolioOutcome {
-                best_length: best.length(),
-                best_score: best.score,
-                lower_bound: bound,
-                bound_achieved: canonical_task.is_some(),
+                merged: HeuristicOutcome {
+                    stopped,
+                    lower_bound: Some(bound),
+                    ..HeuristicOutcome::from_parts(best, phases)
+                },
                 canonical_task,
-                total_rotations: phases.iter().map(|p| p.rotations).sum(),
-                phases,
-                best: best.schedules,
                 reports,
                 panicked_tasks,
-                stopped,
             },
             observers,
         ))
@@ -891,11 +881,10 @@ mod tests {
         let res = ResourceSet::adders_multipliers(3, 0, false);
         let p = Portfolio::standard(&g, &res, &config()).unwrap();
         let out = p.run(&g, &res).unwrap();
-        assert_eq!(out.best_length, 2, "IB = 6/3 = 2");
-        assert!(out.bound_achieved);
-        assert_eq!(out.lower_bound, 2);
+        assert_eq!(out.merged.best_length, 2, "IB = 6/3 = 2");
+        assert_eq!(out.merged.lower_bound, Some(2));
         assert!(out.canonical_task.is_some());
-        assert!(!out.best.is_empty());
+        assert!(!out.merged.best.is_empty());
     }
 
     #[test]
@@ -906,24 +895,28 @@ mod tests {
         let baseline = p.clone().with_jobs(1).run(&g, &res).unwrap();
         for jobs in [2, 3, 8] {
             let out = p.clone().with_jobs(jobs).run(&g, &res).unwrap();
-            assert_eq!(out.best_length, baseline.best_length);
-            assert_eq!(out.best, baseline.best, "jobs={jobs}");
+            assert_eq!(out.merged.best_length, baseline.merged.best_length);
+            assert_eq!(out.merged.best, baseline.merged.best, "jobs={jobs}");
             assert_eq!(out.canonical_task, baseline.canonical_task);
-            assert_eq!(out.phases, baseline.phases);
+            assert_eq!(out.merged.phases, baseline.merged.phases);
         }
     }
 
     #[test]
     fn portfolio_never_worsens_heuristic2() {
-        use crate::heuristics::heuristic2;
         for delays in 1..=3 {
             let g = ring(6, delays);
             let res = ResourceSet::adders_multipliers(2, 0, false);
-            let solo = heuristic2(&g, &ListScheduler::default(), &res, &config()).unwrap();
+            let solo = SearchDriver::incremental(&g, &ListScheduler::default(), &res)
+                .heuristic2(&config())
+                .unwrap();
             let p = Portfolio::standard(&g, &res, &config()).unwrap();
             let out = p.with_jobs(4).run(&g, &res).unwrap();
-            assert!(out.best_length <= solo.best_length);
-            assert!(out.best_length >= out.lower_bound, "bound is sound");
+            assert!(out.merged.best_length <= solo.best_length);
+            assert!(
+                Some(out.merged.best_length) >= out.merged.lower_bound,
+                "bound is sound"
+            );
         }
     }
 
@@ -986,7 +979,7 @@ mod tests {
             assert_eq!(out.reports[0].best_length, None);
             let baseline = clean.clone().with_jobs(jobs).run(&g, &res).unwrap();
             assert_eq!(
-                out.best_length, baseline.best_length,
+                out.merged.best_length, baseline.merged.best_length,
                 "survivors' best is unaffected"
             );
         }
@@ -1020,10 +1013,10 @@ mod tests {
             .unwrap()
             .with_budget(Budget::default().with_max_rotations(0));
         let out = p.run(&g, &res).unwrap();
-        assert_eq!(out.total_rotations, 0);
-        assert!(out.stopped.is_some());
+        assert_eq!(out.merged.total_rotations, 0);
+        assert!(out.merged.stopped.is_some());
         assert!(
-            !out.best.is_empty(),
+            !out.merged.best.is_empty(),
             "initial list schedules are the incumbents"
         );
     }
@@ -1035,9 +1028,9 @@ mod tests {
         let p = Portfolio::standard(&g, &res, &config()).unwrap();
         let plain = p.clone().run(&g, &res).unwrap();
         let budgeted = p.with_budget(Budget::unlimited()).run(&g, &res).unwrap();
-        assert_eq!(plain.best_length, budgeted.best_length);
-        assert_eq!(plain.best, budgeted.best);
-        assert_eq!(plain.phases, budgeted.phases);
-        assert_eq!(budgeted.stopped, None);
+        assert_eq!(plain.merged.best_length, budgeted.merged.best_length);
+        assert_eq!(plain.merged.best, budgeted.merged.best);
+        assert_eq!(plain.merged.phases, budgeted.merged.phases);
+        assert_eq!(budgeted.merged.stopped, None);
     }
 }

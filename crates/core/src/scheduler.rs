@@ -15,7 +15,7 @@ use rotsched_sched::{
 
 use crate::budget::{Budget, StopReason};
 use crate::depth::{into_loop_schedule, minimized_depth};
-use crate::engine::{IncrementalStep, SearchDriver};
+use crate::engine::{IncrementalStep, NoopObserver, SearchDriver, SearchObserver, StepMode};
 use crate::error::RotationError;
 use crate::heuristics::{HeuristicConfig, HeuristicOutcome};
 use crate::objective::{Objective, Score};
@@ -107,10 +107,6 @@ impl SolveOutcome {
         &self.state.schedule
     }
 }
-
-/// The pre-resilience name of [`SolveOutcome`], kept as an alias so
-/// existing callers (which read the same fields) keep compiling.
-pub type SolvedPipeline = SolveOutcome;
 
 /// One item of a [`RotationScheduler::solve_batch`] run: an owned
 /// problem instance plus its solver configuration.
@@ -375,11 +371,7 @@ impl<'a> RotationScheduler<'a> {
     ///
     /// Propagates graph and scheduling failures.
     pub fn heuristic2(&self) -> Result<HeuristicOutcome, RotationError> {
-        let meter = (!self.budget.is_unlimited()).then(|| self.budget.arm());
-        SearchDriver::incremental(self.dfg, &self.scheduler, &self.resources)
-            .with_objective(self.objective)
-            .with_budget(meter.as_ref())
-            .heuristic2(&self.config)
+        self.sweep(NoopObserver).map(|(outcome, _)| outcome)
     }
 
     /// Runs Heuristic 2 and packages the best schedule with its
@@ -391,8 +383,7 @@ impl<'a> RotationScheduler<'a> {
     /// [`RotationError::Unrealizable`] cannot occur for states produced
     /// by rotation.
     pub fn solve(&self) -> Result<SolveOutcome, RotationError> {
-        let outcome = self.heuristic2()?;
-        self.package_heuristic(outcome)
+        package(self.dfg, &self.resources, self.heuristic2()?, 0)
     }
 
     /// Like [`RotationScheduler::solve`], but records the search's
@@ -409,49 +400,27 @@ impl<'a> RotationScheduler<'a> {
         &self,
         capacity: usize,
     ) -> Result<(SolveOutcome, SearchTrace), RotationError> {
-        let meter = (!self.budget.is_unlimited()).then(|| self.budget.arm());
-        let mut driver = SearchDriver::incremental(self.dfg, &self.scheduler, &self.resources)
-            .with_objective(self.objective)
-            .with_budget(meter.as_ref())
-            .with_observer(TraceRecorder::new(capacity));
-        let outcome = driver.heuristic2(&self.config)?;
-        let trace = SearchTrace::single(driver.observer.finish());
-        Ok((self.package_heuristic(outcome)?, trace))
+        let (outcome, recorder) = self.sweep(TraceRecorder::new(capacity))?;
+        let solved = package(self.dfg, &self.resources, outcome, 0)?;
+        Ok((solved, SearchTrace::single(recorder.finish())))
     }
 
-    fn package_heuristic(&self, outcome: HeuristicOutcome) -> Result<SolveOutcome, RotationError> {
-        let bound = outcome
-            .lower_bound
-            .expect("Heuristic 2 records the lower bound it proved against");
-        let state = outcome
-            .best
-            .first()
-            .cloned()
-            .expect("heuristics always retain at least the initial schedule");
-        let depth = minimized_depth(self.dfg, &state)?;
-        let quality = if outcome.stopped.is_some() {
-            SolveQuality::BudgetExhausted
-        } else if outcome.best_length <= bound {
-            SolveQuality::Optimal
-        } else {
-            SolveQuality::Complete
-        };
-        let stats = SolveStats {
-            total_rotations: outcome.total_rotations,
-            stopped: outcome.stopped,
-            panicked_tasks: 0,
-            lower_bound: bound,
-        };
-        self.debug_certify(&outcome.best, quality);
-        Ok(SolveOutcome {
-            length: outcome.best_length,
-            score: outcome.best_score,
-            depth,
-            state,
-            outcome,
-            quality,
-            stats,
-        })
+    /// This scheduler's Heuristic-2 sweep on a fresh incremental step.
+    fn sweep<O: SearchObserver>(
+        &self,
+        observer: O,
+    ) -> Result<(HeuristicOutcome, O), RotationError> {
+        let (outcome, _, observer) = run_sweep(
+            self.dfg,
+            &self.scheduler,
+            &self.resources,
+            &self.config,
+            self.objective,
+            &self.budget,
+            IncrementalStep::default(),
+            observer,
+        )?;
+        Ok((outcome, observer))
     }
 
     /// Solves a whole batch of problem instances, amortizing per-item
@@ -500,24 +469,18 @@ impl<'a> RotationScheduler<'a> {
                     schedulers.len() - 1
                 }
             };
-            let scheduler = &schedulers[scheduler].1;
-            let meter = (!spec.budget.is_unlimited()).then(|| spec.budget.arm());
-            let mut driver =
-                SearchDriver::incremental_with_step(&spec.dfg, scheduler, &spec.resources, step)
-                    .with_objective(spec.objective)
-                    .with_budget(meter.as_ref());
-            let outcome = driver.heuristic2(&spec.config)?;
-            step = driver.into_step();
-            let facade = RotationScheduler {
-                dfg: &spec.dfg,
-                resources: spec.resources.clone(),
-                scheduler: scheduler.clone(),
-                config: spec.config,
-                objective: spec.objective,
-                jobs: 1,
-                budget: spec.budget.clone(),
-            };
-            outcomes.push(facade.package_heuristic(outcome)?);
+            let (outcome, reclaimed, _) = run_sweep(
+                &spec.dfg,
+                &schedulers[scheduler].1,
+                &spec.resources,
+                &spec.config,
+                spec.objective,
+                &spec.budget,
+                step,
+                NoopObserver,
+            )?;
+            step = reclaimed;
+            outcomes.push(package(&spec.dfg, &spec.resources, outcome, 0)?);
             seen.push((fingerprint, i));
         }
         Ok(outcomes)
@@ -532,11 +495,7 @@ impl<'a> RotationScheduler<'a> {
     ///
     /// Propagates graph and scheduling failures.
     pub fn portfolio(&self) -> Result<PortfolioOutcome, RotationError> {
-        Portfolio::standard(self.dfg, &self.resources, &self.config)?
-            .with_objective(self.objective)
-            .with_jobs(self.jobs)
-            .with_budget(self.budget.clone())
-            .run(self.dfg, &self.resources)
+        self.standard_portfolio()?.run(self.dfg, &self.resources)
     }
 
     /// Like [`RotationScheduler::solve`], but searches with the full
@@ -548,8 +507,7 @@ impl<'a> RotationScheduler<'a> {
     ///
     /// Propagates graph and scheduling failures.
     pub fn solve_portfolio(&self) -> Result<SolveOutcome, RotationError> {
-        let outcome = self.portfolio()?;
-        self.package_portfolio(outcome)
+        self.solve_with_portfolio(&self.standard_portfolio()?)
     }
 
     /// Like [`RotationScheduler::solve_portfolio`], but traced: every
@@ -566,12 +524,16 @@ impl<'a> RotationScheduler<'a> {
         &self,
         capacity: usize,
     ) -> Result<(SolveOutcome, SearchTrace), RotationError> {
-        let (outcome, trace) = Portfolio::standard(self.dfg, &self.resources, &self.config)?
-            .with_objective(self.objective)
-            .with_jobs(self.jobs)
-            .with_budget(self.budget.clone())
-            .run_traced(self.dfg, &self.resources, capacity)?;
-        Ok((self.package_portfolio(outcome)?, trace))
+        let (outcome, trace) =
+            self.standard_portfolio()?
+                .run_traced(self.dfg, &self.resources, capacity)?;
+        let solved = package(
+            self.dfg,
+            &self.resources,
+            outcome.merged,
+            outcome.panicked_tasks,
+        )?;
+        Ok((solved, trace))
     }
 
     /// Like [`RotationScheduler::solve_portfolio`], but runs a
@@ -589,89 +551,23 @@ impl<'a> RotationScheduler<'a> {
         portfolio: &Portfolio,
     ) -> Result<SolveOutcome, RotationError> {
         let outcome = portfolio.run(self.dfg, &self.resources)?;
-        self.package_portfolio(outcome)
+        package(
+            self.dfg,
+            &self.resources,
+            outcome.merged,
+            outcome.panicked_tasks,
+        )
     }
 
-    fn package_portfolio(&self, outcome: PortfolioOutcome) -> Result<SolveOutcome, RotationError> {
-        let state = outcome
-            .best
-            .first()
-            .cloned()
-            .expect("the portfolio always retains at least the initial schedule");
-        let depth = minimized_depth(self.dfg, &state)?;
-        let quality = if outcome.panicked_tasks > 0 {
-            SolveQuality::Degraded
-        } else if outcome.stopped.is_some() {
-            SolveQuality::BudgetExhausted
-        } else if outcome.bound_achieved {
-            SolveQuality::Optimal
-        } else {
-            SolveQuality::Complete
-        };
-        let stats = SolveStats {
-            total_rotations: outcome.total_rotations,
-            stopped: outcome.stopped,
-            panicked_tasks: outcome.panicked_tasks,
-            lower_bound: outcome.lower_bound,
-        };
-        self.debug_certify(&outcome.best, quality);
-        Ok(SolveOutcome {
-            length: outcome.best_length,
-            score: outcome.best_score,
-            depth,
-            state,
-            outcome: HeuristicOutcome {
-                best_length: outcome.best_length,
-                best_score: outcome.best_score,
-                best: outcome.best,
-                total_rotations: outcome.total_rotations,
-                phases: outcome.phases,
-                stopped: outcome.stopped,
-                lower_bound: Some(outcome.lower_bound),
-            },
-            quality,
-            stats,
-        })
-    }
-
-    /// Debug-build safety net: every incumbent a solve is about to hand
-    /// back is re-checked by the independent certifier
-    /// (`rotsched-verify` shares no scheduling code with this crate).
-    /// A failure here is always a scheduler bug, never a bad input, so
-    /// it asserts rather than returning an error. Compiled to a no-op
-    /// in release builds.
-    fn debug_certify(&self, incumbents: &[RotationState], quality: SolveQuality) {
-        if !cfg!(debug_assertions) {
-            return;
-        }
-        let spec = rotsched_sched::verify_spec(&self.resources);
-        for state in incumbents {
-            let ls = self
-                .loop_schedule(state)
-                .expect("accepted incumbents must expand into loop schedules");
-            let starts = rotsched_sched::verify_starts(self.dfg, ls.schedule());
-            let claim = rotsched_verify::Claim {
-                kernel_length: ls.kernel_length(),
-                depth: Some(ls.retiming().depth()),
-                optimal: matches!(quality, SolveQuality::Optimal),
-                registers: Some(crate::objective::static_registers(self.dfg, ls.retiming())),
-                code_size: Some(crate::objective::code_size(self.dfg, ls.retiming())),
-            };
-            if let Err(bad) = rotsched_verify::certify_claim(
-                self.dfg,
-                &spec,
-                Some(ls.retiming()),
-                &starts,
-                &claim,
-            ) {
-                let report: Vec<String> = bad.iter().map(|d| d.render_text(self.dfg)).collect();
-                panic!(
-                    "scheduler produced an uncertifiable incumbent for `{}`:\n{}",
-                    self.dfg.name(),
-                    report.join("\n")
-                );
-            }
-        }
+    /// The standard portfolio under this scheduler's objective, jobs,
+    /// and budget.
+    fn standard_portfolio(&self) -> Result<Portfolio, RotationError> {
+        Ok(
+            Portfolio::standard(self.dfg, &self.resources, &self.config)?
+                .with_objective(self.objective)
+                .with_jobs(self.jobs)
+                .with_budget(self.budget.clone()),
+        )
     }
 
     /// Expands a state into an executable [`LoopSchedule`] (wrapped
@@ -699,6 +595,122 @@ impl<'a> RotationScheduler<'a> {
     ) -> Result<SimulationReport, RotationError> {
         let ls = self.loop_schedule(state)?;
         Ok(simulate(self.dfg, &ls, &self.resources, iterations)?)
+    }
+}
+
+/// The one Heuristic-2 sweep runner behind [`RotationScheduler::solve`],
+/// [`RotationScheduler::solve_traced`], and every
+/// [`RotationScheduler::solve_batch`] item: arms the budget, sets the
+/// objective, and attaches the observer, then hands back the step mode
+/// (with its pooled buffers) and the observer alongside the outcome.
+#[allow(clippy::too_many_arguments)]
+fn run_sweep<S: StepMode, O: SearchObserver>(
+    dfg: &Dfg,
+    scheduler: &ListScheduler,
+    resources: &ResourceSet,
+    config: &HeuristicConfig,
+    objective: Objective,
+    budget: &Budget,
+    step: S,
+    observer: O,
+) -> Result<(HeuristicOutcome, S, O), RotationError> {
+    // Arm only when limited so the unlimited path does no budget work.
+    let meter = (!budget.is_unlimited()).then(|| budget.arm());
+    let mut driver = SearchDriver::new(dfg, scheduler, resources, step)
+        .with_objective(objective)
+        .with_budget(meter.as_ref())
+        .with_observer(observer);
+    let outcome = driver.heuristic2(config)?;
+    let (step, observer) = driver.into_parts();
+    Ok((outcome, step, observer))
+}
+
+/// Packages a search result — a single sweep's or a portfolio's merged
+/// one — into a [`SolveOutcome`]: the winner, its minimized depth, and
+/// the quality verdict. The verdict reads the length criterion alone
+/// (the tie-break secondaries of a multi-criteria objective never
+/// decide it): [`SolveQuality::Degraded`] if any portfolio task
+/// panicked, else [`SolveQuality::BudgetExhausted`] if a budget stopped
+/// the search, else [`SolveQuality::Optimal`] if the best length meets
+/// the lower bound, else [`SolveQuality::Complete`].
+fn package(
+    dfg: &Dfg,
+    resources: &ResourceSet,
+    outcome: HeuristicOutcome,
+    panicked_tasks: usize,
+) -> Result<SolveOutcome, RotationError> {
+    let bound = outcome
+        .lower_bound
+        .expect("Heuristic 2 and the portfolio record the lower bound they proved against");
+    let state = outcome
+        .best
+        .first()
+        .cloned()
+        .expect("searches always retain at least the initial schedule");
+    let depth = minimized_depth(dfg, &state)?;
+    let quality = if panicked_tasks > 0 {
+        SolveQuality::Degraded
+    } else if outcome.stopped.is_some() {
+        SolveQuality::BudgetExhausted
+    } else if outcome.best_length <= bound {
+        SolveQuality::Optimal
+    } else {
+        SolveQuality::Complete
+    };
+    let stats = SolveStats {
+        total_rotations: outcome.total_rotations,
+        stopped: outcome.stopped,
+        panicked_tasks,
+        lower_bound: bound,
+    };
+    debug_certify(dfg, resources, &outcome.best, quality);
+    Ok(SolveOutcome {
+        length: outcome.best_length,
+        score: outcome.best_score,
+        depth,
+        state,
+        outcome,
+        quality,
+        stats,
+    })
+}
+
+/// Debug-build safety net: every incumbent a solve is about to hand
+/// back is re-checked by the independent certifier (`rotsched-verify`
+/// shares no scheduling code with this crate). A failure here is always
+/// a scheduler bug, never a bad input, so it asserts rather than
+/// returning an error. Compiled to a no-op in release builds.
+fn debug_certify(
+    dfg: &Dfg,
+    resources: &ResourceSet,
+    incumbents: &[RotationState],
+    quality: SolveQuality,
+) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    let spec = rotsched_sched::verify_spec(resources);
+    for state in incumbents {
+        let ls = into_loop_schedule(dfg, resources, state)
+            .expect("accepted incumbents must expand into loop schedules");
+        let starts = rotsched_sched::verify_starts(dfg, ls.schedule());
+        let claim = rotsched_verify::Claim {
+            kernel_length: ls.kernel_length(),
+            depth: Some(ls.retiming().depth()),
+            optimal: matches!(quality, SolveQuality::Optimal),
+            registers: Some(crate::objective::static_registers(dfg, ls.retiming())),
+            code_size: Some(crate::objective::code_size(dfg, ls.retiming())),
+        };
+        if let Err(bad) =
+            rotsched_verify::certify_claim(dfg, &spec, Some(ls.retiming()), &starts, &claim)
+        {
+            let report: Vec<String> = bad.iter().map(|d| d.render_text(dfg)).collect();
+            panic!(
+                "scheduler produced an uncertifiable incumbent for `{}`:\n{}",
+                dfg.name(),
+                report.join("\n")
+            );
+        }
     }
 }
 

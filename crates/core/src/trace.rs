@@ -156,12 +156,12 @@ impl TaskTrace {
 /// For a single-sweep solve there is exactly one task. For a portfolio
 /// solve the trace keeps the **deterministic prefix** of the task list:
 /// tasks `0..=canonical_task` when the lower bound was achieved, all
-/// tasks otherwise — the same rule [`PortfolioOutcome::phases`] follows.
-/// Tasks above the canonical achiever are cross-pruned at
+/// tasks otherwise — the same rule [`PortfolioOutcome::merged`]'s
+/// phases follow. Tasks above the canonical achiever are cross-pruned at
 /// timing-dependent points, so their streams are discarded rather than
 /// reported; everything kept is identical for every `--jobs` value.
 ///
-/// [`PortfolioOutcome::phases`]: crate::portfolio::PortfolioOutcome::phases
+/// [`PortfolioOutcome::merged`]: crate::portfolio::PortfolioOutcome::merged
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SearchTrace {
     /// Per-task traces, in task-index order.

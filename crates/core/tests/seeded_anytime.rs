@@ -11,8 +11,7 @@
 
 use rotsched_benchmarks::{random_dfg, RandomDfgConfig};
 use rotsched_core::{
-    heuristic1_budgeted, heuristic2_pruned, Budget, CancelToken, HeuristicConfig, HeuristicOutcome,
-    StopReason,
+    Budget, CancelToken, HeuristicConfig, HeuristicOutcome, SearchDriver, StopReason,
 };
 use rotsched_dfg::Dfg;
 use rotsched_sched::validate::check_static_schedule;
@@ -76,10 +75,11 @@ fn run_budgeted(
 ) -> HeuristicOutcome {
     let sched = ListScheduler::new(policy);
     let meter = budget.arm();
+    let mut driver = SearchDriver::incremental(g, &sched, res).with_budget(Some(&meter));
     if use_h2 {
-        heuristic2_pruned(g, &sched, res, &config(), None, Some(&meter)).expect("schedulable")
+        driver.heuristic2(&config()).expect("schedulable")
     } else {
-        heuristic1_budgeted(g, &sched, res, &config(), Some(&meter)).expect("schedulable")
+        driver.heuristic1(&config()).expect("schedulable")
     }
 }
 

@@ -55,11 +55,11 @@ fn portfolio_is_deterministic_in_the_thread_count() {
         for jobs in [2_usize, 8] {
             let parallel = p.clone().with_jobs(jobs).run(&g, &res).expect("runs");
             assert_eq!(
-                parallel.best_length, sequential.best_length,
+                parallel.merged.best_length, sequential.merged.best_length,
                 "case {case}, jobs {jobs}: best length diverged"
             );
             assert_eq!(
-                parallel.best, sequential.best,
+                parallel.merged.best, sequential.merged.best,
                 "case {case}, jobs {jobs}: canonical schedule set diverged"
             );
             assert_eq!(
@@ -67,7 +67,7 @@ fn portfolio_is_deterministic_in_the_thread_count() {
                 "case {case}, jobs {jobs}: canonical task diverged"
             );
             assert_eq!(
-                parallel.phases, sequential.phases,
+                parallel.merged.phases, sequential.merged.phases,
                 "case {case}, jobs {jobs}: deterministic phase stats diverged"
             );
         }
@@ -90,15 +90,18 @@ fn portfolio_never_beats_the_lower_bound() {
         let p = Portfolio::standard(&g, &res, &config()).expect("schedulable");
         let out = p.with_jobs(4).run(&g, &res).expect("runs");
         let lb = rotsched_baselines::lower_bound(&g, &res).expect("valid graph");
-        assert_eq!(u64::from(out.lower_bound), lb, "case {case}");
-        assert!(
-            u64::from(out.best_length) >= lb,
-            "case {case}: best {} beats LB {lb}",
-            out.best_length
+        assert_eq!(
+            out.merged.lower_bound.map(u64::from),
+            Some(lb),
+            "case {case}"
         );
-        if out.bound_achieved {
-            assert_eq!(u64::from(out.best_length), lb, "case {case}");
-            assert!(out.canonical_task.is_some(), "case {case}");
+        assert!(
+            u64::from(out.merged.best_length) >= lb,
+            "case {case}: best {} beats LB {lb}",
+            out.merged.best_length
+        );
+        if out.canonical_task.is_some() {
+            assert_eq!(u64::from(out.merged.best_length), lb, "case {case}");
         }
     }
 }
@@ -147,18 +150,24 @@ fn unlimited_budget_portfolio_is_bit_identical() {
                 .run(&g, &res)
                 .expect("runs");
             let what = format!("case {case}, jobs {jobs}");
-            assert_eq!(budgeted.best_length, plain.best_length, "{what}: length");
-            assert_eq!(budgeted.best, plain.best, "{what}: best set");
+            assert_eq!(
+                budgeted.merged.best_length, plain.merged.best_length,
+                "{what}: length"
+            );
+            assert_eq!(budgeted.merged.best, plain.merged.best, "{what}: best set");
             assert_eq!(
                 budgeted.canonical_task, plain.canonical_task,
                 "{what}: canonical task"
             );
-            assert_eq!(budgeted.phases, plain.phases, "{what}: phase stats");
             assert_eq!(
-                budgeted.total_rotations, plain.total_rotations,
+                budgeted.merged.phases, plain.merged.phases,
+                "{what}: phase stats"
+            );
+            assert_eq!(
+                budgeted.merged.total_rotations, plain.merged.total_rotations,
                 "{what}: rotation count"
             );
-            assert_eq!(budgeted.stopped, None, "{what}: phantom stop");
+            assert_eq!(budgeted.merged.stopped, None, "{what}: phantom stop");
             assert_eq!(budgeted.panicked_tasks, 0, "{what}: phantom panic");
         }
     }
@@ -188,9 +197,12 @@ fn injected_panic_degrades_to_the_survivors_best_everywhere() {
                 .expect("survivors carry the run");
             let what = format!("case {case}, jobs {jobs}");
             assert_eq!(out.panicked_tasks, 1, "{what}: panic count");
-            assert_eq!(out.best_length, baseline.best_length, "{what}: length");
-            assert_eq!(out.best, baseline.best, "{what}: best set");
-            for st in &out.best {
+            assert_eq!(
+                out.merged.best_length, baseline.merged.best_length,
+                "{what}: length"
+            );
+            assert_eq!(out.merged.best, baseline.merged.best, "{what}: best set");
+            for st in &out.merged.best {
                 let r = realizing_retiming(&g, &st.schedule).expect("legal");
                 assert!(r.is_legal(&g), "{what}: illegal survivor schedule");
             }

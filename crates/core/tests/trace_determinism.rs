@@ -6,8 +6,7 @@
 
 use rotsched_benchmarks::{random_dfg, RandomDfgConfig};
 use rotsched_core::{
-    heuristic2_pruned, Budget, HeuristicConfig, Portfolio, RotationScheduler, SearchDriver,
-    SearchTrace, TraceRecorder,
+    Budget, HeuristicConfig, Portfolio, RotationScheduler, SearchDriver, SearchTrace, TraceRecorder,
 };
 use rotsched_dfg::rng::SplitMix64;
 use rotsched_dfg::Dfg;
@@ -121,8 +120,14 @@ fn portfolio_trace_is_deterministic_in_the_thread_count() {
                 .run_traced(&g, &res, 128)
                 .expect("runs");
             let what = format!("case {case}, jobs {jobs}");
-            assert_eq!(out.best_length, seq_out.best_length, "{what}: best length");
-            assert_eq!(out.best, seq_out.best, "{what}: canonical schedule set");
+            assert_eq!(
+                out.merged.best_length, seq_out.merged.best_length,
+                "{what}: best length"
+            );
+            assert_eq!(
+                out.merged.best, seq_out.merged.best,
+                "{what}: canonical schedule set"
+            );
             assert_eq!(
                 out.canonical_task, seq_out.canonical_task,
                 "{what}: canonical task"
@@ -150,7 +155,9 @@ fn trajectory_replays_budgeted_runs_exactly() {
         let trace = driver.observer.finish();
         for k in 0..=full.total_rotations {
             let meter = Budget::default().with_max_rotations(k as u64).arm();
-            let budgeted = heuristic2_pruned(&g, &sched, &res, &config, None, Some(&meter))
+            let budgeted = SearchDriver::incremental(&g, &sched, &res)
+                .with_budget(Some(&meter))
+                .heuristic2(&config)
                 .expect("schedulable");
             assert_eq!(
                 trace.best_at_rotation(k as u64),

@@ -50,6 +50,8 @@
 //!   ratio), SCCs, simple cycles, Bellman–Ford, FEAS retiming.
 //! * [`dot`] / [`text`] — Graphviz export and a plain-text fixture
 //!   format.
+//! * [`json`] — the byte-stable JSON string quoting every JSON renderer
+//!   shares.
 //! * [`unfold`] — loop unfolding.
 
 #![forbid(unsafe_code)]
@@ -63,6 +65,7 @@ mod edge;
 mod error;
 mod graph;
 mod ids;
+pub mod json;
 mod node;
 mod op;
 mod retiming;

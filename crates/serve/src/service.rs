@@ -58,6 +58,7 @@ use std::sync::Arc;
 
 use rotsched_core::wire::{cache_key_text, fingerprint_text, parse_problem};
 use rotsched_core::{Objective, ProblemSpec, RotationScheduler, SolveOutcome, SolveQuality};
+use rotsched_dfg::json::push_json_string;
 
 use crate::admission::AdmissionGauge;
 use crate::cache::{CacheReport, SolveCache};
@@ -498,22 +499,6 @@ pub fn quality_status(quality: SolveQuality) -> &'static str {
     }
 }
 
-fn json_escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 fn ok_response() -> String {
     format!("{{\"schema\": \"{RESPONSE_SCHEMA}\", \"status\": \"ok\"}}")
 }
@@ -536,9 +521,9 @@ pub(crate) fn error_response(message: &str) -> String {
     let mut out = String::with_capacity(64 + message.len());
     out.push_str("{\"schema\": \"");
     out.push_str(RESPONSE_SCHEMA);
-    out.push_str("\", \"status\": \"error\", \"message\": \"");
-    json_escape(&mut out, message);
-    out.push_str("\"}");
+    out.push_str("\", \"status\": \"error\", \"message\": ");
+    push_json_string(&mut out, message);
+    out.push('}');
     out
 }
 
@@ -587,9 +572,8 @@ fn render_solved(
                 out.push_str(", ");
             }
             first = false;
-            out.push('"');
-            json_escape(&mut out, node.name());
-            out.push_str("\": ");
+            push_json_string(&mut out, node.name());
+            out.push_str(": ");
             out.push_str(&start.to_string());
         }
     }
@@ -600,9 +584,8 @@ fn render_solved(
             out.push_str(", ");
         }
         first = false;
-        out.push('"');
-        json_escape(&mut out, node.name());
-        out.push_str("\": ");
+        push_json_string(&mut out, node.name());
+        out.push_str(": ");
         out.push_str(&kernel.retiming().of(id).to_string());
     }
     out.push_str("}}");
@@ -630,6 +613,25 @@ mod tests {
         assert_eq!(c.solver_invocations, 1);
         assert_eq!(c.cache_hits, 1);
         assert_eq!(c.cache_misses, 1);
+    }
+
+    #[test]
+    fn node_names_are_json_escaped_in_solve_responses() {
+        // A quote, a backslash, and a control character (U+0001): the
+        // text format splits only on whitespace, so all three reach the
+        // renderer.
+        let payload = "solve\ndfg esc\nnode a\"q add 1\nnode b\\s add 1\nnode c\u{1}x add 1\nedge a\"q b\\s 0\nedge b\\s c\u{1}x 0\nedge c\u{1}x a\"q 1\n";
+        let service = SolveService::new(ServeConfig::default());
+        let response = service.handle(payload).response().to_owned();
+        assert!(response.contains("\"status\": \"ok\""), "{response}");
+        for key in [r#""a\"q": "#, r#""b\\s": "#, r#""c\u0001x": "#] {
+            assert_eq!(
+                response.matches(key).count(),
+                2,
+                "{key} once in the kernel, once in the retiming: {response}"
+            );
+        }
+        assert!(!response.contains('\u{1}'), "raw control character leaked");
     }
 
     #[test]

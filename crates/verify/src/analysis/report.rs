@@ -13,9 +13,10 @@
 //! degenerate input) rather than being omitted, so consumers can
 //! distinguish "not computed" from "schema too old".
 
+use rotsched_dfg::json::push_json_string;
 use rotsched_dfg::{Dfg, NodeId};
 
-use crate::diag::{json_string, render_json_array, Diagnostic, Severity};
+use crate::diag::{render_json_array, Diagnostic, Severity};
 
 /// An exact non-negative rational in lowest terms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -343,14 +344,14 @@ impl AnalysisReport {
     #[must_use]
     pub fn render_json(&self, dfg: &Dfg) -> String {
         let node_ref = |i: u32| {
-            format!(
-                "{{\"index\":{},\"name\":{}}}",
-                i,
-                json_string(dfg.node(NodeId::from_index(i as usize)).name())
-            )
+            let mut s = format!("{{\"index\":{i},\"name\":");
+            push_json_string(&mut s, dfg.node(NodeId::from_index(i as usize)).name());
+            s.push('}');
+            s
         };
         let mut out = String::from("{\"schema\":\"rotsched-analysis-v1\"");
-        out.push_str(&format!(",\"graph\":{}", json_string(&self.graph)));
+        out.push_str(",\"graph\":");
+        push_json_string(&mut out, &self.graph);
         out.push_str(&format!(",\"fingerprint\":\"{:016x}\"", self.fingerprint));
         out.push_str(&format!(
             ",\"nodes\":{},\"edges\":{}",
@@ -389,23 +390,29 @@ impl AnalysisReport {
                     .classes
                     .iter()
                     .map(|c| {
-                        format!(
-                            "{{\"name\":{},\"units\":{},\"occupancy\":{},\"bound\":{},\"utilization_permille\":{},\"saturated_steps\":{}}}",
-                            json_string(&c.name),
+                        let mut s = String::from("{\"name\":");
+                        push_json_string(&mut s, &c.name);
+                        s.push_str(&format!(
+                            ",\"units\":{},\"occupancy\":{},\"bound\":{},\"utilization_permille\":{},\"saturated_steps\":{}}}",
                             c.units,
                             c.occupancy,
                             c.bound,
                             opt_num(c.utilization_permille),
                             opt_num(c.saturated_steps),
-                        )
+                        ));
+                        s
                     })
                     .collect();
                 out.push_str(&format!(
-                    "{{\"kernel_length\":{},\"binding_class\":{},\"recurrence_bound\":{},\"classes\":[{}]}}",
-                    opt_num(sat.kernel_length),
-                    sat.binding_class
-                        .as_deref()
-                        .map_or_else(|| "null".to_owned(), json_string),
+                    "{{\"kernel_length\":{},\"binding_class\":",
+                    opt_num(sat.kernel_length)
+                ));
+                match sat.binding_class.as_deref() {
+                    Some(name) => push_json_string(&mut out, name),
+                    None => out.push_str("null"),
+                }
+                out.push_str(&format!(
+                    ",\"recurrence_bound\":{},\"classes\":[{}]}}",
                     opt_num(sat.recurrence_bound),
                     classes.join(","),
                 ));
@@ -420,12 +427,13 @@ impl AnalysisReport {
                     .candidates
                     .iter()
                     .map(|c| {
-                        format!(
-                            "{{\"index\":{},\"name\":{},\"delta\":{}}}",
-                            c.node,
-                            json_string(dfg.node(NodeId::from_index(c.node as usize)).name()),
-                            c.delta
-                        )
+                        let mut s = format!("{{\"index\":{},\"name\":", c.node);
+                        push_json_string(
+                            &mut s,
+                            dfg.node(NodeId::from_index(c.node as usize)).name(),
+                        );
+                        s.push_str(&format!(",\"delta\":{}}}", c.delta));
+                        s
                     })
                     .collect();
                 out.push_str(&format!(

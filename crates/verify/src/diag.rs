@@ -18,6 +18,7 @@
 
 use core::fmt;
 
+use rotsched_dfg::json::push_json_string;
 use rotsched_dfg::{Dfg, NodeId};
 
 /// Stable diagnostic codes. The numeric part is frozen: a code, once
@@ -391,29 +392,37 @@ impl Diagnostic {
         out.push_str(",\"locus\":");
         match &self.locus {
             Locus::Graph => out.push_str("{\"kind\":\"graph\"}"),
-            Locus::Node(v) => out.push_str(&format!(
-                "{{\"kind\":\"node\",\"index\":{},\"name\":{}}}",
-                v.index(),
-                json_string(dfg.node(*v).name())
-            )),
-            Locus::Edge { from, to } => out.push_str(&format!(
-                "{{\"kind\":\"edge\",\"from\":{},\"to\":{}}}",
-                json_string(dfg.node(*from).name()),
-                json_string(dfg.node(*to).name())
-            )),
+            Locus::Node(v) => {
+                out.push_str(&format!(
+                    "{{\"kind\":\"node\",\"index\":{},\"name\":",
+                    v.index()
+                ));
+                push_json_string(&mut out, dfg.node(*v).name());
+                out.push('}');
+            }
+            Locus::Edge { from, to } => {
+                out.push_str("{\"kind\":\"edge\",\"from\":");
+                push_json_string(&mut out, dfg.node(*from).name());
+                out.push_str(",\"to\":");
+                push_json_string(&mut out, dfg.node(*to).name());
+                out.push('}');
+            }
             Locus::Step(cs) => out.push_str(&format!("{{\"kind\":\"step\",\"cs\":{cs}}}")),
             Locus::AbsoluteStep(t) => {
                 out.push_str(&format!("{{\"kind\":\"absolute-step\",\"t\":{t}}}"));
             }
-            Locus::Class(name) => out.push_str(&format!(
-                "{{\"kind\":\"class\",\"name\":{}}}",
-                json_string(name)
-            )),
+            Locus::Class(name) => {
+                out.push_str("{\"kind\":\"class\",\"name\":");
+                push_json_string(&mut out, name);
+                out.push('}');
+            }
         }
-        out.push_str(&format!(",\"message\":{}", json_string(&self.message)));
+        out.push_str(",\"message\":");
+        push_json_string(&mut out, &self.message);
+        out.push_str(",\"hint\":");
         match &self.hint {
-            Some(hint) => out.push_str(&format!(",\"hint\":{}", json_string(hint))),
-            None => out.push_str(",\"hint\":null"),
+            Some(hint) => push_json_string(&mut out, hint),
+            None => out.push_str("null"),
         }
         out.push('}');
         out
@@ -423,26 +432,6 @@ impl Diagnostic {
 /// `name` when it is unique enough, otherwise `name#index`.
 fn node_label(dfg: &Dfg, v: NodeId) -> String {
     format!("{}#{}", dfg.node(v).name(), v.index())
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Renders a diagnostic list as one stable JSON array (sorted by the

@@ -84,7 +84,7 @@ pub use rotsched_benchmarks::{
 pub use rotsched_core::{
     Budget, CancelToken, HeuristicConfig, Objective, ProblemSpec, RotationError, RotationScheduler,
     RotationState, Score, SearchDriver, SearchEvent, SearchObserver, SearchTrace, SolveOutcome,
-    SolveQuality, SolveStats, SolvedPipeline, StopReason, TraceRecorder, DEFAULT_TRACE_EVENTS,
+    SolveQuality, SolveStats, StopReason, TraceRecorder, DEFAULT_TRACE_EVENTS,
 };
 pub use rotsched_dfg::{Dfg, DfgBuilder, DfgError, NodeId, OpKind, Retiming};
 pub use rotsched_sched::{

@@ -4,12 +4,12 @@
 //! scheduling code with the solver).
 
 use rotsched::core::depth::into_loop_schedule;
-use rotsched::core::heuristics::{heuristic1, heuristic2, HeuristicConfig};
+use rotsched::core::heuristics::HeuristicConfig;
 use rotsched::sched::{verify_spec, verify_starts};
 use rotsched::verify::{certify_claim, certify_pipeline, expand, Claim};
 use rotsched::{
     all_benchmarks, diffeq, Budget, Dfg, ListScheduler, PriorityPolicy, ResourceSet,
-    RotationScheduler, SolveQuality, TimingModel,
+    RotationScheduler, SearchDriver, SolveQuality, TimingModel,
 };
 
 const POLICIES: [PriorityPolicy; 4] = [
@@ -71,15 +71,11 @@ fn both_heuristics_certify_on_diffeq() {
     let resources = ResourceSet::adders_multipliers(1, 2, false);
     let config = HeuristicConfig::default();
     let spec = verify_spec(&resources);
+    let scheduler = ListScheduler::default();
+    let mut driver = SearchDriver::incremental(&graph, &scheduler, &resources);
     for (name, outcome) in [
-        (
-            "heuristic1",
-            heuristic1(&graph, &ListScheduler::default(), &resources, &config).expect("h1"),
-        ),
-        (
-            "heuristic2",
-            heuristic2(&graph, &ListScheduler::default(), &resources, &config).expect("h2"),
-        ),
+        ("heuristic1", driver.heuristic1(&config).expect("h1")),
+        ("heuristic2", driver.heuristic2(&config).expect("h2")),
     ] {
         for (i, state) in outcome.best.iter().enumerate() {
             let kernel = into_loop_schedule(&graph, &resources, state).expect("expands");

@@ -189,6 +189,29 @@ fn unbudgeted_solve_reports_quality_and_exits_zero() {
     assert!(!stdout.contains("stopped:"), "{stdout}");
 }
 
+/// The verdict reads the length criterion alone: a lexicographic
+/// objective's portfolio solve at the lower bound is optimal, exactly
+/// as the single sweep at `--jobs 1` reports it.
+#[test]
+fn lexicographic_portfolio_solve_at_the_bound_is_optimal() {
+    let (stdout, _, ok) = run(&[
+        "solve",
+        &fixture("differential-equation"),
+        "--adders",
+        "2",
+        "--mults",
+        "2",
+        "--objective",
+        "length,regs",
+        "--jobs",
+        "2",
+    ]);
+    assert!(ok, "{stdout}");
+    assert!(stdout.contains("(lower bound 6)"), "{stdout}");
+    assert!(stdout.contains("kernel: 6 control steps"), "{stdout}");
+    assert!(stdout.contains("\nquality: optimal ("), "{stdout}");
+}
+
 #[test]
 fn empty_resource_spec_is_rejected() {
     let (_, stderr, code) = run_code(&[
