@@ -9,8 +9,9 @@
 //!   --reps N          timed repetitions per jobs value (default: 3)
 //!   --check BASELINE  smoke mode: run one sweep, compare schedule
 //!                     lengths and the rows fingerprint against a
-//!                     checked-in baseline JSON, gate the SoA rotation
-//!                     step's tail latency (p99 within 10x of p50),
+//!                     checked-in baseline JSON, gate the tail latency
+//!                     of the SoA rotation step and of the dense-graph
+//!                     driver step (p99 within 10x of p50 each),
 //!                     gate batch throughput against the baseline's
 //!                     recorded solves/s (within a generous divisor),
 //!                     hold the driver-overhead reading — measured AND
@@ -52,8 +53,9 @@
 //! cell) sequentially and under several `--jobs` values (requested and
 //! effective counts both recorded), checks that every jobs value yields
 //! byte-identical rows, samples per-rotation-step latency percentiles
-//! for the allocation-free SoA step and the incremental context path
-//! against the from-scratch path, times `solve_batch` throughput over a
+//! for the allocation-free SoA step, for full driver steps on a dense
+//! graph, and for the incremental context path against the
+//! from-scratch path, times `solve_batch` throughput over a
 //! deduplicating corpus, measures the `SearchDriver` dispatch overhead
 //! against a hand-rolled replica of the pre-engine phase loop (the
 //! `NoopObserver` path must stay within noise of the bare kernel),
@@ -94,6 +96,13 @@ const BATCH_REPS: usize = 9;
 /// Smoke gate: a steady-state SoA step's tail latency must stay within
 /// this multiple of its median.
 const STEP_TAIL_RATIO: u64 = 10;
+/// The `dense` arm's p50 and p99 step time (ns) at the commit before
+/// ready nodes' earliest starts were cached in the placement core, the
+/// weight repair became one CSR weight-kernel pass, and the wrap probe
+/// became single-pass: medians of 5 runs on a shared 2-vCPU Xeon VM.
+const DENSE_BEFORE_P50_NS: u64 = 62_849;
+/// See [`DENSE_BEFORE_P50_NS`].
+const DENSE_BEFORE_P99_NS: u64 = 109_825;
 /// Smoke gate: measured batch throughput must stay within this divisor
 /// of the baseline's `solves_per_sec_p50` (generous — the baseline may
 /// come from different hardware; the gate exists to catch
@@ -245,10 +254,16 @@ fn main() {
     }
 
     let soa = soa_steady_percentiles();
+    let dense = dense_step_percentiles();
     let (ctx, scratch) = step_percentiles(&graphs);
     println!(
         "\nrotation step (soa, steady):  p50 {:>8} ns, p90 {:>8} ns, p99 {:>8} ns ({} samples)",
         soa.p50, soa.p90, soa.p99, soa.samples
+    );
+    println!(
+        "driver step (dense):          p50 {:>8} ns, p90 {:>8} ns, p99 {:>8} ns ({} samples; \
+         before the CSR weight kernel: p50 {DENSE_BEFORE_P50_NS} ns, p99 {DENSE_BEFORE_P99_NS} ns)",
+        dense.p50, dense.p90, dense.p99, dense.samples
     );
     println!(
         "rotation step (context):      p50 {:>8} ns, p90 {:>8} ns, p99 {:>8} ns ({} samples)",
@@ -352,6 +367,7 @@ fn main() {
         deterministic,
         &lengths,
         &soa,
+        &dense,
         &ctx,
         &scratch,
         &batch,
@@ -423,13 +439,7 @@ fn percentiles(ns: &mut [u64]) -> StepPercentiles {
 fn step_percentiles(graphs: &[(&str, Dfg)]) -> (StepPercentiles, StepPercentiles) {
     let res = ResourceSet::adders_multipliers(2, 2, false);
     let sched = ListScheduler::default();
-    let random64 = random_dfg(
-        &RandomDfgConfig {
-            nodes: 64,
-            ..RandomDfgConfig::default()
-        },
-        7,
-    );
+    let random64 = random64();
     let mut ctx_ns = Vec::new();
     let mut scratch_ns = Vec::new();
     let subjects = graphs
@@ -514,6 +524,64 @@ fn soa_steady_percentiles() -> StepPercentiles {
     percentiles(&mut ns)
 }
 
+/// The 64-node random graph of the per-step, driver-overhead and dense
+/// arms.
+fn random64() -> Dfg {
+    random_dfg(
+        &RandomDfgConfig {
+            nodes: 64,
+            ..RandomDfgConfig::default()
+        },
+        7,
+    )
+}
+
+/// Samples full driver steps on a dense graph: the 64-node random graph
+/// under 3 adders and 2 multipliers, swept exactly as Heuristic 2 sweeps
+/// it — phases of sizes `β..=1` for the default rounds, each phase a
+/// fresh context over the `FullSchedule` of the accumulated retiming,
+/// each step a `down_rotate_in_place` plus the `WrapScratch` probe at
+/// the phase's effective size. Unlike the `soa` ring, most steps here
+/// meet a zero-delay set the weight memo has not seen, place prefixes
+/// with many zero-delay predecessors, and probe multi-cycle tails, so
+/// the arm prices the placement core, the weight kernel and the wrap
+/// probe together.
+fn dense_step_percentiles() -> StepPercentiles {
+    let g = random64();
+    let sched = ListScheduler::default();
+    let res = ResourceSet::adders_multipliers(3, 2, false);
+    let config = HeuristicConfig::default();
+    let mut state = initial_state(&g, &sched, &res).expect("schedulable");
+    let mut wrap = WrapScratch::new(&g, &res).expect("ops bind");
+    let beta = state.length(&g);
+    let mut ns = Vec::new();
+    for _ in 0..config.rounds {
+        for size in (1..=beta).rev() {
+            let mut ctx = RotationContext::new(&g, &sched, &res, &state).expect("schedulable");
+            for _ in 0..config.rotations_per_phase {
+                let length = state.length(&g);
+                if length <= 1 {
+                    break;
+                }
+                let mut effective = size;
+                while effective >= length {
+                    effective = effective.div_ceil(2);
+                }
+                let start = Instant::now();
+                ctx.down_rotate_in_place(&g, &sched, &res, &mut state, effective)
+                    .expect("legal");
+                wrap.wrapped_length(&g, Some(&state.retiming), &state.schedule, &res)
+                    .expect("rotation states wrap");
+                ns.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            }
+            state.schedule = sched
+                .schedule(&g, Some(&state.retiming), &res)
+                .expect("legal retimings schedule");
+        }
+    }
+    percentiles(&mut ns)
+}
+
 /// The batch-throughput corpus: `BATCH_ITEMS` specs over `BATCH_UNIQUE`
 /// seeds, so the tail repeats earlier graphs and exercises the
 /// deduplication path exactly as a real sweep with repeated cells would.
@@ -570,13 +638,7 @@ fn solves_per_sec(items: u64, wall_ns: u64) -> f64 {
 fn driver_overhead(graphs: &[(&str, Dfg)]) -> (StepPercentiles, StepPercentiles) {
     let res = ResourceSet::adders_multipliers(2, 2, false);
     let sched = ListScheduler::default();
-    let random64 = random_dfg(
-        &RandomDfgConfig {
-            nodes: 64,
-            ..RandomDfgConfig::default()
-        },
-        7,
-    );
+    let random64 = random64();
     let mut driver_ns = Vec::new();
     let mut legacy_ns = Vec::new();
     let subjects = graphs
@@ -1282,6 +1344,23 @@ fn check_against_baseline(graphs: &[(&str, Dfg)], baseline_path: &str) -> i32 {
         );
     }
 
+    // The same tail gate on full driver steps over the dense graph,
+    // where memo misses, crowded placements and wrapped tails live.
+    let dense = dense_step_percentiles();
+    let ratio = dense.p99 / dense.p50.max(1);
+    if ratio > STEP_TAIL_RATIO {
+        eprintln!(
+            "FAIL: dense step p99 {} ns is {ratio}x its p50 {} ns (limit {STEP_TAIL_RATIO}x)",
+            dense.p99, dense.p50
+        );
+        failures += 1;
+    } else {
+        println!(
+            "dense step tail: p99 {} ns within {STEP_TAIL_RATIO}x of p50 {} ns",
+            dense.p99, dense.p50
+        );
+    }
+
     // Batch-throughput floor: measured p50 must stay within a generous
     // divisor of the baseline's recorded rate. Catches order-of-
     // magnitude regressions in the batch core without tripping on
@@ -1621,6 +1700,7 @@ fn render_json(
     deterministic: bool,
     lengths: &[u32],
     soa: &StepPercentiles,
+    dense: &StepPercentiles,
     ctx: &StepPercentiles,
     scratch: &StepPercentiles,
     batch: &StepPercentiles,
@@ -1647,7 +1727,12 @@ fn render_json(
         .join(", ");
     s.push_str(&format!("  \"schedule_lengths\": [{lengths_csv}],\n"));
     s.push_str("  \"rotation_step_ns\": {\n");
-    for (label, p) in [("soa", soa), ("context", ctx), ("scratch", scratch)] {
+    for (label, p) in [
+        ("soa", soa),
+        ("dense", dense),
+        ("context", ctx),
+        ("scratch", scratch),
+    ] {
         s.push_str(&format!(
             "    \"{label}\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"samples\": {}}},\n",
             p.p50, p.p90, p.p99, p.samples
@@ -1662,8 +1747,19 @@ fn render_json(
         ctx.p50 as f64 / soa.p50.max(1) as f64
     ));
     s.push_str(&format!(
-        "    \"soa_tail_p99_over_p50\": {:.2}\n",
+        "    \"soa_tail_p99_over_p50\": {:.2},\n",
         soa.p99 as f64 / soa.p50.max(1) as f64
+    ));
+    s.push_str(&format!(
+        "    \"dense_before\": {{\"p50\": {DENSE_BEFORE_P50_NS}, \"p99\": {DENSE_BEFORE_P99_NS}}},\n"
+    ));
+    s.push_str(&format!(
+        "    \"dense_speedup_p50\": {:.2},\n",
+        DENSE_BEFORE_P50_NS as f64 / dense.p50.max(1) as f64
+    ));
+    s.push_str(&format!(
+        "    \"dense_tail_p99_over_p50\": {:.2}\n",
+        dense.p99 as f64 / dense.p50.max(1) as f64
     ));
     s.push_str("  },\n");
     s.push_str("  \"batch_throughput\": {\n");

@@ -14,13 +14,12 @@
 //! * the **zero-delay edge set** is repaired locally — retiming the set
 //!   `R` can only flip edges incident to `R`, so the [`ZeroSet`] (and its
 //!   XOR fingerprint, the weight-cache key) updates in O(|R|·deg);
-//! * **priority weights** are repaired instead of recomputed — only the
-//!   reflexive ancestors of a flipped edge's source can change weight,
-//!   so the descendant bitsets / path heights of exactly those nodes are
-//!   rebuilt; repaired states are memoized by the zero-set fingerprint,
-//!   so the periodic part of a rotation sequence re-activates them in
-//!   O(1) (the other policies fall back to the fingerprint-keyed
-//!   scheduler cache);
+//! * **priority weights** are memoized by zero set — a rotation
+//!   sequence revisits zero-delay sets (the state space is eventually
+//!   periodic), so a repeat re-activates stored weights in O(1), and a
+//!   new set recomputes them with one CSR pass of the weight kernel
+//!   (the other policies fall back to the fingerprint-keyed scheduler
+//!   cache);
 //! * the **topological sanity check** is skipped — a legal retiming
 //!   preserves every cycle's delay sum, so the zero-delay subgraph stays
 //!   acyclic by construction (`debug_assert`ed, not recomputed).
@@ -31,42 +30,23 @@
 //! recomputation in debug builds.
 
 use rotsched_dfg::analysis::topo::is_zero_delay_under;
-use rotsched_dfg::{Dfg, EdgeId, NodeId, NodeMap, Retiming};
+use rotsched_dfg::{Dfg, NodeId, NodeMap, Retiming};
 
 use crate::error::SchedError;
 use crate::list::{
     bind_classes, build_fixed_table, place_free, ListScheduler, PlaceInputs, PlaceScratch, ZeroSet,
 };
-use crate::priority::{descendant_sets, PriorityPolicy};
+use crate::priority::{PriorityPolicy, WeightKernel};
 use crate::reservation::ReservationTable;
 use crate::resources::{ResourceClassId, ResourceSet};
 use crate::schedule::Schedule;
 
-/// Policy-dependent weight state that can be repaired locally.
-#[derive(Clone, Debug)]
-enum WeightsState {
-    /// Descendant counts with the underlying per-node descendant bitsets
-    /// (`words` words per node, row-major), so a dirty node's row is
-    /// rebuilt from its (already-correct) successors' rows.
-    Descendants {
-        words: usize,
-        sets: Vec<u64>,
-        weights: NodeMap<u64>,
-    },
-    /// Path heights; repaired bottom-up over the dirty set.
-    Heights { weights: NodeMap<u64> },
-}
-
-/// A memoized weight state, keyed by the exact zero-delay set it was
-/// computed for. Rotation sequences revisit zero-delay sets (the state
-/// space is eventually periodic), so repaired states are kept and
-/// re-activated by fingerprint instead of repaired again — on dense
-/// graphs the dirty region of a single rotation can approach the whole
-/// graph, and the memo turns that repeated cost into an O(1) swap.
+/// Memoized weights, keyed by the exact zero-delay set they were
+/// computed for.
 #[derive(Clone, Debug)]
 struct WeightsEntry {
     zero: ZeroSet,
-    state: WeightsState,
+    weights: NodeMap<u64>,
 }
 
 /// Retained [`WeightsEntry`]s; covers the typical rotation period (one
@@ -78,16 +58,16 @@ const WEIGHT_MEMO_CAP: usize = 64;
 /// layer can report per-phase hit rates without instrumenting the hot
 /// path itself.
 ///
-/// A *hit* is a retiming delta whose new zero-delay set re-activated a
-/// memoized weight state in O(1); a *miss* had to repair the weights
-/// locally (and memoize the result). Policies without a local repair
-/// rule (mobility, input order) keep both counters at zero — they go
-/// through the scheduler's fingerprint-keyed cache instead.
+/// A *hit* is a retiming delta whose new zero-delay set re-activated
+/// memoized weights in O(1); a *miss* had to recompute the weights (and
+/// memoize the result). Policies without a weight kernel (mobility,
+/// input order) keep both counters at zero — they go through the
+/// scheduler's fingerprint-keyed cache instead.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Retiming deltas answered by re-activating a memoized weight state.
+    /// Retiming deltas answered by re-activating memoized weights.
     pub weight_memo_hits: u64,
-    /// Retiming deltas that had to repair (and memoize) a weight state.
+    /// Retiming deltas that had to recompute (and memoize) the weights.
     pub weight_memo_misses: u64,
 }
 
@@ -120,24 +100,15 @@ pub struct SchedContext {
     class_of: NodeMap<ResourceClassId>,
     table: ReservationTable,
     zero: ZeroSet,
-    /// Memoized weight states keyed by zero set; `active` indexes the
-    /// entry matching the current `zero`. Empty for policies without a
-    /// local repair rule (mobility, input order), which go through the
-    /// scheduler's fingerprint-keyed cache on each reschedule instead.
+    /// Memoized weights keyed by zero set, oldest first; `active`
+    /// indexes the entry matching the current `zero`. Empty for policies
+    /// without a weight kernel (mobility, input order), which go through
+    /// the scheduler's fingerprint-keyed cache on each reschedule
+    /// instead.
     memo: Vec<WeightsEntry>,
     active: usize,
+    kernel: WeightKernel,
     scratch: PlaceScratch,
-    /// Edge bitset + list of edges whose zero-delay status flipped in the
-    /// current delta (cleared again before `apply_retiming_delta`
-    /// returns).
-    flipped: Vec<u64>,
-    flips: Vec<EdgeId>,
-    /// Node bitset + list of nodes whose weights need repair.
-    dirty: Vec<u64>,
-    dirty_list: Vec<NodeId>,
-    stack: Vec<NodeId>,
-    /// Dirty-restricted out-degrees for the children-first repair order.
-    deg: NodeMap<u32>,
     /// Weight-memo effectiveness counters (see [`CacheStats`]).
     stats: CacheStats,
 }
@@ -145,7 +116,7 @@ pub struct SchedContext {
 impl SchedContext {
     /// Builds the context for `schedule` under `retiming`: binds classes,
     /// reserves every scheduled node's slots, derives the zero-delay set
-    /// and the policy's weight state.
+    /// and the policy's weights.
     ///
     /// # Errors
     ///
@@ -164,46 +135,29 @@ impl SchedContext {
         let table = build_fixed_table(dfg, &class_of, resources, schedule)?;
         rotsched_dfg::analysis::zero_delay_topological_order(dfg, retiming)
             .map_err(SchedError::from)?;
+        let policy = scheduler.policy();
         let zero = ZeroSet::compute(dfg, retiming);
-        let state = match scheduler.policy() {
-            PriorityPolicy::DescendantCount => {
-                let (sets, weights) = descendant_sets(dfg, retiming).map_err(SchedError::from)?;
-                Some(WeightsState::Descendants {
-                    words: dfg.node_count().div_ceil(64),
-                    sets,
-                    weights,
-                })
-            }
-            PriorityPolicy::PathHeight => Some(WeightsState::Heights {
-                weights: PriorityPolicy::PathHeight
-                    .weights(dfg, retiming)
-                    .map_err(SchedError::from)?,
-            }),
-            _ => None,
-        };
-        let memo = state
-            .map(|state| {
-                vec![WeightsEntry {
-                    zero: zero.clone(),
-                    state,
-                }]
-            })
-            .unwrap_or_default();
+        let mut kernel = WeightKernel::default();
+        let mut memo = Vec::new();
+        if policy.has_kernel() {
+            let mut weights = dfg.node_map(0_u64);
+            let acyclic = kernel.run(policy, dfg, &zero, &mut weights);
+            debug_assert!(acyclic, "the topological order above exists");
+            memo.push(WeightsEntry {
+                zero: zero.clone(),
+                weights,
+            });
+        }
         Ok(SchedContext {
-            policy: scheduler.policy(),
+            policy,
             graph: dfg.structure_fingerprint(),
             class_of,
             table,
             zero,
             memo,
             active: 0,
+            kernel,
             scratch: PlaceScratch::new(dfg),
-            flipped: vec![0_u64; dfg.edge_count().div_ceil(64)],
-            flips: Vec::new(),
-            dirty: vec![0_u64; dfg.node_count().div_ceil(64)],
-            dirty_list: Vec::new(),
-            stack: Vec::new(),
-            deg: dfg.node_map(0_u32),
             stats: CacheStats::default(),
         })
     }
@@ -230,14 +184,13 @@ impl SchedContext {
         self.table.shift_origin(delta);
     }
 
-    /// Repairs the zero-delay set and the weight state after the caller
-    /// changed the retiming on exactly the nodes of `touched` (e.g. via
-    /// [`Retiming::apply_set`]). Only edges incident to `touched` can
-    /// change status, and only reflexive ancestors of a flipped edge's
-    /// source can change weight, so the cost is proportional to the
-    /// affected region, not the graph.
+    /// Repairs the zero-delay set after the caller changed the retiming
+    /// on exactly the nodes of `touched` (e.g. via
+    /// [`Retiming::apply_set`]) — only edges incident to `touched` can
+    /// change status — and makes the weights of the new set active:
+    /// memoized ones when the set was seen before, else one pass of the
+    /// weight kernel.
     pub fn apply_retiming_delta(&mut self, dfg: &Dfg, retiming: &Retiming, touched: &[NodeId]) {
-        debug_assert!(self.flips.is_empty());
         // Flat SoA walk: an edge's new status is d(e) + r(u) − r(v) == 0,
         // read straight off the CSR delay arrays and the retiming slice.
         let csr = dfg.csr();
@@ -245,25 +198,16 @@ impl SchedContext {
         let (in_ids, in_tails, in_delays) = (csr.in_edge_ids(), csr.in_tails(), csr.in_delays());
         let (out_ids, out_heads, out_delays) =
             (csr.out_edge_ids(), csr.out_heads(), csr.out_delays());
+        let mut changed = false;
         for &v in touched {
             let rv = r[v.index()];
             for i in csr.in_range(v.index()) {
                 let now = i64::from(in_delays[i]) + r[in_tails[i] as usize] - rv == 0;
-                let e = in_ids[i];
-                if self.zero.set(e, now) {
-                    let i = e.index();
-                    self.flipped[i / 64] |= 1 << (i % 64);
-                    self.flips.push(e);
-                }
+                changed |= self.zero.set(in_ids[i], now);
             }
             for i in csr.out_range(v.index()) {
                 let now = i64::from(out_delays[i]) + rv - r[out_heads[i] as usize] == 0;
-                let e = out_ids[i];
-                if self.zero.set(e, now) {
-                    let i = e.index();
-                    self.flipped[i / 64] |= 1 << (i % 64);
-                    self.flips.push(e);
-                }
+                changed |= self.zero.set(out_ids[i], now);
             }
             debug_assert!(dfg
                 .in_edges(v)
@@ -271,171 +215,49 @@ impl SchedContext {
                 .chain(dfg.out_edges(v))
                 .all(|&e| self.zero.contains(e) == is_zero_delay_under(dfg, Some(retiming), e)));
         }
-        if !self.flips.is_empty() && !self.memo.is_empty() {
-            let key = self.zero.key();
-            if let Some(i) = self
-                .memo
-                .iter()
-                .position(|e| e.zero.key() == key && e.zero == self.zero)
-            {
-                // Re-activate the memoized state: an O(1) index move, no
-                // copy, no repair.
-                self.active = i;
-                self.stats.weight_memo_hits += 1;
-            } else {
-                self.stats.weight_memo_misses += 1;
-                let mut state = self.memo[self.active].state.clone();
-                self.repair_weights(dfg, &mut state);
-                self.memo.push(WeightsEntry {
-                    zero: self.zero.clone(),
-                    state,
-                });
-                self.active = self.memo.len() - 1;
-                if self.memo.len() > WEIGHT_MEMO_CAP {
-                    self.memo.remove(0);
-                    self.active -= 1;
-                }
-            }
+        if !changed || self.memo.is_empty() {
+            return;
         }
-        for &e in &self.flips {
-            let i = e.index();
-            self.flipped[i / 64] &= !(1 << (i % 64));
+        let key = self.zero.key();
+        if let Some(i) = self
+            .memo
+            .iter()
+            .position(|e| e.zero.key() == key && e.zero == self.zero)
+        {
+            // Re-activate the memoized weights: an O(1) index move, no
+            // copy, no recomputation.
+            self.active = i;
+            self.stats.weight_memo_hits += 1;
+            return;
         }
-        self.flips.clear();
-    }
-
-    /// Recomputes the weight state of exactly the nodes whose zero-delay
-    /// subtree changed: the reflexive ancestors (over edges that are
-    /// zero-delay before *or* after the delta) of each flipped edge's
-    /// source, processed children-first over the new zero-delay DAG so a
-    /// dirty node always reads already-repaired successors.
-    fn repair_weights(&mut self, dfg: &Dfg, state: &mut WeightsState) {
-        let SchedContext {
-            zero,
-            flipped,
-            flips,
-            dirty,
-            dirty_list,
-            stack,
-            deg,
-            ..
-        } = self;
-        let is_dirty =
-            |dirty: &[u64], v: NodeId| (dirty[v.index() / 64] >> (v.index() % 64)) & 1 == 1;
-        let csr = dfg.csr();
-        let (in_ids, in_tails) = (csr.in_edge_ids(), csr.in_tails());
-        let (out_ids, out_heads) = (csr.out_edge_ids(), csr.out_heads());
-        let times = csr.times();
-
-        // Upward closure from the flip sources. An edge that was zero
-        // before the delta is either still zero or in `flipped`, so
-        // `zero ∪ flipped` covers the union of the old and new DAGs.
-        dirty_list.clear();
-        stack.clear();
-        let mark = |dirty: &mut Vec<u64>,
-                    dirty_list: &mut Vec<NodeId>,
-                    stack: &mut Vec<NodeId>,
-                    v: NodeId| {
-            if (dirty[v.index() / 64] >> (v.index() % 64)) & 1 == 0 {
-                dirty[v.index() / 64] |= 1 << (v.index() % 64);
-                dirty_list.push(v);
-                stack.push(v);
+        self.stats.weight_memo_misses += 1;
+        // A full memo evicts its oldest entry and recycles its buffers.
+        let mut entry = if self.memo.len() == WEIGHT_MEMO_CAP {
+            self.memo.remove(0)
+        } else {
+            WeightsEntry {
+                zero: self.zero.clone(),
+                weights: dfg.node_map(0_u64),
             }
         };
-        for &e in flips.iter() {
-            mark(
-                dirty,
-                dirty_list,
-                stack,
-                NodeId::from_index(csr.edge_from()[e.index()] as usize),
-            );
-        }
-        while let Some(v) = stack.pop() {
-            for j in csr.in_range(v.index()) {
-                let i = in_ids[j].index();
-                if zero.contains(in_ids[j]) || (flipped[i / 64] >> (i % 64)) & 1 == 1 {
-                    mark(
-                        dirty,
-                        dirty_list,
-                        stack,
-                        NodeId::from_index(in_tails[j] as usize),
-                    );
-                }
-            }
-        }
-
-        // Children-first order via Kahn on the dirty-restricted new DAG.
-        for &v in dirty_list.iter() {
-            deg[v] = 0;
-        }
-        for &v in dirty_list.iter() {
-            for j in csr.out_range(v.index()) {
-                if zero.contains(out_ids[j])
-                    && is_dirty(dirty, NodeId::from_index(out_heads[j] as usize))
-                {
-                    deg[v] += 1;
-                }
-            }
-        }
-        stack.clear();
-        stack.extend(dirty_list.iter().copied().filter(|&v| deg[v] == 0));
-        let mut processed = 0_usize;
-        while let Some(v) = stack.pop() {
-            match state {
-                WeightsState::Descendants {
-                    words,
-                    sets,
-                    weights,
-                } => {
-                    let words = *words;
-                    let vi = v.index();
-                    sets[vi * words..(vi + 1) * words].fill(0);
-                    for j in csr.out_range(vi) {
-                        if zero.contains(out_ids[j]) {
-                            let w = out_heads[j] as usize;
-                            sets[vi * words + w / 64] |= 1 << (w % 64);
-                            for k in 0..words {
-                                let bits = sets[w * words + k];
-                                sets[vi * words + k] |= bits;
-                            }
-                        }
-                    }
-                    weights[v] = sets[vi * words..(vi + 1) * words]
-                        .iter()
-                        .map(|w| u64::from(w.count_ones()))
-                        .sum();
-                }
-                WeightsState::Heights { weights } => {
-                    let mut below = 0_u64;
-                    for j in csr.out_range(v.index()) {
-                        if zero.contains(out_ids[j]) {
-                            below = below.max(weights[NodeId::from_index(out_heads[j] as usize)]);
-                        }
-                    }
-                    weights[v] = below + u64::from(times[v.index()]);
-                }
-            }
-            processed += 1;
-            for j in csr.in_range(v.index()) {
-                if zero.contains(in_ids[j]) {
-                    let u = NodeId::from_index(in_tails[j] as usize);
-                    if is_dirty(dirty, u) {
-                        deg[u] -= 1;
-                        if deg[u] == 0 {
-                            stack.push(u);
-                        }
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(
-            processed,
-            dirty_list.len(),
-            "dirty subgraph of a legal retiming is acyclic"
+        entry.zero.clone_from(&self.zero);
+        let acyclic = self
+            .kernel
+            .run(self.policy, dfg, &self.zero, &mut entry.weights);
+        debug_assert!(
+            acyclic,
+            "legal retimings keep the zero-delay subgraph acyclic"
         );
-        for &v in dirty_list.iter() {
-            dirty[v.index() / 64] &= !(1 << (v.index() % 64));
-        }
+        self.memo.push(entry);
+        self.active = self.memo.len() - 1;
+    }
+
+    /// The memoized priority weights of the current zero-delay set, or
+    /// `None` for policies without a weight kernel (mobility, input
+    /// order), whose weights come from the scheduler's cache.
+    #[must_use]
+    pub fn active_weights(&self) -> Option<&NodeMap<u64>> {
+        self.memo.get(self.active).map(|entry| &entry.weights)
     }
 
     /// Places the nodes of `free` (already released via
@@ -492,10 +314,7 @@ impl SchedContext {
         let weights: &NodeMap<u64> = match self.memo.get(self.active) {
             Some(entry) => {
                 debug_assert_eq!(entry.zero, self.zero, "active weight entry is stale");
-                match &entry.state {
-                    WeightsState::Descendants { weights, .. }
-                    | WeightsState::Heights { weights } => weights,
-                }
+                &entry.weights
             }
             None => {
                 cached = scheduler
@@ -513,7 +332,7 @@ impl SchedContext {
             assert_eq!(
                 weights.as_slice(),
                 recomputed.as_slice(),
-                "incrementally repaired weights diverged"
+                "memoized weights diverged"
             );
         }
 
@@ -533,8 +352,8 @@ mod tests {
     use super::*;
     use rotsched_dfg::{DfgBuilder, OpKind};
 
-    /// A small cyclic graph with a delayed back edge, so rotations have
-    /// zero-delay flips to repair.
+    /// A small cyclic graph with a delayed back edge, so rotations flip
+    /// zero-delay edges.
     fn ring() -> Dfg {
         DfgBuilder::new("ring")
             .node("a", OpKind::Add, 1)
@@ -592,7 +411,7 @@ mod tests {
     }
 
     #[test]
-    fn weight_repair_tracks_flips_for_all_local_policies() {
+    fn memoized_weights_track_flips_for_all_kernel_policies() {
         for policy in [PriorityPolicy::DescendantCount, PriorityPolicy::PathHeight] {
             let dfg = ring();
             let resources = ResourceSet::adders_multipliers(1, 1, false);

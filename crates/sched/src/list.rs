@@ -46,10 +46,26 @@ pub(crate) fn edge_hash(edge_index: usize) -> u64 {
 /// key (collisions fall back to the exact bitset comparison, so a
 /// collision costs a compare, never a wrong answer) and is maintained
 /// incrementally by [`SchedContext`](crate::SchedContext).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct ZeroSet {
     bits: Vec<u64>,
     key: u64,
+}
+
+impl Clone for ZeroSet {
+    fn clone(&self) -> Self {
+        ZeroSet {
+            bits: self.bits.clone(),
+            key: self.key,
+        }
+    }
+
+    // Reuses the bitset's buffer: the rotation context recycles evicted
+    // memo entries through this.
+    fn clone_from(&mut self, source: &Self) {
+        self.bits.clone_from(&source.bits);
+        self.key = source.key;
+    }
 }
 
 impl ZeroSet {
@@ -266,7 +282,7 @@ impl ListScheduler {
             }
             cache.misses += 1;
         }
-        let weights = Arc::new(self.policy.weights(dfg, retiming)?);
+        let weights = Arc::new(self.policy.weights_under(dfg, retiming, zero)?);
         let mut cache = self.locked_cache();
         if cache.entries.len() >= WEIGHT_CACHE_CAP {
             cache.entries.remove(0);
@@ -418,6 +434,10 @@ pub(crate) struct PlaceScratch {
     is_free: NodeMap<bool>,
     blocking: NodeMap<u32>,
     latest: NodeMap<Option<u32>>,
+    /// Earliest start of each ready node, written when it enters
+    /// `ready`: by then every zero-delay predecessor is placed or fixed,
+    /// and neither kind moves again, so the value is final.
+    earliest: NodeMap<u32>,
     ready: Vec<NodeId>,
 }
 
@@ -427,6 +447,7 @@ impl PlaceScratch {
             is_free: dfg.node_map(false),
             blocking: dfg.node_map(0_u32),
             latest: dfg.node_map(None),
+            earliest: dfg.node_map(1_u32),
             ready: Vec::new(),
         }
     }
@@ -475,6 +496,7 @@ fn place_free_inner(
         is_free,
         blocking,
         latest,
+        earliest,
         ready,
     } = scratch;
 
@@ -521,7 +543,8 @@ fn place_free_inner(
         }
     }
 
-    // Earliest start from already-scheduled zero-delay predecessors.
+    // Earliest start from already-scheduled zero-delay predecessors,
+    // evaluated once per node as it becomes ready.
     let earliest_start = |v: NodeId, schedule: &Schedule| -> u32 {
         let mut earliest = 1;
         for i in csr.in_range(v.index()) {
@@ -537,7 +560,12 @@ fn place_free_inner(
 
     let mut remaining: usize = free.len();
     ready.clear();
-    ready.extend(free.iter().copied().filter(|&v| blocking[v] == 0));
+    for &v in free {
+        if blocking[v] == 0 {
+            earliest[v] = earliest_start(v, schedule);
+            ready.push(v);
+        }
+    }
 
     // A safe horizon: everything fits after the fixed part even fully
     // serialized.
@@ -549,7 +577,7 @@ fn place_free_inner(
         // skip them wholesale. Decisions are unchanged: a node whose
         // earliest start exceeds `cs` is passed over (and its deadline
         // not examined) by the scan below anyway.
-        if let Some(min_earliest) = ready.iter().map(|&v| earliest_start(v, schedule)).min() {
+        if let Some(min_earliest) = ready.iter().map(|&v| earliest[v]).min() {
             cs = cs.max(min_earliest);
         }
         if cs > horizon {
@@ -579,8 +607,7 @@ fn place_free_inner(
             let mut i = 0;
             while i < ready.len() {
                 let v = ready[i];
-                let earliest = earliest_start(v, schedule);
-                if earliest > cs {
+                if earliest[v] > cs {
                     i += 1;
                     continue;
                 }
@@ -605,6 +632,7 @@ fn place_free_inner(
                             if is_free[w.index()] && schedule.start(w).is_none() {
                                 blocking[w] -= 1;
                                 if blocking[w] == 0 {
+                                    earliest[w] = earliest_start(w, schedule);
                                     ready.push(w);
                                 }
                             }

@@ -5,10 +5,11 @@
 //! [`PriorityPolicy::DescendantCount`] and the default. Alternative
 //! policies are provided for the ablation benchmarks.
 
-use rotsched_dfg::analysis::topo::{is_zero_delay_under, zero_delay_topological_order};
-use rotsched_dfg::{Dfg, DfgError, NodeMap, Retiming};
+use rotsched_dfg::analysis::topo::zero_delay_topological_order;
+use rotsched_dfg::{Dfg, DfgError, NodeId, NodeMap, Retiming};
 
 use crate::asap_alap::timing_bounds;
+use crate::list::ZeroSet;
 
 /// How list scheduling ranks ready nodes (higher weight schedules first).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -35,9 +36,27 @@ impl PriorityPolicy {
     /// Returns [`DfgError::ZeroDelayCycle`] if the zero-delay subgraph is
     /// not a DAG.
     pub fn weights(self, dfg: &Dfg, retiming: Option<&Retiming>) -> Result<NodeMap<u64>, DfgError> {
+        self.weights_under(dfg, retiming, &ZeroSet::compute(dfg, retiming))
+    }
+
+    /// [`Self::weights`] with the caller's zero-delay set of `G_r`.
+    pub(crate) fn weights_under(
+        self,
+        dfg: &Dfg,
+        retiming: Option<&Retiming>,
+        zero: &ZeroSet,
+    ) -> Result<NodeMap<u64>, DfgError> {
         match self {
-            PriorityPolicy::DescendantCount => descendant_counts(dfg, retiming),
-            PriorityPolicy::PathHeight => path_heights(dfg, retiming),
+            PriorityPolicy::DescendantCount | PriorityPolicy::PathHeight => {
+                let mut weights = dfg.node_map(0_u64);
+                if WeightKernel::default().run(self, dfg, zero, &mut weights) {
+                    Ok(weights)
+                } else {
+                    // The topological sort names the offending cycle.
+                    Err(zero_delay_topological_order(dfg, retiming)
+                        .expect_err("the weight kernel found a zero-delay cycle"))
+                }
+            }
             PriorityPolicy::Mobility => {
                 let tb = timing_bounds(dfg, retiming, None)?;
                 let max_mob = dfg
@@ -61,66 +80,118 @@ impl PriorityPolicy {
             }
         }
     }
+
+    /// Whether the weights are a pure function of the zero-delay DAG,
+    /// computed by [`WeightKernel`] (descendant counts, path heights).
+    pub(crate) fn has_kernel(self) -> bool {
+        matches!(
+            self,
+            PriorityPolicy::DescendantCount | PriorityPolicy::PathHeight
+        )
+    }
 }
 
-/// Transitive descendant counts in the zero-delay DAG, via reverse
-/// topological accumulation of descendant bitsets.
-fn descendant_counts(dfg: &Dfg, retiming: Option<&Retiming>) -> Result<NodeMap<u64>, DfgError> {
-    descendant_sets(dfg, retiming).map(|(_, weights)| weights)
+/// The structural weight computation over the flat CSR: Kahn's algorithm
+/// on zero-delay out-degrees visits every node after all its zero-delay
+/// successors, and each node's weight is accumulated from theirs —
+/// descendant bitsets for [`PriorityPolicy::DescendantCount`], longest
+/// paths for [`PriorityPolicy::PathHeight`]. The buffers are reused
+/// across calls, so a warm kernel allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct WeightKernel {
+    /// Zero-delay successors not yet visited, per node.
+    pending: Vec<u32>,
+    /// Nodes whose zero-delay successors have all been visited.
+    stack: Vec<u32>,
+    /// Descendant bitsets, `node_count.div_ceil(64)` words per node.
+    rows: Vec<u64>,
 }
 
-/// [`descendant_counts`] plus the underlying per-node descendant bitsets
-/// (`words = node_count.div_ceil(64)` words per node, row-major). The
-/// incremental context keeps the rows so a rotation can repair only the
-/// nodes whose zero-delay subtree actually changed.
-pub(crate) fn descendant_sets(
-    dfg: &Dfg,
-    retiming: Option<&Retiming>,
-) -> Result<(Vec<u64>, NodeMap<u64>), DfgError> {
-    let order = zero_delay_topological_order(dfg, retiming)?;
-    let n = dfg.node_count();
-    let words = n.div_ceil(64);
-    let mut sets = vec![0_u64; n * words];
-    let mut weights = dfg.node_map(0_u64);
+impl WeightKernel {
+    /// Writes `policy`'s weight of every node of the zero-delay DAG
+    /// `zero` into `weights`. Returns `false`, with `weights` partly
+    /// written, when the zero-delay subgraph is cyclic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `policy` has no kernel (see
+    /// [`PriorityPolicy::has_kernel`]).
+    pub(crate) fn run(
+        &mut self,
+        policy: PriorityPolicy,
+        dfg: &Dfg,
+        zero: &ZeroSet,
+        weights: &mut NodeMap<u64>,
+    ) -> bool {
+        assert!(policy.has_kernel(), "{policy:?} has no weight kernel");
+        let descendants = policy == PriorityPolicy::DescendantCount;
+        let n = dfg.node_count();
+        let words = n.div_ceil(64);
+        let csr = dfg.csr();
+        let (out_ids, out_heads) = (csr.out_edge_ids(), csr.out_heads());
+        let (in_ids, in_tails) = (csr.in_edge_ids(), csr.in_tails());
+        let times = csr.times();
 
-    for &v in order.iter().rev() {
-        // Union descendant sets of zero-delay successors, plus the
-        // successors themselves.
-        let vi = v.index();
-        for &e in dfg.out_edges(v) {
-            if is_zero_delay_under(dfg, retiming, e) {
-                let w = dfg.edge(e).to().index();
-                // set bit w
-                sets[vi * words + w / 64] |= 1 << (w % 64);
-                for k in 0..words {
-                    let bits = sets[w * words + k];
-                    sets[vi * words + k] |= bits;
+        self.pending.clear();
+        self.stack.clear();
+        for v in 0..n {
+            let degree = csr
+                .out_range(v)
+                .filter(|&j| zero.contains(out_ids[j]))
+                .count();
+            self.pending
+                .push(u32::try_from(degree).expect("degree fits u32"));
+            if degree == 0 {
+                self.stack
+                    .push(u32::try_from(v).expect("node index fits u32"));
+            }
+        }
+        if descendants {
+            self.rows.clear();
+            self.rows.resize(n * words, 0);
+        }
+
+        let mut visited = 0_usize;
+        while let Some(v) = self.stack.pop() {
+            let v = v as usize;
+            let weight = if descendants {
+                for j in csr.out_range(v) {
+                    if zero.contains(out_ids[j]) {
+                        let w = out_heads[j] as usize;
+                        self.rows[v * words + w / 64] |= 1 << (w % 64);
+                        for k in 0..words {
+                            let bits = self.rows[w * words + k];
+                            self.rows[v * words + k] |= bits;
+                        }
+                    }
+                }
+                self.rows[v * words..(v + 1) * words]
+                    .iter()
+                    .map(|bits| u64::from(bits.count_ones()))
+                    .sum()
+            } else {
+                let mut below = 0_u64;
+                for j in csr.out_range(v) {
+                    if zero.contains(out_ids[j]) {
+                        below = below.max(weights[NodeId::from_index(out_heads[j] as usize)]);
+                    }
+                }
+                below + u64::from(times[v])
+            };
+            weights[NodeId::from_index(v)] = weight;
+            visited += 1;
+            for j in csr.in_range(v) {
+                if zero.contains(in_ids[j]) {
+                    let u = in_tails[j] as usize;
+                    self.pending[u] -= 1;
+                    if self.pending[u] == 0 {
+                        self.stack.push(in_tails[j]);
+                    }
                 }
             }
         }
-        weights[v] = sets[vi * words..(vi + 1) * words]
-            .iter()
-            .map(|w| u64::from(w.count_ones()))
-            .sum();
+        visited == n
     }
-    Ok((sets, weights))
-}
-
-/// Longest zero-delay path (in computation time) from each node to a sink,
-/// including the node's own time.
-fn path_heights(dfg: &Dfg, retiming: Option<&Retiming>) -> Result<NodeMap<u64>, DfgError> {
-    let order = zero_delay_topological_order(dfg, retiming)?;
-    let mut heights = dfg.node_map(0_u64);
-    for &v in order.iter().rev() {
-        let mut below = 0_u64;
-        for &e in dfg.out_edges(v) {
-            if is_zero_delay_under(dfg, retiming, e) {
-                below = below.max(heights[dfg.edge(e).to()]);
-            }
-        }
-        heights[v] = below + u64::from(dfg.node(v).time().max(1));
-    }
-    Ok(heights)
 }
 
 #[cfg(test)]

@@ -230,6 +230,10 @@ pub struct WrapScratch {
     /// Folded occupancy, `classes × target` row-major (resized within
     /// capacity per probed target after warm-up).
     usage: Vec<u32>,
+    /// `(exclusive finish of u, s(v))` of every one-delay edge `u → v`
+    /// whose producer ends past the smallest probed target — the only
+    /// one-delay edges that can reject a target (filled per call).
+    one_delay: Vec<(u32, u32)>,
 }
 
 impl WrapScratch {
@@ -251,6 +255,7 @@ impl WrapScratch {
             class_of,
             starts: Vec::new(),
             usage: Vec::new(),
+            one_delay: Vec::new(),
         })
     }
 
@@ -329,39 +334,40 @@ impl WrapScratch {
             unwrapped_len = unwrapped_len.max(cs + times[v.index()] - 1);
         }
 
-        // Zero-retimed-delay precedences are target-independent: if one
-        // is violated, every target fails — defer to the reference path
-        // for the exact error.
+        // One pass over the edges. Zero-retimed-delay precedences are
+        // target-independent: if one is violated, every target fails —
+        // defer to the reference path for the exact error. A one-delay
+        // edge rejects `target` only if its producer's tail ends past
+        // it (`finish − 1 > target ≥ min_start`), so only those edges
+        // are kept for the scan.
         let delays = csr.edge_delays();
         let edge_from = csr.edge_from();
         let edge_to = csr.edge_to();
         let r = retiming.map(Retiming::as_slice);
-        let dr_of = |i: usize| -> i64 {
-            let d = i64::from(delays[i]);
-            match r {
-                Some(r) => d + r[edge_from[i] as usize] - r[edge_to[i] as usize],
-                None => d,
-            }
-        };
+        self.one_delay.clear();
         for i in 0..delays.len() {
-            if dr_of(i) == 0 {
-                let u = edge_from[i] as usize;
-                let finish = self.starts[u] + times[u];
-                if finish > self.starts[edge_to[i] as usize] {
-                    return wrapped_length(dfg, retiming, schedule, resources);
-                }
+            let (u, v) = (edge_from[i] as usize, edge_to[i] as usize);
+            let dr = match r {
+                Some(r) => i64::from(delays[i]) + r[u] - r[v],
+                None => i64::from(delays[i]),
+            };
+            let finish = self.starts[u] + times[u];
+            if dr == 0 && finish > self.starts[v] {
+                return wrapped_length(dfg, retiming, schedule, resources);
+            }
+            if dr == 1 && finish - 1 > min_start {
+                self.one_delay.push((finish, self.starts[v]));
             }
         }
 
         let classes = resources.classes();
         'target: for target in min_start..=unwrapped_len.max(min_start) {
             // Tail condition: only one kernel boundary may be crossed.
-            // (Starts never exceed `target` in this scan — it begins at
-            // the maximum start step.)
-            for v in 0..n {
-                if self.starts[v] + times[v] - 1 > 2 * target {
-                    continue 'target;
-                }
+            // The latest inclusive finish is `unwrapped_len`. (Starts
+            // never exceed `target` in this scan — it begins at the
+            // maximum start step.)
+            if unwrapped_len > 2 * target {
+                continue;
             }
             // Resource condition: fold occupancy modulo `target`.
             self.usage.clear();
@@ -379,14 +385,11 @@ impl WrapScratch {
                     }
                 }
             }
-            // One-delay precedences across the wrap boundary.
-            for i in 0..delays.len() {
-                if dr_of(i) == 1 {
-                    let u = edge_from[i] as usize;
-                    let finish = self.starts[u] + times[u];
-                    if finish - 1 > target && self.starts[edge_to[i] as usize] + target < finish {
-                        continue 'target;
-                    }
+            // One-delay precedences across the wrap boundary: the
+            // consumer of the next iteration waits for the tail.
+            for &(finish, sv) in &self.one_delay {
+                if finish - 1 > target && sv + target < finish {
+                    continue 'target;
                 }
             }
             return Ok(target);
