@@ -30,7 +30,10 @@
 //!                     under 5 ms at p50, byte-identical reports on
 //!                     every repetition; the sweep fingerprint gate
 //!                     doubles as proof that a plain solve pays
-//!                     nothing when `--analyze` is off); exit non-zero
+//!                     nothing when `--analyze` is off), and gate the
+//!                     cycle-ratio bounds (dfg's iteration bound and
+//!                     the verifier's recurrence bound of a 256-node
+//!                     graph, each under 1.5 ms at p50); exit non-zero
 //!                     on any regression. No report written.
 //!   --certify         certification mode: run one sweep and have the
 //!                     independent verifier (`rotsched-verify`) re-prove
@@ -62,7 +65,8 @@
 //! exercises the warm-path serve layer in-process (cold vs. warm-hit
 //! latency, single-flight deduplication under an identical burst,
 //! closed-loop sustained throughput — all counter-asserted and
-//! byte-compared), and writes a machine-readable JSON report.
+//! byte-compared), times the two cycle-ratio bounds on the graphs of the
+//! e2e `analyze-256` workload, and writes a machine-readable JSON report.
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -76,6 +80,7 @@ use rotsched_core::{
     down_rotate, effective_jobs, initial_state, parallel_indexed, BestSet, HeuristicConfig,
     Objective, ProblemSpec, RotationContext, RotationScheduler, Score, SearchDriver, TraceRecorder,
 };
+use rotsched_dfg::analysis::RatioWork;
 use rotsched_dfg::rng::{Fnv64, SplitMix64};
 use rotsched_dfg::Dfg;
 use rotsched_sched::{ListScheduler, ResourceSet, WrapScratch};
@@ -172,6 +177,27 @@ const ANALYZE_LARGE_NODES: usize = 256;
 /// request in `analyze`; a linear-ish budget keeps it invisible next
 /// to the solve it annotates.
 const ANALYZE_LARGE_LIMIT_NS: u64 = 5_000_000;
+
+/// Seed of the e2e `analyze-256` workload's graph pool, whose twelve
+/// graphs the `bounds` arm times.
+const ANALYZE256_POOL_SEED: u64 = 0xA7A1_0256;
+/// Timed repetitions of each bound per graph in the `bounds` arm.
+const BOUNDS_REPS: usize = 15;
+/// Smoke gate: on the 256-node graph of the `bounds` arm, each bound —
+/// `dfg::analysis::iteration_bound` and `verify::recurrence_bound` —
+/// must finish within this at p50. Both ran full Bellman–Ford sweeps
+/// per probe before they stopped at the first predecessor-graph cycle,
+/// and read 11.3 ms and 5.7 ms there ([`BOUNDS_BEFORE`]).
+const BOUNDS_LARGE_LIMIT_NS: u64 = 1_500_000;
+/// The `bounds` arm at the commit before both bounds stopped each probe
+/// at the first predecessor-graph cycle: p50 and p99 (ns) over all
+/// twelve graphs, then the 256-node graph's p50, for the dfg iteration
+/// bound and the verifier's recurrence bound. Medians of 3 runs on a
+/// shared 2-vCPU Xeon VM.
+const BOUNDS_BEFORE: BoundsBefore = BoundsBefore {
+    dfg: (6_971_547, 15_149_543, 11_338_350),
+    verify: (2_210_633, 6_132_667, 5_729_286),
+};
 
 struct Options {
     out: String,
@@ -358,6 +384,34 @@ fn main() {
         "analysis reports must render byte-identically on every run"
     );
 
+    let bounds = bounds_arm(&analyze256_graphs());
+    println!(
+        "\ndfg iteration bound ({} graphs, {}-{} nodes):  p50 {:>8} ns, p99 {:>8} ns \
+         ({ANALYZE_LARGE_NODES} nodes: p50 {} ns; before: p50 {} ns, p99 {} ns)",
+        bounds.graphs,
+        bounds.min_nodes,
+        bounds.max_nodes,
+        bounds.dfg.all.p50,
+        bounds.dfg.all.p99,
+        bounds.dfg.large.p50,
+        BOUNDS_BEFORE.dfg.0,
+        BOUNDS_BEFORE.dfg.1
+    );
+    println!(
+        "dfg search work: {} probes, {} Bellman-Ford rounds over the {} graphs",
+        bounds.dfg_work.probes, bounds.dfg_work.rounds, bounds.graphs
+    );
+    println!(
+        "verify recurrence bound ({} graphs):       p50 {:>8} ns, p99 {:>8} ns \
+         ({ANALYZE_LARGE_NODES} nodes: p50 {} ns; before: p50 {} ns, p99 {} ns)",
+        bounds.graphs,
+        bounds.verify.all.p50,
+        bounds.verify.all.p99,
+        bounds.verify.large.p50,
+        BOUNDS_BEFORE.verify.0,
+        BOUNDS_BEFORE.verify.1
+    );
+
     let json = render_json(
         hardware,
         cells,
@@ -377,6 +431,7 @@ fn main() {
         &fault,
         &objective,
         &analyze,
+        &bounds,
     );
     match std::fs::write(&opts.out, json) {
         Ok(()) => println!("\nwrote {}", opts.out),
@@ -1159,24 +1214,11 @@ fn analyze_percentiles(nodes: usize, graphs: u64, byte_stable: &mut bool) -> Ste
     let res = ResourceSet::adders_multipliers(2, 2, false);
     let spec = verify_spec(&res);
     let sched = ListScheduler::default();
-    // The generator's densities are per-pair, so edge counts grow
-    // quadratically with n; real DFGs keep bounded fan-in. Scale the
-    // densities to hold the 64-node suite's per-node degree constant,
-    // so the large gate graph is a bigger instance of the same shape,
-    // not a categorically denser one.
-    let density_scale = (ANALYZE_SUITE_NODES as f64 / nodes as f64).min(1.0);
-    let defaults = RandomDfgConfig::default();
+    // The large gate graph keeps the 64-node suite's per-node degree.
+    let config = RandomDfgConfig::degree_scaled(nodes, ANALYZE_SUITE_NODES);
     let mut ns = Vec::with_capacity(graphs as usize * ANALYZE_REPS);
     for seed in 0..graphs {
-        let g = random_dfg(
-            &RandomDfgConfig {
-                nodes,
-                forward_density: defaults.forward_density * density_scale,
-                feedback_density: defaults.feedback_density * density_scale,
-                ..defaults
-            },
-            seed,
-        );
+        let g = random_dfg(&config, seed);
         let state = initial_state(&g, &sched, &res).expect("schedulable");
         let starts = verify_starts(&g, &state.schedule);
         let view = ScheduleView {
@@ -1209,6 +1251,96 @@ fn analyze_arm() -> AnalyzeArmReport {
         suite,
         large,
         byte_stable,
+    }
+}
+
+/// The twelve graphs of the e2e `analyze-256` workload: 80 to 256
+/// nodes in steps of 16 at a 64-node graph's per-node degree, drawn
+/// from the workload's pool seed exactly as it draws them (each graph's
+/// seed is followed by the three draws of its resource allocation).
+fn analyze256_graphs() -> Vec<Dfg> {
+    let mut rng = SplitMix64::new(ANALYZE256_POOL_SEED);
+    (5..=16)
+        .map(|k| {
+            let g = random_dfg(&RandomDfgConfig::degree_scaled(16 * k, 64), rng.next_u64());
+            let _allocation = (rng.range_u32(0, 1), rng.range_u32(0, 1), rng.chance(0.25));
+            g
+        })
+        .collect()
+}
+
+/// One bound's latency in the `bounds` arm.
+struct BoundLatency {
+    /// Over every graph.
+    all: StepPercentiles,
+    /// On the largest graph alone.
+    large: StepPercentiles,
+}
+
+/// The `bounds` arm: both cycle-ratio bounds timed on the same graphs.
+struct BoundsReport {
+    graphs: usize,
+    min_nodes: usize,
+    max_nodes: usize,
+    /// `dfg::analysis::iteration_bound`, as every solve's lower bound
+    /// runs it.
+    dfg: BoundLatency,
+    /// `verify::recurrence_bound`, as every certificate runs it.
+    verify: BoundLatency,
+    /// The dfg search's deterministic work over one pass of the graphs.
+    dfg_work: RatioWork,
+}
+
+/// A [`BoundsReport`] recorded before a change: `(p50, p99, large p50)`
+/// per bound, in ns.
+struct BoundsBefore {
+    dfg: (u64, u64, u64),
+    verify: (u64, u64, u64),
+}
+
+/// Times `dfg::analysis::iteration_bound` and `verify::recurrence_bound`
+/// `BOUNDS_REPS` times each on every graph, alternating the two so
+/// machine noise hits both alike. `graphs` must be sorted by size; the
+/// last one is the `large` graph.
+fn bounds_arm(graphs: &[Dfg]) -> BoundsReport {
+    use rotsched_dfg::analysis::{iteration_bound, max_cycle_ratio_counted};
+    use rotsched_verify::recurrence_bound;
+    let mut dfg_ns = Vec::with_capacity(graphs.len() * BOUNDS_REPS);
+    let mut verify_ns = Vec::with_capacity(graphs.len() * BOUNDS_REPS);
+    let (mut dfg_large, mut verify_large) = (Vec::new(), Vec::new());
+    let mut dfg_work = RatioWork::default();
+    for (i, g) in graphs.iter().enumerate() {
+        max_cycle_ratio_counted(g, &mut dfg_work).expect("valid graph");
+        // One untimed call of each warms the allocator for this size.
+        let _ = std::hint::black_box((iteration_bound(g), recurrence_bound(g)));
+        for _ in 0..BOUNDS_REPS {
+            let a = time_one(|| {
+                std::hint::black_box(iteration_bound(g).ok());
+            });
+            let b = time_one(|| {
+                std::hint::black_box(recurrence_bound(g));
+            });
+            dfg_ns.push(a);
+            verify_ns.push(b);
+            if i + 1 == graphs.len() {
+                dfg_large.push(a);
+                verify_large.push(b);
+            }
+        }
+    }
+    BoundsReport {
+        graphs: graphs.len(),
+        min_nodes: graphs.iter().map(Dfg::node_count).min().unwrap_or(0),
+        max_nodes: graphs.iter().map(Dfg::node_count).max().unwrap_or(0),
+        dfg: BoundLatency {
+            all: percentiles(&mut dfg_ns),
+            large: percentiles(&mut dfg_large),
+        },
+        verify: BoundLatency {
+            all: percentiles(&mut verify_ns),
+            large: percentiles(&mut verify_large),
+        },
+        dfg_work,
     }
 }
 
@@ -1583,6 +1715,30 @@ fn check_against_baseline(graphs: &[(&str, Dfg)], baseline_path: &str) -> i32 {
         failures += 1;
     }
 
+    // Bound gates: each cycle-ratio bound of the 256-node graph under
+    // its budget at p50 — the full-sweep probes they replaced read 7.6x
+    // and 3.8x over it.
+    let graphs = analyze256_graphs();
+    let bounds = bounds_arm(&graphs[graphs.len() - 1..]);
+    for (name, latency) in [
+        ("dfg iteration bound", &bounds.dfg),
+        ("verify recurrence bound", &bounds.verify),
+    ] {
+        let p50 = latency.large.p50;
+        if p50 <= BOUNDS_LARGE_LIMIT_NS {
+            println!(
+                "{name}: {ANALYZE_LARGE_NODES}-node p50 {p50} ns within \
+                 {BOUNDS_LARGE_LIMIT_NS} ns"
+            );
+        } else {
+            eprintln!(
+                "FAIL: {name}: {ANALYZE_LARGE_NODES}-node p50 {p50} ns over the \
+                 {BOUNDS_LARGE_LIMIT_NS} ns budget"
+            );
+            failures += 1;
+        }
+    }
+
     if failures == 0 {
         println!("check passed");
         0
@@ -1710,6 +1866,7 @@ fn render_json(
     fault: &FaultOverheadReport,
     objective: &ObjectiveOverheadReport,
     analyze: &AnalyzeArmReport,
+    bounds: &BoundsReport,
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -1856,6 +2013,39 @@ fn render_json(
         analyze.large.p50
     ));
     s.push_str(&format!("    \"byte_stable\": {}\n", analyze.byte_stable));
+    s.push_str("  },\n");
+    s.push_str("  \"bounds\": {\n");
+    s.push_str(&format!(
+        "    \"graphs\": {}, \"min_nodes\": {}, \"max_nodes\": {}, \"reps\": {BOUNDS_REPS},\n",
+        bounds.graphs, bounds.min_nodes, bounds.max_nodes
+    ));
+    for (label, b) in [
+        ("dfg_iteration_bound", &bounds.dfg),
+        ("verify_recurrence_bound", &bounds.verify),
+    ] {
+        s.push_str(&format!(
+            "    \"{label}\": {{\"p50\": {}, \"p99\": {}, \"samples\": {}, \"large_p50\": {}}},\n",
+            b.all.p50, b.all.p99, b.all.samples, b.large.p50
+        ));
+    }
+    s.push_str(&format!(
+        "    \"dfg_probes\": {}, \"dfg_rounds\": {},\n",
+        bounds.dfg_work.probes, bounds.dfg_work.rounds
+    ));
+    s.push_str(&format!(
+        "    \"large_nodes\": {}, \"large_limit_ns\": {BOUNDS_LARGE_LIMIT_NS}\n",
+        bounds.max_nodes
+    ));
+    s.push_str("  },\n");
+    s.push_str("  \"bounds_before\": {\n");
+    for (label, (p50, p99, large), comma) in [
+        ("dfg_iteration_bound", BOUNDS_BEFORE.dfg, ","),
+        ("verify_recurrence_bound", BOUNDS_BEFORE.verify, ""),
+    ] {
+        s.push_str(&format!(
+            "    \"{label}\": {{\"p50\": {p50}, \"p99\": {p99}, \"large_p50\": {large}}}{comma}\n"
+        ));
+    }
     s.push_str("  },\n");
     s.push_str("  \"results\": [\n");
     for (k, (jobs, effective, median, min, fingerprint)) in results.iter().enumerate() {

@@ -40,6 +40,26 @@ impl Default for RandomDfgConfig {
     }
 }
 
+impl RandomDfgConfig {
+    /// The default shape at `nodes` nodes, its densities scaled so every
+    /// node keeps the per-node degree of a `degree_nodes`-node graph. The
+    /// densities are per node pair, so unscaled edge counts would grow
+    /// quadratically: real DFGs keep bounded fan-in, and a scaled graph is
+    /// a bigger instance of the same shape rather than a denser one.
+    /// Graphs of at most `degree_nodes` nodes keep the default densities.
+    #[must_use]
+    pub fn degree_scaled(nodes: usize, degree_nodes: usize) -> Self {
+        let defaults = RandomDfgConfig::default();
+        let scale = (degree_nodes as f64 / nodes as f64).min(1.0);
+        RandomDfgConfig {
+            nodes,
+            forward_density: defaults.forward_density * scale,
+            feedback_density: defaults.feedback_density * scale,
+            ..defaults
+        }
+    }
+}
+
 /// Generates a random valid DFG from `config`, deterministically from
 /// `seed`.
 ///

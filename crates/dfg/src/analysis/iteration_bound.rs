@@ -13,12 +13,24 @@
 //! schedule.
 //!
 //! The maximum cycle ratio is computed **exactly** (as a rational number)
-//! by iterated negative-cycle detection: starting from the ratio of an
-//! arbitrary cycle, a Bellman–Ford test on edge weights `λ·d(e) − t(u)`
-//! either certifies that no cycle has a larger ratio or produces one, whose
-//! exact ratio becomes the new candidate. Each step strictly increases `λ`
-//! over a finite set of cycle ratios, so the loop terminates. On the
-//! paper's benchmarks (≤ 40 nodes) this takes a handful of iterations.
+//! by iterated negative-cycle detection, one strongly connected component
+//! at a time. Starting from `λ = 0`, a Bellman–Ford probe on the edge
+//! weights `λ·d(e) − t(u)` either certifies that no cycle has a larger
+//! ratio or finds one. The probe walks its predecessor graph after every
+//! relaxation round and stops at the first round that leaves a cycle
+//! there; every such cycle beats `λ` (Cherkassky & Goldberg,
+//! "Negative-cycle detection algorithms", 1999), and the best ratio among
+//! them becomes the new `λ`. Each step strictly increases `λ` over a
+//! finite set of cycle ratios, so the loop terminates.
+//!
+//! **Cost.** A round costs `O(|E|)` for the relaxations plus `O(|V|)` for
+//! the walk, and a probe runs at most `|V|` rounds, so a probe is
+//! `O(|V|·|E|)` in the worst case. In practice a probe stops after one or
+//! two rounds: over the twelve 80–256-node graphs of the `analyze-256`
+//! benchmark shape, the whole search takes 84 probes and 120 rounds
+//! (`tests/bound_agreement.rs` gates these counts through
+//! [`max_cycle_ratio_counted`]), and the 256-node graph takes about
+//! 0.35 ms on a shared 2-vCPU Xeon VM (`perf_report`'s `bounds` arm).
 
 use crate::error::DfgError;
 use crate::graph::Dfg;
@@ -106,6 +118,18 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
     a
 }
 
+/// Work counters of a maximum-cycle-ratio search. They are a pure
+/// function of the graph, so tests and benchmarks can gate them exactly
+/// where wall time is noisy.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RatioWork {
+    /// Parametric probes: one per candidate ratio `λ`, the last of each
+    /// component certifying that no cycle beats its `λ`.
+    pub probes: u64,
+    /// Bellman–Ford relaxation rounds, summed over all probes.
+    pub rounds: u64,
+}
+
 /// Computes the exact maximum cycle ratio `max_C T(C)/D(C)`.
 ///
 /// Returns `Ok(None)` for an acyclic graph (no cycles constrain the
@@ -116,19 +140,23 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 /// Returns [`DfgError::ZeroDelayCycle`] if some cycle carries no delays at
 /// all — such a graph has no static schedule.
 pub fn max_cycle_ratio(dfg: &Dfg) -> Result<Option<Ratio>, DfgError> {
+    max_cycle_ratio_counted(dfg, &mut RatioWork::default())
+}
+
+/// [`max_cycle_ratio`], adding the search's probes and rounds to `work`.
+///
+/// # Errors
+///
+/// Returns [`DfgError::ZeroDelayCycle`] if some cycle carries no delays.
+pub fn max_cycle_ratio_counted(dfg: &Dfg, work: &mut RatioWork) -> Result<Option<Ratio>, DfgError> {
     // Zero-delay cycles make the ratio infinite; detect them first (this
     // also covers the validate() contract).
     super::topo::zero_delay_topological_order(dfg, None)?;
 
     let scc = strongly_connected_components(dfg);
     let mut best: Option<Ratio> = None;
-
     for comp in scc.cyclic_components(dfg) {
-        let ratio = component_max_ratio(dfg, comp)?;
-        best = match best {
-            None => Some(ratio),
-            Some(b) => Some(b.max(ratio)),
-        };
+        best = best.max(Some(component_max_ratio(dfg, comp, work)?));
     }
     Ok(best)
 }
@@ -159,16 +187,22 @@ pub fn iteration_bound(dfg: &Dfg) -> Result<Option<u64>, DfgError> {
     Ok(max_cycle_ratio(dfg)?.map(Ratio::ceil))
 }
 
+/// A component-internal edge: `(from, to, t(from), d)` in local indices.
+type LocalEdge = (usize, usize, u64, u64);
+
 /// Exact max cycle ratio within one cyclic SCC, by iterated parametric
 /// negative-cycle detection.
-fn component_max_ratio(dfg: &Dfg, comp: &[NodeId]) -> Result<Ratio, DfgError> {
+fn component_max_ratio(
+    dfg: &Dfg,
+    comp: &[NodeId],
+    work: &mut RatioWork,
+) -> Result<Ratio, DfgError> {
     // Dense re-indexing of the component.
     let mut local = vec![usize::MAX; dfg.node_count()];
     for (i, &v) in comp.iter().enumerate() {
         local[v.index()] = i;
     }
-    // Component-internal edges as (from, to, t(from), d).
-    let mut edges: Vec<(usize, usize, u64, u64)> = Vec::new();
+    let mut edges: Vec<LocalEdge> = Vec::new();
     for &v in comp {
         for &e in dfg.out_edges(v) {
             let edge = dfg.edge(e);
@@ -183,77 +217,132 @@ fn component_max_ratio(dfg: &Dfg, comp: &[NodeId]) -> Result<Ratio, DfgError> {
         }
     }
 
-    let mut lambda = initial_cycle_ratio(comp.len(), &edges)?;
+    // Every ratio is at least 0, so the search may start there: the first
+    // probe lifts λ to the best cycle of its predecessor graph.
+    let mut probe = Probe::new(comp.len(), edges.len());
+    let mut lambda = Ratio::new(0, 1);
     loop {
-        match find_improving_cycle(comp.len(), &edges, lambda)? {
-            None => return Ok(lambda),
-            Some(better) => {
-                debug_assert!(better > lambda, "improving cycle must raise the ratio");
-                if better <= lambda {
-                    // Cycles in the predecessor graph are strictly negative,
-                    // so this cannot happen; guard against looping anyway.
-                    return Ok(lambda);
-                }
-                lambda = better;
-            }
+        work.probes += 1;
+        match probe.improving_cycle(&edges, lambda, work)? {
+            // A predecessor-graph cycle always beats λ; the guard only
+            // keeps the loop finite whatever happens.
+            Some(better) if better > lambda => lambda = better,
+            _ => return Ok(lambda),
         }
     }
 }
 
-/// Finds any cycle in the component (one must exist) and returns its exact
-/// ratio as the starting candidate.
-fn initial_cycle_ratio(n: usize, edges: &[(usize, usize, u64, u64)]) -> Result<Ratio, DfgError> {
-    // DFS from vertex 0 within the SCC; the first back edge closes a cycle.
-    let mut adj: Vec<Vec<(usize, u64, u64)>> = vec![Vec::new(); n];
-    for &(u, v, t, d) in edges {
-        adj[u].push((v, t, d));
-    }
-    let mut state = vec![0_u8; n]; // 0 = white, 1 = on stack, 2 = done
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    let mut path: Vec<(usize, u64, u64)> = Vec::new(); // (vertex, t-in, d-in)
+/// Buffers of one component's probes, reused across them.
+struct Probe {
+    weights: Vec<i128>,
+    dist: Vec<i128>,
+    pred: Vec<usize>,
+    /// Per node: the walk that reached it (0 = none yet) and that walk's
+    /// time and delay sums from its root to the node.
+    seen: Vec<(usize, u64, u64)>,
+}
 
-    for root in 0..n {
-        if state[root] != 0 {
-            continue;
+impl Probe {
+    fn new(nodes: usize, edges: usize) -> Self {
+        Probe {
+            weights: Vec::with_capacity(edges),
+            dist: vec![0; nodes],
+            pred: vec![usize::MAX; nodes],
+            seen: vec![(0, 0, 0); nodes],
         }
-        stack.push((root, 0));
-        state[root] = 1;
-        path.push((root, 0, 0));
-        while let Some(&mut (v, ref mut pos)) = stack.last_mut() {
-            if *pos < adj[v].len() {
-                let (w, _t, d) = adj[v][*pos];
-                let t_v = adj[v][*pos].1;
-                *pos += 1;
-                if state[w] == 0 {
-                    state[w] = 1;
-                    stack.push((w, 0));
-                    path.push((w, t_v, d));
-                } else if state[w] == 1 {
-                    // Cycle found: from w's position in the path to the end,
-                    // plus the closing edge v -> w.
-                    let start = path
-                        .iter()
-                        .position(|&(x, _, _)| x == w)
-                        .expect("on-stack vertex is on the path");
-                    let mut total_t = t_v;
-                    let mut total_d = d;
-                    for &(_, ti, di) in &path[start + 1..] {
-                        total_t = total_t.saturating_add(ti);
-                        total_d = total_d.saturating_add(di);
-                    }
-                    if total_d == 0 {
-                        return Err(zero_delay_cycle_error());
-                    }
-                    return Ok(Ratio::new(total_t, total_d));
+    }
+
+    /// Bellman–Ford on the integer weights `w(e) = num·d(e) − den·t(e)`,
+    /// under which a negative cycle is exactly a cycle of ratio above
+    /// `λ = num/den`. Every round ends with one walk of the predecessor
+    /// graph, and the probe stops at the first round that leaves a cycle
+    /// there, returning the best ratio among that round's cycles — or
+    /// `None` at the first round that relaxes nothing.
+    ///
+    /// Round `n` always ends one way or the other: a node improved in
+    /// round `k` took its predecessor from a node improved in round `k` or
+    /// `k − 1`, so the predecessor walk back from a node improved in round
+    /// `n` passes `n + 1` nodes and must repeat one.
+    fn improving_cycle(
+        &mut self,
+        edges: &[LocalEdge],
+        lambda: Ratio,
+        work: &mut RatioWork,
+    ) -> Result<Option<Ratio>, DfgError> {
+        let num = i128::from(lambda.num());
+        let den = i128::from(lambda.den());
+        self.weights.clear();
+        self.weights.extend(
+            edges
+                .iter()
+                .map(|&(_, _, t, d)| num * i128::from(d) - den * i128::from(t)),
+        );
+        self.dist.fill(0); // a virtual source reaches every node at 0
+        self.pred.fill(usize::MAX);
+        for _round in 0..self.dist.len() {
+            work.rounds += 1;
+            let mut relaxed = false;
+            for (idx, (&(u, v, _, _), &w)) in edges.iter().zip(&self.weights).enumerate() {
+                let cand = self.dist[u].saturating_add(w);
+                if cand < self.dist[v] {
+                    self.dist[v] = cand;
+                    self.pred[v] = idx;
+                    relaxed = true;
                 }
-            } else {
-                state[v] = 2;
-                stack.pop();
-                path.pop();
+            }
+            if !relaxed {
+                return Ok(None);
+            }
+            if let Some(best) = self.best_pred_cycle(edges)? {
+                return Ok(Some(best));
             }
         }
+        Ok(None)
     }
-    unreachable!("a cyclic SCC contains a cycle")
+
+    /// The best ratio among the cycles of the predecessor graph, or
+    /// `None` while it has none.
+    ///
+    /// Every node keeps at most one predecessor edge, so the graph is
+    /// functional: one backward walk per unvisited root, each stopped at
+    /// the first node already seen, visits every node once in `O(n)` and
+    /// meets each cycle exactly once — when a walk reaches a node of its
+    /// own. Each step records the walk's running time and delay sums, so a
+    /// cycle's totals are the difference of two of them. A cycle of the
+    /// predecessor graph has negative weight (Cherkassky & Goldberg,
+    /// "Negative-cycle detection algorithms", 1999), so its ratio is
+    /// strictly above the probe's `λ`.
+    fn best_pred_cycle(&mut self, edges: &[LocalEdge]) -> Result<Option<Ratio>, DfgError> {
+        self.seen.fill((0, 0, 0));
+        let mut best: Option<Ratio> = None;
+        for root in 0..self.seen.len() {
+            if self.seen[root].0 != 0 {
+                continue;
+            }
+            let walk = root + 1;
+            let (mut v, mut t, mut d) = (root, 0_u64, 0_u64);
+            let closed = loop {
+                self.seen[v] = (walk, t, d);
+                if self.pred[v] == usize::MAX {
+                    break false;
+                }
+                let (u, _, tu, du) = edges[self.pred[v]];
+                (v, t, d) = (u, t + tu, d + du);
+                if self.seen[v].0 != 0 {
+                    break self.seen[v].0 == walk;
+                }
+            };
+            if closed {
+                let (_, t0, d0) = self.seen[v];
+                let (t, d) = (t - t0, d - d0);
+                if d == 0 {
+                    return Err(zero_delay_cycle_error());
+                }
+                best = best.max(Some(Ratio::new(t, d)));
+            }
+        }
+        Ok(best)
+    }
 }
 
 fn zero_delay_cycle_error() -> DfgError {
@@ -261,73 +350,6 @@ fn zero_delay_cycle_error() -> DfgError {
     // node ids before we ever get here; this arm guards against delay-free
     // cycles that slip through within component-local arithmetic.
     DfgError::ZeroDelayCycle { cycle: Vec::new() }
-}
-
-/// Bellman–Ford on weights `λ·d − λden·t`: a negative cycle is exactly a
-/// cycle with ratio above `λ`; returns its exact ratio.
-fn find_improving_cycle(
-    n: usize,
-    edges: &[(usize, usize, u64, u64)],
-    lambda: Ratio,
-) -> Result<Option<Ratio>, DfgError> {
-    // Integer weights: w(e) = num·d(e) − den·t(e); Σw < 0 ⟺ T/D > λ.
-    let num = i128::from(lambda.num());
-    let den = i128::from(lambda.den());
-    let weight = |t: u64, d: u64| -> i128 { num * i128::from(d) - den * i128::from(t) };
-
-    let mut dist = vec![0_i128; n]; // virtual source connects to all at 0
-    let mut pred = vec![usize::MAX; n];
-    let mut pred_edge = vec![usize::MAX; n];
-    let mut witness = None;
-    for _round in 0..n {
-        witness = None;
-        for (idx, &(u, v, t, d)) in edges.iter().enumerate() {
-            let cand = dist[u].saturating_add(weight(t, d));
-            if cand < dist[v] {
-                dist[v] = cand;
-                pred[v] = u;
-                pred_edge[v] = idx;
-                witness = Some(v);
-            }
-        }
-        if witness.is_none() {
-            break;
-        }
-    }
-    let Some(witness) = witness else {
-        return Ok(None);
-    };
-
-    // Walk predecessors until a vertex repeats; that segment is the cycle.
-    let mut seen = vec![usize::MAX; n];
-    let mut walk = Vec::new();
-    let mut v = witness;
-    let start = loop {
-        if seen[v] != usize::MAX {
-            break v;
-        }
-        seen[v] = walk.len();
-        walk.push(v);
-        debug_assert_ne!(pred[v], usize::MAX, "witness chain reaches the cycle");
-        v = pred[v];
-    };
-    let mut total_t = 0_u64;
-    let mut total_d = 0_u64;
-    let mut cur = start;
-    loop {
-        let e = pred_edge[cur];
-        let (u, _, t, d) = edges[e];
-        total_t = total_t.saturating_add(t);
-        total_d = total_d.saturating_add(d);
-        cur = u;
-        if cur == start {
-            break;
-        }
-    }
-    if total_d == 0 {
-        return Err(zero_delay_cycle_error());
-    }
-    Ok(Some(Ratio::new(total_t, total_d)))
 }
 
 #[cfg(test)]

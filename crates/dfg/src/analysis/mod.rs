@@ -25,7 +25,9 @@ pub mod topo;
 
 pub use critical_path::{arrival_times, critical_path_length, ArrivalTimes};
 pub use cycles::{simple_cycles, Cycle, CycleEnumeration};
-pub use iteration_bound::{iteration_bound, max_cycle_ratio, Ratio};
+pub use iteration_bound::{
+    iteration_bound, max_cycle_ratio, max_cycle_ratio_counted, Ratio, RatioWork,
+};
 pub use paths::{bellman_ford, NegativeCycle, ShortestPaths, WeightedEdge};
 pub use retime_feasibility::{min_period_retiming, retime_to_period};
 pub use scc::{strongly_connected_components, strongly_connected_components_csr, SccDecomposition};

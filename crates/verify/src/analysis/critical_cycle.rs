@@ -25,12 +25,16 @@
 //! visit edges inside cyclic strongly connected components (from the
 //! shared traversal cache); everything else cannot lie on a cycle.
 
+use std::ops::ControlFlow;
+
 use rotsched_dfg::CsrGraph;
 
 use crate::analysis::engine::{fixed_point, Direction};
 use crate::analysis::report::{AnalysisReport, CriticalCycleSection, RatioU64};
 use crate::analysis::AnalysisContext;
+use crate::bound::pred_graph_cycles;
 use crate::diag::{Code, Diagnostic, Locus};
+use crate::lint::has_zero_delay_cycle;
 use rotsched_dfg::NodeId;
 
 /// A cycle as flat CSR edge indices, in traversal order.
@@ -72,7 +76,11 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
     let csr = ctx.cache.csr();
     let scc = ctx.cache.scc();
     report.acyclic = !scc.has_cycle(csr);
-    if report.acyclic || ctx.cache.has_negative_retimed_delay() {
+    // A zero-delay cycle has no finite ratio and excludes every kernel
+    // length (E001 territory). The probes below meet one only if its
+    // ops take time, so rule them all out up front: a zero-time one
+    // would otherwise hide behind a finite ratio.
+    if report.acyclic || ctx.cache.has_negative_retimed_delay() || has_zero_delay_cycle(ctx.dfg) {
         return;
     }
     let retimed = ctx.cache.retimed_delays();
@@ -285,33 +293,19 @@ fn find_any_cycle(csr: &CsrGraph, active: &[bool]) -> Option<Cycle> {
 /// The best-ratio cycle in the Bellman–Ford predecessor graph.
 ///
 /// Every node holds at most one predecessor edge, so the graph is
-/// functional: one colored backward walk per root finds every cycle in
-/// O(n) total. The probe's positive cycle is among them, and picking
-/// the best ratio of the lot (a zero-delay cycle counts as infinite)
-/// turns each probe into a policy-improvement step — the outer loop
-/// converges in a handful of probes instead of one probe per distinct
-/// cycle ratio in the graph.
+/// functional and [`pred_graph_cycles`] meets every cycle in O(n)
+/// total. The probe's positive cycle is among them, and picking the
+/// best ratio of the lot (a zero-delay cycle counts as infinite) turns
+/// each probe into a policy-improvement step — the outer loop converges
+/// in a handful of probes instead of one probe per distinct cycle ratio
+/// in the graph.
 fn best_pred_cycle(csr: &CsrGraph, retimed: &[i64], pred_edge: &[usize]) -> Option<Cycle> {
     let n = csr.node_count();
-    let mut color = vec![0_u8; n]; // 0 new, 1 on current walk, 2 done
     let mut best: Option<(Cycle, u64, u64)> = None;
-    for root in 0..n {
-        if color[root] != 0 {
-            continue;
-        }
-        let mut v = root;
-        while color[v] == 0 {
-            color[v] = 1;
-            let e = pred_edge[v];
-            if e == usize::MAX {
-                break;
-            }
-            v = csr.edge_from()[e] as usize;
-        }
-        // Re-entering the current walk closes a cycle through `v`
-        // (a node with no predecessor ends the walk instead).
-        if color[v] == 1 && pred_edge[v] != usize::MAX {
-            let anchor = v;
+    let _ = pred_graph_cycles(
+        &mut vec![0; n],
+        |v| (pred_edge[v] != usize::MAX).then(|| csr.edge_from()[pred_edge[v]] as usize),
+        |anchor| {
             let mut edges = Vec::new();
             let mut u = anchor;
             loop {
@@ -322,38 +316,30 @@ fn best_pred_cycle(csr: &CsrGraph, retimed: &[i64], pred_edge: &[usize]) -> Opti
                     break;
                 }
             }
-            if edges.len() <= n {
-                edges.reverse();
-                let cycle = Cycle { edges };
-                let (t, d) = cycle.totals(csr, retimed);
-                let improves = match &best {
-                    None => true,
-                    Some((_, bt, bd)) => {
-                        if d == 0 {
-                            *bd != 0
-                        } else if *bd == 0 {
-                            false
-                        } else {
-                            ratio_gt(t, d, *bt, *bd)
-                        }
+            if edges.len() > n {
+                return ControlFlow::Continue(());
+            }
+            edges.reverse();
+            let cycle = Cycle { edges };
+            let (t, d) = cycle.totals(csr, retimed);
+            let improves = match &best {
+                None => true,
+                Some((_, bt, bd)) => {
+                    if d == 0 {
+                        *bd != 0
+                    } else if *bd == 0 {
+                        false
+                    } else {
+                        ratio_gt(t, d, *bt, *bd)
                     }
-                };
-                if improves {
-                    best = Some((cycle, t, d));
                 }
+            };
+            if improves {
+                best = Some((cycle, t, d));
             }
-        }
-        // Retire the whole walk so later roots stop at it.
-        let mut u = root;
-        while color[u] == 1 {
-            color[u] = 2;
-            let e = pred_edge[u];
-            if e == usize::MAX {
-                break;
-            }
-            u = csr.edge_from()[e] as usize;
-        }
-    }
+            ControlFlow::Continue(())
+        },
+    );
     best.map(|(c, _, _)| c)
 }
 

@@ -3,9 +3,9 @@
 //! The certificate checker must be able to *confirm* an optimality
 //! verdict without trusting the solver's bound computation, so this
 //! module re-derives both bounds from scratch with a different
-//! algorithm than the scheduler side uses (plain Bellman–Ford
-//! positive-cycle probes instead of iterated parametric maximum cycle
-//! ratio):
+//! algorithm than the scheduler side uses (a binary search over plain
+//! Bellman–Ford positive-cycle probes instead of iterated parametric
+//! maximum cycle ratio):
 //!
 //! * **recurrence**: a cycle `C` forces `L · Σ_{e∈C} d(e) ≥ Σ_{v∈C}
 //!   t(v)` on every initiation interval `L` (sum the per-edge
@@ -14,24 +14,30 @@
 //!   impossible exactly when some cycle has `Σt > (L−1)·Σd`.
 //! * **resource**: [`crate::ResourceSpec::resource_bound`].
 
+use std::ops::ControlFlow;
+
 use rotsched_dfg::Dfg;
+
+use crate::lint::has_zero_delay_cycle;
 
 /// Whether some cycle proves every legal kernel is at least `min_length`
 /// steps long — i.e. there is a cycle with `Σt > (min_length − 1)·Σd`.
 ///
 /// `recurrence_forces(g, 1)` is trivially true for a non-empty graph
 /// and `recurrence_forces(g, 0)` is false; a graph with a zero-delay
-/// cycle forces every length (no legal kernel exists at all, which the
-/// lint engine reports separately as `E001`).
+/// cycle forces every length `≥ 1`, even when the cycle's ops take no
+/// time (no legal kernel exists at all, which the lint engine reports
+/// separately as `E001`).
 #[must_use]
 pub fn recurrence_forces(dfg: &Dfg, min_length: u32) -> bool {
-    if min_length == 0 {
-        return false;
+    match min_length {
+        0 => false,
+        1 => dfg.node_count() > 0,
+        _ => {
+            has_zero_delay_cycle(dfg)
+                || PositiveCycleProbe::new(dfg).exists(i128::from(min_length) - 1)
+        }
     }
-    if min_length == 1 {
-        return dfg.node_count() > 0;
-    }
-    exists_positive_cycle(dfg, i128::from(min_length) - 1)
 }
 
 /// The recurrence lower bound: the smallest `L ≥ 1` not excluded by any
@@ -47,17 +53,21 @@ pub fn recurrence_bound(dfg: &Dfg) -> Option<u32> {
     if dfg.node_count() == 0 {
         return Some(1);
     }
-    // Any cycle's ratio Σt/Σd is at most Σ_V t(v) (delays are ≥ 1 on
-    // every cycle that has any), so the bound, if it exists, is ≤ that.
+    if has_zero_delay_cycle(dfg) {
+        return None;
+    }
+    // Every remaining cycle carries a delay, so its ratio Σt/Σd is at
+    // most Σ_V t(v): the bound, if it fits in u32, is at most that.
     let hi = u32::try_from(dfg.total_time().min(u64::from(u32::MAX) - 1)).unwrap_or(u32::MAX - 1);
     let (mut lo, mut hi) = (1_u32, hi.max(1));
-    if recurrence_forces(dfg, hi + 1) {
-        return None; // zero-delay cycle: every length excluded
+    let mut probe = PositiveCycleProbe::new(dfg);
+    if probe.exists(i128::from(hi)) {
+        return None; // the ratio exceeds u32::MAX − 1
     }
-    // Invariant: !forces(hi + 1), forces(lo).
+    // Invariant: length hi + 1 is not forced, length lo is.
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if recurrence_forces(dfg, mid + 1) {
+        if probe.exists(i128::from(mid)) {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -66,61 +76,120 @@ pub fn recurrence_bound(dfg: &Dfg) -> Option<u32> {
     Some(lo)
 }
 
-/// Bellman–Ford probe: is there a cycle with positive total weight under
-/// `w(e) = t(from(e)) − k·d(e)`?
-///
-/// Longest-path relaxation from an implicit super-source (all distances
-/// start at 0); if the |V|-th pass still relaxes, a positive cycle
-/// exists. A single weight `t − k·d` fits in `i128` for any `u32`-sized
-/// inputs, but distances *accumulate* one weight per relaxation, so the
-/// sums saturate rather than trust a size argument; saturation cannot
-/// mask a positive cycle, because a distance pinned at `i128::MAX`
-/// merely stops relaxing (the `n`-th-pass test needs only one strict
-/// improvement anywhere, and ~2⁶² chained relaxations would have to
-/// precede a pin).
-fn exists_positive_cycle(dfg: &Dfg, k: i128) -> bool {
-    let n = dfg.node_count();
-    if n == 0 {
-        return false;
+/// Bellman–Ford probes for a positive cycle over one graph, reusing
+/// their buffers from probe to probe.
+struct PositiveCycleProbe<'a> {
+    dfg: &'a Dfg,
+    /// `(from, to, w)` per edge, for the current probe's `k`.
+    weights: Vec<(usize, usize, i128)>,
+    dist: Vec<i128>,
+    pred: Vec<usize>,
+    walk_of: Vec<usize>,
+}
+
+impl<'a> PositiveCycleProbe<'a> {
+    fn new(dfg: &'a Dfg) -> Self {
+        let n = dfg.node_count();
+        PositiveCycleProbe {
+            dfg,
+            weights: Vec::with_capacity(dfg.edge_count()),
+            dist: vec![0; n],
+            pred: vec![usize::MAX; n],
+            walk_of: vec![0; n],
+        }
     }
-    // Weights once, not once per pass: up to n+1 sweeps re-read them.
-    let weights: Vec<(usize, usize, i128)> = dfg
-        .edges()
-        .map(|(_, edge)| {
+
+    /// Is there a cycle with positive total weight under
+    /// `w(e) = t(from(e)) − k·d(e)`?
+    ///
+    /// Longest-path relaxation from an implicit super-source (all
+    /// distances start at 0). Every round ends with one walk of the
+    /// predecessor graph ([`pred_graph_cycles`]); the probe answers "yes"
+    /// at the first cycle found there, because a predecessor-graph cycle
+    /// always has positive weight (Cherkassky & Goldberg, "Negative-cycle
+    /// detection algorithms", 1999), and "no" at the first round that
+    /// relaxes nothing. Round `n` always ends one way or the other: a
+    /// node improved in round `r` took its predecessor from a node
+    /// improved in round `r` or `r − 1`, so the predecessor walk back
+    /// from a node improved in round `n` passes `n + 1` nodes and must
+    /// repeat one. Sums saturate rather than trust a size argument;
+    /// saturation keeps every predecessor edge's `dist(to) ≤ dist(from) +
+    /// w`, which is all the cycle argument needs.
+    fn exists(&mut self, k: i128) -> bool {
+        let dfg = self.dfg;
+        // Weights once per probe, not once per round.
+        self.weights.clear();
+        self.weights.extend(dfg.edges().map(|(_, edge)| {
             let w = i128::from(dfg.node(edge.from()).time())
                 .saturating_sub(k.saturating_mul(i128::from(edge.delays())));
             (edge.from().index(), edge.to().index(), w)
-        })
-        .collect();
-    // A positive cycle needs a positive-weight edge.
-    let Some(max_w) = weights.iter().map(|&(_, _, w)| w).filter(|&w| w > 0).max() else {
-        return false;
-    };
-    // Distances start at 0 and a simple path carries at most
-    // (n−1)·max_w; any distance beyond that already proves a positive
-    // cycle, so the sweep can answer without finishing its pass budget.
-    let threshold = i128::from(n as u64 - 1).saturating_mul(max_w);
-    let mut dist = vec![0_i128; n];
-    for pass in 0..=n {
-        let mut relaxed = false;
-        for &(from, to, w) in &weights {
-            let candidate = dist[from].saturating_add(w);
-            if candidate > dist[to] {
-                if candidate > threshold {
-                    return true;
+        }));
+        self.dist.fill(0);
+        self.pred.fill(usize::MAX);
+        for _round in 0..self.dist.len() {
+            let mut relaxed = false;
+            for &(from, to, w) in &self.weights {
+                let candidate = self.dist[from].saturating_add(w);
+                if candidate > self.dist[to] {
+                    self.dist[to] = candidate;
+                    self.pred[to] = from;
+                    relaxed = true;
                 }
-                dist[to] = candidate;
-                relaxed = true;
+            }
+            if !relaxed {
+                return false;
+            }
+            let pred = &self.pred;
+            let cycle = pred_graph_cycles(
+                &mut self.walk_of,
+                |v| (pred[v] != usize::MAX).then_some(pred[v]),
+                |_| ControlFlow::Break(()),
+            );
+            if cycle.is_break() {
+                return true;
             }
         }
-        if !relaxed {
-            return false;
+        false
+    }
+}
+
+/// Calls `on_cycle(v)` once for every cycle of a functional graph on
+/// the nodes `0..walk_of.len()`, with `v` a node on that cycle, until
+/// `on_cycle` breaks; returns whether it did.
+///
+/// `pred(v)` is `v`'s one predecessor, if any — the shape of a
+/// Bellman–Ford predecessor graph. One backward walk per unvisited root,
+/// each stopped at the first node already seen, visits every node once,
+/// so the whole sweep is `O(n)`: a walk that reaches a node of its own
+/// closes a cycle, one that reaches an earlier walk does not.
+/// `walk_of` is scratch space: it ends up holding the root whose walk
+/// saw each node.
+pub(crate) fn pred_graph_cycles(
+    walk_of: &mut [usize],
+    pred: impl Fn(usize) -> Option<usize>,
+    mut on_cycle: impl FnMut(usize) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    walk_of.fill(usize::MAX);
+    for root in 0..walk_of.len() {
+        if walk_of[root] != usize::MAX {
+            continue;
         }
-        if pass == n {
-            return true;
+        let mut v = root;
+        let closed = loop {
+            walk_of[v] = root;
+            let Some(u) = pred(v) else {
+                break false;
+            };
+            v = u;
+            if walk_of[v] != usize::MAX {
+                break walk_of[v] == root;
+            }
+        };
+        if closed {
+            on_cycle(v)?;
         }
     }
-    unreachable!("loop returns on the (n+1)-th pass")
+    ControlFlow::Continue(())
 }
 
 #[cfg(test)]

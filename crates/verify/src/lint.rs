@@ -191,6 +191,12 @@ fn pass_edge_delays(dfg: &Dfg, _ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>
     }
 }
 
+/// Whether some cycle carries no delay at all (lint `E001`): such a
+/// graph has no legal kernel of any length.
+pub(crate) fn has_zero_delay_cycle(dfg: &Dfg) -> bool {
+    !kahn_zero_delay(dfg, true).iter().all(|&done| done)
+}
+
 /// Kahn's algorithm over the zero-delay subgraph in the given direction;
 /// returns which nodes were ordered (the rest lie on or behind a cycle).
 fn kahn_zero_delay(dfg: &Dfg, forward: bool) -> Vec<bool> {

@@ -66,14 +66,66 @@ fn zero_time_cycle_analyzes_at_a_one_step_bound() {
     // Checked-in reproducer: the critical cycle's ratio is 0, but the
     // analysis must report (and seed into lint) the kernel-length bound
     // max(1, ⌈ratio⌉) = 1 — in debug builds a seeded 0 trips lint's
-    // consistency assertion. `text::parse` validates, and validation
-    // rejects zero-time ops, so the graph is rebuilt line by line: the
-    // analyzer must be total on graphs that were never validated.
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/regressions/zero-time-cycle.dfg"
+    // consistency assertion.
+    let g = unvalidated_regression("zero-time-cycle");
+    assert!(matches!(g.validate(), Err(DfgError::ZeroTimeNode { .. })));
+    let spec = rotsched::verify::ResourceSpec::unlimited();
+    let report = rotsched::verify::analyze(&g, &spec, None);
+    let cc = report
+        .critical_cycle
+        .as_ref()
+        .expect("the graph has a cycle");
+    assert_eq!(cc.ratio.num, 0);
+    assert_eq!(cc.iteration_bound, 1);
+    assert_eq!(rotsched::verify::recurrence_bound(&g), Some(1));
+    let _ = report.render_json(&g);
+}
+
+#[test]
+fn zero_time_zero_delay_cycle_has_no_recurrence_bound() {
+    // Checked-in reproducer: a zero-delay cycle of zero-time ops weighs 0
+    // under every positive-cycle probe, so the verifier used to miss it
+    // and report a one-step bound. A cycle without delays excludes every
+    // kernel length, as dfg (`ZeroDelayCycle`) and lint (`E001`) say.
+    let g = unvalidated_regression("zero-delay-zero-time-cycle");
+    assert!(matches!(
+        analysis::iteration_bound(&g),
+        Err(DfgError::ZeroDelayCycle { .. })
+    ));
+    assert_eq!(rotsched::verify::recurrence_bound(&g), None);
+    for length in [1, 2, 1000, u32::MAX] {
+        assert!(
+            rotsched::verify::recurrence_forces(&g, length),
+            "L = {length}"
+        );
+    }
+    assert!(!rotsched::verify::recurrence_forces(&g, 0));
+    // The analysis states no critical cycle, and the lints it runs with
+    // whatever bound it seeded match an unhinted lint run.
+    let spec = rotsched::verify::ResourceSpec::unlimited();
+    let report = rotsched::verify::analyze(&g, &spec, None);
+    assert!(report.critical_cycle.is_none());
+    let options = rotsched::verify::LintOptions::default();
+    let unhinted = rotsched::verify::LintContext {
+        spec: Some(&spec),
+        ..rotsched::verify::LintContext::bare(&options)
+    };
+    assert_eq!(report.lints, rotsched::verify::lint(&g, &unhinted));
+    assert!(report
+        .lints
+        .iter()
+        .any(|d| d.code == rotsched::verify::Code::ZeroDelayCycle));
+}
+
+/// Reads a checked-in reproducer line by line. `text::parse` validates,
+/// and validation rejects zero-time ops, so the graph is rebuilt here:
+/// the analyses must be total on graphs that were never validated.
+fn unvalidated_regression(name: &str) -> Dfg {
+    let path = format!(
+        "{}/tests/regressions/{name}.dfg",
+        env!("CARGO_MANIFEST_DIR")
     );
-    let mut g = Dfg::new("zero-time-cycle");
+    let mut g = Dfg::new(name);
     let mut ids = std::collections::HashMap::new();
     for line in std::fs::read_to_string(path).unwrap().lines() {
         match line.split_whitespace().collect::<Vec<_>>()[..] {
@@ -88,17 +140,7 @@ fn zero_time_cycle_analyzes_at_a_one_step_bound() {
             _ => {}
         }
     }
-    assert!(matches!(g.validate(), Err(DfgError::ZeroTimeNode { .. })));
-    let spec = rotsched::verify::ResourceSpec::unlimited();
-    let report = rotsched::verify::analyze(&g, &spec, None);
-    let cc = report
-        .critical_cycle
-        .as_ref()
-        .expect("the graph has a cycle");
-    assert_eq!(cc.ratio.num, 0);
-    assert_eq!(cc.iteration_bound, 1);
-    assert_eq!(rotsched::verify::recurrence_bound(&g), Some(1));
-    let _ = report.render_json(&g);
+    g
 }
 
 #[test]
