@@ -31,7 +31,7 @@ pub fn resource_bound(dfg: &Dfg, resources: &ResourceSet) -> u64 {
             let occupancy = if class.is_pipelined() {
                 1
             } else {
-                u64::from(node.time().max(1))
+                u64::from(node.steps())
             };
             per_class[class_id.index()] += occupancy;
         }

@@ -137,7 +137,7 @@ fn heights(dfg: &Dfg, ii: u32) -> Vec<i64> {
         for (_, edge) in dfg.edges() {
             let u = edge.from().index();
             let v = edge.to().index();
-            let cand = h[v] + i64::from(dfg.node(edge.from()).time().max(1))
+            let cand = h[v] + i64::from(dfg.node(edge.from()).steps())
                 - i64::from(ii) * i64::from(edge.delays());
             if cand > h[u] {
                 h[u] = cand;
@@ -222,7 +222,7 @@ fn try_ii(
             let edge = dfg.edge(e);
             if let Some(su) = start[edge.from().index()] {
                 estart = estart.max(
-                    su + i64::from(dfg.node(edge.from()).time().max(1))
+                    su + i64::from(dfg.node(edge.from()).steps())
                         - i64::from(ii) * i64::from(edge.delays()),
                 );
             }
@@ -274,8 +274,8 @@ fn try_ii(
                 continue;
             }
             if let Some(sw) = start[w.index()] {
-                let need = t + i64::from(dfg.node(v).time().max(1))
-                    - i64::from(ii) * i64::from(edge.delays());
+                let need =
+                    t + i64::from(dfg.node(v).steps()) - i64::from(ii) * i64::from(edge.delays());
                 if sw < need {
                     for class_rows in &mut mrt {
                         for row in class_rows.iter_mut() {

@@ -53,7 +53,7 @@ impl CompoundNode {
         let first = events.iter().map(|e| e.start).min().unwrap_or(0);
         let last = events
             .iter()
-            .map(|e| e.start + i64::from(inner.node(e.node).time().max(1)) - 1)
+            .map(|e| e.start + i64::from(inner.node(e.node).steps()) - 1)
             .max()
             .unwrap_or(0);
         let span = usize::try_from(last - first + 1).unwrap_or(1).max(1);
@@ -177,7 +177,7 @@ impl NestedScheduler {
             }
         }
         debug_assert_eq!(
-            outer.node(compound_at).time().max(1),
+            outer.node(compound_at).steps(),
             compound.span().max(1),
             "the compound node's declared time must equal its span"
         );
@@ -310,7 +310,7 @@ impl NestedScheduler {
                         if is_zero_delay_under(outer, retiming, e) {
                             let u = outer.edge(e).from();
                             if let Some(su) = schedule.start(u) {
-                                earliest = earliest.max(su + outer.node(u).time().max(1));
+                                earliest = earliest.max(su + outer.node(u).steps());
                             }
                         }
                     }

@@ -48,11 +48,9 @@ pub struct CsrGraph {
     edge_to: Vec<u32>,
     /// Per-edge delay count, indexed by `EdgeId::index()`.
     edge_delays: Vec<u32>,
-    /// Per-node computation time clamped to ≥ 1 (the value every
-    /// occupancy computation uses), indexed by `NodeId::index()`.
+    /// Per-node occupancy, [`Node::steps`](crate::Node::steps), indexed by
+    /// `NodeId::index()`.
     times: Vec<u32>,
-    /// Per-node computation time exactly as stored on the node.
-    raw_times: Vec<u32>,
 }
 
 /// Backwards-compatible name for the original adjacency-only view.
@@ -99,12 +97,7 @@ impl CsrGraph {
             edge_to.push(edge.to().index() as u32);
             edge_delays.push(edge.delays());
         }
-        let mut times = Vec::with_capacity(n);
-        let mut raw_times = Vec::with_capacity(n);
-        for (_, node) in dfg.nodes() {
-            times.push(node.time().max(1));
-            raw_times.push(node.time());
-        }
+        let times = dfg.nodes().map(|(_, node)| node.steps()).collect();
         CsrGraph {
             out_offsets,
             out_edges,
@@ -118,7 +111,6 @@ impl CsrGraph {
             edge_to,
             edge_delays,
             times,
-            raw_times,
         }
     }
 
@@ -221,17 +213,10 @@ impl CsrGraph {
         &self.edge_delays
     }
 
-    /// Per-node computation time clamped to ≥ 1 — the effective
-    /// occupancy duration, matching `dfg.node(v).time().max(1)`.
+    /// Per-node occupancy in control steps, `dfg.node(v).steps()`.
     #[must_use]
     pub fn times(&self) -> &[u32] {
         &self.times
-    }
-
-    /// Per-node computation time exactly as stored on the node.
-    #[must_use]
-    pub fn raw_times(&self) -> &[u32] {
-        &self.raw_times
     }
 
     /// Number of nodes the view covers.
@@ -288,8 +273,7 @@ mod tests {
             assert_eq!(csr.edge_delays()[e.index()], edge.delays());
         }
         for (v, node) in g.nodes() {
-            assert_eq!(csr.times()[v.index()], node.time().max(1));
-            assert_eq!(csr.raw_times()[v.index()], node.time());
+            assert_eq!(csr.times()[v.index()], node.steps());
         }
         for v in g.node_ids() {
             for i in csr.out_range(v.index()) {
@@ -324,10 +308,9 @@ mod tests {
     fn cached_view_invalidated_on_node_edit() {
         let mut g = diamond();
         let a = crate::NodeId::from_index(0);
-        assert_eq!(g.csr().raw_times()[a.index()], 1);
+        assert_eq!(g.csr().times()[a.index()], 1);
         g.node_mut(a).set_time(4);
-        assert_eq!(g.csr().raw_times()[a.index()], 4, "cache rebuilt");
-        assert_eq!(g.csr().times()[a.index()], 4);
+        assert_eq!(g.csr().times()[a.index()], 4, "cache rebuilt");
     }
 
     #[test]

@@ -52,6 +52,14 @@ impl Node {
         self.time
     }
 
+    /// Control steps the operation occupies: `max(1, t(v))`. A zero-time
+    /// operation still takes a step, so every schedule, reservation and
+    /// precedence uses this value; only cycle ratios read [`Node::time`].
+    #[must_use]
+    pub fn steps(&self) -> u32 {
+        self.time.max(1)
+    }
+
     /// Replaces the computation time, e.g. when re-deriving a graph under a
     /// different timing model.
     pub fn set_time(&mut self, time: u32) {
@@ -75,6 +83,12 @@ mod tests {
         assert_eq!(n.name(), "u1");
         assert_eq!(n.op(), OpKind::Sub);
         assert_eq!(n.time(), 1);
+    }
+
+    #[test]
+    fn steps_clamp_zero_time_to_one() {
+        assert_eq!(Node::new("z", OpKind::Add, 0).steps(), 1);
+        assert_eq!(Node::new("m", OpKind::Mul, 3).steps(), 3);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub fn timing_bounds(
         for &e in dfg.in_edges(v) {
             if is_zero_delay_under(dfg, retiming, e) {
                 let u = dfg.edge(e).from();
-                earliest = earliest.max(asap[u] + dfg.node(u).time().max(1));
+                earliest = earliest.max(asap[u] + dfg.node(u).steps());
             }
         }
         asap[v] = earliest;
@@ -71,7 +71,7 @@ pub fn timing_bounds(
 
     let cp = order
         .iter()
-        .map(|&v| asap[v] + dfg.node(v).time().max(1) - 1)
+        .map(|&v| asap[v] + dfg.node(v).steps() - 1)
         .max()
         .unwrap_or(0);
     let horizon = horizon.unwrap_or(cp).max(cp);
@@ -80,11 +80,11 @@ pub fn timing_bounds(
     for &v in order.iter().rev() {
         // Latest start so that v finishes by the horizon:
         // s + t - 1 <= horizon  =>  s <= horizon - t + 1.
-        let mut latest = horizon - dfg.node(v).time().max(1) + 1;
+        let mut latest = horizon - dfg.node(v).steps() + 1;
         for &e in dfg.out_edges(v) {
             if is_zero_delay_under(dfg, retiming, e) {
                 let w = dfg.edge(e).to();
-                latest = latest.min(alap[w] - dfg.node(v).time().max(1));
+                latest = latest.min(alap[w] - dfg.node(v).steps());
             }
         }
         alap[v] = latest;

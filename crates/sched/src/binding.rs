@@ -126,7 +126,7 @@ pub fn bind_datapath(
     let mut lifetimes: Vec<(NodeId, i64, i64)> = Vec::new(); // (v, avail, death)
     for v in dfg.node_ids() {
         let su = i64::from(schedule.start(v).expect("complete"));
-        let avail = -r.of(v) * iii + su + i64::from(dfg.node(v).time().max(1)) - 1;
+        let avail = -r.of(v) * iii + su + i64::from(dfg.node(v).steps()) - 1;
         let mut death = avail;
         for &e in dfg.out_edges(v) {
             let edge = dfg.edge(e);

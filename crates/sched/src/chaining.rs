@@ -112,7 +112,7 @@ impl ChainedSchedule {
     #[must_use]
     pub fn finish(&self, dfg: &Dfg, timing: &ChainTiming, v: NodeId) -> (u32, u32) {
         let (step, offset) = self.start[v].expect("node is scheduled");
-        let t = dfg.node(v).time().max(1);
+        let t = dfg.node(v).steps();
         if timing.fits_in_step(t) && offset + t <= timing.units_per_step {
             (step, offset + t)
         } else {
@@ -129,7 +129,7 @@ impl ChainedSchedule {
         for (v, slot) in self.start.iter() {
             if let Some((step, offset)) = *slot {
                 first = first.min(step);
-                let t = dfg.node(v).time().max(1);
+                let t = dfg.node(v).steps();
                 let end_step = if timing.fits_in_step(t) && offset + t <= timing.units_per_step {
                     step
                 } else {
@@ -313,7 +313,7 @@ impl ChainedScheduler {
                 }
             }
 
-            let t = dfg.node(v).time().max(1);
+            let t = dfg.node(v).steps();
             let class_id = class_of[v].expect("bound");
             let steps_needed = timing.steps_for(t);
             let chainable = timing.fits_in_step(t);

@@ -161,7 +161,7 @@ pub fn check_static_schedule_diag(
             let starts = verify_starts(dfg, schedule);
             let length = schedule
                 .iter()
-                .map(|(v, cs)| cs.saturating_add(dfg.node(v).time().max(1)) - 1)
+                .map(|(v, cs)| cs.saturating_add(dfg.node(v).steps()) - 1)
                 .max()
                 .unwrap_or(1)
                 .max(1);

@@ -200,7 +200,7 @@ pub fn simulate(
         start_time.insert((e.node, e.iteration), e.start);
         finish_time.insert(
             (e.node, e.iteration),
-            e.start + i64::from(dfg.node(e.node).time().max(1)) - 1,
+            e.start + i64::from(dfg.node(e.node).steps()) - 1,
         );
     }
 

@@ -154,7 +154,7 @@ impl LoopSchedule {
         let first = events.iter().map(|e| e.start).min().unwrap_or(0);
         let last = events
             .iter()
-            .map(|e| e.start + i64::from(dfg.node(e.node).time().max(1)) - 1)
+            .map(|e| e.start + i64::from(dfg.node(e.node).steps()) - 1)
             .max()
             .unwrap_or(0);
         u64::try_from(last - first + 1).unwrap_or(0)

@@ -51,7 +51,7 @@ pub fn register_pressure(dfg: &Dfg, loop_schedule: &LoopSchedule) -> RegisterRep
 
     for u in dfg.node_ids() {
         let su = i64::from(schedule.start(u).expect("complete kernel schedule"));
-        let tu = i64::from(dfg.node(u).time().max(1));
+        let tu = i64::from(dfg.node(u).steps());
         // Available at the END of this absolute step (iteration 0 copy).
         let avail = -r.of(u) * ii + su + tu - 1;
         // Held through the start step of the last consumer.

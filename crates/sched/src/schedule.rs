@@ -84,7 +84,7 @@ impl Schedule {
     #[must_use]
     pub fn last_step(&self, dfg: &Dfg) -> Option<u32> {
         self.iter()
-            .map(|(v, cs)| cs + dfg.node(v).time().max(1) - 1)
+            .map(|(v, cs)| cs + dfg.node(v).steps() - 1)
             .max()
     }
 
@@ -180,9 +180,7 @@ impl Schedule {
                 let cell: Vec<String> = self
                     .iter()
                     .filter(|&(v, start)| {
-                        classify(v) == col_idx
-                            && start <= cs
-                            && cs < start + dfg.node(v).time().max(1)
+                        classify(v) == col_idx && start <= cs && cs < start + dfg.node(v).steps()
                     })
                     .map(|(v, start)| {
                         let name = dfg.node(v).name().to_owned();

@@ -47,7 +47,7 @@ pub fn check_dag_schedule(
             let sv = schedule.start(edge.to()).expect("checked complete");
             // Saturating: a start near u32::MAX must report a precedence
             // violation, not wrap around and pass.
-            let finish = su.saturating_add(dfg.node(edge.from()).time().max(1));
+            let finish = su.saturating_add(dfg.node(edge.from()).steps());
             if finish > sv {
                 return Err(SchedError::PrecedenceViolated {
                     from: edge.from(),
@@ -137,7 +137,7 @@ pub fn realizing_retiming(dfg: &Dfg, schedule: &Schedule) -> Option<Retiming> {
         let sv = schedule
             .start(edge.to())
             .expect("realizing_retiming requires a complete schedule");
-        let chained_ok = su.saturating_add(dfg.node(edge.from()).time().max(1)) <= sv;
+        let chained_ok = su.saturating_add(dfg.node(edge.from()).steps()) <= sv;
         let k = i64::from(edge.delays()) - i64::from(!chained_ok);
         // Constraint r(v) − r(u) ≤ k becomes an H-edge u → v of length k.
         edges.push(WeightedEdge::new(edge.from().index(), edge.to().index(), k));
@@ -190,7 +190,7 @@ fn find_violation_witness(dfg: &Dfg, schedule: &Schedule) -> SchedError {
         let (Some(su), Some(sv)) = (schedule.start(edge.from()), schedule.start(edge.to())) else {
             continue;
         };
-        let finish = su.saturating_add(dfg.node(edge.from()).time().max(1));
+        let finish = su.saturating_add(dfg.node(edge.from()).steps());
         if edge.delays() == 0 && finish > sv {
             return SchedError::PrecedenceViolated {
                 from: edge.from(),

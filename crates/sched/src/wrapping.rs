@@ -87,7 +87,7 @@ pub fn wrap_to_length(
         if cs > target {
             return Err(SchedError::NoFeasibleSlot { node: v });
         }
-        let finish = cs + dfg.node(v).time().max(1) - 1; // inclusive last step
+        let finish = cs + dfg.node(v).steps() - 1; // inclusive last step
         if finish > 2 * target {
             // A tail crossing two kernel boundaries would need the
             // two-delay successors checked as well; rotation never
@@ -128,7 +128,7 @@ pub fn wrap_to_length(
         };
         let su = normalized.start(edge.from()).expect("complete");
         let sv = normalized.start(edge.to()).expect("complete");
-        let finish = su + dfg.node(edge.from()).time().max(1); // exclusive
+        let finish = su + dfg.node(edge.from()).steps(); // exclusive
         match dr {
             0 if finish > sv => {
                 return Err(SchedError::PrecedenceViolated {
@@ -312,7 +312,6 @@ impl WrapScratch {
         }
         let csr = dfg.csr();
         let times = csr.times();
-        let raw_times = csr.raw_times();
 
         // Normalize virtually: work in `cs − base` space instead of
         // cloning and shifting the schedule.
@@ -376,7 +375,7 @@ impl WrapScratch {
                 let class_id = self.class_of[v];
                 let class = resources.class(class_id);
                 let row = class_id.index() * target as usize;
-                for off in class.occupancy(raw_times[v]) {
+                for off in class.occupancy(times[v]) {
                     let folded = (self.starts[v] + off - 1) % target;
                     let slot = row + folded as usize;
                     self.usage[slot] += 1;

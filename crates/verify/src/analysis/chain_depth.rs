@@ -9,13 +9,13 @@
 //! sits at each depth, i.e. how much slack rotation has left to
 //! exploit.
 //!
-//! Depths are a longest-path fact, computed with the shared
-//! [`engine`](super::engine) fixed-point solver under a Bellman–Ford
-//! round budget. Non-convergence means a zero-delay cycle (`E001`
-//! territory — depth would be infinite), and the section degrades to
-//! absent instead of reporting nonsense.
+//! Depths are a longest-path fact, computed by Bellman–Ford rounds over
+//! the edges in index order with a budget of `n + 1` rounds: depths
+//! along acyclic chains settle within `n`, so a round that still
+//! changes one means a zero-delay cycle (`E001` territory — depth would
+//! be infinite), and the section degrades to absent instead of
+//! reporting nonsense.
 
-use crate::analysis::engine::{fixed_point, Direction};
 use crate::analysis::report::{AnalysisReport, ChainSection};
 use crate::analysis::AnalysisContext;
 use crate::diag::{Code, Diagnostic, Locus};
@@ -29,32 +29,33 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
 
     // Every node starts at its own (clamped) time; zero-delay edges
     // propagate the producer's finish time to the consumer.
-    let init: Vec<u64> = csr.times().iter().map(|&t| u64::from(t)).collect();
-    let fp = fixed_point(
-        csr,
-        Direction::Forward,
-        init,
-        n as u32 + 1,
-        |e, src, dst| {
-            if retimed[e] != 0 {
-                return None;
+    let times = csr.times();
+    let mut depths: Vec<u64> = times.iter().map(|&t| u64::from(t)).collect();
+    let settled = (0..=n).any(|_| {
+        let mut changed = false;
+        for (e, &delays) in retimed.iter().enumerate() {
+            if delays != 0 {
+                continue;
             }
-            let to = csr.edge_to()[e] as usize;
-            let cand = src.saturating_add(u64::from(csr.times()[to]));
-            (cand > *dst).then_some(cand)
-        },
-    );
-    if !fp.converged {
+            let (from, to) = (csr.edge_from()[e] as usize, csr.edge_to()[e] as usize);
+            let cand = depths[from].saturating_add(u64::from(times[to]));
+            if cand > depths[to] {
+                depths[to] = cand;
+                changed = true;
+            }
+        }
+        !changed
+    });
+    if !settled {
         return; // zero-delay cycle: infinite depth, E001 reports it
     }
 
     let mut histogram: BTreeMap<u64, u32> = BTreeMap::new();
-    for &d in &fp.values {
+    for &d in &depths {
         *histogram.entry(d).or_insert(0) += 1;
     }
-    let max_depth = fp.values.iter().copied().max().unwrap_or(0);
-    let tail = fp
-        .values
+    let max_depth = depths.iter().copied().max().unwrap_or(0);
+    let tail = depths
         .iter()
         .position(|&d| d == max_depth)
         .map(|v| v as u32);

@@ -1,196 +1,55 @@
 //! Critical-cycle extraction: the cycle achieving the maximum
 //! time-to-delay ratio `max_C T(C)/D(C)` — the recurrence bottleneck.
 //!
-//! Howard/Karp-style iterated parametric search, re-derived here
-//! independently of `rotsched-dfg`'s own `iteration_bound` (the two
-//! must agree, and the property suite checks that they do):
-//!
-//! 1. find *any* delay-carrying cycle by DFS and take its exact ratio
-//!    as the candidate `λ = num/den`;
-//! 2. probe for a cycle with a higher ratio: under the integer weights
-//!    `w(e) = den·t(u) − num·d_r(e)` a cycle has positive total weight
-//!    exactly when its ratio exceeds `λ`. The probe is a longest-path
-//!    run of the shared fixed-point [`engine`](super::engine) with a
-//!    Bellman–Ford round budget; non-convergence means such a cycle
-//!    exists, and the best-ratio cycle of the whole predecessor graph
-//!    is extracted (a policy-improvement step, so few probes suffice);
-//! 3. replace `λ` with the extracted cycle's exact ratio and repeat
-//!    until the probe converges. Ratios strictly increase, so the loop
-//!    terminates; the last witness is a critical cycle.
+//! The search is the verifier's one exact routine,
+//! `bound::max_ratio_cycle`, which also backs
+//! [`recurrence_bound`](crate::bound::recurrence_bound) and is
+//! independent of `rotsched-dfg`'s own `iteration_bound` (the two must
+//! agree, and the property suite checks that they do). Of several
+//! cycles at the maximum ratio the witness is the first the search
+//! reaches; within one probe round, the first found walking the
+//! predecessor graph's roots in node-index order.
 //!
 //! The pass works on **retimed** delays; cycle delay sums are
 //! retiming-invariant (`Σ_C d_r = Σ_C d`), so the ratio — and the
 //! iteration bound — agree with the unretimed graph, while the witness
-//! is expressed in the graph the schedule actually sees. Probes only
-//! visit edges inside cyclic strongly connected components (from the
-//! shared traversal cache); everything else cannot lie on a cycle.
+//! is expressed in the graph the schedule actually sees.
 
-use std::ops::ControlFlow;
-
-use rotsched_dfg::CsrGraph;
-
-use crate::analysis::engine::{fixed_point, Direction};
 use crate::analysis::report::{AnalysisReport, CriticalCycleSection, RatioU64};
 use crate::analysis::AnalysisContext;
-use crate::bound::pred_graph_cycles;
+use crate::bound::max_ratio_cycle;
 use crate::diag::{Code, Diagnostic, Locus};
 use crate::lint::has_zero_delay_cycle;
 use rotsched_dfg::NodeId;
 
-/// A cycle as flat CSR edge indices, in traversal order.
-#[derive(Clone, Debug)]
-struct Cycle {
-    edges: Vec<usize>,
-}
-
-impl Cycle {
-    /// Total raw computation time and total (retimed) delay count.
-    fn totals(&self, csr: &CsrGraph, retimed: &[i64]) -> (u64, u64) {
-        let mut t = 0_u64;
-        let mut d = 0_u64;
-        for &e in &self.edges {
-            let u = csr.edge_from()[e] as usize;
-            t = t.saturating_add(u64::from(csr.raw_times()[u]));
-            d = d.saturating_add(retimed[e].max(0) as u64);
-        }
-        (t, d)
-    }
-
-    /// Rotates the edge list so the cycle starts at its smallest node
-    /// index — the canonical form every run reports identically.
-    fn normalize(&mut self, csr: &CsrGraph) {
-        let Some(start) = (0..self.edges.len()).min_by_key(|&i| csr.edge_from()[self.edges[i]])
-        else {
-            return;
-        };
-        self.edges.rotate_left(start);
-    }
-}
-
-/// `a/b > c/d` on exact u64 ratios.
-fn ratio_gt(a: u64, b: u64, c: u64, d: u64) -> bool {
-    u128::from(a) * u128::from(d) > u128::from(c) * u128::from(b)
-}
-
 pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
     let csr = ctx.cache.csr();
-    let scc = ctx.cache.scc();
-    report.acyclic = !scc.has_cycle(csr);
+    report.acyclic = !ctx.cache.scc().has_cycle(csr);
     // A zero-delay cycle has no finite ratio and excludes every kernel
-    // length (E001 territory). The probes below meet one only if its
-    // ops take time, so rule them all out up front: a zero-time one
-    // would otherwise hide behind a finite ratio.
+    // length (E001 territory). The search meets one only if its ops
+    // take time, so rule them all out up front: a zero-time one would
+    // otherwise hide behind a finite ratio.
     if report.acyclic || ctx.cache.has_negative_retimed_delay() || has_zero_delay_cycle(ctx.dfg) {
         return;
     }
-    let retimed = ctx.cache.retimed_delays();
-
-    // Edges that can lie on a cycle: inside one cyclic component.
-    let cyclic: Vec<bool> = {
-        let idx = scc.cyclic_component_indices(csr);
-        let mut is_cyclic_comp = vec![false; scc.components().len()];
-        for i in idx {
-            is_cyclic_comp[i] = true;
-        }
-        (0..csr.edge_count())
-            .map(|e| {
-                let u = NodeId::from_index(csr.edge_from()[e] as usize);
-                let v = NodeId::from_index(csr.edge_to()[e] as usize);
-                scc.same_component(u, v) && is_cyclic_comp[scc.component_of(u)]
-            })
-            .collect()
-    };
-
-    let Some(mut witness) = find_any_cycle(csr, &cyclic) else {
+    // Every retimed delay is non-negative here (checked above).
+    let delays: Vec<u64> = ctx
+        .cache
+        .retimed_delays()
+        .iter()
+        .map(|&d| d.unsigned_abs())
+        .collect();
+    let Some(cycle) = max_ratio_cycle(ctx.dfg, &delays) else {
         return; // unreachable for a cyclic graph; stay total
     };
-    let (mut best_t, mut best_d) = witness.totals(csr, retimed);
-    if best_d == 0 {
-        return; // zero-delay cycle: E001 territory, no finite ratio
-    }
+    let Some(ceil) = cycle.ceil() else {
+        return; // saturated retimed delays summed to 0: no finite ratio
+    };
 
-    // Iterate: probe for a better cycle until none exists.
-    let n = csr.node_count();
-    loop {
-        let num = i128::from(best_t);
-        let den = i128::from(best_d);
-        // Weights once per probe, not once per relaxation: the probe
-        // sweeps every edge up to n+1 times and the two wide
-        // multiplications would otherwise dominate it.
-        let weights: Vec<i128> = (0..csr.edge_count())
-            .map(|e| {
-                let u = csr.edge_from()[e] as usize;
-                den.saturating_mul(i128::from(csr.raw_times()[u]))
-                    .saturating_sub(num.saturating_mul(i128::from(retimed[e].max(0))))
-            })
-            .collect();
-        // No positive-weight edge on a cycle means no positive cycle:
-        // the probe is already answered without a single relaxation.
-        let max_w = (0..csr.edge_count())
-            .filter(|&e| cyclic[e])
-            .map(|e| weights[e])
-            .max()
-            .unwrap_or(0);
-        if max_w <= 0 {
-            break;
-        }
-        // Distances start at 0 and every simple path carries at most
-        // (n−1)·max_w, so any distance beyond that proves a positive
-        // cycle sits on the predecessor chain — the probe can stop
-        // relaxing right there instead of finishing its round budget.
-        let threshold = (i128::from(n as u64).saturating_sub(1)).saturating_mul(max_w);
-        let mut pred_edge = vec![usize::MAX; n];
-        let mut last_updated = usize::MAX;
-        let mut over_threshold = false;
-        let fp = fixed_point(
-            csr,
-            Direction::Forward,
-            vec![0_i128; n],
-            n as u32 + 1,
-            |e, src, dst| {
-                if over_threshold || !cyclic[e] {
-                    return None;
-                }
-                let cand = src.saturating_add(weights[e]);
-                if cand > *dst {
-                    let to = csr.edge_to()[e] as usize;
-                    pred_edge[to] = e;
-                    last_updated = to;
-                    over_threshold |= cand > threshold;
-                    Some(cand)
-                } else {
-                    None
-                }
-            },
-        );
-        if !over_threshold && (fp.converged || last_updated == usize::MAX) {
-            break; // no cycle beats the current ratio
-        }
-        // The predecessor graph usually holds many positive cycles,
-        // not just the one under `last_updated`; taking the best of
-        // them per probe makes each round a policy-improvement step,
-        // and the loop converges in a handful of probes instead of one
-        // probe per distinct cycle ratio in the graph.
-        let Some(mut better) = best_pred_cycle(csr, retimed, &pred_edge) else {
-            break; // cannot happen per the Bellman–Ford argument; stay total
-        };
-        better.normalize(csr);
-        let (t, d) = better.totals(csr, retimed);
-        if d == 0 {
-            return; // a zero-delay cycle outranks every ratio: bail
-        }
-        if !ratio_gt(t, d, best_t, best_d) {
-            break; // guard against a non-improving extraction looping
-        }
-        witness = better;
-        best_t = t;
-        best_d = d;
-    }
-
-    witness.normalize(csr);
+    let (best_t, best_d) = (cycle.time, cycle.delays);
     let ratio = RatioU64::new(best_t, best_d);
-    let nodes: Vec<u32> = witness.edges.iter().map(|&e| csr.edge_from()[e]).collect();
-    let edges: Vec<(u32, u32)> = witness
+    let nodes: Vec<u32> = cycle.edges.iter().map(|&e| csr.edge_from()[e]).collect();
+    let edges: Vec<(u32, u32)> = cycle
         .edges
         .iter()
         .map(|&e| (csr.edge_from()[e], csr.edge_to()[e]))
@@ -199,9 +58,9 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
     // least one step, even when the critical cycle is all zero-time ops
     // (ratio 0). So stated, it IS the recurrence bound (the property
     // suite proves the agreement); seed the shared cell so no other
-    // pass re-runs the Bellman–Ford binary search. `recurrence_bound`
-    // reports bounds past u32::MAX − 1 as None — mirror that here.
-    let bound = ratio.ceil().max(1);
+    // pass re-runs the search. `recurrence_bound` reports bounds past
+    // u32::MAX − 1 as None — mirror that here.
+    let bound = ceil.max(1);
     ctx.seed_recurrence(u32::try_from(bound).ok().filter(|&b| b < u32::MAX));
     let head = nodes.first().copied().unwrap_or(0);
     report.findings.push(
@@ -225,122 +84,6 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
         ratio,
         iteration_bound: bound,
     });
-}
-
-/// Any cycle among the `active` edges, by iterative DFS (first back
-/// edge closes one), or `None` when the active subgraph is acyclic.
-fn find_any_cycle(csr: &CsrGraph, active: &[bool]) -> Option<Cycle> {
-    let n = csr.node_count();
-    let mut state = vec![0_u8; n]; // 0 white, 1 on path, 2 done
-    let mut frames: Vec<(usize, usize)> = Vec::new(); // (node, out offset)
-    let mut path: Vec<(usize, usize)> = Vec::new(); // (node, entry edge)
-
-    for root in 0..n {
-        if state[root] != 0 {
-            continue;
-        }
-        frames.push((root, 0));
-        state[root] = 1;
-        path.push((root, usize::MAX));
-        while let Some(frame) = frames.last_mut() {
-            let v = frame.0;
-            let range = csr.out_range(v);
-            let mut descend = None;
-            while range.start + frame.1 < range.end {
-                let pos = range.start + frame.1;
-                frame.1 += 1;
-                // Adjacency position -> flat edge index: `active` and
-                // the returned cycle speak EdgeId order.
-                let e = csr.out_edge_ids()[pos].index();
-                if !active[e] {
-                    continue;
-                }
-                let w = csr.out_heads()[pos] as usize;
-                if state[w] == 0 {
-                    descend = Some((w, e));
-                    break;
-                }
-                if state[w] == 1 {
-                    // Back edge: the cycle is w ... v plus e.
-                    let start = path
-                        .iter()
-                        .position(|&(x, _)| x == w)
-                        .expect("on-path node is on the path");
-                    let mut edges: Vec<usize> =
-                        path[start + 1..].iter().map(|&(_, entry)| entry).collect();
-                    edges.push(e);
-                    return Some(Cycle { edges });
-                }
-            }
-            match descend {
-                Some((w, e)) => {
-                    state[w] = 1;
-                    frames.push((w, 0));
-                    path.push((w, e));
-                }
-                None => {
-                    // Out-edges exhausted without descending: retreat.
-                    state[v] = 2;
-                    frames.pop();
-                    path.pop();
-                }
-            }
-        }
-    }
-    None
-}
-
-/// The best-ratio cycle in the Bellman–Ford predecessor graph.
-///
-/// Every node holds at most one predecessor edge, so the graph is
-/// functional and [`pred_graph_cycles`] meets every cycle in O(n)
-/// total. The probe's positive cycle is among them, and picking the
-/// best ratio of the lot (a zero-delay cycle counts as infinite) turns
-/// each probe into a policy-improvement step — the outer loop converges
-/// in a handful of probes instead of one probe per distinct cycle ratio
-/// in the graph.
-fn best_pred_cycle(csr: &CsrGraph, retimed: &[i64], pred_edge: &[usize]) -> Option<Cycle> {
-    let n = csr.node_count();
-    let mut best: Option<(Cycle, u64, u64)> = None;
-    let _ = pred_graph_cycles(
-        &mut vec![0; n],
-        |v| (pred_edge[v] != usize::MAX).then(|| csr.edge_from()[pred_edge[v]] as usize),
-        |anchor| {
-            let mut edges = Vec::new();
-            let mut u = anchor;
-            loop {
-                let e = pred_edge[u];
-                edges.push(e);
-                u = csr.edge_from()[e] as usize;
-                if u == anchor || edges.len() > n {
-                    break;
-                }
-            }
-            if edges.len() > n {
-                return ControlFlow::Continue(());
-            }
-            edges.reverse();
-            let cycle = Cycle { edges };
-            let (t, d) = cycle.totals(csr, retimed);
-            let improves = match &best {
-                None => true,
-                Some((_, bt, bd)) => {
-                    if d == 0 {
-                        *bd != 0
-                    } else if *bd == 0 {
-                        false
-                    } else {
-                        ratio_gt(t, d, *bt, *bd)
-                    }
-                }
-            };
-            if improves {
-                best = Some((cycle, t, d));
-            }
-            ControlFlow::Continue(())
-        },
-    );
-    best.map(|(c, _, _)| c)
 }
 
 #[cfg(test)]
@@ -394,6 +137,26 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    #[test]
+    fn ties_go_to_the_cycle_with_the_lower_node_index() {
+        // Two disjoint 4/1 cycles, the higher-indexed one listed first
+        // in edge order. Both close in the same probe round; the walk
+        // over roots in index order meets a <-> b first and a later tie
+        // does not displace it. The biquad goldens rest on this rule.
+        let mut g = Dfg::new("tie");
+        let v: Vec<_> = (0..4)
+            .map(|i| g.add_node(format!("v{i}"), OpKind::Add, 2))
+            .collect();
+        g.add_edge(v[2], v[3], 0).unwrap();
+        g.add_edge(v[3], v[2], 1).unwrap();
+        g.add_edge(v[0], v[1], 0).unwrap();
+        g.add_edge(v[1], v[0], 1).unwrap();
+        let report = analyze(&g, &spec(), None);
+        let cc = report.critical_cycle.expect("cyclic graph");
+        assert_eq!((cc.ratio.num, cc.ratio.den), (4, 1));
+        assert_eq!(cc.nodes, vec![0, 1]);
     }
 
     #[test]

@@ -8,18 +8,16 @@
 //! needs to focus further search:
 //!
 //! * [`critical_cycle`] — the cycle achieving the maximum
-//!   time-to-delay ratio (Howard/Karp-style minimum cycle ratio,
-//!   iterated over parametric Bellman–Ford probes on the SoA CSR
-//!   view). Its ceiling is the iteration bound; its node set is the
-//!   recurrence bottleneck.
+//!   time-to-delay ratio, from the verifier's one exact max-cycle-ratio
+//!   search (policy improvement over Bellman–Ford probes). Its ceiling
+//!   is the iteration bound; its node set is the recurrence bottleneck.
 //! * [`saturation`] — per-class occupancy and lower bounds, plus (when
 //!   a schedule is given) per-step utilization and the binding class.
 //! * [`pressure`] — per-edge value lifetimes under the current
 //!   retiming, the register-pressure profile across kernel steps, and
 //!   the pressure delta of each candidate rotation.
 //! * [`chain_depth`] — the zero-delay chain depth histogram (the
-//!   retimed graph's combinational profile), via the shared
-//!   [`engine`] fixed-point solver.
+//!   retimed graph's combinational profile).
 //!
 //! Every pass is **total**: arbitrary inputs (hostile parses, illegal
 //! retimings, incomplete schedules) degrade a pass to an absent
@@ -30,7 +28,6 @@
 
 pub mod chain_depth;
 pub mod critical_cycle;
-pub mod engine;
 pub mod pressure;
 pub mod report;
 pub mod saturation;
@@ -43,7 +40,6 @@ use crate::diag::{sort_canonical, Code};
 use crate::lint::{lint, LintContext, LintOptions};
 use crate::spec::ResourceSpec;
 
-pub use engine::{fixed_point, Direction, FixedPoint};
 pub use report::{
     AnalysisReport, CandidateDelta, ChainSection, ClassProfile, CriticalCycleSection,
     PressureSection, RatioU64, SaturationSection,
@@ -152,7 +148,7 @@ pub struct AnalysisContext<'a> {
 impl AnalysisContext<'_> {
     /// The graph's recurrence bound, shared across passes. Whichever
     /// pass asks first computes it; later passes reuse the value, so
-    /// the Bellman–Ford binary search runs at most once per analysis.
+    /// the cycle-ratio search runs at most once per analysis.
     #[must_use]
     pub fn recurrence_bound(&self) -> Option<u32> {
         *self

@@ -2,26 +2,26 @@
 //!
 //! The certificate checker must be able to *confirm* an optimality
 //! verdict without trusting the solver's bound computation, so this
-//! module re-derives both bounds from scratch with a different
-//! algorithm than the scheduler side uses (a binary search over plain
-//! Bellman–Ford positive-cycle probes instead of iterated parametric
-//! maximum cycle ratio):
+//! module re-derives both bounds from scratch, in code of its own:
 //!
-//! * **recurrence**: a cycle `C` forces `L · Σ_{e∈C} d(e) ≥ Σ_{v∈C}
-//!   t(v)` on every initiation interval `L` (sum the per-edge
-//!   precedence constraints `s(v) + d_r·L ≥ s(u) + t(u)` around the
-//!   cycle: starts cancel and `Σ d_r = Σ d`). So length `L − 1` is
-//!   impossible exactly when some cycle has `Σt > (L−1)·Σd`.
+//! * **recurrence**: a cycle `C` forces `L · D(C) ≥ T(C)` on every
+//!   initiation interval `L` (sum the per-edge precedence constraints
+//!   `s(v) + d_r·L ≥ s(u) + t(u)` around the cycle: starts cancel and
+//!   `Σ d_r = Σ d`). So the shortest length no cycle excludes is
+//!   `max(1, ⌈max_C T(C)/D(C)⌉)`, the ceiling of the maximum cycle
+//!   ratio that `max_ratio_cycle` computes exactly, witness and all.
 //! * **resource**: [`crate::ResourceSpec::resource_bound`].
-
-use std::ops::ControlFlow;
+//!
+//! `max_ratio_cycle` is the verifier's one cycle-ratio search: the
+//! recurrence bound, the forcing test behind it, and the analysis'
+//! critical cycle all read its answer.
 
 use rotsched_dfg::Dfg;
 
 use crate::lint::has_zero_delay_cycle;
 
 /// Whether some cycle proves every legal kernel is at least `min_length`
-/// steps long — i.e. there is a cycle with `Σt > (min_length − 1)·Σd`.
+/// steps long — i.e. there is a cycle with `T(C) > (min_length − 1)·D(C)`.
 ///
 /// `recurrence_forces(g, 1)` is trivially true for a non-empty graph
 /// and `recurrence_forces(g, 0)` is false; a graph with a zero-delay
@@ -30,14 +30,9 @@ use crate::lint::has_zero_delay_cycle;
 /// separately as `E001`).
 #[must_use]
 pub fn recurrence_forces(dfg: &Dfg, min_length: u32) -> bool {
-    match min_length {
-        0 => false,
-        1 => dfg.node_count() > 0,
-        _ => {
-            has_zero_delay_cycle(dfg)
-                || PositiveCycleProbe::new(dfg).exists(i128::from(min_length) - 1)
-        }
-    }
+    min_length > 0
+        && dfg.node_count() > 0
+        && recurrence_bound(dfg).is_none_or(|bound| min_length <= bound)
 }
 
 /// The recurrence lower bound: the smallest `L ≥ 1` not excluded by any
@@ -46,116 +41,167 @@ pub fn recurrence_forces(dfg: &Dfg, min_length: u32) -> bool {
 /// ratio itself exceeds what `u32` can carry (possible only with
 /// near-`u32::MAX` computation times).
 ///
-/// On a graph without cycles this is 1. Binary search over
-/// [`recurrence_forces`], which is monotone in its threshold.
+/// On a graph without cycles this is 1.
 #[must_use]
 pub fn recurrence_bound(dfg: &Dfg) -> Option<u32> {
-    if dfg.node_count() == 0 {
-        return Some(1);
-    }
     if has_zero_delay_cycle(dfg) {
         return None;
     }
-    // Every remaining cycle carries a delay, so its ratio Σt/Σd is at
-    // most Σ_V t(v): the bound, if it fits in u32, is at most that.
-    let hi = u32::try_from(dfg.total_time().min(u64::from(u32::MAX) - 1)).unwrap_or(u32::MAX - 1);
-    let (mut lo, mut hi) = (1_u32, hi.max(1));
-    let mut probe = PositiveCycleProbe::new(dfg);
-    if probe.exists(i128::from(hi)) {
-        return None; // the ratio exceeds u32::MAX − 1
-    }
-    // Invariant: length hi + 1 is not forced, length lo is.
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if probe.exists(i128::from(mid)) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    Some(lo)
+    let delays: Vec<u64> = dfg
+        .csr()
+        .edge_delays()
+        .iter()
+        .map(|&d| u64::from(d))
+        .collect();
+    let ceil = match max_ratio_cycle(dfg, &delays) {
+        Some(cycle) => cycle.ceil()?,
+        None => 0,
+    };
+    u32::try_from(ceil.max(1)).ok().filter(|&b| b < u32::MAX)
 }
 
-/// Bellman–Ford probes for a positive cycle over one graph, reusing
-/// their buffers from probe to probe.
-struct PositiveCycleProbe<'a> {
-    dfg: &'a Dfg,
-    /// `(from, to, w)` per edge, for the current probe's `k`.
-    weights: Vec<(usize, usize, i128)>,
-    dist: Vec<i128>,
-    pred: Vec<usize>,
-    walk_of: Vec<usize>,
+/// A cycle of maximum ratio `T(C)/D(C)`.
+#[derive(Debug)]
+pub(crate) struct RatioCycle {
+    /// Edge indices (`EdgeId` order) in traversal order, starting with
+    /// the edge that leaves the cycle's smallest node index.
+    pub edges: Vec<usize>,
+    /// `T(C)`: the computation times exactly as stored on the nodes.
+    pub time: u64,
+    /// `D(C)` under the delays the search was given.
+    pub delays: u64,
 }
 
-impl<'a> PositiveCycleProbe<'a> {
-    fn new(dfg: &'a Dfg) -> Self {
-        let n = dfg.node_count();
-        PositiveCycleProbe {
-            dfg,
-            weights: Vec::with_capacity(dfg.edge_count()),
-            dist: vec![0; n],
-            pred: vec![usize::MAX; n],
-            walk_of: vec![0; n],
-        }
+impl RatioCycle {
+    /// `⌈T(C)/D(C)⌉`, or `None` for a cycle without delays.
+    pub fn ceil(&self) -> Option<u64> {
+        (self.delays > 0).then(|| self.time.div_ceil(self.delays))
     }
 
-    /// Is there a cycle with positive total weight under
-    /// `w(e) = t(from(e)) − k·d(e)`?
-    ///
-    /// Longest-path relaxation from an implicit super-source (all
-    /// distances start at 0). Every round ends with one walk of the
-    /// predecessor graph ([`pred_graph_cycles`]); the probe answers "yes"
-    /// at the first cycle found there, because a predecessor-graph cycle
-    /// always has positive weight (Cherkassky & Goldberg, "Negative-cycle
-    /// detection algorithms", 1999), and "no" at the first round that
-    /// relaxes nothing. Round `n` always ends one way or the other: a
-    /// node improved in round `r` took its predecessor from a node
-    /// improved in round `r` or `r − 1`, so the predecessor walk back
-    /// from a node improved in round `n` passes `n + 1` nodes and must
-    /// repeat one. Sums saturate rather than trust a size argument;
-    /// saturation keeps every predecessor edge's `dist(to) ≤ dist(from) +
-    /// w`, which is all the cycle argument needs.
-    fn exists(&mut self, k: i128) -> bool {
-        let dfg = self.dfg;
-        // Weights once per probe, not once per round.
-        self.weights.clear();
-        self.weights.extend(dfg.edges().map(|(_, edge)| {
-            let w = i128::from(dfg.node(edge.from()).time())
-                .saturating_sub(k.saturating_mul(i128::from(edge.delays())));
-            (edge.from().index(), edge.to().index(), w)
-        }));
-        self.dist.fill(0);
-        self.pred.fill(usize::MAX);
-        for _round in 0..self.dist.len() {
+    /// `time/delays > T(C)/D(C)`, exactly; a ratio over zero delays
+    /// counts as infinite when its time is positive.
+    fn beaten_by(&self, time: u64, delays: u64) -> bool {
+        u128::from(time) * u128::from(self.delays) > u128::from(self.time) * u128::from(delays)
+    }
+}
+
+/// The cycle of maximum ratio `T(C)/D(C)` under the per-edge `delays`
+/// (indexed by `EdgeId`), or `None` when the graph has no cycle.
+///
+/// Policy improvement over Bellman–Ford probes. A probe at `λ =
+/// num/den` runs longest-path relaxation from an implicit super-source
+/// (all distances start at 0) on the integer weights `w(e) = den·t(u) −
+/// num·d(e)`, under which a cycle has positive weight exactly when its
+/// ratio exceeds `λ`. Every round ends with one walk of the predecessor
+/// graph ([`pred_graph_cycles`]); the probe stops at the first round
+/// that leaves a cycle there, because a predecessor-graph cycle always
+/// has positive weight (Cherkassky & Goldberg, "Negative-cycle
+/// detection algorithms", 1999), and `λ` moves to the best such cycle.
+/// A probe whose round relaxes nothing certifies that no cycle beats
+/// `λ`, so the last cycle taken is a maximum. Round `n` always ends one
+/// way or the other: a node improved in round `r` took its predecessor
+/// from a node improved in round `r` or `r − 1`, so the predecessor
+/// walk back from a node improved in round `n` passes `n + 1` nodes and
+/// must repeat one. Sums saturate rather than trust a size argument;
+/// saturation keeps every predecessor edge's `dist(to) ≤ dist(from) +
+/// w`, which is all the cycle argument needs.
+///
+/// The first probe runs at `λ = −1` (weights `t(u) + d(e)`), just below
+/// every ratio, so a cycle of zero-time ops still yields its ratio-0
+/// witness. Ties go to the first cycle to reach the maximum; within a
+/// round, to the first found walking roots in index order.
+///
+/// A zero-delay cycle of zero-time ops has weight 0 at every `λ` and is
+/// never found: callers rule zero-delay cycles out first.
+pub(crate) fn max_ratio_cycle(dfg: &Dfg, delays: &[u64]) -> Option<RatioCycle> {
+    let csr = dfg.csr();
+    let (edge_from, edge_to) = (csr.edge_from(), csr.edge_to());
+    let times: Vec<u64> = dfg
+        .nodes()
+        .map(|(_, node)| u64::from(node.time()))
+        .collect();
+    let n = times.len();
+    let mut weights = vec![0_i128; delays.len()];
+    let mut dist = vec![0_i128; n];
+    let mut pred = vec![usize::MAX; n];
+    let mut walk_of = vec![0; n];
+    let mut best: Option<RatioCycle> = None;
+    loop {
+        let (num, den) = best
+            .as_ref()
+            .map_or((-1, 1), |c| (i128::from(c.time), i128::from(c.delays)));
+        for (e, w) in weights.iter_mut().enumerate() {
+            *w = den
+                .saturating_mul(i128::from(times[edge_from[e] as usize]))
+                .saturating_sub(num.saturating_mul(i128::from(delays[e])));
+        }
+        dist.fill(0);
+        pred.fill(usize::MAX);
+        let mut improved = false;
+        for _round in 0..n {
             let mut relaxed = false;
-            for &(from, to, w) in &self.weights {
-                let candidate = self.dist[from].saturating_add(w);
-                if candidate > self.dist[to] {
-                    self.dist[to] = candidate;
-                    self.pred[to] = from;
+            for (e, &w) in weights.iter().enumerate() {
+                let (u, v) = (edge_from[e] as usize, edge_to[e] as usize);
+                let candidate = dist[u].saturating_add(w);
+                if candidate > dist[v] {
+                    dist[v] = candidate;
+                    pred[v] = e;
                     relaxed = true;
                 }
             }
             if !relaxed {
-                return false;
+                break;
             }
-            let pred = &self.pred;
-            let cycle = pred_graph_cycles(
-                &mut self.walk_of,
-                |v| (pred[v] != usize::MAX).then_some(pred[v]),
-                |_| ControlFlow::Break(()),
+            let pred = &pred;
+            pred_graph_cycles(
+                &mut walk_of,
+                |v| (pred[v] != usize::MAX).then(|| edge_from[pred[v]] as usize),
+                |anchor| {
+                    // The cycle's edges, walked backwards from `anchor`.
+                    let back = || {
+                        let mut v = Some(anchor);
+                        std::iter::from_fn(move || {
+                            let e = pred[v?];
+                            let u = edge_from[e] as usize;
+                            v = (u != anchor).then_some(u);
+                            Some(e)
+                        })
+                    };
+                    let (time, total) = back().fold((0_u64, 0_u64), |(t, d), e| {
+                        (
+                            t.saturating_add(times[edge_from[e] as usize]),
+                            d.saturating_add(delays[e]),
+                        )
+                    });
+                    if best.as_ref().is_none_or(|b| b.beaten_by(time, total)) {
+                        let mut edges: Vec<usize> = back().collect();
+                        edges.reverse();
+                        let first = (0..edges.len())
+                            .min_by_key(|&i| edge_from[edges[i]])
+                            .unwrap_or(0);
+                        edges.rotate_left(first);
+                        best = Some(RatioCycle {
+                            edges,
+                            time,
+                            delays: total,
+                        });
+                        improved = true;
+                    }
+                },
             );
-            if cycle.is_break() {
-                return true;
+            if improved {
+                break;
             }
         }
-        false
+        if !improved {
+            return best;
+        }
     }
 }
 
 /// Calls `on_cycle(v)` once for every cycle of a functional graph on
-/// the nodes `0..walk_of.len()`, with `v` a node on that cycle, until
-/// `on_cycle` breaks; returns whether it did.
+/// the nodes `0..walk_of.len()`, with `v` a node on that cycle, walking
+/// roots in index order.
 ///
 /// `pred(v)` is `v`'s one predecessor, if any — the shape of a
 /// Bellman–Ford predecessor graph. One backward walk per unvisited root,
@@ -164,11 +210,11 @@ impl<'a> PositiveCycleProbe<'a> {
 /// closes a cycle, one that reaches an earlier walk does not.
 /// `walk_of` is scratch space: it ends up holding the root whose walk
 /// saw each node.
-pub(crate) fn pred_graph_cycles(
+fn pred_graph_cycles(
     walk_of: &mut [usize],
     pred: impl Fn(usize) -> Option<usize>,
-    mut on_cycle: impl FnMut(usize) -> ControlFlow<()>,
-) -> ControlFlow<()> {
+    mut on_cycle: impl FnMut(usize),
+) {
     walk_of.fill(usize::MAX);
     for root in 0..walk_of.len() {
         if walk_of[root] != usize::MAX {
@@ -186,10 +232,9 @@ pub(crate) fn pred_graph_cycles(
             }
         };
         if closed {
-            on_cycle(v)?;
+            on_cycle(v);
         }
     }
-    ControlFlow::Continue(())
 }
 
 #[cfg(test)]

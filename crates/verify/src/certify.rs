@@ -18,7 +18,7 @@
 
 use rotsched_dfg::{Dfg, NodeId, Retiming};
 
-use crate::bound::{recurrence_bound, recurrence_forces};
+use crate::bound::recurrence_bound;
 use crate::diag::{sort_canonical, Code, Diagnostic, Locus};
 use crate::spec::ResourceSpec;
 
@@ -231,7 +231,7 @@ pub fn certify(
                 "start step 0; control steps are 1-based",
             )),
             Some(s) => {
-                let finish = u64::from(s) + u64::from(node.time().max(1)) - 1; // inclusive
+                let finish = u64::from(s) + u64::from(node.steps()) - 1; // inclusive
                 if u64::from(s) > u64::from(kernel_length) {
                     bad.push(Diagnostic::new(
                         Code::StartPastKernel,
@@ -276,7 +276,7 @@ pub fn certify(
             let (Some(su), Some(sv)) = (starts.get(edge.from()), starts.get(edge.to())) else {
                 continue; // already reported as E101
             };
-            let finish = i128::from(su) + i128::from(dfg.node(edge.from()).time().max(1)); // exclusive
+            let finish = i128::from(su) + i128::from(dfg.node(edge.from()).steps()); // exclusive
             let slack = i128::from(sv) + i128::from(dr) * length - finish;
             if slack < 0 {
                 let locus = Locus::Edge {
@@ -416,7 +416,8 @@ fn check_claim_consistency(
     if claim.optimal {
         let l = claim.kernel_length;
         let by_resources = cert.resource_bound >= u64::from(l);
-        let by_recurrence = recurrence_forces(dfg, l);
+        // No recurrence bound means every length is forced.
+        let by_recurrence = cert.recurrence_bound.is_none_or(|b| l <= b);
         if !by_resources && !by_recurrence {
             bad.push(
                 Diagnostic::new(

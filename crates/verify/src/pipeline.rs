@@ -161,7 +161,7 @@ pub fn certify_pipeline(
         }
     };
     for (_, edge) in dfg.edges() {
-        let t_u = i64::from(dfg.node(edge.from()).time().max(1));
+        let t_u = i64::from(dfg.node(edge.from()).steps());
         for j in edge.delays()..iterations {
             let (Some(su), Some(sv)) = (
                 start_of(edge.from(), j - edge.delays()),
@@ -235,7 +235,7 @@ pub fn certify_pipeline(
     let first_start = events.iter().map(|e| e.start).min().unwrap_or(1);
     let last_finish = events
         .iter()
-        .map(|e| e.start + i64::from(dfg.node(e.node).time().max(1)) - 1)
+        .map(|e| e.start + i64::from(dfg.node(e.node).steps()) - 1)
         .max()
         .unwrap_or(0);
     Ok(PipelineCertificate {

@@ -3,19 +3,21 @@
 //!
 //! * `dfg::analysis::max_cycle_ratio` (iterated parametric probes) equals
 //!   a brute-force maximum over all simple cycles on small graphs;
-//! * `verify::recurrence_bound` (a binary search over positive-cycle
-//!   probes) equals `max(1, ⌈ratio⌉)`, and is `None` exactly when dfg
+//! * `verify::recurrence_bound` (the verifier's own exact max-cycle-ratio
+//!   search) equals `max(1, ⌈ratio⌉)`, and is `None` exactly when dfg
 //!   reports a zero-delay cycle or the value exceeds `u32::MAX − 1`;
 //! * `verify::recurrence_forces(g, L)` holds exactly when `L ≤ bound`,
 //!   for every `L` within two of the bound;
-//! * the analysis' critical-cycle section states the same bound
-//!   wherever it is present, and the lints it runs with the seeded
+//! * the analysis' critical-cycle section is present exactly when dfg
+//!   reports a finite ratio, states that ratio, and its `⌈ratio⌉` is
+//!   `recurrence_bound` on the same graph — ratio-0 cycles and bounds
+//!   past `u32::MAX − 1` included; the lints it runs with the seeded
 //!   bound are identical to an unhinted lint run.
 //!
 //! The small graphs (1–8 nodes) mix zero-time ops, self-loops, parallel
 //! edges, zero-delay cycles, and times and delays at and just below
 //! `u32::MAX`; rings whose edges are listed against the cycle direction
-//! make each probe need its full round budget. The large graphs have the
+//! make a probe need its full round budget. The large graphs have the
 //! shape of the `analyze-256` benchmark workload: 80 to 256 nodes at the
 //! per-node degree of a 64-node random graph.
 
@@ -154,22 +156,29 @@ fn check_verify_agrees(g: &Dfg) {
     }
     assert!(!recurrence_forces(g, 0), "{name}: L = 0 is never forced");
 
-    // The critical-cycle section, wherever it is present, states the
-    // same bound; and the lint run it seeds matches an unhinted run.
+    // The critical-cycle section is present exactly when dfg finds a
+    // finite ratio, states that ratio, and its kernel bound is
+    // `recurrence_bound`'s, past `u32::MAX − 1` included.
     let spec = ResourceSpec::unlimited();
     let report = analyze(g, &spec, None);
-    if let Some(cc) = &report.critical_cycle {
-        let ratio = dfg
-            .as_ref()
-            .ok()
-            .and_then(|r| *r)
-            .unwrap_or_else(|| panic!("{name}: critical cycle without a dfg ratio"));
-        assert_eq!(cc.iteration_bound, ratio.ceil().max(1), "{name}");
-        assert_eq!(
-            u128::from(cc.ratio.num) * u128::from(ratio.den()),
-            u128::from(ratio.num()) * u128::from(cc.ratio.den),
-            "{name}: critical-cycle ratio"
-        );
+    match (&report.critical_cycle, &dfg) {
+        (Some(cc), Ok(Some(ratio))) => {
+            assert_eq!(cc.iteration_bound, ratio.ceil().max(1), "{name}");
+            assert_eq!(
+                u128::from(cc.ratio.num) * u128::from(ratio.den()),
+                u128::from(ratio.num()) * u128::from(cc.ratio.den),
+                "{name}: critical-cycle ratio"
+            );
+            assert_eq!(
+                u32::try_from(cc.ratio.ceil().max(1))
+                    .ok()
+                    .filter(|&b| b < u32::MAX),
+                bound,
+                "{name}: critical-cycle bound vs recurrence_bound"
+            );
+        }
+        (None, Ok(None) | Err(_)) => {}
+        (cc, _) => panic!("{name}: critical cycle {cc:?} vs dfg {dfg:?}"),
     }
     let options = LintOptions::default();
     let unhinted = LintContext {
@@ -204,8 +213,14 @@ fn small_graphs_cover_the_degenerate_shapes() {
     // The suite only proves something if the generator reaches the
     // shapes it claims to.
     let (mut zero_delay, mut zero_time_cycle, mut huge, mut self_loop) = (0, 0, 0, 0);
+    let (mut zero_section, mut huge_section) = (0, 0);
+    let spec = ResourceSpec::unlimited();
     for seed in 0..SMALL_CASES {
         let g = small_graph(seed);
+        if let Some(cc) = analyze(&g, &spec, None).critical_cycle {
+            zero_section += usize::from(cc.ratio.num == 0);
+            huge_section += usize::from(cc.iteration_bound >= u64::from(u32::MAX));
+        }
         match brute_force_ratio(&g) {
             Err(()) => zero_delay += 1,
             Ok(Some(r)) if r.num() == 0 => zero_time_cycle += 1,
@@ -219,6 +234,8 @@ fn small_graphs_cover_the_degenerate_shapes() {
         ("zero-time critical cycles", zero_time_cycle),
         ("bounds past u32::MAX - 1", huge),
         ("self-loops", self_loop),
+        ("ratio-0 critical-cycle sections", zero_section),
+        ("critical-cycle sections past u32::MAX - 1", huge_section),
     ] {
         assert!(count >= 20, "only {count} small graphs with {what}");
     }
@@ -233,6 +250,38 @@ fn reversed_rings_need_the_last_round() {
                 assert_eq!(max_cycle_ratio(&g).map_err(|_| ()), brute_force_ratio(&g));
                 check_verify_agrees(&g);
             }
+        }
+    }
+}
+
+#[test]
+fn tied_critical_cycles_report_the_lowest_indexed_witness() {
+    // `k` disjoint rings of one ratio, listed highest index first. They
+    // all close in the search's first probe round, so the witness is
+    // the first found walking roots in index order — the ring through
+    // v0, the rule the biquad goldens rely on — and no later tie
+    // displaces it.
+    let spec = ResourceSpec::unlimited();
+    for k in 2..=4_usize {
+        for len in 1..=3_usize {
+            let mut g = Dfg::new(format!("tie-{k}x{len}"));
+            let ids: Vec<NodeId> = (0..k * len)
+                .map(|i| g.add_node(format!("v{i}"), OpKind::Add, 2))
+                .collect();
+            for ring in ids.chunks(len).rev() {
+                for (i, &v) in ring.iter().enumerate() {
+                    let closing = i + 1 == len;
+                    g.add_edge(v, ring[(i + 1) % len], u32::from(closing))
+                        .expect("ring edge");
+                }
+            }
+            let cc = analyze(&g, &spec, None)
+                .critical_cycle
+                .unwrap_or_else(|| panic!("{}: rings are cycles", g.name()));
+            assert_eq!((cc.ratio.num, cc.ratio.den), (2 * len as u64, 1));
+            let first: Vec<u32> = (0..len as u32).collect();
+            assert_eq!(cc.nodes, first, "{}", g.name());
+            check_verify_agrees(&g);
         }
     }
 }
