@@ -14,7 +14,9 @@
 //!                     driver step (p99 within 10x of p50 each),
 //!                     gate batch throughput against the baseline's
 //!                     recorded solves/s (within a generous divisor),
-//!                     hold the driver-overhead reading — measured AND
+//!                     hold the driver-overhead reading (the median
+//!                     over graphs of per-graph paired engine/replica
+//!                     time ratios) — measured AND
 //!                     baseline — inside a two-sided band (a large
 //!                     negative reading means the hand-rolled replica
 //!                     went stale, not that the engine got fast), and
@@ -59,8 +61,9 @@
 //! for the allocation-free SoA step, for full driver steps on a dense
 //! graph, and for the incremental context path against the
 //! from-scratch path, times `solve_batch` throughput over a
-//! deduplicating corpus, measures the `SearchDriver` dispatch overhead
-//! against a hand-rolled replica of the pre-engine phase loop (the
+//! deduplicating corpus, counts the rotations the Table-3 sweep replays
+//! from its phases' cycle logs, measures the `SearchDriver` dispatch
+//! overhead against a hand-rolled replica of the phase loop (the
 //! `NoopObserver` path must stay within noise of the bare kernel),
 //! exercises the warm-path serve layer in-process (cold vs. warm-hit
 //! latency, single-flight deduplication under an identical burst,
@@ -77,8 +80,9 @@ use rotsched_benchmarks::{
     allpole, biquad, diffeq, lattice4, random_dfg, RandomDfgConfig, TimingModel,
 };
 use rotsched_core::{
-    down_rotate, effective_jobs, initial_state, parallel_indexed, BestSet, HeuristicConfig,
-    Objective, ProblemSpec, RotationContext, RotationScheduler, Score, SearchDriver, TraceRecorder,
+    down_rotate, effective_jobs, initial_state, parallel_indexed, BestSet, CycleLog,
+    HeuristicConfig, Objective, ProblemSpec, RotationContext, RotationScheduler, Score,
+    SearchDriver, TraceRecorder,
 };
 use rotsched_dfg::analysis::RatioWork;
 use rotsched_dfg::rng::{Fnv64, SplitMix64};
@@ -317,12 +321,20 @@ fn main() {
         solves_per_sec(BATCH_ITEMS, batch.p99)
     );
 
-    let (driver, legacy) = driver_overhead(&graphs);
-    let overhead_pct = (driver.p50 as f64 - legacy.p50 as f64) / legacy.p50.max(1) as f64 * 100.0;
+    let replay = replay_share(&graphs);
+    println!(
+        "\ncycle replay: {} of {} sweep rotations replayed ({:.1}%)",
+        replay.replayed,
+        replay.rotations,
+        replay.share_pct()
+    );
+
+    let overhead = driver_overhead(&graphs);
     println!(
         "\ndriver overhead ({STEP_SEQ} size-1 rotations per sequence): \
-         driver p50 {} ns, legacy loop p50 {} ns ({overhead_pct:+.2}%)",
-        driver.p50, legacy.p50
+         driver p50 {} ns, legacy loop p50 {} ns ({:+.2}%, median of per-graph \
+         paired ratios)",
+        overhead.driver.p50, overhead.legacy.p50, overhead.overhead_pct
     );
 
     let serve = serve_report();
@@ -425,8 +437,8 @@ fn main() {
         &ctx,
         &scratch,
         &batch,
-        &driver,
-        &legacy,
+        &replay,
+        &overhead,
         &serve,
         &fault,
         &objective,
@@ -685,17 +697,76 @@ fn solves_per_sec(items: u64, wall_ns: u64) -> f64 {
     items as f64 * 1e9 / wall_ns.max(1) as f64
 }
 
+/// How much of the Table-3 sweep's rotation work cycle replay serves.
+struct ReplayShare {
+    /// Logical rotations over every cell's solve.
+    rotations: usize,
+    /// Of those, the rotations replayed from a phase's cycle log.
+    replayed: usize,
+}
+
+impl ReplayShare {
+    fn share_pct(&self) -> f64 {
+        self.replayed as f64 * 100.0 / self.rotations.max(1) as f64
+    }
+}
+
+/// Counts replayed rotations over one sequential Table-3 sweep: each
+/// cell solved as the sweep solves it (paper defaults), summing
+/// [`rotsched_core::PhaseStats::replayed`]. Deterministic.
+fn replay_share(graphs: &[(&str, Dfg)]) -> ReplayShare {
+    let mut share = ReplayShare {
+        rotations: 0,
+        replayed: 0,
+    };
+    for row in TABLE_3 {
+        let (_, g) = graphs
+            .iter()
+            .find(|(name, _)| *name == row.benchmark)
+            .expect("benchmark exists");
+        let res = ResourceSet::adders_multipliers(row.adders, row.multipliers, row.pipelined);
+        let solved = RotationScheduler::new(g, res)
+            .solve()
+            .expect("benchmarks are schedulable");
+        for phase in &solved.outcome.phases {
+            share.rotations += phase.rotations;
+            share.replayed += phase.replayed;
+        }
+    }
+    share
+}
+
+/// The engine-vs-replica dispatch overhead.
+struct DriverOverhead {
+    /// Per-sequence wall time through the engine, over every graph.
+    driver: StepPercentiles,
+    /// Per-sequence wall time through the hand-rolled replica.
+    legacy: StepPercentiles,
+    /// The median over graphs of each graph's median paired ratio
+    /// (engine time over replica time, one pair per repetition), as a
+    /// percentage above 1.
+    overhead_pct: f64,
+}
+
 /// Measures the engine's dispatch overhead: a full size-1 rotation
 /// phase through [`SearchDriver`] (the monomorphized `NoopObserver`
-/// path) against a hand-rolled replica of the pre-engine phase loop
-/// driving the same incremental kernel. Returns per-sequence wall-time
-/// percentiles `(driver, legacy)`.
-fn driver_overhead(graphs: &[(&str, Dfg)]) -> (StepPercentiles, StepPercentiles) {
+/// path) against a hand-rolled replica of the phase loop driving the
+/// same incremental kernel and cycle log.
+///
+/// The reading is the median over graphs of per-graph paired ratios.
+/// A pooled p50 over all sequences mixes graphs whose sequences differ
+/// several-fold in length, so it reads whichever graph's times straddle
+/// the pooled middle, and one noisy repetition there moves it by tens of
+/// percent. A ratio of two back-to-back runs of the same graph cancels
+/// the graph's scale and most host drift; the arms alternate which runs
+/// first.
+fn driver_overhead(graphs: &[(&str, Dfg)]) -> DriverOverhead {
     let res = ResourceSet::adders_multipliers(2, 2, false);
     let sched = ListScheduler::default();
     let random64 = random64();
     let mut driver_ns = Vec::new();
     let mut legacy_ns = Vec::new();
+    let mut graph_ratios = Vec::new();
     let subjects = graphs
         .iter()
         .map(|(_, g)| g)
@@ -705,16 +776,34 @@ fn driver_overhead(graphs: &[(&str, Dfg)]) -> (StepPercentiles, StepPercentiles)
         // Warm-up: one untimed sequence per arm.
         run_driver_sequence(g, &sched, &res, &init);
         run_legacy_sequence(g, &sched, &res, &init);
-        for _ in 0..STEP_REPS {
-            let start = Instant::now();
-            run_driver_sequence(g, &sched, &res, &init);
-            driver_ns.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            let start = Instant::now();
-            run_legacy_sequence(g, &sched, &res, &init);
-            legacy_ns.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        let mut ratios = Vec::with_capacity(STEP_REPS);
+        for rep in 0..STEP_REPS {
+            let driver = || time_one(|| run_driver_sequence(g, &sched, &res, &init));
+            let legacy = || time_one(|| run_legacy_sequence(g, &sched, &res, &init));
+            let (d, l) = if rep % 2 == 0 {
+                let d = driver();
+                (d, legacy())
+            } else {
+                let l = legacy();
+                (driver(), l)
+            };
+            driver_ns.push(d);
+            legacy_ns.push(l);
+            ratios.push(d as f64 / l.max(1) as f64);
         }
+        graph_ratios.push(median(&mut ratios));
     }
-    (percentiles(&mut driver_ns), percentiles(&mut legacy_ns))
+    DriverOverhead {
+        driver: percentiles(&mut driver_ns),
+        legacy: percentiles(&mut legacy_ns),
+        overhead_pct: (median(&mut graph_ratios) - 1.0) * 100.0,
+    }
+}
+
+/// The middle value (upper middle for an even count).
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 /// One phase of `STEP_SEQ` size-1 rotations through the engine.
@@ -733,15 +822,17 @@ fn run_driver_sequence(
 }
 
 /// The engine's phase loop, hand-rolled: the same context kernel,
-/// halving rule, wrapped-length probe, stats bookkeeping, and best-set
-/// offer that `SearchDriver::run_phase` performs — minus the engine's
-/// dispatch (step-mode enum, budget polling, observer calls). Kept as
-/// the baseline the engine's dispatch is measured against, and it MUST
+/// halving rule, wrapped-length probe, stats bookkeeping, best-set
+/// offer and cycle replay (one [`CycleLog`], the engine's own) that
+/// `SearchDriver::run_phase` performs — minus the engine's dispatch
+/// (step-mode enum, budget polling, observer calls). Kept as the
+/// baseline the engine's dispatch is measured against, and it MUST
 /// track the engine's hot path: when the engine gains a faster kernel
-/// (as the SoA rework did with `down_rotate_in_place` + `WrapScratch`),
-/// a stale replica turns the overhead number into a bogus "engine is
-/// far faster than the bare loop" reading. The two-sided `--check` band
-/// exists to catch exactly that drift.
+/// (as the SoA rework did with `down_rotate_in_place` + `WrapScratch`,
+/// and cycle replay did by skipping the rotations past a repeated
+/// state), a stale replica turns the overhead number into a bogus
+/// "engine is far faster than the bare loop" reading. The two-sided
+/// `--check` band exists to catch exactly that drift.
 fn run_legacy_sequence(
     g: &Dfg,
     sched: &ListScheduler,
@@ -752,11 +843,18 @@ fn run_legacy_sequence(
     let mut best = BestSet::new(4);
     let mut ctx = RotationContext::new(g, sched, res, &state).expect("schedulable");
     let mut wrap = WrapScratch::new(g, res).expect("ops bind");
+    let mut cycles = CycleLog::new();
+    cycles.begin(&state, STEP_SEQ);
     let mut rotations = 0_usize;
     let mut lengths = Vec::new();
     let mut first_optimum_at = None;
     let mut min_seen = u32::MAX;
     for j in 0..STEP_SEQ {
+        if let Some((_, wrapped)) = cycles.replay(j + 1) {
+            rotations += 1;
+            lengths.push(wrapped);
+            continue;
+        }
         let length = state.length(g);
         if length <= 1 {
             break;
@@ -780,10 +878,12 @@ fn run_legacy_sequence(
             first_optimum_at = Some(j + 1);
         }
         let _ = best.offer(Score::from_length(wrapped), &state);
+        cycles.record(ctx.rotated(), wrapped, &state);
     }
+    cycles.restore(rotations, &mut state);
     // Keep the bookkeeping observable so the optimizer cannot discard
     // the replica's stats work that the real loop also performed.
-    std::hint::black_box((rotations, lengths, first_optimum_at));
+    std::hint::black_box((rotations, lengths, first_optimum_at, state));
 }
 
 /// Everything the serve arms measure and assert.
@@ -1525,8 +1625,7 @@ fn check_against_baseline(graphs: &[(&str, Dfg)], baseline_path: &str) -> i32 {
     // PR-6 drift: a recorded -43% against a real -2.65%) means the
     // hand-rolled replica went stale against the engine's hot path —
     // either way the overhead reading is fiction and must fail.
-    let (driver, legacy) = driver_overhead(graphs);
-    let measured_pct = (driver.p50 as f64 - legacy.p50 as f64) / legacy.p50.max(1) as f64 * 100.0;
+    let measured_pct = driver_overhead(graphs).overhead_pct;
     if measured_pct.abs() > DRIVER_OVERHEAD_BAND_PCT {
         eprintln!(
             "FAIL: driver overhead {measured_pct:+.2}% outside \
@@ -1860,8 +1959,8 @@ fn render_json(
     ctx: &StepPercentiles,
     scratch: &StepPercentiles,
     batch: &StepPercentiles,
-    driver: &StepPercentiles,
-    legacy: &StepPercentiles,
+    replay: &ReplayShare,
+    overhead: &DriverOverhead,
     serve: &ServeReport,
     fault: &FaultOverheadReport,
     objective: &ObjectiveOverheadReport,
@@ -1933,14 +2032,20 @@ fn render_json(
         solves_per_sec(BATCH_ITEMS, batch.p99)
     ));
     s.push_str("  },\n");
+    s.push_str(&format!(
+        "  \"cycle_replay\": {{\"rotations\": {}, \"replayed\": {}, \"share_pct\": {:.1}}},\n",
+        replay.rotations,
+        replay.replayed,
+        replay.share_pct()
+    ));
     s.push_str("  \"driver_overhead\": {\n");
     s.push_str(&format!(
         "    \"driver_seq_ns_p50\": {}, \"legacy_seq_ns_p50\": {}, \"samples\": {},\n",
-        driver.p50, legacy.p50, driver.samples
+        overhead.driver.p50, overhead.legacy.p50, overhead.driver.samples
     ));
     s.push_str(&format!(
         "    \"overhead_pct\": {:.2}\n",
-        (driver.p50 as f64 - legacy.p50 as f64) / legacy.p50.max(1) as f64 * 100.0
+        overhead.overhead_pct
     ));
     s.push_str("  },\n");
     s.push_str("  \"serve\": {\n");

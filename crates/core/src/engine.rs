@@ -35,6 +35,7 @@ use rotsched_sched::{CacheStats, ListScheduler, ResourceSet, WrapScratch};
 use crate::arena::SolveArena;
 use crate::budget::{BudgetMeter, StopReason};
 use crate::context::RotationContext;
+use crate::cycle::CycleLog;
 use crate::error::RotationError;
 use crate::heuristics::{HeuristicConfig, HeuristicOutcome};
 use crate::objective::{Objective, Score};
@@ -55,7 +56,9 @@ pub enum SearchEvent<'a> {
         /// Down-rotations the phase will attempt (`α`).
         alpha: usize,
     },
-    /// One down-rotation completed.
+    /// One down-rotation completed, executed or replayed from the
+    /// phase's [`CycleLog`] (a replayed rotation carries the logged node
+    /// set and length of the rotation it repeats).
     Rotated {
         /// The rotated node set (the old schedule's first steps).
         node_set: &'a [NodeId],
@@ -88,12 +91,13 @@ pub enum SearchEvent<'a> {
     /// stopping, running out of schedule to rotate, or — in Heuristic
     /// 2 — the best set freezing at the lower bound).
     PhaseEnd {
-        /// Down-rotations actually performed.
+        /// Down-rotations performed, replayed ones included.
         rotations: usize,
         /// The incumbent best (wrapped) length at phase end.
         best_length: u32,
         /// Weight-memo hit/miss delta accumulated by this phase's
-        /// incremental context (zeros on the reference path).
+        /// incremental context (zeros on the reference path). Replayed
+        /// rotations run no step, so they add no hits.
         cache: CacheStats,
     },
 }
@@ -299,6 +303,10 @@ pub struct SearchDriver<'a, S, O = NoopObserver> {
     /// Reusable buffers for the per-step wrapped-length probe, built on
     /// the first phase and recycled for the driver's lifetime.
     wrap: Option<WrapScratch>,
+    /// The states of the running phase, for cycle replay; cleared, not
+    /// freed, at each phase start (and handed from item to item of a
+    /// batch solve with the step mode).
+    cycles: CycleLog,
     /// The attached observer; public so callers can reclaim a recorder
     /// after the run.
     pub observer: O,
@@ -306,9 +314,11 @@ pub struct SearchDriver<'a, S, O = NoopObserver> {
 
 impl<'a, S: StepMode> SearchDriver<'a, S, NoopObserver> {
     /// A driver on the given step mode. Passing an existing
-    /// [`IncrementalStep`] keeps its pooled buffers warm across drivers,
-    /// which is how [`solve_batch`](crate::RotationScheduler::solve_batch)
-    /// amortizes per-item setup; reclaim the step afterwards with
+    /// [`IncrementalStep`] (and, through
+    /// [`SearchDriver::with_cycle_log`], an existing [`CycleLog`]) keeps
+    /// its pooled buffers warm across drivers, which is how
+    /// [`solve_batch`](crate::RotationScheduler::solve_batch) amortizes
+    /// per-item setup; reclaim both afterwards with
     /// [`SearchDriver::into_parts`].
     #[must_use]
     pub(crate) fn new(
@@ -326,6 +336,7 @@ impl<'a, S: StepMode> SearchDriver<'a, S, NoopObserver> {
             step,
             objective: Objective::Length,
             wrap: None,
+            cycles: CycleLog::new(),
             observer: NoopObserver,
         }
     }
@@ -390,15 +401,25 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             step: self.step,
             objective: self.objective,
             wrap: self.wrap,
+            cycles: self.cycles,
             observer,
         }
     }
 
-    /// Consumes the driver, handing back its step mode with every pooled
-    /// buffer intact (see [`SearchDriver::new`]) and its observer.
+    /// Runs the driver's phases on a warm cycle log (see
+    /// [`SearchDriver::new`]).
     #[must_use]
-    pub(crate) fn into_parts(self) -> (S, O) {
-        (self.step, self.observer)
+    pub(crate) fn with_cycle_log(mut self, cycles: CycleLog) -> Self {
+        self.cycles = cycles;
+        self
+    }
+
+    /// Consumes the driver, handing back its step mode and cycle log
+    /// with every pooled buffer intact (see [`SearchDriver::new`]) and
+    /// its observer.
+    #[must_use]
+    pub(crate) fn into_parts(self) -> ((S, CycleLog), O) {
+        ((self.step, self.cycles), self.observer)
     }
 
     /// Runs `RotationPhase(S_init, L_opt, Q, G, i, α)` — `alpha`
@@ -426,6 +447,14 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
     /// `frozen_at = Some(bound)` the phase also ends, at the top of a
     /// rotation, once `best` is frozen at `bound` (see
     /// [`SearchDriver::heuristic2`]); `None` runs the plain phase.
+    ///
+    /// Once a rotation lands on a state the phase already held (up to a
+    /// constant retiming shift, see [`CycleLog`]), the remaining
+    /// rotations are replayed from the log: each keeps its budget poll
+    /// and charge, prune and frozen checks, [`SearchEvent::Rotated`]
+    /// and length record, but runs no rotation step, wrap probe or
+    /// offer — every replayed state repeats an offered one, which `Q`
+    /// rejects. The exact final state is rebuilt at phase end.
     fn phase(
         &mut self,
         state: &mut RotationState,
@@ -439,6 +468,7 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         if self.wrap.is_none() {
             self.wrap = Some(WrapScratch::new(self.dfg, self.resources)?);
         }
+        self.cycles.begin(state, alpha);
         let cache_before = self.step.cache_stats();
         self.observer
             .on_event(SearchEvent::PhaseStart { size, alpha });
@@ -462,6 +492,19 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             }
             if frozen_at.is_some_and(|bound| best.is_frozen(bound)) {
                 break; // every further offer would be rejected
+            }
+            if let Some((rotated, wrapped)) = self.cycles.replay(j + 1) {
+                if let Some(meter) = self.budget {
+                    meter.charge_rotation();
+                }
+                self.observer.on_event(SearchEvent::Rotated {
+                    node_set: rotated,
+                    length: wrapped,
+                });
+                stats.rotations += 1;
+                stats.replayed += 1;
+                stats.lengths.push(wrapped);
+                continue; // a repeated length never beats `min_seen`
             }
             let length = state.schedule.length(self.dfg);
             if length <= 1 {
@@ -510,7 +553,9 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             if let Some(p) = self.prune {
                 p.record(best.score);
             }
+            self.cycles.record(rotated, wrapped, state);
         }
+        self.cycles.restore(stats.rotations, state);
         self.observer.on_event(SearchEvent::PhaseEnd {
             rotations: stats.rotations,
             best_length: best.length(),

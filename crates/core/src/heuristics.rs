@@ -68,11 +68,13 @@ pub struct HeuristicOutcome {
     pub best: Vec<RotationState>,
     /// Per-phase statistics in execution order, for convergence studies.
     pub phases: Vec<PhaseStats>,
-    /// Total rotations performed across all phases. For Heuristic 2
-    /// this counts rotations until `Q` froze at the lower bound (see
-    /// [`SearchDriver::heuristic2`]) — fewer than the full sweep's
-    /// `rounds × β × α` whenever the set fills at the bound, with the
-    /// identical `best`.
+    /// Total rotations performed across all phases: logical rotations,
+    /// so a rotation a phase replayed from its cycle log instead of
+    /// executing still counts (see [`PhaseStats::replayed`]). For
+    /// Heuristic 2 this counts rotations until `Q` froze at the lower
+    /// bound (see [`SearchDriver::heuristic2`]) — fewer than the full
+    /// sweep's `rounds × β × α` whenever the set fills at the bound,
+    /// with the identical `best`.
     ///
     /// [`SearchDriver::heuristic2`]: crate::engine::SearchDriver::heuristic2
     pub total_rotations: usize,

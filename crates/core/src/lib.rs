@@ -43,6 +43,9 @@
 //! * [`context`] — the persistent [`RotationContext`] that makes each
 //!   rotation step cost `O(|R|·deg)` instead of `O(V+E)` (Section 3.3's
 //!   complexity claim).
+//! * [`cycle`] — [`CycleLog`]: the states a rotation phase visits, so
+//!   a phase that repeats a state replays its period instead of
+//!   rotating again.
 //! * [`arena`] — [`BufferPool`]/[`SolveArena`]: recycled scratch
 //!   buffers behind the steady-state zero-allocation guarantee and
 //!   [`RotationScheduler::solve_batch`]'s cross-item reuse.
@@ -68,6 +71,7 @@
 pub mod arena;
 pub mod budget;
 pub mod context;
+pub mod cycle;
 pub mod depth;
 pub mod engine;
 mod error;
@@ -86,6 +90,7 @@ pub mod wire;
 pub use arena::{BufferPool, PoolStats, SolveArena};
 pub use budget::{Budget, BudgetMeter, CancelToken, StopReason};
 pub use context::RotationContext;
+pub use cycle::{Cycle, CycleLog};
 pub use engine::{
     IncrementalStep, NoopObserver, ScratchStep, SearchDriver, SearchEvent, SearchObserver, StepMode,
 };

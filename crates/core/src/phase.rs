@@ -196,8 +196,14 @@ impl BestSet {
 pub struct PhaseStats {
     /// The size the phase was asked to run at.
     pub requested_size: u32,
-    /// Down-rotations actually performed.
+    /// Down-rotations performed: logical rotations, so the replayed
+    /// ones count (see [`PhaseStats::replayed`]).
     pub rotations: usize,
+    /// How many of `rotations` were replayed from the phase's
+    /// [`CycleLog`](crate::cycle::CycleLog) instead of executed, because
+    /// the phase had returned to a state it already held. Always the
+    /// last ones: once a phase repeats a state it replays to its end.
+    pub replayed: usize,
     /// Wrapped schedule length after each rotation.
     pub lengths: Vec<u32>,
     /// The first rotation index (1-based) at which the phase achieved its

@@ -14,6 +14,7 @@ use rotsched_sched::{
 };
 
 use crate::budget::{Budget, StopReason};
+use crate::cycle::CycleLog;
 use crate::depth::{into_loop_schedule, minimized_depth};
 use crate::engine::{IncrementalStep, NoopObserver, SearchDriver, SearchObserver, StepMode};
 use crate::error::RotationError;
@@ -55,8 +56,10 @@ impl core::fmt::Display for SolveQuality {
 /// Search-effort accounting carried by every [`SolveOutcome`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Total down-rotations performed. A single-sweep solve counts the
-    /// rotations until its best set froze at the lower bound (see
+    /// Total down-rotations performed, counting the ones a phase
+    /// replayed from its cycle log (see
+    /// [`HeuristicOutcome::total_rotations`]). A single-sweep solve
+    /// counts the rotations until its best set froze at the lower bound (see
     /// [`SearchDriver::heuristic2`]); a portfolio solve counts its
     /// deterministic task prefix.
     pub total_rotations: usize,
@@ -417,7 +420,7 @@ impl<'a> RotationScheduler<'a> {
             &self.config,
             self.objective,
             &self.budget,
-            IncrementalStep::default(),
+            (IncrementalStep::default(), CycleLog::new()),
             observer,
         )?;
         Ok((outcome, observer))
@@ -450,7 +453,7 @@ impl<'a> RotationScheduler<'a> {
         let mut schedulers: Vec<(PriorityPolicy, ListScheduler)> = Vec::new();
         // `(graph fingerprint, spec index)` of every solved representative.
         let mut seen: Vec<(u64, usize)> = Vec::new();
-        let mut step = IncrementalStep::default();
+        let mut pooled = (IncrementalStep::default(), CycleLog::new());
         let mut outcomes: Vec<SolveOutcome> = Vec::with_capacity(specs.len());
         for (i, spec) in specs.iter().enumerate() {
             let fingerprint = spec.dfg.structure_fingerprint();
@@ -476,10 +479,10 @@ impl<'a> RotationScheduler<'a> {
                 &spec.config,
                 spec.objective,
                 &spec.budget,
-                step,
+                pooled,
                 NoopObserver,
             )?;
-            step = reclaimed;
+            pooled = reclaimed;
             outcomes.push(package(&spec.dfg, &spec.resources, outcome, 0)?);
             seen.push((fingerprint, i));
         }
@@ -602,7 +605,8 @@ impl<'a> RotationScheduler<'a> {
 /// [`RotationScheduler::solve_traced`], and every
 /// [`RotationScheduler::solve_batch`] item: arms the budget, sets the
 /// objective, and attaches the observer, then hands back the step mode
-/// (with its pooled buffers) and the observer alongside the outcome.
+/// and cycle log (with their pooled buffers) and the observer alongside
+/// the outcome.
 #[allow(clippy::too_many_arguments)]
 fn run_sweep<S: StepMode, O: SearchObserver>(
     dfg: &Dfg,
@@ -611,18 +615,19 @@ fn run_sweep<S: StepMode, O: SearchObserver>(
     config: &HeuristicConfig,
     objective: Objective,
     budget: &Budget,
-    step: S,
+    (step, cycles): (S, CycleLog),
     observer: O,
-) -> Result<(HeuristicOutcome, S, O), RotationError> {
+) -> Result<(HeuristicOutcome, (S, CycleLog), O), RotationError> {
     // Arm only when limited so the unlimited path does no budget work.
     let meter = (!budget.is_unlimited()).then(|| budget.arm());
     let mut driver = SearchDriver::new(dfg, scheduler, resources, step)
+        .with_cycle_log(cycles)
         .with_objective(objective)
         .with_budget(meter.as_ref())
         .with_observer(observer);
     let outcome = driver.heuristic2(config)?;
-    let (step, observer) = driver.into_parts();
-    Ok((outcome, step, observer))
+    let (pooled, observer) = driver.into_parts();
+    Ok((outcome, pooled, observer))
 }
 
 /// Packages a search result — a single sweep's or a portfolio's merged

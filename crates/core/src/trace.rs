@@ -74,7 +74,9 @@ pub enum TraceEvent {
         rotations: u64,
         /// The incumbent best length at phase end.
         best_length: u32,
-        /// Weight-memo hits accumulated by the phase.
+        /// Weight-memo hits accumulated by the phase: memo work actually
+        /// done, so rotations replayed from the phase's cycle log add
+        /// none.
         cache_hits: u64,
         /// Weight-memo misses accumulated by the phase.
         cache_misses: u64,
@@ -88,9 +90,14 @@ pub struct PhaseCounters {
     pub size: u32,
     /// Rotations the phase was allowed (`α`).
     pub alpha: u64,
-    /// Rotations the phase performed.
+    /// Rotations the phase performed, replayed ones included.
     pub rotations: u64,
-    /// Weight-memo cache hits in the phase's incremental context.
+    /// Weight-memo cache hits in the phase's incremental context. This
+    /// counts memo work actually done: a rotation replayed from the
+    /// phase's cycle log runs no rotation step and adds no hit, so the
+    /// count falls with the replays. No miss is ever replayed — every
+    /// state past a repeat was already rotated once — so
+    /// `cache_misses` does not move.
     pub cache_hits: u64,
     /// Weight-memo cache misses in the phase's incremental context.
     pub cache_misses: u64,

@@ -7,7 +7,10 @@
 //!    `WrapScratch` wrapped-length probe, beyond the weight-memo warm-up
 //!    — performs **zero** heap allocations;
 //! 2. a **deduplicated `solve_batch` item** costs a small fixed
-//!    allocation budget (the outcome clone), far below a fresh solve.
+//!    allocation budget (the outcome clone), far below a fresh solve;
+//! 3. on a warmed `SearchDriver`, a **replayed rotation** (one past the
+//!    phase's first repeated state) allocates nothing but the growth of
+//!    `PhaseStats::lengths`.
 //!
 //! The zero-allocation claim only holds in release builds: debug builds
 //! run the self-verifying cross-checks (`WrapScratch` re-runs the
@@ -21,7 +24,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rotsched_core::{ProblemSpec, RotationContext, RotationScheduler};
+use rotsched_core::{
+    BestSet, ProblemSpec, RotationContext, RotationScheduler, SearchDriver, SearchEvent,
+    SearchObserver,
+};
 use rotsched_dfg::{Dfg, DfgBuilder, OpKind};
 use rotsched_sched::{ListScheduler, ResourceSet, WrapScratch};
 
@@ -70,6 +76,21 @@ fn ring(n: usize, delays: u32) -> Dfg {
         .edge(&format!("v{}", n - 1), "v0", delays)
         .build()
         .expect("valid ring")
+}
+
+/// Reads the allocation counter at every rotation and at phase end,
+/// into a buffer sized up front so recording never allocates.
+struct AllocProbe(Vec<u64>);
+
+impl SearchObserver for AllocProbe {
+    fn on_event(&mut self, event: SearchEvent<'_>) {
+        if matches!(
+            event,
+            SearchEvent::Rotated { .. } | SearchEvent::PhaseEnd { .. }
+        ) {
+            self.0.push(allocs());
+        }
+    }
 }
 
 #[test]
@@ -136,4 +157,39 @@ fn hot_path_allocation_discipline() {
         "deduplication must be far cheaper than solving: \
          duplicate {duplicate_cost} vs fresh {fresh_cost}"
     );
+
+    // ---- claim 3: replayed rotations allocate only length records ----
+    let g = ring(24, 3);
+    let res = ResourceSet::adders_multipliers(4, 0, false);
+    let init = rotsched_core::initial_state(&g, &sched, &res).expect("ring schedules");
+    let alpha = 240;
+    let mut driver = SearchDriver::incremental(&g, &sched, &res)
+        .with_observer(AllocProbe(Vec::with_capacity(2 * alpha + 2)));
+    // The first phase grows the cycle log, the context's pools and the
+    // weight memo; the second, identical one is measured.
+    for _ in 0..2 {
+        driver.observer.0.clear();
+        let mut state = init.clone();
+        let mut best = BestSet::new(8);
+        let stats = driver
+            .run_phase(&mut state, &mut best, 1, alpha)
+            .expect("steady ring keeps rotating");
+        assert_eq!(stats.rotations, alpha);
+        assert!(
+            stats.replayed > alpha / 2,
+            "the ring repeats early: {} replayed",
+            stats.replayed
+        );
+        // Counter readings from the last executed rotation on: each
+        // difference spans one replayed rotation (or the phase end).
+        let marks = &driver.observer.0[alpha - stats.replayed - 1..];
+        let replay_allocs = marks.last().unwrap() - marks[0];
+        let growth_bound = u64::from(alpha.ilog2()) + 1;
+        assert!(
+            replay_allocs <= growth_bound,
+            "{} replayed rotations allocated {replay_allocs} times; only \
+             `lengths` growth (at most {growth_bound}) is allowed",
+            stats.replayed
+        );
+    }
 }
