@@ -62,7 +62,8 @@
 //! graph, and for the incremental context path against the
 //! from-scratch path, times `solve_batch` throughput over a
 //! deduplicating corpus, counts the rotations the Table-3 sweep replays
-//! from its phases' cycle logs, measures the `SearchDriver` dispatch
+//! from its phases' cycle logs and the phases it replays whole from its
+//! sweep logs, measures the `SearchDriver` dispatch
 //! overhead against a hand-rolled replica of the phase loop (the
 //! `NoopObserver` path must stay within noise of the bare kernel),
 //! exercises the warm-path serve layer in-process (cold vs. warm-hit
@@ -323,10 +324,14 @@ fn main() {
 
     let replay = replay_share(&graphs);
     println!(
-        "\ncycle replay: {} of {} sweep rotations replayed ({:.1}%)",
-        replay.replayed,
+        "\ncycle replay: {} of {} sweep rotations replayed ({:.1}%): {} within \
+         executed phases, {} in {} phases replayed whole",
+        replay.replayed + replay.sweep_rotations,
         replay.rotations,
-        replay.share_pct()
+        replay.share_pct(),
+        replay.replayed,
+        replay.sweep_rotations,
+        replay.sweep_phases
     );
 
     let overhead = driver_overhead(&graphs);
@@ -697,27 +702,38 @@ fn solves_per_sec(items: u64, wall_ns: u64) -> f64 {
     items as f64 * 1e9 / wall_ns.max(1) as f64
 }
 
-/// How much of the Table-3 sweep's rotation work cycle replay serves.
+/// How much of the Table-3 sweep's rotation work replay serves.
 struct ReplayShare {
     /// Logical rotations over every cell's solve.
     rotations: usize,
-    /// Of those, the rotations replayed from a phase's cycle log.
+    /// Of those, the rotations an executed phase replayed from its
+    /// cycle log.
     replayed: usize,
+    /// Phases Heuristic 2 replayed whole from its sweep log.
+    sweep_phases: usize,
+    /// The rotations of those phases.
+    sweep_rotations: usize,
 }
 
 impl ReplayShare {
+    /// The share of rotations not executed, in percent.
     fn share_pct(&self) -> f64 {
-        self.replayed as f64 * 100.0 / self.rotations.max(1) as f64
+        (self.replayed + self.sweep_rotations) as f64 * 100.0 / self.rotations.max(1) as f64
     }
 }
 
 /// Counts replayed rotations over one sequential Table-3 sweep: each
 /// cell solved as the sweep solves it (paper defaults), summing
-/// [`rotsched_core::PhaseStats::replayed`]. Deterministic.
+/// [`rotsched_core::PhaseStats::replayed`] over its executed phases and
+/// the rotations of the last
+/// [`rotsched_core::HeuristicOutcome::replayed_phases`] phases, which
+/// were replayed whole. Deterministic.
 fn replay_share(graphs: &[(&str, Dfg)]) -> ReplayShare {
     let mut share = ReplayShare {
         rotations: 0,
         replayed: 0,
+        sweep_phases: 0,
+        sweep_rotations: 0,
     };
     for row in TABLE_3 {
         let (_, g) = graphs
@@ -728,10 +744,12 @@ fn replay_share(graphs: &[(&str, Dfg)]) -> ReplayShare {
         let solved = RotationScheduler::new(g, res)
             .solve()
             .expect("benchmarks are schedulable");
-        for phase in &solved.outcome.phases {
-            share.rotations += phase.rotations;
-            share.replayed += phase.replayed;
-        }
+        let phases = &solved.outcome.phases;
+        let (executed, replayed) = phases.split_at(phases.len() - solved.outcome.replayed_phases);
+        share.rotations += phases.iter().map(|p| p.rotations).sum::<usize>();
+        share.replayed += executed.iter().map(|p| p.replayed).sum::<usize>();
+        share.sweep_phases += replayed.len();
+        share.sweep_rotations += replayed.iter().map(|p| p.rotations).sum::<usize>();
     }
     share
 }
@@ -2033,9 +2051,12 @@ fn render_json(
     ));
     s.push_str("  },\n");
     s.push_str(&format!(
-        "  \"cycle_replay\": {{\"rotations\": {}, \"replayed\": {}, \"share_pct\": {:.1}}},\n",
+        "  \"cycle_replay\": {{\"rotations\": {}, \"replayed\": {}, \"sweep_phases\": {}, \
+         \"sweep_rotations\": {}, \"share_pct\": {:.1}}},\n",
         replay.rotations,
         replay.replayed,
+        replay.sweep_phases,
+        replay.sweep_rotations,
         replay.share_pct()
     ));
     s.push_str("  \"driver_overhead\": {\n");

@@ -35,7 +35,7 @@ use rotsched_sched::{CacheStats, ListScheduler, ResourceSet, WrapScratch};
 use crate::arena::SolveArena;
 use crate::budget::{BudgetMeter, StopReason};
 use crate::context::RotationContext;
-use crate::cycle::CycleLog;
+use crate::cycle::ReplayLogs;
 use crate::error::RotationError;
 use crate::heuristics::{HeuristicConfig, HeuristicOutcome};
 use crate::objective::{Objective, Score};
@@ -57,8 +57,9 @@ pub enum SearchEvent<'a> {
         alpha: usize,
     },
     /// One down-rotation completed, executed or replayed from the
-    /// phase's [`CycleLog`] (a replayed rotation carries the logged node
-    /// set and length of the rotation it repeats).
+    /// phase's [`CycleLog`](crate::cycle::CycleLog) or the sweep's
+    /// phase log (a replayed rotation carries the logged node set and
+    /// length of the rotation it repeats).
     Rotated {
         /// The rotated node set (the old schedule's first steps).
         node_set: &'a [NodeId],
@@ -76,7 +77,8 @@ pub enum SearchEvent<'a> {
         score: Score,
     },
     /// Heuristic 2 rescheduled the retimed graph between phases
-    /// (`FullSchedule(G_R)`).
+    /// (`FullSchedule(G_R)`), or replayed the reschedule of the phase
+    /// the last phase repeated.
     Rescheduled {
         /// The wrapped length of the fresh full schedule.
         length: u32,
@@ -97,7 +99,8 @@ pub enum SearchEvent<'a> {
         best_length: u32,
         /// Weight-memo hit/miss delta accumulated by this phase's
         /// incremental context (zeros on the reference path). Replayed
-        /// rotations run no step, so they add no hits.
+        /// rotations run no step, so they add no hits; a phase replayed
+        /// whole builds no context either, so it reports zeros.
         cache: CacheStats,
     },
 }
@@ -303,10 +306,11 @@ pub struct SearchDriver<'a, S, O = NoopObserver> {
     /// Reusable buffers for the per-step wrapped-length probe, built on
     /// the first phase and recycled for the driver's lifetime.
     wrap: Option<WrapScratch>,
-    /// The states of the running phase, for cycle replay; cleared, not
-    /// freed, at each phase start (and handed from item to item of a
-    /// batch solve with the step mode).
-    cycles: CycleLog,
+    /// The states of the running phase, for cycle replay, and the
+    /// phase starts of the running Heuristic-2 sweep, for sweep replay;
+    /// cleared, not freed, at each phase or sweep start (and handed from
+    /// item to item of a batch solve with the step mode).
+    logs: ReplayLogs,
     /// The attached observer; public so callers can reclaim a recorder
     /// after the run.
     pub observer: O,
@@ -314,9 +318,9 @@ pub struct SearchDriver<'a, S, O = NoopObserver> {
 
 impl<'a, S: StepMode> SearchDriver<'a, S, NoopObserver> {
     /// A driver on the given step mode. Passing an existing
-    /// [`IncrementalStep`] (and, through
-    /// [`SearchDriver::with_cycle_log`], an existing [`CycleLog`]) keeps
-    /// its pooled buffers warm across drivers, which is how
+    /// [`IncrementalStep`] (and, through [`SearchDriver::with_logs`],
+    /// existing replay logs) keeps its pooled buffers warm across
+    /// drivers, which is how
     /// [`solve_batch`](crate::RotationScheduler::solve_batch) amortizes
     /// per-item setup; reclaim both afterwards with
     /// [`SearchDriver::into_parts`].
@@ -336,7 +340,7 @@ impl<'a, S: StepMode> SearchDriver<'a, S, NoopObserver> {
             step,
             objective: Objective::Length,
             wrap: None,
-            cycles: CycleLog::new(),
+            logs: ReplayLogs::default(),
             observer: NoopObserver,
         }
     }
@@ -401,25 +405,25 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             step: self.step,
             objective: self.objective,
             wrap: self.wrap,
-            cycles: self.cycles,
+            logs: self.logs,
             observer,
         }
     }
 
-    /// Runs the driver's phases on a warm cycle log (see
+    /// Runs the driver's phases and sweeps on warm replay logs (see
     /// [`SearchDriver::new`]).
     #[must_use]
-    pub(crate) fn with_cycle_log(mut self, cycles: CycleLog) -> Self {
-        self.cycles = cycles;
+    pub(crate) fn with_logs(mut self, logs: ReplayLogs) -> Self {
+        self.logs = logs;
         self
     }
 
-    /// Consumes the driver, handing back its step mode and cycle log
+    /// Consumes the driver, handing back its step mode and replay logs
     /// with every pooled buffer intact (see [`SearchDriver::new`]) and
     /// its observer.
     #[must_use]
-    pub(crate) fn into_parts(self) -> ((S, CycleLog), O) {
-        ((self.step, self.cycles), self.observer)
+    pub(crate) fn into_parts(self) -> ((S, ReplayLogs), O) {
+        ((self.step, self.logs), self.observer)
     }
 
     /// Runs `RotationPhase(S_init, L_opt, Q, G, i, α)` — `alpha`
@@ -440,7 +444,7 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         size: u32,
         alpha: usize,
     ) -> Result<PhaseStats, RotationError> {
-        self.phase(state, best, size, alpha, None)
+        self.phase(state, best, size, alpha, None, None)
     }
 
     /// The loop behind [`SearchDriver::run_phase`]. With
@@ -449,12 +453,19 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
     /// [`SearchDriver::heuristic2`]); `None` runs the plain phase.
     ///
     /// Once a rotation lands on a state the phase already held (up to a
-    /// constant retiming shift, see [`CycleLog`]), the remaining
-    /// rotations are replayed from the log: each keeps its budget poll
+    /// constant retiming shift, see
+    /// [`CycleLog`](crate::cycle::CycleLog)), the remaining rotations
+    /// are replayed from the log: each keeps its budget poll
     /// and charge, prune and frozen checks, [`SearchEvent::Rotated`]
     /// and length record, but runs no rotation step, wrap probe or
     /// offer — every replayed state repeats an offered one, which `Q`
     /// rejects. The exact final state is rebuilt at phase end.
+    ///
+    /// With `sweep = Some((exec, lengths))` the whole phase is replayed
+    /// from the sweep log instead (see [`SearchDriver::heuristic2`]):
+    /// rotation `k` carries executed phase `exec`'s node set and the
+    /// wrapped length `lengths[k − 1]`, the phase ends where `lengths`
+    /// does, and `state` is left as it was.
     fn phase(
         &mut self,
         state: &mut RotationState,
@@ -462,18 +473,23 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         size: u32,
         alpha: usize,
         frozen_at: Option<u32>,
+        sweep: Option<(usize, &[u32])>,
     ) -> Result<PhaseStats, RotationError> {
-        self.step
-            .begin_phase(self.dfg, self.scheduler, self.resources, state)?;
-        if self.wrap.is_none() {
-            self.wrap = Some(WrapScratch::new(self.dfg, self.resources)?);
+        if sweep.is_none() {
+            self.step
+                .begin_phase(self.dfg, self.scheduler, self.resources, state)?;
+            if self.wrap.is_none() {
+                self.wrap = Some(WrapScratch::new(self.dfg, self.resources)?);
+            }
+            self.logs.phase.begin(state, alpha);
         }
-        self.cycles.begin(state, alpha);
+        // With no context build, a replayed phase's delta is zero.
         let cache_before = self.step.cache_stats();
         self.observer
             .on_event(SearchEvent::PhaseStart { size, alpha });
         let mut stats = PhaseStats {
             requested_size: size,
+            lengths: Vec::with_capacity(sweep.map_or(0, |(_, lengths)| lengths.len())),
             ..PhaseStats::default()
         };
         let mut min_seen = u32::MAX;
@@ -493,7 +509,23 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             if frozen_at.is_some_and(|bound| best.is_frozen(bound)) {
                 break; // every further offer would be rejected
             }
-            if let Some((rotated, wrapped)) = self.cycles.replay(j + 1) {
+            // A logged rotation: its node set, its wrapped length, and
+            // whether it repeats an earlier rotation of its own phase.
+            let logged = match sweep {
+                Some((exec, lengths)) => match lengths.get(j) {
+                    Some(&wrapped) => {
+                        let (rotated, repeat) = self.logs.sweep.rotation(exec, j + 1);
+                        Some((rotated, wrapped, repeat))
+                    }
+                    None => break, // where the repeated phase ended
+                },
+                None => self
+                    .logs
+                    .phase
+                    .replay(j + 1)
+                    .map(|(rotated, wrapped)| (rotated, wrapped, true)),
+            };
+            if let Some((rotated, wrapped, repeat)) = logged {
                 if let Some(meter) = self.budget {
                     meter.charge_rotation();
                 }
@@ -502,9 +534,15 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
                     length: wrapped,
                 });
                 stats.rotations += 1;
-                stats.replayed += 1;
+                stats.replayed += usize::from(repeat);
                 stats.lengths.push(wrapped);
-                continue; // a repeated length never beats `min_seen`
+                // Within a phase a repeated length never beats
+                // `min_seen`; a phase replayed whole tracks its own.
+                if wrapped < min_seen {
+                    min_seen = wrapped;
+                    stats.first_optimum_at = Some(j + 1);
+                }
+                continue;
             }
             let length = state.schedule.length(self.dfg);
             if length <= 1 {
@@ -553,9 +591,11 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             if let Some(p) = self.prune {
                 p.record(best.score);
             }
-            self.cycles.record(rotated, wrapped, state);
+            self.logs.phase.record(rotated, wrapped, state);
         }
-        self.cycles.restore(stats.rotations, state);
+        if sweep.is_none() {
+            self.logs.phase.restore(stats.rotations, state);
+        }
         self.observer.on_event(SearchEvent::PhaseEnd {
             rotations: stats.rotations,
             best_length: best.length(),
@@ -640,6 +680,21 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
     /// task reads its prune signal's) and returned in
     /// [`HeuristicOutcome::lower_bound`].
     ///
+    /// Phases are **replayed whole** once the sweep repeats: when phase
+    /// `q` starts on the state phase `q − P` of the same size started on
+    /// (same schedule, retiming shifted by a constant), each remaining
+    /// phase `i` replays phase `i − P` from the sweep log. The path of a
+    /// sweep does not depend on `Q` — `Q`, the budget and the prune
+    /// signal only decide when it stops — and every replayed state and
+    /// reschedule repeats one `Q` already rejected or holds. A replayed
+    /// phase keeps its events, budget poll and charge, prune and frozen
+    /// checks and statistics, and its reschedule keeps its event and
+    /// prune record, but it runs no context build, rotation step, wrap
+    /// probe, scoring, offer or `FullSchedule`. So `Q`, every
+    /// [`PhaseStats`], every budget-`k` prefix and every event but a
+    /// phase end's memo counters are what executing the phases gives;
+    /// [`HeuristicOutcome::replayed_phases`] counts them.
+    ///
     /// # Errors
     ///
     /// Propagates graph and scheduling failures, and lower-bound
@@ -661,8 +716,9 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             .max_size
             .unwrap_or_else(|| init.length(self.dfg))
             .max(1);
-        let mut phases = Vec::new();
+        let mut phases: Vec<PhaseStats> = Vec::new();
         let mut state = init;
+        self.logs.sweep.begin(state.retiming.len());
         'sweep: for _round in 0..config.rounds.max(1) {
             for size in (1..=beta).rev() {
                 if self.prune.is_some_and(|p| p.should_stop(best.score)) {
@@ -672,19 +728,37 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
                 if best.is_frozen(bound) {
                     break 'sweep;
                 }
+                let exec = self.logs.sweep.source(phases.len(), size, &state);
                 let stats = self.phase(
                     &mut state,
                     &mut best,
                     size,
                     config.rotations_per_phase,
                     Some(bound),
+                    exec.map(|e| (e, &phases[e].lengths[..])),
                 )?;
-                let stopped = stats.stopped.is_some();
+                let (stopped, rotations) = (stats.stopped.is_some(), stats.rotations);
                 phases.push(stats);
                 if stopped {
                     break 'sweep;
                 }
 
+                if let Some(e) = exec {
+                    // Only a lower-indexed task's bound (a cross-prune)
+                    // cuts a replayed phase short, and the canonical merge
+                    // discards this task's result; the state to reschedule
+                    // is not logged, so the sweep just ends.
+                    if rotations < phases[e].rotations {
+                        break 'sweep;
+                    }
+                    let length = self.logs.sweep.rescheduled(e);
+                    self.observer.on_event(SearchEvent::Rescheduled { length });
+                    // `Q` already rejected this schedule.
+                    if let Some(p) = self.prune {
+                        p.record(best.score);
+                    }
+                    continue;
+                }
                 // Find a new initial schedule for the next phase from the
                 // accumulated rotation function: FullSchedule(G_R). The
                 // rotation function is kept in place.
@@ -695,10 +769,13 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
                 self.observer
                     .on_event(SearchEvent::Rescheduled { length: wrapped });
                 self.offer(&mut best, wrapped, &state);
+                self.logs.sweep.record(&self.logs.phase, wrapped);
             }
         }
+        let replayed_phases = self.logs.sweep.replayed(phases.len());
         Ok(HeuristicOutcome {
             lower_bound: Some(bound),
+            replayed_phases,
             ..HeuristicOutcome::from_parts(best, phases)
         })
     }

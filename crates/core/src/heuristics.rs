@@ -69,8 +69,10 @@ pub struct HeuristicOutcome {
     /// Per-phase statistics in execution order, for convergence studies.
     pub phases: Vec<PhaseStats>,
     /// Total rotations performed across all phases: logical rotations,
-    /// so a rotation a phase replayed from its cycle log instead of
-    /// executing still counts (see [`PhaseStats::replayed`]). For
+    /// so a rotation replayed instead of executed still counts, whether
+    /// a phase replayed it from its cycle log (see
+    /// [`PhaseStats::replayed`]) or Heuristic 2 replayed its whole phase
+    /// (see [`HeuristicOutcome::replayed_phases`]). For
     /// Heuristic 2 this counts rotations until `Q` froze at the lower
     /// bound (see [`SearchDriver::heuristic2`]) — fewer than the full
     /// sweep's `rounds × β × α` whenever the set fills at the bound,
@@ -86,6 +88,14 @@ pub struct HeuristicOutcome {
     /// against, when it computed one: Heuristic 2 (its frozen-set stop
     /// needs it) and the portfolio always do, Heuristic 1 does not.
     pub lower_bound: Option<u32>,
+    /// How many of `phases` Heuristic 2 replayed whole from its sweep
+    /// log instead of executing (see [`SearchDriver::heuristic2`]): the
+    /// last ones of a sweep, and a portfolio merge sums its tasks'.
+    /// Their statistics are exactly the ones executing them yields, so
+    /// this count is the only trace of the replay in the outcome.
+    ///
+    /// [`SearchDriver::heuristic2`]: crate::engine::SearchDriver::heuristic2
+    pub replayed_phases: usize,
 }
 
 impl HeuristicOutcome {
@@ -104,6 +114,7 @@ impl HeuristicOutcome {
             stopped: phases.iter().find_map(|p| p.stopped),
             phases,
             lower_bound: None,
+            replayed_phases: 0,
         }
     }
 }

@@ -45,7 +45,8 @@
 //!   complexity claim).
 //! * [`cycle`] — [`CycleLog`]: the states a rotation phase visits, so
 //!   a phase that repeats a state replays its period instead of
-//!   rotating again.
+//!   rotating again; Heuristic 2 logs its phase starts the same way and
+//!   replays the rest of a sweep once a phase start repeats.
 //! * [`arena`] — [`BufferPool`]/[`SolveArena`]: recycled scratch
 //!   buffers behind the steady-state zero-allocation guarantee and
 //!   [`RotationScheduler::solve_batch`]'s cross-item reuse.

@@ -203,6 +203,12 @@ pub struct PhaseStats {
     /// [`CycleLog`](crate::cycle::CycleLog) instead of executed, because
     /// the phase had returned to a state it already held. Always the
     /// last ones: once a phase repeats a state it replays to its end.
+    ///
+    /// A phase that Heuristic 2 replays whole from its sweep log (see
+    /// [`HeuristicOutcome::replayed_phases`](crate::HeuristicOutcome::replayed_phases))
+    /// executes none of its rotations but reports the count executing
+    /// it would have: its statistics, this field included, never depend
+    /// on sweep replay.
     pub replayed: usize,
     /// Wrapped schedule length after each rotation.
     pub lengths: Vec<u32>,

@@ -492,6 +492,7 @@ impl Portfolio {
                         TaskRun {
                             best: BestSet::new(self.keep_best),
                             phases: Vec::new(),
+                            replayed_phases: 0,
                             cross_pruned: false,
                         },
                         true,
@@ -536,6 +537,7 @@ impl Portfolio {
             .position(|run| run.best.score.achieves_bound(bound));
         let mut best = BestSet::new(self.keep_best);
         let mut phases = Vec::new();
+        let mut replayed_phases = 0;
         match canonical_task {
             Some(c) => {
                 // The canonical achiever ran exactly as it would have
@@ -543,6 +545,7 @@ impl Portfolio {
                 for (i, run) in completed.into_iter().enumerate() {
                     if i <= c {
                         phases.extend(run.phases);
+                        replayed_phases += run.replayed_phases;
                     }
                     if i == c {
                         best = run.best;
@@ -555,6 +558,7 @@ impl Portfolio {
                 // full deterministic search: union in index order.
                 for run in completed {
                     phases.extend(run.phases);
+                    replayed_phases += run.replayed_phases;
                     best.merge(run.best);
                 }
             }
@@ -564,6 +568,7 @@ impl Portfolio {
                 merged: HeuristicOutcome {
                     stopped,
                     lower_bound: Some(bound),
+                    replayed_phases,
                     ..HeuristicOutcome::from_parts(best, phases)
                 },
                 canonical_task,
@@ -590,6 +595,8 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 struct TaskRun {
     best: BestSet,
     phases: Vec<PhaseStats>,
+    /// See [`HeuristicOutcome::replayed_phases`].
+    replayed_phases: usize,
     cross_pruned: bool,
 }
 
@@ -614,6 +621,7 @@ fn run_task_with<O: SearchObserver>(
             TaskRun {
                 best: BestSet::new(keep_best),
                 phases: Vec::new(),
+                replayed_phases: 0,
                 cross_pruned: true,
             },
             observer,
@@ -640,6 +648,7 @@ fn run_task_with<O: SearchObserver>(
                 TaskRun {
                     best,
                     phases: vec![stats],
+                    replayed_phases: 0,
                     cross_pruned: signal.lost_to_lower_task(),
                 },
                 driver.observer,
@@ -661,6 +670,7 @@ fn run_task_with<O: SearchObserver>(
                 TaskRun {
                     best,
                     phases: out.phases,
+                    replayed_phases: out.replayed_phases,
                     cross_pruned: signal.lost_to_lower_task(),
                 },
                 driver.observer,

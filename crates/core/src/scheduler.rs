@@ -14,7 +14,7 @@ use rotsched_sched::{
 };
 
 use crate::budget::{Budget, StopReason};
-use crate::cycle::CycleLog;
+use crate::cycle::ReplayLogs;
 use crate::depth::{into_loop_schedule, minimized_depth};
 use crate::engine::{IncrementalStep, NoopObserver, SearchDriver, SearchObserver, StepMode};
 use crate::error::RotationError;
@@ -56,8 +56,8 @@ impl core::fmt::Display for SolveQuality {
 /// Search-effort accounting carried by every [`SolveOutcome`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Total down-rotations performed, counting the ones a phase
-    /// replayed from its cycle log (see
+    /// Total down-rotations performed, counting the ones replayed from
+    /// a phase's cycle log or a sweep's phase log (see
     /// [`HeuristicOutcome::total_rotations`]). A single-sweep solve
     /// counts the rotations until its best set froze at the lower bound (see
     /// [`SearchDriver::heuristic2`]); a portfolio solve counts its
@@ -420,7 +420,7 @@ impl<'a> RotationScheduler<'a> {
             &self.config,
             self.objective,
             &self.budget,
-            (IncrementalStep::default(), CycleLog::new()),
+            (IncrementalStep::default(), ReplayLogs::default()),
             observer,
         )?;
         Ok((outcome, observer))
@@ -453,7 +453,7 @@ impl<'a> RotationScheduler<'a> {
         let mut schedulers: Vec<(PriorityPolicy, ListScheduler)> = Vec::new();
         // `(graph fingerprint, spec index)` of every solved representative.
         let mut seen: Vec<(u64, usize)> = Vec::new();
-        let mut pooled = (IncrementalStep::default(), CycleLog::new());
+        let mut pooled = (IncrementalStep::default(), ReplayLogs::default());
         let mut outcomes: Vec<SolveOutcome> = Vec::with_capacity(specs.len());
         for (i, spec) in specs.iter().enumerate() {
             let fingerprint = spec.dfg.structure_fingerprint();
@@ -605,8 +605,8 @@ impl<'a> RotationScheduler<'a> {
 /// [`RotationScheduler::solve_traced`], and every
 /// [`RotationScheduler::solve_batch`] item: arms the budget, sets the
 /// objective, and attaches the observer, then hands back the step mode
-/// and cycle log (with their pooled buffers) and the observer alongside
-/// the outcome.
+/// and replay logs (with their pooled buffers) and the observer
+/// alongside the outcome.
 #[allow(clippy::too_many_arguments)]
 fn run_sweep<S: StepMode, O: SearchObserver>(
     dfg: &Dfg,
@@ -615,13 +615,13 @@ fn run_sweep<S: StepMode, O: SearchObserver>(
     config: &HeuristicConfig,
     objective: Objective,
     budget: &Budget,
-    (step, cycles): (S, CycleLog),
+    (step, logs): (S, ReplayLogs),
     observer: O,
-) -> Result<(HeuristicOutcome, (S, CycleLog), O), RotationError> {
+) -> Result<(HeuristicOutcome, (S, ReplayLogs), O), RotationError> {
     // Arm only when limited so the unlimited path does no budget work.
     let meter = (!budget.is_unlimited()).then(|| budget.arm());
     let mut driver = SearchDriver::new(dfg, scheduler, resources, step)
-        .with_cycle_log(cycles)
+        .with_logs(logs)
         .with_objective(objective)
         .with_budget(meter.as_ref())
         .with_observer(observer);

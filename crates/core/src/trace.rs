@@ -95,11 +95,14 @@ pub struct PhaseCounters {
     /// Weight-memo cache hits in the phase's incremental context. This
     /// counts memo work actually done: a rotation replayed from the
     /// phase's cycle log runs no rotation step and adds no hit, so the
-    /// count falls with the replays. No miss is ever replayed — every
-    /// state past a repeat was already rotated once — so
-    /// `cache_misses` does not move.
+    /// count falls with the replays. A phase Heuristic 2 replays whole
+    /// from its sweep log builds no context and reports 0.
     pub cache_hits: u64,
     /// Weight-memo cache misses in the phase's incremental context.
+    /// Within a phase no miss is replayed (every state past a repeat was
+    /// already rotated once), but a phase replayed whole builds no
+    /// context and reports 0 where executing it, on a fresh memo,
+    /// missed: sweep replay lowers the count.
     pub cache_misses: u64,
     /// Prune-signal stops observed inside the phase.
     pub prunes: u64,

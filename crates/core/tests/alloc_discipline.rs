@@ -10,7 +10,10 @@
 //!    allocation budget (the outcome clone), far below a fresh solve;
 //! 3. on a warmed `SearchDriver`, a **replayed rotation** (one past the
 //!    phase's first repeated state) allocates nothing but the growth of
-//!    `PhaseStats::lengths`.
+//!    `PhaseStats::lengths`;
+//! 4. on a warmed `SearchDriver`, a **sweep-replayed phase** (one that
+//!    Heuristic 2 replays whole from its sweep log) allocates nothing but
+//!    its `PhaseStats::lengths` and the growth of the sweep's phase list.
 //!
 //! The zero-allocation claim only holds in release builds: debug builds
 //! run the self-verifying cross-checks (`WrapScratch` re-runs the
@@ -24,9 +27,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use rotsched_benchmarks::{biquad, TimingModel};
 use rotsched_core::{
-    BestSet, ProblemSpec, RotationContext, RotationScheduler, SearchDriver, SearchEvent,
-    SearchObserver,
+    BestSet, HeuristicConfig, ProblemSpec, RotationContext, RotationScheduler, SearchDriver,
+    SearchEvent, SearchObserver,
 };
 use rotsched_dfg::{Dfg, DfgBuilder, OpKind};
 use rotsched_sched::{ListScheduler, ResourceSet, WrapScratch};
@@ -87,6 +91,21 @@ impl SearchObserver for AllocProbe {
         if matches!(
             event,
             SearchEvent::Rotated { .. } | SearchEvent::PhaseEnd { .. }
+        ) {
+            self.0.push(allocs());
+        }
+    }
+}
+
+/// Reads the allocation counter at every phase start and end, into a
+/// buffer sized up front so recording never allocates.
+struct PhaseAllocProbe(Vec<u64>);
+
+impl SearchObserver for PhaseAllocProbe {
+    fn on_event(&mut self, event: SearchEvent<'_>) {
+        if matches!(
+            event,
+            SearchEvent::PhaseStart { .. } | SearchEvent::PhaseEnd { .. }
         ) {
             self.0.push(allocs());
         }
@@ -190,6 +209,46 @@ fn hot_path_allocation_discipline() {
             "{} replayed rotations allocated {replay_allocs} times; only \
              `lengths` growth (at most {growth_bound}) is allowed",
             stats.replayed
+        );
+    }
+    // ---- claim 4: sweep-replayed phases allocate only their records ----
+    // Biquad under 2 adders and 4 multipliers: phase 9 of its default
+    // sweep starts on phase 2's state, and the last 19 of its 28 phases
+    // are replayed.
+    let g = biquad(&TimingModel::paper());
+    let res = ResourceSet::adders_multipliers(2, 4, false);
+    let config = HeuristicConfig::default();
+    let mut driver =
+        SearchDriver::incremental(&g, &sched, &res).with_observer(PhaseAllocProbe(Vec::new()));
+    // The first sweep grows the replay logs, the context's pools and
+    // the wrap probe; the second, identical one is measured.
+    for _ in 0..2 {
+        driver.observer.0 = Vec::with_capacity(2 * 64);
+        let outcome = driver.heuristic2(&config).expect("biquad schedules");
+        assert_eq!(outcome.phases.len(), 28);
+        assert_eq!(outcome.replayed_phases, 19);
+        // Counter readings at each phase start and end; the replayed
+        // phases are the last ones.
+        let marks = &driver.observer.0;
+        assert_eq!(marks.len(), 2 * outcome.phases.len());
+        let first = outcome.phases.len() - outcome.replayed_phases;
+        let inside: u64 = (first..outcome.phases.len())
+            .map(|i| marks[2 * i + 1] - marks[2 * i])
+            .sum();
+        assert!(
+            inside <= outcome.replayed_phases as u64,
+            "{} sweep-replayed phases allocated {inside} times; only their \
+             `lengths` (one each) are allowed",
+            outcome.replayed_phases
+        );
+        let between: u64 = (first..outcome.phases.len() - 1)
+            .map(|i| marks[2 * i + 2] - marks[2 * i + 1])
+            .sum();
+        let growth_bound = u64::from(outcome.phases.len().ilog2()) + 1;
+        assert!(
+            between <= growth_bound,
+            "between sweep-replayed phases the sweep allocated {between} \
+             times; only the phase list's growth (at most {growth_bound}) is allowed"
         );
     }
 }
