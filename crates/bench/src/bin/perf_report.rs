@@ -127,7 +127,8 @@ const DRIVER_OVERHEAD_BAND_PCT: f64 = 15.0;
 const SERVE_SEED: u64 = 11;
 /// Unique problems in the serve-arm corpus. Seven keeps every item
 /// budget-free (`seeded_corpus` attaches a rotation budget to every
-/// eighth item), so each problem takes the full warm path.
+/// eighth item), so every request after a problem's first is a warm
+/// hit.
 const SERVE_UNIQUE: usize = 7;
 /// Fresh-service repetitions of the cold-solve pass.
 const SERVE_COLD_REPS: usize = 3;
@@ -142,13 +143,14 @@ const SERVE_SUSTAIN_REQUESTS: usize = 200;
 /// Smoke gate: a warm cache hit must be at least this many times
 /// faster than a cold solve at p50.
 ///
-/// Derived from measurement, not aspiration. Heuristic 2 now ends its
-/// sweep once the best set is frozen at the lower bound, which made the
-/// corpus' cold solves ~5x cheaper (p50 ~3.8 ms → 0.55–0.92 ms) while
-/// the warm hit stayed at 24–38 µs. Six `--check` runs on a shared
-/// 2-vCPU VM then read 14–25x. A warm path that solved again, or a cache
-/// that stopped hitting, reads ~1x; a floor of 8 catches that with room
-/// below the measured spread, so CPU contention does not trip it.
+/// Derived from measurement, not aspiration. The corpus' payloads are
+/// canonical, so a warm hit is one cache probe on the payload bytes
+/// (p50 0.57–0.70 µs) against cold solves of 0.35–0.67 ms. Ten
+/// `--check` runs on a shared 2-vCPU VM read 662–1116x; a hit that
+/// parsed the payload and rendered its key (0.02–0.04 ms) read 12–25x.
+/// A warm path that solved again, or a cache that stopped hitting,
+/// reads ~1x; a floor of 8 catches that with room below every measured
+/// spread, so CPU contention does not trip it.
 const SERVE_WARM_SPEEDUP_FLOOR: u64 = 8;
 /// Smoke gate: the default `NoopFaults` warm path must cost at most
 /// this much more than a fault-armed service running an all-quiet

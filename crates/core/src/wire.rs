@@ -46,15 +46,23 @@
 //! graph (including names — responses render names, so distinct names
 //! must never share a cached response), resource allocation, policy,
 //! and heuristic configuration, regardless of how the client formatted
-//! the payload. [`cache_fingerprint`] hashes that text for sharding and
-//! prefiltering; exact-text comparison on the full key makes a
-//! fingerprint collision cost a string compare, never a wrong reuse.
+//! the payload. [`cache_fingerprint`] hashes that text with
+//! [`fingerprint_text`] for sharding and prefiltering; exact-text
+//! comparison on the full key makes a fingerprint collision cost a
+//! string compare, never a wrong reuse.
+//!
+//! A key is a fixed point of the wire format: for every key `K`,
+//! `cache_key_text(&parse_problem(K)?) == K`, and `K` carries no budget
+//! line, so it parses with an unlimited budget. This is load-bearing:
+//! the serve tier looks a request's raw problem text up as a key
+//! *before* parsing it, and the fixed point is what makes that hit the
+//! same entry the parsed path would. The `wire_roundtrip` suite
+//! enforces it over seeded corpora.
 
 use core::fmt;
 use core::fmt::Write as _;
 use core::time::Duration;
 
-use rotsched_dfg::rng::Fnv64;
 use rotsched_dfg::text::{self, ParseDfgError};
 use rotsched_sched::{PriorityPolicy, ResourceClass, ResourceSet};
 
@@ -210,23 +218,34 @@ pub fn cache_key_text(spec: &ProblemSpec) -> String {
     out
 }
 
-/// A 64-bit FNV hash of [`cache_key_text`], for shard selection and
-/// probe prefiltering. Collisions are harmless as long as the consumer
-/// confirms with an exact comparison of the full key text.
+/// The [`fingerprint_text`] of [`cache_key_text`], for shard selection
+/// and probe prefiltering. Collisions are harmless as long as the
+/// consumer confirms with an exact comparison of the full key text.
 #[must_use]
 pub fn cache_fingerprint(spec: &ProblemSpec) -> u64 {
     fingerprint_text(&cache_key_text(spec))
 }
 
-/// The FNV-64 hash of arbitrary key text (what [`cache_fingerprint`]
-/// applies to [`cache_key_text`]).
+/// The 64-bit hash of arbitrary key text (what [`cache_fingerprint`]
+/// applies to [`cache_key_text`]). It absorbs eight bytes per step —
+/// little-endian words, the zero-padded tail last, seeded with the
+/// length — and ends in the splitmix64 finalizer, so the low bits that
+/// pick a cache shard depend on every byte. Deterministic across runs
+/// and platforms; not collision-resistant against adversaries, which
+/// the exact key comparison makes harmless.
 #[must_use]
 pub fn fingerprint_text(key: &str) -> u64 {
-    let mut h = Fnv64::new();
-    for b in key.bytes() {
-        h.write_u8(b);
-    }
-    h.finish()
+    let step = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let mut words = key.as_bytes().chunks_exact(8);
+    let mut h = (&mut words).fold(key.len() as u64, |h, w| {
+        step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+    });
+    let mut tail = [0_u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = step(h, u64::from_le_bytes(tail));
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^ (h >> 31)
 }
 
 /// Parses a problem from the wire format.

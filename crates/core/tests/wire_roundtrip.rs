@@ -4,17 +4,21 @@
 //! (including multi-class sets with pipelined units), all four priority
 //! policies, swept heuristic configurations, and budgets down to
 //! sub-millisecond deadlines. The canonical cache key must likewise be
-//! stable under a render→parse→render cycle and blind to budgets.
+//! stable under a render→parse→render cycle and blind to budgets, and
+//! every key must be a fixed point of the wire format — the serve tier
+//! looks raw payloads up as keys before parsing them.
 
 use core::time::Duration;
+use std::collections::BTreeSet;
 
 use rotsched_benchmarks::{random_dfg, RandomDfgConfig};
 use rotsched_core::{
-    cache_fingerprint, cache_key_text, parse_problem, render_problem, Budget, HeuristicConfig,
-    ProblemSpec,
+    cache_fingerprint, cache_key_text, fingerprint_text, parse_problem, render_problem, Budget,
+    HeuristicConfig, Objective, ProblemSpec,
 };
 use rotsched_dfg::rng::SplitMix64;
 use rotsched_sched::{PriorityPolicy, ResourceSet};
+use rotsched_serve::{seeded_corpus, ServeConfig};
 
 const CORPUS: u64 = 120;
 
@@ -120,4 +124,63 @@ fn distinct_problems_get_distinct_keys() {
     keys.sort_unstable();
     keys.dedup();
     assert_eq!(keys.len(), total, "corpus produced duplicate cache keys");
+}
+
+/// Asserts the fixed point the serve tier's raw-payload probe rests on:
+/// `key` parses, with an unlimited budget, back to a spec whose key is
+/// `key` itself.
+fn assert_fixed_point(key: &str, what: &str) {
+    let back = parse_problem(key)
+        .unwrap_or_else(|e| panic!("{what}: the key failed to parse: {e}\n{key}"));
+    assert!(
+        back.budget.is_unlimited(),
+        "{what}: the key parsed with a budget\n{key}"
+    );
+    assert_eq!(
+        cache_key_text(&back),
+        key,
+        "{what}: the key is not a fixed point"
+    );
+}
+
+#[test]
+fn cache_keys_are_fixed_points_with_well_spread_fingerprints() {
+    let mut keys = BTreeSet::new();
+    for seed in [1, 2, 7] {
+        for (i, doc) in seeded_corpus(seed, 256).iter().enumerate() {
+            let spec = parse_problem(doc).unwrap_or_else(|e| panic!("seed {seed} item {i}: {e}"));
+            for objective in Objective::ALL {
+                let key = cache_key_text(&spec.clone().with_objective(objective));
+                assert_fixed_point(&key, &format!("seed {seed} item {i} {objective:?}"));
+                keys.insert(key);
+            }
+        }
+    }
+    // Names may hold anything but whitespace, and the key renders them
+    // verbatim: a quote, a backslash and a control character (U+0001)
+    // in the graph, node and resource-class names.
+    let escapes = "dfg e\"s\\c\u{1}\nnode a\"q add 1\nnode b\\s mul 2\nnode c\u{1}x add 1\n\
+                   edge a\"q b\\s 0\nedge b\\s c\u{1}x 0\nedge c\u{1}x a\"q 1\n\
+                   resource ad\"d\\\u{1} 2 non-pipelined add\nresource mul 1 pipelined mul\n";
+    let spec = parse_problem(escapes).expect("escaped names parse");
+    for objective in Objective::ALL {
+        let key = cache_key_text(&spec.clone().with_objective(objective));
+        assert_fixed_point(&key, &format!("escaped names {objective:?}"));
+        keys.insert(key);
+    }
+
+    let fingerprints: BTreeSet<u64> = keys.iter().map(|k| fingerprint_text(k)).collect();
+    assert_eq!(
+        fingerprints.len(),
+        keys.len(),
+        "two of {} distinct keys share a fingerprint",
+        keys.len()
+    );
+    let shards = ServeConfig::default().shards as u64;
+    let used: BTreeSet<u64> = fingerprints.iter().map(|f| f & (shards - 1)).collect();
+    assert_eq!(
+        used.len() as u64,
+        shards,
+        "the keys reach only shards {used:?}"
+    );
 }

@@ -22,6 +22,13 @@
 //!   panicked — enter the cache. A completed-under-budget search is
 //!   bit-identical to the unlimited search of the same problem, so a
 //!   cached response is exactly what a fresh solve would produce.
+//! * A canonical payload is its own key: the problem text is looked up
+//!   as a key before it is parsed. Keys are a fixed point of the wire
+//!   format (see [`rotsched_core::wire`]) and carry no budget line, so
+//!   a payload that equals a cached key is an unlimited request whose
+//!   parsed path would hit that same entry; a payload with a budget
+//!   line never equals a key. A miss falls through to the paths below
+//!   unchanged.
 //! * Unlimited requests use the full warm path (cache lookup →
 //!   single-flight → insert).
 //! * Requests with only a rotation budget bypass the cache *lookup*:
@@ -283,6 +290,14 @@ impl<F: Faults> SolveService<F> {
     }
 
     fn solve(&self, problem: &str) -> String {
+        // A payload already in canonical form is its own cache key (the
+        // wire format's fixed point), so a hit needs no parse and no key
+        // rendering. A miss is silent and falls through to the parsed
+        // path, which re-derives the key and does its own bookkeeping.
+        if let Some(hit) = self.cache.get(fingerprint_text(problem), problem) {
+            ServeCounters::bump(&self.counters.cache_hits);
+            return hit;
+        }
         let spec = match parse_problem(problem) {
             Ok(spec) => spec,
             Err(e) => {

@@ -7,11 +7,14 @@
 //! * A cache squeezed far below the working set must evict, and every
 //!   post-eviction re-solve must still produce the bytes a fresh
 //!   service produces (eviction changes cost, never answers).
+//! * A canonical payload, served from its raw bytes without parsing,
+//!   must answer and count exactly like its reformatted variants, which
+//!   take the parsed path to the same cache entry.
 
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use rotsched_serve::{seeded_corpus, ServeConfig, SolveService};
+use rotsched_serve::{seeded_corpus, CounterSnapshot, ServeConfig, SolveService};
 
 /// A corpus slice with no budget directives, so every request takes
 /// the full warm path (lookup → single-flight → insert).
@@ -194,4 +197,126 @@ fn cache_disabled_service_still_answers_identically() {
         2 * payloads.len() as u64,
         "with no cache every request must solve (counters: {counters:?})"
     );
+}
+
+/// The terminal-bucket invariant over solve requests that all parsed.
+fn assert_terminal_buckets(c: &CounterSnapshot) {
+    assert_eq!(c.parse_errors, 0, "{c:?}");
+    assert_eq!(
+        c.cache_hits + c.coalesced + c.solver_invocations + c.shed + c.faulted,
+        c.requests,
+        "every solve request lands in exactly one terminal bucket ({c:?})"
+    );
+}
+
+/// Spellings of a canonical document that parse to the same problem
+/// but differ from it byte for byte, so none is its own cache key.
+fn reformatted(doc: &str) -> Vec<(&'static str, String)> {
+    let is_directive = |line: &&str| {
+        ["resource ", "policy ", "config ", "objective "]
+            .iter()
+            .any(|d| line.starts_with(d))
+    };
+    let (directives, graph): (Vec<&str>, Vec<&str>) = doc.lines().partition(is_directive);
+    // Resource classes keep their order (it is part of the problem);
+    // the single-valued directives go first, reversed, then the graph.
+    let (resources, knobs): (Vec<&str>, Vec<&str>) = directives
+        .iter()
+        .partition(|line| line.starts_with("resource "));
+    let reordered: Vec<&str> = knobs
+        .iter()
+        .rev()
+        .chain(&resources)
+        .chain(&graph)
+        .copied()
+        .collect();
+    vec![
+        ("leading comment", format!("# the same problem\n{doc}")),
+        ("blank lines", doc.replace('\n', "\n\n")),
+        ("CRLF line ends", doc.replace('\n', "\r\n")),
+        ("reordered directives", reordered.join("\n") + "\n"),
+        ("doubled spaces", doc.replace(' ', "  ")),
+    ]
+}
+
+#[test]
+fn canonical_payloads_answer_like_their_reformatted_variants() {
+    let docs = seeded_corpus(23, 7);
+    let service = SolveService::new(ServeConfig::default());
+    for (i, doc) in docs.iter().enumerate() {
+        assert!(!doc.contains("budget"), "item {i} carries a budget");
+        // Cold: the raw-payload probe misses silently, so the parsed
+        // path records the one miss.
+        let before = service.counters();
+        let canonical = service
+            .handle(&format!("solve\n{doc}"))
+            .response()
+            .to_owned();
+        assert!(
+            canonical.contains("\"status\": \"ok\""),
+            "item {i}: {canonical}"
+        );
+        let after = service.counters();
+        assert_eq!(
+            after.cache_misses - before.cache_misses,
+            1,
+            "item {i}: a cold canonical request is one miss ({after:?})"
+        );
+        assert_eq!(after.solver_invocations - before.solver_invocations, 1);
+        assert_terminal_buckets(&after);
+
+        // Warm: the canonical payload and every reformatted variant
+        // return the same bytes, one hit each, with no solve, miss or
+        // parse error.
+        for (what, payload) in std::iter::once(("canonical", doc.clone())).chain(reformatted(doc)) {
+            assert!(
+                what == "canonical" || payload != *doc,
+                "item {i}: the {what} variant is not a reformatting"
+            );
+            let before = service.counters();
+            let response = service.handle(&format!("solve\n{payload}"));
+            assert_eq!(response.response(), canonical, "item {i}: {what}");
+            let after = service.counters();
+            let delta = CounterSnapshot {
+                requests: after.requests - before.requests,
+                cache_hits: after.cache_hits - before.cache_hits,
+                ..after
+            };
+            assert_eq!(
+                delta,
+                CounterSnapshot {
+                    requests: 1,
+                    cache_hits: 1,
+                    ..before
+                },
+                "item {i}: {what} must be exactly one hit"
+            );
+            assert_terminal_buckets(&after);
+        }
+
+        // A rotation budget still bypasses the lookup and re-solves.
+        let before = service.counters();
+        let budgeted = service
+            .handle(&format!("solve\n{doc}budget max-rotations 1000000\n"))
+            .response()
+            .to_owned();
+        assert_eq!(budgeted, canonical, "item {i}: the budget never fires");
+        let after = service.counters();
+        assert_eq!(after.solver_invocations - before.solver_invocations, 1);
+        assert_eq!(after.cache_hits, before.cache_hits);
+        assert_terminal_buckets(&after);
+
+        // An impossible deadline is answered from the cache, not shed.
+        let before = service.counters();
+        let deadline = service
+            .handle(&format!("solve\n{doc}budget deadline-ns 1\n"))
+            .response()
+            .to_owned();
+        assert_eq!(deadline, canonical, "item {i}: the deadline variant");
+        let after = service.counters();
+        assert_eq!(after.cache_hits - before.cache_hits, 1);
+        assert_eq!(after.shed, 0);
+        assert_eq!(after.solver_invocations, before.solver_invocations);
+        assert_terminal_buckets(&after);
+    }
 }
