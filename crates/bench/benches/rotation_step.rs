@@ -5,11 +5,9 @@
 use core::time::Duration;
 use rotsched_bench::harness::Harness;
 use rotsched_benchmarks::{all_benchmarks, random_dfg, RandomDfgConfig, TimingModel};
-use rotsched_core::{
-    down_rotate, initial_state, BestSet, RotationContext, RotationState, Score, SearchDriver,
-};
+use rotsched_core::{down_rotate, initial_state, RotationContext, RotationState};
 use rotsched_dfg::Dfg;
-use rotsched_sched::{ListScheduler, ResourceSet, WrapScratch};
+use rotsched_sched::{ListScheduler, ResourceSet};
 
 /// Down-rotations per measured iteration in the context-vs-scratch
 /// arms. The rotation sequence continues across iterations (rotation is
@@ -57,62 +55,6 @@ impl SteppedArm {
             };
         }
     }
-}
-
-/// The engine-overhead guard, driver side: one `STEPS`-rotation size-1
-/// phase through [`SearchDriver`] on the monomorphized `NoopObserver`
-/// path.
-fn driver_phase(g: &Dfg, sched: &ListScheduler, res: &ResourceSet, init: &RotationState) {
-    let mut state = init.clone();
-    let mut best = BestSet::new(4);
-    let mut driver = SearchDriver::incremental(g, sched, res);
-    driver
-        .run_phase(&mut state, &mut best, 1, STEPS)
-        .expect("legal");
-}
-
-/// The engine-overhead guard, baseline side: a hand-rolled replica of
-/// the engine's phase loop — the same context kernel, halving rule,
-/// wrapped-length probe, stats bookkeeping, and best-set offer that
-/// `SearchDriver::run_phase` performs, minus its dispatch. Must track
-/// the engine's hot path (`down_rotate_in_place` + `WrapScratch` since
-/// the SoA rework) or the overhead reading drifts into fiction; the
-/// two-sided band in `perf_report --check` guards the drift.
-fn legacy_phase(g: &Dfg, sched: &ListScheduler, res: &ResourceSet, init: &RotationState) {
-    let mut state = init.clone();
-    let mut best = BestSet::new(4);
-    let mut ctx = RotationContext::new(g, sched, res, &state).expect("schedulable");
-    let mut wrap = WrapScratch::new(g, res).expect("ops bind");
-    let mut rotations = 0_usize;
-    let mut lengths = Vec::new();
-    let mut first_optimum_at = None;
-    let mut min_seen = u32::MAX;
-    for j in 0..STEPS {
-        let length = state.length(g);
-        if length <= 1 {
-            break;
-        }
-        let mut effective = 1_u32;
-        while effective >= length {
-            effective = effective.div_ceil(2);
-        }
-        if effective == 0 {
-            break;
-        }
-        ctx.down_rotate_in_place(g, sched, res, &mut state, effective)
-            .expect("legal");
-        let wrapped = wrap
-            .wrapped_length(g, Some(&state.retiming), &state.schedule, res)
-            .expect("wraps");
-        rotations += 1;
-        lengths.push(wrapped);
-        if wrapped < min_seen {
-            min_seen = wrapped;
-            first_optimum_at = Some(j + 1);
-        }
-        let _ = best.offer(Score::from_length(wrapped), &state);
-    }
-    std::hint::black_box((rotations, lengths, first_optimum_at));
 }
 
 /// The ablation arm: rotate, then throw the incremental result away and
@@ -173,34 +115,6 @@ fn main() {
         h.bench(&format!("scratch-steps/random64-seed{seed}"), || {
             scratch_arm.run(&g, &res);
         });
-    }
-    // Engine-overhead guard: the same `STEPS`-rotation phase through the
-    // SearchDriver's NoopObserver path and through a hand-rolled replica
-    // of the pre-engine loop. The driver arm must stay within noise
-    // (≤2%) of the phase-loop arm — `perf_report` records the same
-    // comparison in BENCH_ROTATION.json.
-    for seed in [1, 2, 3] {
-        let g = random_dfg(
-            &RandomDfgConfig {
-                nodes: 64,
-                ..RandomDfgConfig::default()
-            },
-            seed,
-        );
-        let sched = ListScheduler::default();
-        let init = initial_state(&g, &sched, &res).expect("schedulable");
-        h.bench(
-            &format!("driver-overhead/driver/random64-seed{seed}"),
-            || {
-                driver_phase(&g, &sched, &res, &init);
-            },
-        );
-        h.bench(
-            &format!("driver-overhead/phase-loop/random64-seed{seed}"),
-            || {
-                legacy_phase(&g, &sched, &res, &init);
-            },
-        );
     }
     h.finish();
 }

@@ -1,42 +1,14 @@
-//! Wall-clock performance report for the parallel portfolio engine and
-//! the incremental rotation kernel.
+//! Wall-clock performance report and CI gate for the rotation engine,
+//! the serve layer and the analysis passes.
 //!
 //! ```text
 //! cargo run --release -p rotsched-bench --bin perf_report [-- OPTIONS]
 //!
 //!   --out PATH        write the JSON report here (default:
 //!                     BENCH_ROTATION.json at the repository root)
-//!   --reps N          timed repetitions per jobs value (default: 3)
-//!   --check BASELINE  smoke mode: run one sweep, compare schedule
-//!                     lengths and the rows fingerprint against a
-//!                     checked-in baseline JSON, gate the tail latency
-//!                     of the SoA rotation step and of the dense-graph
-//!                     driver step (p99 within 10x of p50 each),
-//!                     gate batch throughput against the baseline's
-//!                     recorded solves/s (within a generous divisor),
-//!                     hold the driver-overhead reading (the median
-//!                     over graphs of per-graph paired engine/replica
-//!                     time ratios) — measured AND
-//!                     baseline — inside a two-sided band (a large
-//!                     negative reading means the hand-rolled replica
-//!                     went stale, not that the engine got fast), and
-//!                     gate the serve layer (warm hits ≥8x faster
-//!                     than cold at p50 with zero solver invocations,
-//!                     identical bursts collapsing to one solve,
-//!                     byte-identical responses throughout), and hold
-//!                     the fault-injection plane's `NoopFaults`
-//!                     default to at most a 2% warm-path cost against
-//!                     a quiet-armed service (the zero-cost gate), and
-//!                     gate the static-analysis framework (a full
-//!                     schedule-mode analysis of a 256-node graph
-//!                     under 5 ms at p50, byte-identical reports on
-//!                     every repetition; the sweep fingerprint gate
-//!                     doubles as proof that a plain solve pays
-//!                     nothing when `--analyze` is off), and gate the
-//!                     cycle-ratio bounds (dfg's iteration bound and
-//!                     the verifier's recurrence bound of a 256-node
-//!                     graph, each under 1.5 ms at p50); exit non-zero
-//!                     on any regression. No report written.
+//!   --reps N          timed sweeps per jobs value (default: 3)
+//!   --check BASELINE  smoke mode: also gate against a checked-in
+//!                     baseline report; write nothing
 //!   --certify         certification mode: run one sweep and have the
 //!                     independent verifier (`rotsched-verify`) re-prove
 //!                     every winning kernel legal — starts, retimed-delay
@@ -54,23 +26,50 @@
 //!                     of EXPERIMENTS.md's degradation-curve table.
 //! ```
 //!
-//! Times the full Table-3 sweep (every benchmark × resource-config
-//! cell) sequentially and under several `--jobs` values (requested and
-//! effective counts both recorded), checks that every jobs value yields
-//! byte-identical rows, samples per-rotation-step latency percentiles
-//! for the allocation-free SoA step, for full driver steps on a dense
-//! graph, and for the incremental context path against the
-//! from-scratch path, times `solve_batch` throughput over a
-//! deduplicating corpus, counts the rotations the Table-3 sweep replays
-//! from its phases' cycle logs and the phases it replays whole from its
-//! sweep logs, measures the `SearchDriver` dispatch
-//! overhead against a hand-rolled replica of the phase loop (the
-//! `NoopObserver` path must stay within noise of the bare kernel),
-//! exercises the warm-path serve layer in-process (cold vs. warm-hit
-//! latency, single-flight deduplication under an identical burst,
-//! closed-loop sustained throughput — all counter-asserted and
-//! byte-compared), times the two cycle-ratio bounds on the graphs of the
-//! e2e `analyze-256` workload, and writes a machine-readable JSON report.
+//! Report mode and `--check` make one pass: `measure` runs every arm
+//! once, then `gate` prints each arm's reading with its verdict. The
+//! modes differ only at the end. Report mode writes the JSON report,
+//! unless a gate failed: then it writes nothing and exits 1. `--check`
+//! adds the baseline gates and exits 1 on any failure. A bad command
+//! line exits 2 before anything is measured.
+//!
+//! The arms: the full Table-3 sweep (every benchmark × resource-config
+//! cell) timed under several `--jobs` values (requested and effective
+//! counts both recorded); per-rotation-step latency percentiles for the
+//! allocation-free SoA step, for full driver steps on a dense graph,
+//! and for the incremental context path against the from-scratch path;
+//! `solve_batch` throughput over a deduplicating corpus; the rotations
+//! the sweep replays from its phases' cycle logs and the phases it
+//! replays whole from its sweep logs; the `SearchDriver` dispatch
+//! overhead against a hand-rolled replica of the phase loop; the
+//! warm-path serve layer in-process (cold vs. warm-hit latency,
+//! single-flight deduplication under an identical burst, closed-loop
+//! sustained throughput); the fault plane's and the objective core's
+//! default-path cost; the static-analysis framework; and the two
+//! cycle-ratio bounds on the graphs of the e2e `analyze-256` workload.
+//!
+//! The gates every run applies:
+//! - rows byte-identical at every jobs value;
+//! - SoA and dense step p99 within 10x of p50;
+//! - driver overhead (the median over graphs of per-graph paired
+//!   engine/replica time ratios) inside ±15% — two-sided, since a large
+//!   negative reading means the replica went stale;
+//! - serve: warm hits ≥8x faster than cold at p50 with zero solver
+//!   invocations, an identical burst collapsing to one solve, and
+//!   byte-identical responses throughout;
+//! - `NoopFaults` warm path and the packed-score objective each at most
+//!   2% over their replica;
+//! - a full schedule-mode analysis of a 256-node graph under 5 ms at
+//!   p50, byte-identical on every repetition (the sweep fingerprint
+//!   doubles as proof that a plain solve pays nothing when `--analyze`
+//!   is off);
+//! - dfg's iteration bound and the verifier's recurrence bound of a
+//!   256-node graph, each under 1.5 ms at p50.
+//!
+//! `--check` adds: the rows fingerprint and every schedule length no
+//! worse than the baseline's, batch throughput at least a third of the
+//! baseline's, and the baseline's own recorded driver, fault and
+//! objective overheads inside their limits (a stale baseline fails).
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -87,7 +86,7 @@ use rotsched_core::{
 };
 use rotsched_dfg::analysis::RatioWork;
 use rotsched_dfg::rng::{Fnv64, SplitMix64};
-use rotsched_dfg::Dfg;
+use rotsched_dfg::{json, Dfg};
 use rotsched_sched::{ListScheduler, ResourceSet, WrapScratch};
 use rotsched_serve::{seeded_corpus, FaultPlan, InjectedFaults, ServeConfig, SolveService};
 
@@ -206,16 +205,81 @@ const BOUNDS_BEFORE: BoundsBefore = BoundsBefore {
     verify: (2_210_633, 6_132_667, 5_729_286),
 };
 
+const USAGE: &str = "usage: perf_report [--out PATH] [--reps N] [--check BASELINE] \
+                     [--certify] [--degradation]";
+
+/// The report's default path: `BENCH_ROTATION.json` at the repository
+/// root.
+const DEFAULT_OUT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ROTATION.json");
+
+/// What one invocation does; `--check` wins over `--certify`, which
+/// wins over `--degradation`.
+#[derive(Debug, PartialEq)]
+enum Mode {
+    Report,
+    Check(String),
+    Certify,
+    Degradation,
+}
+
+#[derive(Debug, PartialEq)]
 struct Options {
+    mode: Mode,
     out: String,
-    check: Option<String>,
     reps: usize,
-    degradation: bool,
-    certify: bool,
+}
+
+impl Options {
+    /// Parses the command line (program name excluded). A flag missing
+    /// its value, a non-numeric `--reps` and any unknown argument are
+    /// errors, so a mistyped `--check` never falls through to report
+    /// mode and overwrites the baseline.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+        let mut out = DEFAULT_OUT.to_string();
+        let mut reps = 3;
+        let (mut check, mut certify, mut degradation) = (None, false, false);
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, value)) => (flag, Some(value.to_string())),
+                None => (arg.as_str(), None),
+            };
+            let mut value = || {
+                inline
+                    .clone()
+                    .or_else(|| args.next())
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            };
+            match flag {
+                "--out" => out = value()?,
+                "--check" => check = Some(value()?),
+                "--reps" => {
+                    let n = value()?;
+                    reps = n
+                        .parse::<usize>()
+                        .map_err(|_| format!("--reps needs a number, got `{n}`"))?
+                        .max(1);
+                }
+                "--certify" if inline.is_none() => certify = true,
+                "--degradation" if inline.is_none() => degradation = true,
+                _ => return Err(format!("unknown argument `{arg}`")),
+            }
+        }
+        let mode = match check {
+            Some(path) => Mode::Check(path),
+            None if certify => Mode::Certify,
+            None if degradation => Mode::Degradation,
+            None => Mode::Report,
+        };
+        Ok(Options { mode, out, reps })
+    }
 }
 
 fn main() {
-    let opts = options_from_args();
+    let opts = Options::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
     let t = TimingModel::paper();
     let graphs: Vec<(&str, Dfg)> = vec![
         ("Differential Equation", diffeq(&t)),
@@ -224,241 +288,126 @@ fn main() {
         ("2-cascaded Biquad Filter", biquad(&t)),
     ];
 
-    if let Some(baseline) = &opts.check {
-        std::process::exit(check_against_baseline(&graphs, baseline));
-    }
-    if opts.certify {
-        std::process::exit(certify_sweep(&graphs));
-    }
-    if opts.degradation {
-        degradation_report(&graphs);
-        return;
-    }
+    let baseline = match &opts.mode {
+        Mode::Certify => std::process::exit(certify_sweep(&graphs)),
+        Mode::Degradation => return degradation_report(&graphs),
+        Mode::Report => None,
+        Mode::Check(path) => Some(
+            std::fs::read_to_string(path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| Baseline::parse(&text))
+                .unwrap_or_else(|e| {
+                    eprintln!("error: baseline {path}: {e}");
+                    std::process::exit(1);
+                }),
+        ),
+    };
 
-    let cells = TABLE_3.len();
-    let reps = opts.reps;
-    let hardware = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let report = measure(&graphs, opts.reps);
+    let failed = gate(&report, baseline.as_ref());
+    if failed > 0 {
+        match baseline {
+            Some(_) => eprintln!("check failed: {failed} gate(s)"),
+            None => eprintln!("{failed} gate(s) failed; {} not written", opts.out),
+        }
+        std::process::exit(1);
+    }
+    if baseline.is_some() {
+        println!("check passed");
+    } else if let Err(e) = std::fs::write(&opts.out, render_json(&report)) {
+        eprintln!("error: cannot write {}: {e}", opts.out);
+        std::process::exit(1);
+    } else {
+        println!("wrote {}", opts.out);
+    }
+}
 
-    println!("perf_report: table3 sweep ({cells} cells), {reps} reps per jobs value");
-    println!("hardware threads: {hardware}\n");
+/// One `--jobs` value's timed Table-3 sweeps.
+struct SweepTiming {
+    jobs: usize,
+    effective: usize,
+    median: u64,
+    min: u64,
+    fingerprint: u64,
+}
 
+/// Every arm's reading from one [`measure`] pass.
+struct Report {
+    hardware: usize,
+    reps: usize,
+    /// One entry per [`JOBS`] value, sequential first.
+    sweeps: Vec<SweepTiming>,
+    lengths: Vec<u32>,
+    soa: StepPercentiles,
+    dense: StepPercentiles,
+    context: StepPercentiles,
+    scratch: StepPercentiles,
+    batch: StepPercentiles,
+    replay: ReplayShare,
+    overhead: DriverOverhead,
+    serve: ServeReport,
+    fault: FaultOverheadReport,
+    objective: ObjectiveOverheadReport,
+    analyze: AnalyzeArmReport,
+    bounds: BoundsReport,
+}
+
+/// Runs every arm once: `reps` timed Table-3 sweeps per [`JOBS`] value,
+/// then the per-step, batch, replay, overhead, serve, analysis and
+/// bound arms.
+fn measure(graphs: &[(&str, Dfg)], reps: usize) -> Report {
     // One untimed warm-up pass so allocator and page-cache effects hit
     // every configuration equally.
-    let _ = sweep(&graphs, 1);
-
-    let mut results = Vec::new();
+    let _ = sweep(graphs, 1);
     let mut lengths = Vec::new();
-    for jobs in JOBS {
-        let effective = effective_jobs(jobs, cells);
-        let mut wall_ns = Vec::new();
-        let mut fingerprint = 0_u64;
-        for _ in 0..reps {
-            let start = Instant::now();
-            let rows = sweep(&graphs, jobs);
-            let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            wall_ns.push(elapsed);
-            fingerprint = rows_fingerprint(&rows);
-            lengths = rows.iter().map(|(_, rs)| *rs).collect();
-        }
-        wall_ns.sort_unstable();
-        let median = wall_ns[wall_ns.len() / 2];
-        let min = wall_ns[0];
-        println!(
-            "jobs {jobs} (effective {effective}): median {:.1} ms, min {:.1} ms \
-             (fingerprint {fingerprint:#018x})",
-            median as f64 / 1e6,
-            min as f64 / 1e6
-        );
-        results.push((jobs, effective, median, min, fingerprint));
-    }
-
-    let seq_median = results[0].2;
-    let deterministic = results.iter().all(|r| r.4 == results[0].4);
-    assert!(
-        deterministic,
-        "table3 rows must be byte-identical for every jobs value"
-    );
-    println!("\nrows byte-identical across all jobs values: yes");
-    for (jobs, _, median, _, _) in &results {
-        println!(
-            "speedup vs sequential at jobs {jobs}: {:.2}x",
-            seq_median as f64 / *median as f64
-        );
-    }
-
+    let sweeps = JOBS
+        .into_iter()
+        .map(|jobs| {
+            let mut wall_ns = Vec::with_capacity(reps);
+            let mut fingerprint = 0_u64;
+            for _ in 0..reps {
+                let start = Instant::now();
+                let rows = sweep(graphs, jobs);
+                wall_ns.push(elapsed_ns(start));
+                fingerprint = rows_fingerprint(&rows);
+                lengths = rows.iter().map(|(_, rs)| *rs).collect();
+            }
+            wall_ns.sort_unstable();
+            SweepTiming {
+                jobs,
+                effective: effective_jobs(jobs, TABLE_3.len()),
+                median: wall_ns[wall_ns.len() / 2],
+                min: wall_ns[0],
+                fingerprint,
+            }
+        })
+        .collect();
     let soa = soa_steady_percentiles();
     let dense = dense_step_percentiles();
-    let (ctx, scratch) = step_percentiles(&graphs);
-    println!(
-        "\nrotation step (soa, steady):  p50 {:>8} ns, p90 {:>8} ns, p99 {:>8} ns ({} samples)",
-        soa.p50, soa.p90, soa.p99, soa.samples
-    );
-    println!(
-        "driver step (dense):          p50 {:>8} ns, p90 {:>8} ns, p99 {:>8} ns ({} samples; \
-         before the CSR weight kernel: p50 {DENSE_BEFORE_P50_NS} ns, p99 {DENSE_BEFORE_P99_NS} ns)",
-        dense.p50, dense.p90, dense.p99, dense.samples
-    );
-    println!(
-        "rotation step (context):      p50 {:>8} ns, p90 {:>8} ns, p99 {:>8} ns ({} samples)",
-        ctx.p50, ctx.p90, ctx.p99, ctx.samples
-    );
-    println!(
-        "rotation step (from scratch): p50 {:>8} ns, p90 {:>8} ns, p99 {:>8} ns ({} samples)",
-        scratch.p50, scratch.p90, scratch.p99, scratch.samples
-    );
-    println!(
-        "per-step speedup at p50: {:.2}x (context vs scratch); steady soa step \
-         tail p99/p50: {:.1}x",
-        scratch.p50 as f64 / ctx.p50.max(1) as f64,
-        soa.p99 as f64 / soa.p50.max(1) as f64
-    );
-
-    let specs = batch_corpus();
-    let batch = batch_throughput(&specs);
-    println!(
-        "\nbatch throughput ({} items, {} unique): \
-         {:.0} solves/s at p50, {:.0} solves/s at the p99 tail",
-        BATCH_ITEMS,
-        BATCH_UNIQUE,
-        solves_per_sec(BATCH_ITEMS, batch.p50),
-        solves_per_sec(BATCH_ITEMS, batch.p99)
-    );
-
-    let replay = replay_share(&graphs);
-    println!(
-        "\ncycle replay: {} of {} sweep rotations replayed ({:.1}%): {} within \
-         executed phases, {} in {} phases replayed whole",
-        replay.replayed + replay.sweep_rotations,
-        replay.rotations,
-        replay.share_pct(),
-        replay.replayed,
-        replay.sweep_rotations,
-        replay.sweep_phases
-    );
-
-    let overhead = driver_overhead(&graphs);
-    println!(
-        "\ndriver overhead ({STEP_SEQ} size-1 rotations per sequence): \
-         driver p50 {} ns, legacy loop p50 {} ns ({:+.2}%, median of per-graph \
-         paired ratios)",
-        overhead.driver.p50, overhead.legacy.p50, overhead.overhead_pct
-    );
-
-    let serve = serve_report();
-    println!(
-        "\nserve cold solve:  p50 {:>9} ns, p99 {:>9} ns ({} samples)",
-        serve.cold.p50, serve.cold.p99, serve.cold.samples
-    );
-    println!(
-        "serve warm hit:    p50 {:>9} ns, p99 {:>9} ns ({} samples, \
-         {} extra solver invocations)",
-        serve.warm.p50, serve.warm.p99, serve.warm.samples, serve.warm_extra_invocations
-    );
-    println!(
-        "serve warm speedup at p50: {:.0}x; coalescing: {} identical requests \
-         -> {} solve(s), {} followers; sustained: {:.0} req/s over {} threads; \
-         deterministic: {}",
-        serve.cold.p50 as f64 / serve.warm.p50.max(1) as f64,
-        SERVE_BURST,
-        serve.burst_solves,
-        serve.burst_followers,
-        serve.sustained_rps,
-        SERVE_SUSTAIN_THREADS,
-        if serve.deterministic { "yes" } else { "NO" }
-    );
-    assert!(
-        serve.deterministic,
-        "serve responses must be byte-identical across cache states, \
-         thread counts, and arrival orders"
-    );
-
-    let fault = fault_overhead();
-    println!(
-        "\nfault-plane overhead: noop warm p50 {} ns vs quiet-armed p50 {} ns \
-         ({:+.2}%, limit {FAULT_OVERHEAD_LIMIT_PCT}%)",
-        fault.noop_p50, fault.armed_p50, fault.overhead_pct
-    );
-
-    let objective = objective_overhead(&graphs);
-    println!(
-        "objective-core overhead: scalar best-set p50 {} ns vs packed p50 {} ns \
-         ({:+.2}%, limit {OBJECTIVE_OVERHEAD_LIMIT_PCT}%)",
-        objective.scalar_p50, objective.packed_p50, objective.overhead_pct
-    );
-
-    let analyze = analyze_arm();
-    println!(
-        "\nfull analysis ({ANALYZE_SUITE_NODES}-node suite): p50 {:>8} ns, \
-         p90 {:>8} ns, p99 {:>8} ns ({} samples)",
-        analyze.suite.p50, analyze.suite.p90, analyze.suite.p99, analyze.suite.samples
-    );
-    println!(
-        "full analysis ({ANALYZE_LARGE_NODES} nodes):     p50 {:>8} ns \
-         (limit {ANALYZE_LARGE_LIMIT_NS} ns); reports byte-stable: {}",
-        analyze.large.p50,
-        if analyze.byte_stable { "yes" } else { "NO" }
-    );
-    assert!(
-        analyze.byte_stable,
-        "analysis reports must render byte-identically on every run"
-    );
-
-    let bounds = bounds_arm(&analyze256_graphs());
-    println!(
-        "\ndfg iteration bound ({} graphs, {}-{} nodes):  p50 {:>8} ns, p99 {:>8} ns \
-         ({ANALYZE_LARGE_NODES} nodes: p50 {} ns; before: p50 {} ns, p99 {} ns)",
-        bounds.graphs,
-        bounds.min_nodes,
-        bounds.max_nodes,
-        bounds.dfg.all.p50,
-        bounds.dfg.all.p99,
-        bounds.dfg.large.p50,
-        BOUNDS_BEFORE.dfg.0,
-        BOUNDS_BEFORE.dfg.1
-    );
-    println!(
-        "dfg search work: {} probes, {} Bellman-Ford rounds over the {} graphs",
-        bounds.dfg_work.probes, bounds.dfg_work.rounds, bounds.graphs
-    );
-    println!(
-        "verify recurrence bound ({} graphs):       p50 {:>8} ns, p99 {:>8} ns \
-         ({ANALYZE_LARGE_NODES} nodes: p50 {} ns; before: p50 {} ns, p99 {} ns)",
-        bounds.graphs,
-        bounds.verify.all.p50,
-        bounds.verify.all.p99,
-        bounds.verify.large.p50,
-        BOUNDS_BEFORE.verify.0,
-        BOUNDS_BEFORE.verify.1
-    );
-
-    let json = render_json(
-        hardware,
-        cells,
+    let (context, scratch) = step_percentiles(graphs);
+    Report {
+        hardware: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         reps,
-        &results,
-        seq_median,
-        deterministic,
-        &lengths,
-        &soa,
-        &dense,
-        &ctx,
-        &scratch,
-        &batch,
-        &replay,
-        &overhead,
-        &serve,
-        &fault,
-        &objective,
-        &analyze,
-        &bounds,
-    );
-    match std::fs::write(&opts.out, json) {
-        Ok(()) => println!("\nwrote {}", opts.out),
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", opts.out);
-            std::process::exit(1);
-        }
+        sweeps,
+        lengths,
+        soa,
+        dense,
+        context,
+        scratch,
+        batch: batch_throughput(&batch_corpus()),
+        replay: replay_share(graphs),
+        overhead: driver_overhead(graphs),
+        serve: serve_report(),
+        fault: fault_overhead(),
+        objective: objective_overhead(graphs),
+        analyze: analyze_arm(),
+        bounds: bounds_arm(&analyze256_graphs()),
     }
+}
+
+/// Nanoseconds since `start`.
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Runs the full Table-3 sweep; returns each cell's formatted row and
@@ -533,7 +482,7 @@ fn step_percentiles(graphs: &[(&str, Dfg)]) -> (StepPercentiles, StepPercentiles
             let start = Instant::now();
             ctx.down_rotate(g, &sched, &res, &mut state, 1)
                 .expect("legal");
-            ctx_ns.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            ctx_ns.push(elapsed_ns(start));
         }
         let mut state = init.clone();
         for _ in 0..STEP_REPS * STEP_SEQ {
@@ -542,7 +491,7 @@ fn step_percentiles(graphs: &[(&str, Dfg)]) -> (StepPercentiles, StepPercentiles
             }
             let start = Instant::now();
             down_rotate(g, &sched, &res, &mut state, 1).expect("legal");
-            scratch_ns.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            scratch_ns.push(elapsed_ns(start));
         }
     }
     (percentiles(&mut ctx_ns), percentiles(&mut scratch_ns))
@@ -591,7 +540,7 @@ fn soa_steady_percentiles() -> StepPercentiles {
         let start = Instant::now();
         ctx.down_rotate_in_place(&g, &sched, &res, &mut state, 1)
             .expect("steady ring keeps rotating");
-        ns.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        ns.push(elapsed_ns(start));
         wrap.wrapped_length(&g, Some(&state.retiming), &state.schedule, &res)
             .expect("rotation states wrap");
     }
@@ -646,7 +595,7 @@ fn dense_step_percentiles() -> StepPercentiles {
                     .expect("legal");
                 wrap.wrapped_length(&g, Some(&state.retiming), &state.schedule, &res)
                     .expect("rotation states wrap");
-                ns.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                ns.push(elapsed_ns(start));
             }
             state.schedule = sched
                 .schedule(&g, Some(&state.retiming), &res)
@@ -694,7 +643,7 @@ fn batch_throughput(specs: &[ProblemSpec]) -> StepPercentiles {
         let start = Instant::now();
         let outcomes = RotationScheduler::solve_batch(specs).expect("corpus solves");
         assert_eq!(outcomes.len(), specs.len());
-        wall_ns.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        wall_ns.push(elapsed_ns(start));
     }
     percentiles(&mut wall_ns)
 }
@@ -793,25 +742,20 @@ fn driver_overhead(graphs: &[(&str, Dfg)]) -> DriverOverhead {
         .chain(std::iter::once(&random64));
     for g in subjects {
         let init = initial_state(g, &sched, &res).expect("schedulable");
+        let driver = |_| run_driver_sequence(g, &sched, &res, &init);
+        let legacy = |_| run_legacy_sequence(g, &sched, &res, &init);
         // Warm-up: one untimed sequence per arm.
-        run_driver_sequence(g, &sched, &res, &init);
-        run_legacy_sequence(g, &sched, &res, &init);
-        let mut ratios = Vec::with_capacity(STEP_REPS);
-        for rep in 0..STEP_REPS {
-            let driver = || time_one(|| run_driver_sequence(g, &sched, &res, &init));
-            let legacy = || time_one(|| run_legacy_sequence(g, &sched, &res, &init));
-            let (d, l) = if rep % 2 == 0 {
-                let d = driver();
-                (d, legacy())
-            } else {
-                let l = legacy();
-                (driver(), l)
-            };
-            driver_ns.push(d);
-            legacy_ns.push(l);
-            ratios.push(d as f64 / l.max(1) as f64);
-        }
+        driver(0);
+        legacy(0);
+        let (d, l) = interleave(STEP_REPS, driver, legacy);
+        let mut ratios: Vec<f64> = d
+            .iter()
+            .zip(&l)
+            .map(|(&d, &l)| d as f64 / l.max(1) as f64)
+            .collect();
         graph_ratios.push(median(&mut ratios));
+        driver_ns.extend(d);
+        legacy_ns.extend(l);
     }
     DriverOverhead {
         driver: percentiles(&mut driver_ns),
@@ -947,7 +891,7 @@ fn serve_report() -> ServeReport {
         for (i, payload) in payloads.iter().enumerate() {
             let start = Instant::now();
             let handled = service.handle(payload);
-            cold_ns.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            cold_ns.push(elapsed_ns(start));
             let response = handled.response();
             assert!(
                 response.contains("\"status\": \"ok\""),
@@ -978,7 +922,7 @@ fn serve_report() -> ServeReport {
         let i = k % payloads.len();
         let start = Instant::now();
         let handled = service.handle(&payloads[i]);
-        warm_ns.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        warm_ns.push(elapsed_ns(start));
         deterministic &= handled.response() == reference[i];
     }
     let after = service.counters();
@@ -1063,11 +1007,35 @@ struct FaultOverheadReport {
     samples: usize,
 }
 
-/// Times one call for the fault-overhead comparison.
+/// Times one call.
 fn time_one(call: impl FnOnce()) -> u64 {
     let start = Instant::now();
     call();
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    elapsed_ns(start)
+}
+
+/// Times `a(k)` and `b(k)` back to back for every `k < samples`,
+/// alternating which runs first: the second call of a pair runs with
+/// the warmer caches the first leaves behind, and a fixed order would
+/// bias the comparison toward whichever arm always ran second. Returns
+/// each arm's times in sample order.
+fn interleave(
+    samples: usize,
+    mut a: impl FnMut(usize),
+    mut b: impl FnMut(usize),
+) -> (Vec<u64>, Vec<u64>) {
+    let mut a_ns = Vec::with_capacity(samples);
+    let mut b_ns = Vec::with_capacity(samples);
+    for k in 0..samples {
+        if k % 2 == 0 {
+            a_ns.push(time_one(|| a(k)));
+            b_ns.push(time_one(|| b(k)));
+        } else {
+            b_ns.push(time_one(|| b(k)));
+            a_ns.push(time_one(|| a(k)));
+        }
+    }
+    (a_ns, b_ns)
 }
 
 /// Measures the cost of threading the fault plane through the serve
@@ -1098,22 +1066,11 @@ fn fault_overhead() -> FaultOverheadReport {
         let _ = noop.handle(payload);
         let _ = armed.handle(payload);
     }
-    let mut noop_ns = Vec::with_capacity(FAULT_OVERHEAD_SAMPLES);
-    let mut armed_ns = Vec::with_capacity(FAULT_OVERHEAD_SAMPLES);
-    for k in 0..FAULT_OVERHEAD_SAMPLES {
-        let payload = &payloads[k % payloads.len()];
-        // Alternate which arm goes first: back-to-back calls on the
-        // same payload leave the second arm with warmer caches, and a
-        // fixed order would bias the comparison toward whichever arm
-        // always ran second.
-        if k % 2 == 0 {
-            noop_ns.push(time_one(|| drop(noop.handle(payload))));
-            armed_ns.push(time_one(|| drop(armed.handle(payload))));
-        } else {
-            armed_ns.push(time_one(|| drop(armed.handle(payload))));
-            noop_ns.push(time_one(|| drop(noop.handle(payload))));
-        }
-    }
+    let (mut noop_ns, mut armed_ns) = interleave(
+        FAULT_OVERHEAD_SAMPLES,
+        |k| drop(noop.handle(&payloads[k % payloads.len()])),
+        |k| drop(armed.handle(&payloads[k % payloads.len()])),
+    );
     assert_eq!(
         noop.counters().solver_invocations,
         payloads.len() as u64,
@@ -1201,16 +1158,17 @@ impl ScalarBestSet {
     }
 }
 
-/// The scalar arm: the legacy loop tracking its best with plain `u32`
-/// lengths, exactly as the engine did before the objective core.
-fn run_scalar_sequence(
+/// One `STEP_SEQ`-rotation size-1 sequence of the bare kernel — the
+/// halving rule, the in-place rotation and the wrapped-length probe —
+/// handing each wrapped length and state to `offer`.
+fn run_offer_sequence(
     g: &Dfg,
     sched: &ListScheduler,
     res: &ResourceSet,
     init: &rotsched_core::RotationState,
+    mut offer: impl FnMut(u32, &rotsched_core::RotationState),
 ) {
     let mut state = init.clone();
-    let mut best = ScalarBestSet::new(4);
     let mut ctx = RotationContext::new(g, sched, res, &state).expect("schedulable");
     let mut wrap = WrapScratch::new(g, res).expect("ops bind");
     for _ in 0..STEP_SEQ {
@@ -1230,52 +1188,16 @@ fn run_scalar_sequence(
         let wrapped = wrap
             .wrapped_length(g, Some(&state.retiming), &state.schedule, res)
             .expect("wraps");
-        let _ = best.offer(wrapped, &state);
+        offer(wrapped, &state);
     }
-    std::hint::black_box((best.length, best.schedules.len()));
-}
-
-/// The packed arm: the identical loop, but scoring through the
-/// `Objective::Length` dispatch and the packed best set — the exact
-/// representation the engine's default path runs today.
-fn run_packed_sequence(
-    g: &Dfg,
-    sched: &ListScheduler,
-    res: &ResourceSet,
-    init: &rotsched_core::RotationState,
-) {
-    let mut state = init.clone();
-    let mut best = BestSet::new(4);
-    let mut ctx = RotationContext::new(g, sched, res, &state).expect("schedulable");
-    let mut wrap = WrapScratch::new(g, res).expect("ops bind");
-    for _ in 0..STEP_SEQ {
-        let length = state.length(g);
-        if length <= 1 {
-            break;
-        }
-        let mut effective = 1_u32;
-        while effective >= length {
-            effective = effective.div_ceil(2);
-        }
-        if effective == 0 {
-            break;
-        }
-        ctx.down_rotate_in_place(g, sched, res, &mut state, effective)
-            .expect("legal");
-        let wrapped = wrap
-            .wrapped_length(g, Some(&state.retiming), &state.schedule, res)
-            .expect("wraps");
-        let score = Objective::Length.score(g, &state.retiming, wrapped);
-        let _ = best.offer(score, &state);
-    }
-    std::hint::black_box((best.length(), best.count()));
 }
 
 /// Measures what the pluggable objective core costs the default
 /// length-only path: interleaved timing of identical rotation
-/// sequences against the scalar-`u32` replica of the pre-objective
-/// best set vs the packed-score best set behind the `Objective`
-/// dispatch. Interleaving cancels clock and cache drift between arms.
+/// sequences, one arm tracking its best with plain `u32` lengths in the
+/// scalar replica of the pre-objective best set, the other scoring
+/// through the `Objective::Length` dispatch into the packed-score best
+/// set — the exact representation the engine's default path runs.
 fn objective_overhead(graphs: &[(&str, Dfg)]) -> ObjectiveOverheadReport {
     let res = ResourceSet::adders_multipliers(2, 2, false);
     let sched = ListScheduler::default();
@@ -1283,25 +1205,28 @@ fn objective_overhead(graphs: &[(&str, Dfg)]) -> ObjectiveOverheadReport {
         .iter()
         .map(|(_, g)| (g, initial_state(g, &sched, &res).expect("schedulable")))
         .collect();
-    // Warm-up: one untimed sequence per arm per subject.
-    for (g, init) in &subjects {
-        run_scalar_sequence(g, &sched, &res, init);
-        run_packed_sequence(g, &sched, &res, init);
-    }
-    let mut scalar_ns = Vec::with_capacity(OBJECTIVE_OVERHEAD_SAMPLES);
-    let mut packed_ns = Vec::with_capacity(OBJECTIVE_OVERHEAD_SAMPLES);
-    for k in 0..OBJECTIVE_OVERHEAD_SAMPLES {
+    let scalar = |k: usize| {
         let (g, init) = &subjects[k % subjects.len()];
-        // Alternate which arm goes first so neither always runs with
-        // the warmer caches the first arm leaves behind.
-        if k % 2 == 0 {
-            scalar_ns.push(time_one(|| run_scalar_sequence(g, &sched, &res, init)));
-            packed_ns.push(time_one(|| run_packed_sequence(g, &sched, &res, init)));
-        } else {
-            packed_ns.push(time_one(|| run_packed_sequence(g, &sched, &res, init)));
-            scalar_ns.push(time_one(|| run_scalar_sequence(g, &sched, &res, init)));
-        }
+        let mut best = ScalarBestSet::new(4);
+        run_offer_sequence(g, &sched, &res, init, |wrapped, state| {
+            best.offer(wrapped, state);
+        });
+        std::hint::black_box((best.length, best.schedules.len()));
+    };
+    let packed = |k: usize| {
+        let (g, init) = &subjects[k % subjects.len()];
+        let mut best = BestSet::new(4);
+        run_offer_sequence(g, &sched, &res, init, |wrapped, state| {
+            let _ = best.offer(Objective::Length.score(g, &state.retiming, wrapped), state);
+        });
+        std::hint::black_box((best.length(), best.count()));
+    };
+    // Warm-up: one untimed sequence per arm per subject.
+    for k in 0..subjects.len() {
+        scalar(k);
+        packed(k);
     }
+    let (mut scalar_ns, mut packed_ns) = interleave(OBJECTIVE_OVERHEAD_SAMPLES, scalar, packed);
     let scalar_p50 = percentiles(&mut scalar_ns).p50;
     let packed_p50 = percentiles(&mut packed_ns).p50;
     ObjectiveOverheadReport {
@@ -1351,7 +1276,7 @@ fn analyze_percentiles(nodes: usize, graphs: u64, byte_stable: &mut bool) -> Ste
         for _ in 0..ANALYZE_REPS {
             let start = Instant::now();
             let report = analyze(&g, &spec, Some(&view));
-            ns.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            ns.push(elapsed_ns(start));
             *byte_stable &= report.render_json(&g) == reference;
         }
     }
@@ -1516,355 +1441,337 @@ fn degradation_report(graphs: &[(&str, Dfg)]) {
     println!("\nbudgets are exact down-rotation counts; every row is deterministic");
 }
 
-/// Smoke mode: one sequential sweep compared against a checked-in
-/// baseline. Returns the process exit code.
-fn check_against_baseline(graphs: &[(&str, Dfg)], baseline_path: &str) -> i32 {
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot read baseline {baseline_path}: {e}");
-            return 1;
-        }
+/// What `--check` reads from the baseline report, each value by its
+/// JSON path.
+struct Baseline {
+    rows_fingerprint: u64,
+    schedule_lengths: Vec<u32>,
+    solves_per_sec_p50: f64,
+    overhead_pct: f64,
+    fault_overhead_pct: f64,
+    objective_overhead_pct: f64,
+}
+
+impl Baseline {
+    /// Parses a report [`render_json`] wrote. Fails naming the path of
+    /// the first gated value that is missing or of the wrong type.
+    fn parse(text: &str) -> Result<Baseline, String> {
+        let doc = json::parse(text)?;
+        let number = |path: &str| doc.path(path)?.as_f64(path);
+        let fingerprint = "results[0].rows_fingerprint";
+        let lengths = "schedule_lengths";
+        Ok(Baseline {
+            rows_fingerprint: doc
+                .path(fingerprint)?
+                .as_str(fingerprint)?
+                .strip_prefix("0x")
+                .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+                .ok_or_else(|| format!("{fingerprint} is not a 0x-prefixed hex u64"))?,
+            schedule_lengths: doc
+                .path(lengths)?
+                .as_array(lengths)?
+                .iter()
+                .enumerate()
+                .map(|(i, v)| v.as_u32(&format!("{lengths}[{i}]")))
+                .collect::<Result<_, _>>()?,
+            solves_per_sec_p50: number("batch_throughput.solves_per_sec_p50")?,
+            overhead_pct: number("driver_overhead.overhead_pct")?,
+            fault_overhead_pct: number("fault_overhead.fault_overhead_pct")?,
+            objective_overhead_pct: number("objective_overhead.objective_overhead_pct")?,
+        })
+    }
+}
+
+/// Prints a reading no limit applies to, aligned with the gated ones.
+fn info(reading: &str) {
+    println!("     {reading}");
+}
+
+/// Prints every arm's reading with its verdict and returns how many
+/// gates failed. The limit gates apply to every run; a `baseline` adds
+/// the comparisons `--check` makes.
+fn gate(r: &Report, baseline: Option<&Baseline>) -> u32 {
+    let mut failed = 0_u32;
+    let mut gated = |ok: bool, reading: &str| {
+        failed += u32::from(!ok);
+        println!("{} {reading}", if ok { "ok  " } else { "FAIL" });
     };
-    let rows = sweep(graphs, 1);
-    let fingerprint = rows_fingerprint(&rows);
-    let mut failures = 0_u32;
+    let ratio = |a: u64, b: u64| a as f64 / b.max(1) as f64;
 
-    match extract_hex_field(&baseline, "rows_fingerprint") {
-        Some(expected) if expected == fingerprint => {
-            println!("rows fingerprint: {fingerprint:#018x} (matches baseline)");
-        }
-        Some(expected) => {
-            eprintln!("FAIL: rows fingerprint {fingerprint:#018x} != baseline {expected:#018x}");
-            failures += 1;
-        }
-        None => {
-            eprintln!("FAIL: baseline has no rows_fingerprint field");
-            failures += 1;
-        }
+    println!(
+        "perf_report: table3 sweep ({} cells), {} reps per jobs value, {} hardware threads",
+        TABLE_3.len(),
+        r.reps,
+        r.hardware
+    );
+    let sequential = &r.sweeps[0];
+    for s in &r.sweeps {
+        info(&format!(
+            "sweep at jobs {} (effective {}): median {:.1} ms, min {:.1} ms, {:.2}x vs sequential",
+            s.jobs,
+            s.effective,
+            s.median as f64 / 1e6,
+            s.min as f64 / 1e6,
+            ratio(sequential.median, s.median)
+        ));
+    }
+    let fingerprint = sequential.fingerprint;
+    gated(
+        r.sweeps.iter().all(|s| s.fingerprint == fingerprint),
+        &format!("rows fingerprint {fingerprint:#018x} at every jobs value"),
+    );
+    if let Some(b) = baseline {
+        gated(
+            fingerprint == b.rows_fingerprint,
+            &format!(
+                "rows fingerprint equals the baseline's {:#018x}",
+                b.rows_fingerprint
+            ),
+        );
+        let regressed: Vec<String> = (r.lengths.iter().zip(&b.schedule_lengths).enumerate())
+            .filter(|(_, (rs, want))| rs > want)
+            .map(|(i, (rs, want))| {
+                let cell = &TABLE_3[i];
+                format!(
+                    "cell {i} ({}, {}): {rs} > {want}",
+                    cell.benchmark, cell.adders
+                )
+            })
+            .collect();
+        gated(
+            r.lengths.len() == b.schedule_lengths.len() && regressed.is_empty(),
+            &format!(
+                "schedule lengths: {} cells, none above the baseline's {} {regressed:?}",
+                r.lengths.len(),
+                b.schedule_lengths.len()
+            ),
+        );
     }
 
-    match extract_u32_array(&baseline, "schedule_lengths") {
-        Some(expected) if expected.len() == rows.len() => {
-            for (i, ((_, rs), want)) in rows.iter().zip(&expected).enumerate() {
-                if rs > want {
-                    eprintln!(
-                        "FAIL: cell {i} ({}, {}): schedule length {rs} regressed past \
-                         baseline {want}",
-                        TABLE_3[i].benchmark, TABLE_3[i].adders
-                    );
-                    failures += 1;
-                }
-            }
-            if failures == 0 {
-                println!(
-                    "schedule lengths: all {} cells at or below baseline",
-                    rows.len()
-                );
-            }
-        }
-        Some(expected) => {
-            eprintln!(
-                "FAIL: baseline has {} schedule lengths, sweep produced {}",
-                expected.len(),
-                rows.len()
-            );
-            failures += 1;
-        }
-        None => {
-            eprintln!("FAIL: baseline has no schedule_lengths field");
-            failures += 1;
-        }
-    }
-
-    // Latency-shape gate: a steady-state SoA rotation step must keep
-    // its tail bounded — a p99 blowing past 10x the median means a
+    let percentile_line = |name: &str, p: &StepPercentiles| {
+        format!(
+            "{name}: p50 {} ns, p90 {} ns, p99 {} ns ({} samples)",
+            p.p50, p.p90, p.p99, p.samples
+        )
+    };
+    // Latency-shape gates: a p99 blowing past 10x the median means a
     // hidden slow path (reallocation, cache rebuild) crept back into
     // the hot loop even if medians look fine.
-    let soa = soa_steady_percentiles();
-    let ratio = soa.p99 / soa.p50.max(1);
-    if ratio > STEP_TAIL_RATIO {
-        eprintln!(
-            "FAIL: soa step p99 {} ns is {ratio}x its p50 {} ns (limit {STEP_TAIL_RATIO}x)",
-            soa.p99, soa.p50
-        );
-        failures += 1;
-    } else {
-        println!(
-            "soa step tail: p99 {} ns within {STEP_TAIL_RATIO}x of p50 {} ns",
-            soa.p99, soa.p50
+    for (name, p) in [
+        ("rotation step (soa, steady)", &r.soa),
+        ("driver step (dense)", &r.dense),
+    ] {
+        gated(
+            p.p99 / p.p50.max(1) <= STEP_TAIL_RATIO,
+            &format!(
+                "{}; p99 within {STEP_TAIL_RATIO}x of p50",
+                percentile_line(name, p)
+            ),
         );
     }
+    info(&format!(
+        "dense step before the CSR weight kernel: p50 {DENSE_BEFORE_P50_NS} ns, \
+         p99 {DENSE_BEFORE_P99_NS} ns"
+    ));
+    info(&percentile_line("rotation step (context)", &r.context));
+    info(&percentile_line("rotation step (from scratch)", &r.scratch));
+    info(&format!(
+        "per-step speedup at p50: {:.2}x (context vs scratch)",
+        ratio(r.scratch.p50, r.context.p50)
+    ));
 
-    // The same tail gate on full driver steps over the dense graph,
-    // where memo misses, crowded placements and wrapped tails live.
-    let dense = dense_step_percentiles();
-    let ratio = dense.p99 / dense.p50.max(1);
-    if ratio > STEP_TAIL_RATIO {
-        eprintln!(
-            "FAIL: dense step p99 {} ns is {ratio}x its p50 {} ns (limit {STEP_TAIL_RATIO}x)",
-            dense.p99, dense.p50
-        );
-        failures += 1;
-    } else {
-        println!(
-            "dense step tail: p99 {} ns within {STEP_TAIL_RATIO}x of p50 {} ns",
-            dense.p99, dense.p50
-        );
-    }
-
-    // Batch-throughput floor: measured p50 must stay within a generous
-    // divisor of the baseline's recorded rate. Catches order-of-
+    let sps = solves_per_sec(BATCH_ITEMS, r.batch.p50);
+    let batch = format!(
+        "batch throughput ({BATCH_ITEMS} items, {BATCH_UNIQUE} unique): {sps:.0} solves/s \
+         at p50, {:.0} at the p99 tail",
+        solves_per_sec(BATCH_ITEMS, r.batch.p99)
+    );
+    // A generous floor under the baseline's rate: catches order-of-
     // magnitude regressions in the batch core without tripping on
     // machine-to-machine variance.
-    let batch = batch_throughput(&batch_corpus());
-    let measured_sps = solves_per_sec(BATCH_ITEMS, batch.p50);
-    match extract_f64_field(&baseline, "solves_per_sec_p50") {
-        Some(recorded) if measured_sps >= recorded / BATCH_THROUGHPUT_DIVISOR => {
-            println!(
-                "batch throughput: {measured_sps:.0} solves/s at p50 \
-                 (baseline {recorded:.0}, floor /{BATCH_THROUGHPUT_DIVISOR})"
-            );
-        }
-        Some(recorded) => {
-            eprintln!(
-                "FAIL: batch throughput {measured_sps:.0} solves/s fell below \
-                 baseline {recorded:.0} / {BATCH_THROUGHPUT_DIVISOR}"
-            );
-            failures += 1;
-        }
-        None => {
-            eprintln!("FAIL: baseline has no solves_per_sec_p50 field");
-            failures += 1;
-        }
+    match baseline {
+        Some(b) => gated(
+            sps >= b.solves_per_sec_p50 / BATCH_THROUGHPUT_DIVISOR,
+            &format!(
+                "{batch}; at least baseline {:.0} / {BATCH_THROUGHPUT_DIVISOR}",
+                b.solves_per_sec_p50
+            ),
+        ),
+        None => info(&batch),
     }
+
+    let replay = &r.replay;
+    info(&format!(
+        "cycle replay: {} of {} sweep rotations replayed ({:.1}%): {} within executed \
+         phases, {} in {} phases replayed whole",
+        replay.replayed + replay.sweep_rotations,
+        replay.rotations,
+        replay.share_pct(),
+        replay.replayed,
+        replay.sweep_rotations,
+        replay.sweep_phases
+    ));
 
     // Driver-overhead band, two-sided and applied to both the fresh
     // measurement and the baseline's recorded number. Large positive
-    // means the engine's dispatch got expensive; large negative (the
-    // PR-6 drift: a recorded -43% against a real -2.65%) means the
-    // hand-rolled replica went stale against the engine's hot path —
-    // either way the overhead reading is fiction and must fail.
-    let measured_pct = driver_overhead(graphs).overhead_pct;
-    if measured_pct.abs() > DRIVER_OVERHEAD_BAND_PCT {
-        eprintln!(
-            "FAIL: driver overhead {measured_pct:+.2}% outside \
-             ±{DRIVER_OVERHEAD_BAND_PCT}% (replica and engine hot paths diverged)"
+    // means the engine's dispatch got expensive; large negative (a
+    // recorded -43% against a real -2.65% once) means the hand-rolled
+    // replica went stale against the engine's hot path — either way the
+    // overhead reading is fiction and must fail.
+    let band = DRIVER_OVERHEAD_BAND_PCT;
+    gated(
+        r.overhead.overhead_pct.abs() <= band,
+        &format!(
+            "driver overhead ({STEP_SEQ} size-1 rotations per sequence): driver p50 {} ns, \
+             replica p50 {} ns, {:+.2}% (median of per-graph paired ratios) within ±{band}%",
+            r.overhead.driver.p50, r.overhead.legacy.p50, r.overhead.overhead_pct
+        ),
+    );
+    if let Some(b) = baseline {
+        gated(
+            b.overhead_pct.abs() <= band,
+            &format!(
+                "baseline driver overhead {:+.2}% within ±{band}%",
+                b.overhead_pct
+            ),
         );
-        failures += 1;
-    } else {
-        println!("driver overhead: {measured_pct:+.2}% within ±{DRIVER_OVERHEAD_BAND_PCT}%");
-    }
-    match extract_f64_field(&baseline, "overhead_pct") {
-        Some(recorded) if recorded.abs() <= DRIVER_OVERHEAD_BAND_PCT => {
-            println!(
-                "baseline driver overhead: {recorded:+.2}% within \
-                 ±{DRIVER_OVERHEAD_BAND_PCT}%"
-            );
-        }
-        Some(recorded) => {
-            eprintln!(
-                "FAIL: baseline records driver overhead {recorded:+.2}% outside \
-                 ±{DRIVER_OVERHEAD_BAND_PCT}% — stale baseline, regenerate it"
-            );
-            failures += 1;
-        }
-        None => {
-            eprintln!("FAIL: baseline has no overhead_pct field");
-            failures += 1;
-        }
     }
 
     // Serve gates: the warm path must actually be warm (no solver, a
     // real multiple faster than solving), an identical burst must
     // collapse to one solve, and every response must be byte-stable.
-    let serve = serve_report();
+    let serve = &r.serve;
+    info(&format!(
+        "serve cold solve: p50 {} ns, p99 {} ns ({} samples)",
+        serve.cold.p50, serve.cold.p99, serve.cold.samples
+    ));
+    gated(
+        serve.warm_extra_invocations == 0,
+        &format!(
+            "serve warm hit: p50 {} ns, p99 {} ns ({} samples); {} solver invocations, \
+             must be 0",
+            serve.warm.p50, serve.warm.p99, serve.warm.samples, serve.warm_extra_invocations
+        ),
+    );
     let speedup = serve.cold.p50 / serve.warm.p50.max(1);
-    if speedup < SERVE_WARM_SPEEDUP_FLOOR {
-        eprintln!(
-            "FAIL: serve warm hit p50 {} ns is only {speedup}x faster than cold \
-             p50 {} ns (floor {SERVE_WARM_SPEEDUP_FLOOR}x)",
-            serve.warm.p50, serve.cold.p50
-        );
-        failures += 1;
-    } else {
-        println!("serve warm speedup: {speedup}x at p50 (floor {SERVE_WARM_SPEEDUP_FLOOR}x)");
-    }
-    if serve.warm_extra_invocations != 0 {
-        eprintln!(
-            "FAIL: {} solver invocation(s) during warm-hit sampling — the warm \
-             path must never solve",
-            serve.warm_extra_invocations
-        );
-        failures += 1;
-    } else {
-        println!(
-            "serve warm path: 0 solver invocations across {} hits",
-            serve.warm.samples
-        );
-    }
-    if serve.burst_solves == 1 {
-        println!(
-            "serve coalescing: {SERVE_BURST} identical requests -> 1 solve, \
-             {} followers",
-            serve.burst_followers
-        );
-    } else {
-        eprintln!(
-            "FAIL: {SERVE_BURST} identical concurrent requests took {} solves \
-             (single-flight must collapse them to 1)",
-            serve.burst_solves
-        );
-        failures += 1;
-    }
-    if serve.deterministic {
-        println!("serve determinism: byte-identical responses across services and threads");
-    } else {
-        eprintln!("FAIL: serve responses diverged across cache states or threads");
-        failures += 1;
-    }
+    gated(
+        speedup >= SERVE_WARM_SPEEDUP_FLOOR,
+        &format!("serve warm speedup {speedup}x at p50, floor {SERVE_WARM_SPEEDUP_FLOOR}x"),
+    );
+    gated(
+        serve.burst_solves == 1,
+        &format!(
+            "serve coalescing: {SERVE_BURST} identical requests -> {} solve(s), must be 1 \
+             ({} followers)",
+            serve.burst_solves, serve.burst_followers
+        ),
+    );
+    gated(
+        serve.deterministic,
+        "serve responses byte-identical across cache states, thread counts and arrival orders",
+    );
+    info(&format!(
+        "serve sustained: {:.0} req/s over {SERVE_SUSTAIN_THREADS} threads",
+        serve.sustained_rps
+    ));
 
-    // Fault-plane gate, one-sided: the default NoopFaults warm path
-    // may not cost more than the limit over a quiet-armed service
-    // (which does strictly more work). Applied to the fresh
-    // measurement AND the baseline's recorded number, so a stale
-    // baseline can't hide a regression.
-    let fault = fault_overhead();
-    if fault.overhead_pct <= FAULT_OVERHEAD_LIMIT_PCT {
-        println!(
-            "fault-plane overhead: {:+.2}% within {FAULT_OVERHEAD_LIMIT_PCT}% \
-             (noop p50 {} ns, quiet-armed p50 {} ns)",
-            fault.overhead_pct, fault.noop_p50, fault.armed_p50
+    // Zero-cost gates, one-sided: the default `NoopFaults` warm path
+    // against a quiet-armed service, and the packed-score objective
+    // against the scalar-`u32` replica (each rival does strictly more
+    // work). Applied to the fresh measurement AND the baseline's
+    // recorded number, so a stale baseline can't hide a regression.
+    let fault = &r.fault;
+    let objective = &r.objective;
+    for (reading, pct, limit, recorded) in [
+        (
+            format!(
+                "fault-plane overhead: noop warm p50 {} ns vs quiet-armed p50 {} ns",
+                fault.noop_p50, fault.armed_p50
+            ),
+            fault.overhead_pct,
+            FAULT_OVERHEAD_LIMIT_PCT,
+            baseline.map(|b| ("fault-plane", b.fault_overhead_pct)),
+        ),
+        (
+            format!(
+                "objective-core overhead: scalar best-set p50 {} ns vs packed p50 {} ns",
+                objective.scalar_p50, objective.packed_p50
+            ),
+            objective.overhead_pct,
+            OBJECTIVE_OVERHEAD_LIMIT_PCT,
+            baseline.map(|b| ("objective-core", b.objective_overhead_pct)),
+        ),
+    ] {
+        gated(
+            pct <= limit,
+            &format!("{reading}, {pct:+.2}% within {limit}%"),
         );
-    } else {
-        eprintln!(
-            "FAIL: NoopFaults warm path is {:+.2}% slower than a quiet-armed \
-             service (limit {FAULT_OVERHEAD_LIMIT_PCT}%) — the zero-cost default broke",
-            fault.overhead_pct
-        );
-        failures += 1;
-    }
-    match extract_f64_field(&baseline, "fault_overhead_pct") {
-        Some(recorded) if recorded <= FAULT_OVERHEAD_LIMIT_PCT => {
-            println!(
-                "baseline fault-plane overhead: {recorded:+.2}% within \
-                 {FAULT_OVERHEAD_LIMIT_PCT}%"
+        if let Some((name, recorded)) = recorded {
+            gated(
+                recorded <= limit,
+                &format!("baseline {name} overhead {recorded:+.2}% within {limit}%"),
             );
-        }
-        Some(recorded) => {
-            eprintln!(
-                "FAIL: baseline records fault-plane overhead {recorded:+.2}% past \
-                 {FAULT_OVERHEAD_LIMIT_PCT}% — stale baseline, regenerate it"
-            );
-            failures += 1;
-        }
-        None => {
-            eprintln!("FAIL: baseline has no fault_overhead_pct field");
-            failures += 1;
         }
     }
 
-    // Objective-core gate, one-sided like the fault plane's: the
-    // packed-score default path may not cost more than the limit over
-    // the scalar-`u32` replica of the pre-objective best set. Applied
-    // to the fresh measurement AND the baseline's recorded number.
-    let objective = objective_overhead(graphs);
-    if objective.overhead_pct <= OBJECTIVE_OVERHEAD_LIMIT_PCT {
-        println!(
-            "objective-core overhead: {:+.2}% within {OBJECTIVE_OVERHEAD_LIMIT_PCT}% \
-             (scalar p50 {} ns, packed p50 {} ns)",
-            objective.overhead_pct, objective.scalar_p50, objective.packed_p50
-        );
-    } else {
-        eprintln!(
-            "FAIL: the packed-score default path is {:+.2}% slower than the scalar \
-             replica (limit {OBJECTIVE_OVERHEAD_LIMIT_PCT}%) — the zero-cost objective broke",
-            objective.overhead_pct
-        );
-        failures += 1;
-    }
-    match extract_f64_field(&baseline, "objective_overhead_pct") {
-        Some(recorded) if recorded <= OBJECTIVE_OVERHEAD_LIMIT_PCT => {
-            println!(
-                "baseline objective-core overhead: {recorded:+.2}% within \
-                 {OBJECTIVE_OVERHEAD_LIMIT_PCT}%"
-            );
-        }
-        Some(recorded) => {
-            eprintln!(
-                "FAIL: baseline records objective-core overhead {recorded:+.2}% past \
-                 {OBJECTIVE_OVERHEAD_LIMIT_PCT}% — stale baseline, regenerate it"
-            );
-            failures += 1;
-        }
-        None => {
-            eprintln!("FAIL: baseline has no objective_overhead_pct field");
-            failures += 1;
-        }
-    }
-
-    // Analysis gates: one full schedule-mode analysis of the 256-node
-    // graph must stay under its latency budget, and every repetition
-    // must render byte-identical JSON. The solve path itself is gated
-    // separately (fingerprint + lengths above): analysis runs only
-    // behind `--analyze`, so those gates would expose any cost leaking
-    // into a plain solve.
-    let analyze = analyze_arm();
-    if analyze.large.p50 <= ANALYZE_LARGE_LIMIT_NS {
-        println!(
-            "analysis latency: {ANALYZE_LARGE_NODES}-node full analysis p50 {} ns \
-             within {ANALYZE_LARGE_LIMIT_NS} ns (suite p50 {} ns, p99 {} ns)",
-            analyze.large.p50, analyze.suite.p50, analyze.suite.p99
-        );
-    } else {
-        eprintln!(
-            "FAIL: {ANALYZE_LARGE_NODES}-node full analysis p50 {} ns over the \
-             {ANALYZE_LARGE_LIMIT_NS} ns budget",
+    // Analysis gates: the 256-node full analysis under its budget and
+    // every repetition byte-identical. The solve path itself is gated
+    // by the fingerprint above: analysis runs only behind `--analyze`.
+    let analyze = &r.analyze;
+    info(&percentile_line(
+        &format!("full analysis ({ANALYZE_SUITE_NODES}-node suite)"),
+        &analyze.suite,
+    ));
+    gated(
+        analyze.large.p50 <= ANALYZE_LARGE_LIMIT_NS,
+        &format!(
+            "full analysis ({ANALYZE_LARGE_NODES} nodes): p50 {} ns within \
+             {ANALYZE_LARGE_LIMIT_NS} ns",
             analyze.large.p50
-        );
-        failures += 1;
-    }
-    if analyze.byte_stable {
-        println!(
-            "analysis determinism: byte-identical reports across {} runs",
+        ),
+    );
+    gated(
+        analyze.byte_stable,
+        &format!(
+            "analysis reports byte-identical across {} runs",
             analyze.suite.samples + analyze.large.samples
-        );
-    } else {
-        eprintln!("FAIL: analysis reports diverged between repetitions");
-        failures += 1;
-    }
+        ),
+    );
 
     // Bound gates: each cycle-ratio bound of the 256-node graph under
     // its budget at p50 — the full-sweep probes they replaced read 7.6x
     // and 3.8x over it.
-    let graphs = analyze256_graphs();
-    let bounds = bounds_arm(&graphs[graphs.len() - 1..]);
-    for (name, latency) in [
-        ("dfg iteration bound", &bounds.dfg),
-        ("verify recurrence bound", &bounds.verify),
+    let bounds = &r.bounds;
+    for (name, latency, before) in [
+        ("dfg iteration bound", &bounds.dfg, BOUNDS_BEFORE.dfg),
+        (
+            "verify recurrence bound",
+            &bounds.verify,
+            BOUNDS_BEFORE.verify,
+        ),
     ] {
-        let p50 = latency.large.p50;
-        if p50 <= BOUNDS_LARGE_LIMIT_NS {
-            println!(
-                "{name}: {ANALYZE_LARGE_NODES}-node p50 {p50} ns within \
-                 {BOUNDS_LARGE_LIMIT_NS} ns"
-            );
-        } else {
-            eprintln!(
-                "FAIL: {name}: {ANALYZE_LARGE_NODES}-node p50 {p50} ns over the \
-                 {BOUNDS_LARGE_LIMIT_NS} ns budget"
-            );
-            failures += 1;
-        }
+        gated(
+            latency.large.p50 <= BOUNDS_LARGE_LIMIT_NS,
+            &format!(
+                "{name} ({} graphs, {}-{} nodes): p50 {} ns, p99 {} ns (before: p50 {} ns, \
+                 p99 {} ns); {ANALYZE_LARGE_NODES} nodes: p50 {} ns within \
+                 {BOUNDS_LARGE_LIMIT_NS} ns",
+                bounds.graphs,
+                bounds.min_nodes,
+                bounds.max_nodes,
+                latency.all.p50,
+                latency.all.p99,
+                before.0,
+                before.1,
+                latency.large.p50
+            ),
+        );
     }
-
-    if failures == 0 {
-        println!("check passed");
-        0
-    } else {
-        eprintln!("check failed with {failures} regression(s)");
-        1
-    }
+    info(&format!(
+        "dfg search work: {} probes, {} Bellman-Ford rounds over the {} graphs",
+        bounds.dfg_work.probes, bounds.dfg_work.rounds, bounds.graphs
+    ));
+    failed
 }
 
 /// Certification mode: solve every Table-3 cell and have the
@@ -1931,62 +1838,31 @@ fn certify_sweep(graphs: &[(&str, Dfg)]) -> i32 {
     }
 }
 
-/// Pulls `"name": "0x..."` out of a baseline report without a JSON
-/// parser (the workspace is dependency-free).
-fn extract_hex_field(json: &str, name: &str) -> Option<u64> {
-    let key = format!("\"{name}\": \"0x");
-    let start = json.find(&key)? + key.len();
-    let rest = &json[start..];
-    let end = rest.find('"')?;
-    u64::from_str_radix(&rest[..end], 16).ok()
-}
-
-/// Pulls a bare numeric `"name": -2.65` (or integer) field out of a
-/// baseline report.
-fn extract_f64_field(json: &str, name: &str) -> Option<f64> {
-    let key = format!("\"{name}\": ");
-    let start = json.find(&key)? + key.len();
-    let rest = &json[start..];
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Pulls `"name": [1, 2, ...]` out of a baseline report.
-fn extract_u32_array(json: &str, name: &str) -> Option<Vec<u32>> {
-    let key = format!("\"{name}\": [");
-    let start = json.find(&key)? + key.len();
-    let rest = &json[start..];
-    let end = rest.find(']')?;
-    rest[..end]
-        .split(',')
-        .map(|s| s.trim().parse::<u32>().ok())
-        .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    hardware: usize,
-    cells: usize,
-    reps: usize,
-    results: &[(usize, usize, u64, u64, u64)],
-    seq_median: u64,
-    deterministic: bool,
-    lengths: &[u32],
-    soa: &StepPercentiles,
-    dense: &StepPercentiles,
-    ctx: &StepPercentiles,
-    scratch: &StepPercentiles,
-    batch: &StepPercentiles,
-    replay: &ReplayShare,
-    overhead: &DriverOverhead,
-    serve: &ServeReport,
-    fault: &FaultOverheadReport,
-    objective: &ObjectiveOverheadReport,
-    analyze: &AnalyzeArmReport,
-    bounds: &BoundsReport,
-) -> String {
+/// Renders the report as `BENCH_ROTATION.json`.
+fn render_json(r: &Report) -> String {
+    let Report {
+        hardware,
+        reps,
+        soa,
+        dense,
+        context: ctx,
+        scratch,
+        batch,
+        replay,
+        overhead,
+        serve,
+        fault,
+        objective,
+        analyze,
+        bounds,
+        ..
+    } = r;
+    let cells = TABLE_3.len();
+    let seq_median = r.sweeps[0].median;
+    let deterministic = r
+        .sweeps
+        .iter()
+        .all(|s| s.fingerprint == r.sweeps[0].fingerprint);
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"bench\": \"table3_sweep\",\n");
@@ -1996,7 +1872,8 @@ fn render_json(
     s.push_str(&format!(
         "  \"deterministic_across_jobs\": {deterministic},\n"
     ));
-    let lengths_csv = lengths
+    let lengths_csv = r
+        .lengths
         .iter()
         .map(ToString::to_string)
         .collect::<Vec<_>>()
@@ -2176,14 +2053,19 @@ fn render_json(
     }
     s.push_str("  },\n");
     s.push_str("  \"results\": [\n");
-    for (k, (jobs, effective, median, min, fingerprint)) in results.iter().enumerate() {
-        let speedup = seq_median as f64 / *median as f64;
+    for (k, t) in r.sweeps.iter().enumerate() {
+        let speedup = seq_median as f64 / t.median as f64;
         s.push_str(&format!(
-            "    {{\"jobs\": {jobs}, \"jobs_effective\": {effective}, \
-             \"wall_ns_median\": {median}, \"wall_ns_min\": {min}, \
+            "    {{\"jobs\": {}, \"jobs_effective\": {}, \
+             \"wall_ns_median\": {}, \"wall_ns_min\": {}, \
              \"speedup_vs_sequential\": {speedup:.3}, \
-             \"rows_fingerprint\": \"{fingerprint:#018x}\"}}{}\n",
-            if k + 1 < results.len() { "," } else { "" }
+             \"rows_fingerprint\": \"{:#018x}\"}}{}\n",
+            t.jobs,
+            t.effective,
+            t.median,
+            t.min,
+            t.fingerprint,
+            if k + 1 < r.sweeps.len() { "," } else { "" }
         ));
     }
     s.push_str("  ]\n");
@@ -2191,39 +2073,125 @@ fn render_json(
     s
 }
 
-fn options_from_args() -> Options {
-    let mut opts = Options {
-        out: concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ROTATION.json").to_string(),
-        check: None,
-        reps: 3,
-        degradation: false,
-        certify: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--out" {
-            if let Some(p) = args.next() {
-                opts.out = p;
-            }
-        } else if let Some(p) = arg.strip_prefix("--out=") {
-            opts.out = p.to_string();
-        } else if arg == "--check" {
-            if let Some(p) = args.next() {
-                opts.check = Some(p);
-            }
-        } else if let Some(p) = arg.strip_prefix("--check=") {
-            opts.check = Some(p.to_string());
-        } else if arg == "--reps" {
-            if let Some(n) = args.next() {
-                opts.reps = n.parse().unwrap_or(opts.reps).max(1);
-            }
-        } else if let Some(n) = arg.strip_prefix("--reps=") {
-            opts.reps = n.parse().unwrap_or(opts.reps).max(1);
-        } else if arg == "--degradation" {
-            opts.degradation = true;
-        } else if arg == "--certify" {
-            opts.certify = true;
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The baseline CI checks against.
+    const CHECKED_IN: &str = include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_ROTATION.json"
+    ));
+
+    /// Every value `--check` reads: its key as it appears (first) in the
+    /// file, and its path.
+    const GATED: [(&str, &str); 6] = [
+        ("\"rows_fingerprint\"", "results[0].rows_fingerprint"),
+        ("\"schedule_lengths\"", "schedule_lengths"),
+        (
+            "\"solves_per_sec_p50\"",
+            "batch_throughput.solves_per_sec_p50",
+        ),
+        ("\"overhead_pct\"", "driver_overhead.overhead_pct"),
+        (
+            "\"fault_overhead_pct\"",
+            "fault_overhead.fault_overhead_pct",
+        ),
+        (
+            "\"objective_overhead_pct\"",
+            "objective_overhead.objective_overhead_pct",
+        ),
+    ];
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        Options::parse(args.iter().map(ToString::to_string))
+    }
+
+    #[test]
+    fn flags_parse_in_both_spellings() {
+        assert_eq!(
+            parse(&[]),
+            Ok(Options {
+                mode: Mode::Report,
+                out: DEFAULT_OUT.to_string(),
+                reps: 3
+            })
+        );
+        assert_eq!(
+            parse(&["--reps", "5", "--out=o.json"]),
+            Ok(Options {
+                mode: Mode::Report,
+                out: "o.json".to_string(),
+                reps: 5
+            })
+        );
+        assert_eq!(parse(&["--reps=0"]).map(|o| o.reps), Ok(1));
+        for args in [&["--check", "b.json"][..], &["--check=b.json"]] {
+            assert_eq!(
+                parse(args).map(|o| o.mode),
+                Ok(Mode::Check("b.json".to_string()))
+            );
+        }
+        assert_eq!(parse(&["--certify"]).map(|o| o.mode), Ok(Mode::Certify));
+        assert_eq!(
+            parse(&["--degradation"]).map(|o| o.mode),
+            Ok(Mode::Degradation)
+        );
+        assert_eq!(
+            parse(&["--degradation", "--certify", "--check", "b"]).map(|o| o.mode),
+            Ok(Mode::Check("b".to_string()))
+        );
+    }
+
+    #[test]
+    fn bad_command_lines_are_errors() {
+        for args in [
+            &["--check"][..],
+            &["--out"],
+            &["--reps"],
+            &["--reps", "3", "--check"],
+            &["--chek", "BENCH_ROTATION.json"],
+            &["--check-baseline=BENCH_ROTATION.json"],
+            &["BENCH_ROTATION.json"],
+            &["--certify=yes"],
+            &["--reps", "many"],
+            &["--reps=-1"],
+        ] {
+            assert!(parse(args).is_err(), "accepted {args:?}");
         }
     }
-    opts
+
+    #[test]
+    fn checked_in_baseline_parses_with_every_gated_path() {
+        let doc = json::parse(CHECKED_IN).expect("the baseline is JSON");
+        for (_, path) in GATED {
+            let value = doc.path(path).expect("gated path resolves");
+            match path {
+                "results[0].rows_fingerprint" => assert!(value.as_str(path).is_ok()),
+                "schedule_lengths" => assert!(value.as_array(path).is_ok()),
+                _ => assert!(value.as_f64(path).is_ok(), "{path}"),
+            }
+        }
+        let baseline = Baseline::parse(CHECKED_IN).expect("the baseline parses");
+        assert_eq!(baseline.schedule_lengths.len(), TABLE_3.len());
+        assert_eq!(
+            doc.path("results")
+                .and_then(|r| r.as_array("results").map(<[_]>::len)),
+            Ok(JOBS.len())
+        );
+    }
+
+    #[test]
+    fn missing_or_mistyped_gated_values_name_their_path() {
+        for (key, path) in GATED {
+            let missing = CHECKED_IN.replacen(key, "\"renamed\"", 1);
+            let mistyped = CHECKED_IN.replacen(key, &format!("{key}: true, \"was\""), 1);
+            for broken in [missing, mistyped] {
+                match Baseline::parse(&broken) {
+                    Ok(_) => panic!("accepted a baseline without a valid {path}"),
+                    Err(e) => assert!(e.contains(path), "{path} not named in: {e}"),
+                }
+            }
+        }
+    }
 }

