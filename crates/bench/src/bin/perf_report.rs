@@ -180,8 +180,10 @@ const ANALYZE_LARGE_NODES: usize = 256;
 /// Smoke gate: one full schedule-mode analysis (all four passes plus
 /// the lint sweep) of the 256-node graph must finish under 5 ms at
 /// p50. The analysis framework runs after `solve --analyze` and per
-/// request in `analyze`; a linear-ish budget keeps it invisible next
-/// to the solve it annotates.
+/// request in `analyze`. Register pressure costs O(|E| + L), saturation
+/// O(|V| + L) per class and chain depth one pass over the graph, so
+/// the cycle-ratio search and the lint sweep take most of the budget,
+/// which keeps the analysis invisible next to the solve it annotates.
 const ANALYZE_LARGE_LIMIT_NS: u64 = 5_000_000;
 
 /// Seed of the e2e `analyze-256` workload's graph pool, whose twelve

@@ -197,12 +197,6 @@ impl Budget {
         self.max_rotations
     }
 
-    /// Whether an external [`CancelToken`] is attached.
-    #[must_use]
-    pub fn has_cancel(&self) -> bool {
-        self.cancel.is_some()
-    }
-
     /// Anchors the budget to *now* and returns the meter a solve checks.
     #[must_use]
     pub fn arm(&self) -> BudgetMeter {

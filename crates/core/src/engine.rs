@@ -493,20 +493,22 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         };
         let mut min_seen = u32::MAX;
         for j in 0..alpha {
-            // The cancellation point: checked before each rotation, so a
-            // fired budget never abandons a rotation halfway and the
-            // state always holds a complete legal schedule.
-            if let Some(reason) = self.budget.and_then(BudgetMeter::check) {
-                stats.stopped = Some(reason);
-                self.observer.on_event(SearchEvent::Stopped(reason));
-                break;
-            }
             if self.prune.is_some_and(|p| p.should_stop(best.score)) {
                 self.observer.on_event(SearchEvent::Pruned);
                 break;
             }
             if frozen_at.is_some_and(|bound| best.is_frozen(bound)) {
                 break; // every further offer would be rejected
+            }
+            // The cancellation point: polled only where a rotation would
+            // otherwise run (after the prune and frozen exits), so a fired
+            // budget never abandons a rotation halfway, the state always
+            // holds a complete legal schedule, and a budget that cuts no
+            // rotation reports no stop.
+            if let Some(reason) = self.budget.and_then(BudgetMeter::check) {
+                stats.stopped = Some(reason);
+                self.observer.on_event(SearchEvent::Stopped(reason));
+                break;
             }
             // A logged rotation: its node set, its wrapped length, and
             // whether it repeats an earlier rotation of its own phase.
@@ -672,11 +674,13 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
     /// schedules. From then on every offer is rejected — a tie finds the
     /// set full and nothing beats a proven bound — so the returned `Q`
     /// is byte-identical to the full sweep's; only the rotation counts,
-    /// phase statistics, and events shrink. The check runs where the
-    /// prune signal is checked (after the budget poll at the top of each
-    /// rotation, and before each phase), so a budget still takes
-    /// precedence. The bound is computed once per sweep (a portfolio
-    /// task reads its prune signal's) and returned in
+    /// phase statistics, and events shrink. The check runs right after
+    /// the prune signal's, before each phase and at the top of each
+    /// rotation, where both come before the budget poll: a budget stops
+    /// the sweep only where a rotation would otherwise run, so a budget
+    /// of exactly the rotations the sweep needs reports no stop (DESIGN
+    /// §7 gives the order). The bound is computed once per sweep (a
+    /// portfolio task reads its prune signal's) and returned in
     /// [`HeuristicOutcome::lower_bound`].
     ///
     /// Phases are **replayed whole** once the sweep repeats: when phase

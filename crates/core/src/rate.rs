@@ -14,7 +14,7 @@
 //! unfolded graph then reaches `f · T/D` steps per `f` iterations —
 //! `T/D` per original iteration, the true rate optimum.
 
-use rotsched_dfg::analysis::{max_cycle_ratio, Ratio};
+use rotsched_dfg::analysis::max_cycle_ratio;
 use rotsched_dfg::unfold::unfold;
 use rotsched_dfg::Dfg;
 use rotsched_sched::ResourceSet;
@@ -90,17 +90,6 @@ pub fn rate_optimal(
     unfold_and_rotate(dfg, resources, config, factor)
 }
 
-/// The exact rational rate bound `T/D` of the loop (steps per iteration
-/// achievable in the limit of unbounded unfolding and resources), or
-/// `None` for acyclic loops.
-///
-/// # Errors
-///
-/// Returns graph errors for invalid inputs.
-pub fn rate_bound(dfg: &Dfg) -> Result<Option<Ratio>, RotationError> {
-    Ok(max_cycle_ratio(dfg)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,7 +118,8 @@ mod tests {
     #[test]
     fn rate_bound_is_exact() {
         let g = fractional_ring();
-        let b = rate_bound(&g).unwrap().unwrap();
+        // The rate bound is the maximum cycle ratio `T/D`.
+        let b = max_cycle_ratio(&g).unwrap().unwrap();
         assert_eq!((b.num(), b.den()), (3, 2));
     }
 

@@ -549,7 +549,7 @@ impl<'a> RotationScheduler<'a> {
     ///
     /// Propagates graph and scheduling failures, and
     /// [`RotationError::WorkerPanicked`] when every task panicked.
-    pub fn solve_with_portfolio(
+    pub(crate) fn solve_with_portfolio(
         &self,
         portfolio: &Portfolio,
     ) -> Result<SolveOutcome, RotationError> {

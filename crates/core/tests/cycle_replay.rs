@@ -137,13 +137,14 @@ fn oracle_phase(
     };
     let mut min_seen = u32::MAX;
     for j in 0..alpha {
-        if *allowance == Some(0) {
-            stats.stopped = Some(StopReason::RotationBudget);
-            break;
-        }
+        // A frozen set ends the phase before the budget is polled.
         let frozen =
             |bound: u32| best.count() >= best.capacity && best.score <= Score::from_length(bound);
         if frozen_at.is_some_and(frozen) {
+            break;
+        }
+        if *allowance == Some(0) {
+            stats.stopped = Some(StopReason::RotationBudget);
             break;
         }
         let length = state.length(g);

@@ -10,7 +10,8 @@
 //! `ListScheduler::schedule` and `BestSet::offer`. The oracle records
 //! the event stream the driver emits, and one unbudgeted oracle run
 //! yields every budgeted one: a `Budget::with_max_rotations(k)` run stops
-//! at the first rotation top after `k` rotations.
+//! at the first rotation top after `k` rotations that the frozen set
+//! does not end.
 //!
 //! The fixtures are the graphs whose default sweeps repeat: the
 //! biquad filter under 2 adders and 4 multipliers (phase 9 repeats
@@ -205,9 +206,13 @@ fn oracle(
             };
             let mut min_seen = u32::MAX;
             for j in 0..alpha {
+                if frozen(&best) {
+                    break;
+                }
                 if cuts.len() == spent {
-                    // The first rotation top after `spent` rotations: a
-                    // budget of `spent` fires here.
+                    // The first rotation top after `spent` rotations that
+                    // the frozen set does not end: a budget of `spent`
+                    // fires here.
                     let mut cut = phases.clone();
                     cut.push(PhaseStats {
                         stopped: Some(StopReason::RotationBudget),
@@ -225,9 +230,6 @@ fn oracle(
                             },
                         ],
                     });
-                }
-                if frozen(&best) {
-                    break;
                 }
                 let length = state.length(g);
                 if length <= 1 {

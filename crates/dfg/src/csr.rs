@@ -149,13 +149,6 @@ impl CsrGraph {
         self.in_offsets[v] as usize..self.in_offsets[v + 1] as usize
     }
 
-    /// All out-edge ids, concatenated in node order (useful for passes
-    /// that only need "every edge grouped by tail").
-    #[must_use]
-    pub fn out_edges_flat(&self) -> &[EdgeId] {
-        &self.out_edges
-    }
-
     /// Out-edge ids parallel to [`CsrGraph::out_range`] positions.
     #[must_use]
     pub fn out_edge_ids(&self) -> &[EdgeId] {
@@ -326,7 +319,7 @@ mod tests {
         let csr = CsrGraph::build(&g);
         assert_eq!(csr.node_count(), 0);
         assert_eq!(csr.edge_count(), 0);
-        assert!(csr.out_edges_flat().is_empty());
+        assert!(csr.out_edges.is_empty());
     }
 
     #[test]
@@ -337,6 +330,6 @@ mod tests {
         for v in g.node_ids() {
             expected.extend_from_slice(g.out_edges(v));
         }
-        assert_eq!(csr.out_edges_flat(), expected.as_slice());
+        assert_eq!(csr.out_edges, expected);
     }
 }

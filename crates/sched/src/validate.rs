@@ -12,7 +12,7 @@
 
 use rotsched_dfg::analysis::paths::{bellman_ford, WeightedEdge};
 use rotsched_dfg::analysis::topo::is_zero_delay_under;
-use rotsched_dfg::{Dfg, NodeId, Retiming};
+use rotsched_dfg::{Dfg, Retiming};
 
 use crate::error::SchedError;
 use crate::reservation::ReservationTable;
@@ -213,13 +213,6 @@ fn find_violation_witness(dfg: &Dfg, schedule: &Schedule) -> SchedError {
         finish: 0,
         start: 0,
     }
-}
-
-/// `NodeId`-keyed helper: true when the schedule assigns every node in
-/// `nodes` a start step.
-#[must_use]
-pub fn all_scheduled(schedule: &Schedule, nodes: &[NodeId]) -> bool {
-    nodes.iter().all(|&v| schedule.start(v).is_some())
 }
 
 #[cfg(test)]

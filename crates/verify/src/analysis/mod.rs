@@ -340,12 +340,7 @@ mod tests {
         let _ = report.render_json(&g);
         let _ = report.render_text(&g);
     }
-}
 
-#[cfg(test)]
-mod review_probe {
-    use super::*;
-    use rotsched_dfg::OpKind;
     #[test]
     fn zero_time_cycle_seed() {
         let mut g = Dfg::new("zt");

@@ -7,8 +7,9 @@
 //! schedule the pass also replays per-edge lifetimes against the
 //! kernel: a value produced by `u` at `s(u) + t(u)` and consumed by
 //! `v` at `s(v) + d_r(e)·L` is live for the steps in between, folded
-//! modulo `L`; the per-step live counts give the pressure profile and
-//! its peak (`A003`).
+//! modulo `L` arithmetically (whole wraps plus at most two ranges, in
+//! `O(|E| + L)`); the per-step live counts give the pressure profile
+//! and its peak (`A003`).
 //!
 //! The pass also prices the next move: for each candidate rotation
 //! (the first control step's nodes when a schedule is given, otherwise
@@ -20,6 +21,7 @@
 use crate::analysis::report::{AnalysisReport, CandidateDelta, PressureSection};
 use crate::analysis::AnalysisContext;
 use crate::diag::{Code, Diagnostic, Locus};
+use crate::fold::StepProfile;
 use rotsched_dfg::NodeId;
 
 pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
@@ -43,7 +45,7 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
     let (max_live, peak_step) = match view {
         Some(s) => {
             let l = i64::from(s.kernel_length);
-            let mut live = vec![0_u64; l as usize];
+            let mut live = StepProfile::new(l as u64);
             let endpoints = csr.edge_from().iter().zip(csr.edge_to());
             for ((&from, &to), &d_r) in endpoints.zip(retimed) {
                 let u = NodeId::from_index(from as usize);
@@ -54,19 +56,18 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
                 let produced = i64::from(su) + i64::from(csr.times()[u.index()]);
                 let consumed = i64::from(sv) + d_r.saturating_mul(l);
                 let duration = (consumed - produced).max(0);
-                // Fold [produced, consumed) onto the kernel steps.
-                let whole = (duration / l) as u64;
-                for slot in &mut live {
-                    *slot = slot.saturating_add(whole);
-                }
-                for k in 0..duration % l {
-                    let a = (produced - 1 + k).rem_euclid(l) as usize;
-                    live[a] = live[a].saturating_add(1);
+                // Fold [produced, consumed) onto the kernel steps;
+                // 1-based step `produced` is slot (produced − 1) mod L.
+                live.add((produced - 1).rem_euclid(l) as u64, duration as u64);
+            }
+            // The first step reaching the peak.
+            let (mut max, mut peak) = (0, 0);
+            for (k, count) in live.counts().enumerate() {
+                if count > max {
+                    (max, peak) = (count, k);
                 }
             }
-            let max = live.iter().copied().max().unwrap_or(0);
-            let peak = live.iter().position(|&x| x == max).unwrap_or(0) as u32 + 1;
-            (Some(max), Some(peak))
+            (Some(max), Some(peak as u32 + 1))
         }
         None => (None, None),
     };

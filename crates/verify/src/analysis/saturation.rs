@@ -3,8 +3,9 @@
 //!
 //! Statically the pass reports each class's total demand and the lower
 //! bound it puts on the kernel length (`⌈occupancy / units⌉`). With a
-//! complete schedule it additionally replays the per-step reservations
-//! modulo the kernel length — the same folding the certifier uses — to
+//! complete schedule it additionally folds the per-step reservations
+//! modulo the kernel length — the same split into whole wraps and at
+//! most two ranges the certifier uses, in `O(|V| + L)` per class — to
 //! report utilization (integer permille, no floats) and how many
 //! kernel steps run every unit busy.
 //!
@@ -19,6 +20,7 @@
 use crate::analysis::report::{AnalysisReport, ClassProfile, SaturationSection};
 use crate::analysis::AnalysisContext;
 use crate::diag::{Code, Diagnostic, Locus};
+use crate::fold::StepProfile;
 
 pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
     let dfg = ctx.dfg;
@@ -34,7 +36,7 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
     let mut classes = Vec::with_capacity(spec.classes().len());
     for (c, class) in spec.classes().iter().enumerate() {
         let mut occupancy = 0_u64;
-        let mut usage = view.map(|s| vec![0_u64; s.kernel_length as usize]);
+        let mut usage = view.map(|s| StepProfile::new(u64::from(s.kernel_length)));
         for (v, node) in dfg.nodes() {
             if spec.class_of(node.op()) != Some(c) {
                 continue;
@@ -44,16 +46,8 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
             if let (Some(usage), Some(s)) = (usage.as_mut(), view) {
                 // Fold the reservation [start, start + busy) modulo L,
                 // exactly like the certifier's occupancy replay.
-                let l = u64::from(s.kernel_length);
                 let start = u64::from(s.starts.get(v).unwrap_or(1));
-                let whole = busy / l;
-                for slot in usage.iter_mut() {
-                    *slot = slot.saturating_add(whole);
-                }
-                for k in 0..busy % l {
-                    let slot = ((start.saturating_sub(1)).saturating_add(k) % l) as usize;
-                    usage[slot] = usage[slot].saturating_add(1);
-                }
+                usage.add(start.saturating_sub(1), busy);
             }
         }
         let bound = if class.units > 0 {
@@ -66,8 +60,8 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
                 let capacity = u64::from(class.units) * u64::from(s.kernel_length);
                 let permille = occupancy.saturating_mul(1000) / capacity.max(1);
                 let saturated = usage
-                    .iter()
-                    .filter(|&&u| u >= u64::from(class.units))
+                    .counts()
+                    .filter(|&u| u >= u64::from(class.units))
                     .count();
                 (
                     Some(u32::try_from(permille).unwrap_or(u32::MAX)),

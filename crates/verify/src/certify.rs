@@ -20,6 +20,7 @@ use rotsched_dfg::{Dfg, NodeId, Retiming};
 
 use crate::bound::recurrence_bound;
 use crate::diag::{sort_canonical, Code, Diagnostic, Locus};
+use crate::fold;
 use crate::spec::ResourceSpec;
 
 /// Per-node start control steps, the verifier's own schedule
@@ -477,22 +478,12 @@ fn replay_reservations(
             continue;
         };
         let busy = u64::from(spec.classes()[c].busy_steps(node.time()));
-        base[c] += busy / l;
-        let rem = busy % l;
-        if rem == 0 {
-            continue;
-        }
-        // The remainder covers `rem` steps starting at the folded start.
-        let start = (u64::from(s) - 1) % l; // 0-based
-        let end = start + rem; // exclusive, ≤ 2l
-        if end <= l {
-            events[c].push((start, 1));
-            events[c].push((end, -1));
-        } else {
-            events[c].push((start, 1));
-            events[c].push((l, -1));
-            events[c].push((0, 1));
-            events[c].push((end - l, -1));
+        // Whole wraps load every step; the remainder ranges are events.
+        let (whole, ranges) = fold::wrap(u64::from(s) - 1, busy, l);
+        base[c] += whole;
+        for r in ranges.into_iter().filter(|r| !r.is_empty()) {
+            events[c].push((r.start, 1));
+            events[c].push((r.end, -1));
         }
     }
 

@@ -49,6 +49,7 @@ pub mod analysis;
 pub mod bound;
 pub mod certify;
 pub mod diag;
+mod fold;
 pub mod lint;
 pub mod pipeline;
 pub mod spec;

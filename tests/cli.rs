@@ -455,3 +455,65 @@ fn solve_analyze_extends_plain_solve_byte_for_byte() {
     assert!(analyzed.len() > plain.len());
     assert!(analyzed.contains("iteration bound"), "{analyzed}");
 }
+
+/// The rotation count `T` a solve reports on its `quality:` line.
+fn reported_rotations(stdout: &str) -> u64 {
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("quality:"))
+        .unwrap_or_else(|| panic!("no quality line: {stdout}"));
+    let count = line.split('(').nth(1).and_then(|s| s.split(' ').next());
+    count
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no rotation count: {line}"))
+}
+
+/// A budget stops a search only where a rotation would otherwise run: a
+/// rotation budget of exactly the `T` rotations the unlimited solve
+/// performs reproduces every byte of it (trace included, so no
+/// `Stopped` event), while `T − 1` is a real stop.
+#[test]
+fn a_budget_of_exactly_the_needed_rotations_is_not_a_stop() {
+    let specs: [&[&str]; 3] = [
+        &["--adders", "2", "--mults", "2"],
+        &["--adders", "1", "--mults", "1"],
+        &["--adders", "2", "--mults", "1", "--pipelined"],
+    ];
+    for name in [
+        "2-cascaded-biquad-filter",
+        "4-stage-lattice-filter",
+        "5th-order-elliptic-filter",
+        "all-pole-lattice-filter",
+        "differential-equation",
+    ] {
+        for spec in specs {
+            let path = fixture(name);
+            let solve = |budget: Option<u64>| {
+                let mut args = vec!["solve", path.as_str(), "--trace=json"];
+                args.extend_from_slice(spec);
+                let budget = budget.map(|k| k.to_string());
+                if let Some(k) = &budget {
+                    args.extend(["--max-rotations", k.as_str()]);
+                }
+                run_code(&args)
+            };
+            let (unlimited, _, code) = solve(None);
+            assert_eq!(code, 0, "{name} {spec:?}: {unlimited}");
+            let t = reported_rotations(&unlimited);
+            assert!(t > 0, "{name} {spec:?}");
+            let (at_t, _, code) = solve(Some(t));
+            assert_eq!(code, 0, "{name} {spec:?} at k = {t}");
+            assert_eq!(at_t, unlimited, "{name} {spec:?} at k = {t}");
+            let (below, _, code) = solve(Some(t - 1));
+            assert_eq!(code, 3, "{name} {spec:?} at k = {}", t - 1);
+            assert!(
+                below.contains(&format!(
+                    "quality: budget-exhausted ({} rotations, stopped: rotation budget exhausted)",
+                    t - 1
+                )),
+                "{name} {spec:?} at k = {}: {below}",
+                t - 1
+            );
+        }
+    }
+}
