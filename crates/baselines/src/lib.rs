@@ -15,6 +15,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod bounds;
 pub mod dag_only;

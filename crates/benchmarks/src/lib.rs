@@ -33,6 +33,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod allpole;
 mod biquad;

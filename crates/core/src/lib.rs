@@ -65,6 +65,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod budget;
 pub mod context;

@@ -400,12 +400,7 @@ pub fn down_rotate_nested(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rotsched_core_test_helpers::*;
-
-    /// Local helpers namespaced to avoid clutter.
-    mod rotsched_core_test_helpers {
-        pub use rotsched_dfg::{DfgBuilder, OpKind};
-    }
+    use rotsched_dfg::{DfgBuilder, OpKind};
 
     /// A small inner loop: 2 mults + 1 add with a recurrence.
     fn inner_loop() -> Dfg {

@@ -219,12 +219,13 @@ impl Objective {
 }
 
 /// `Σ_e max(d_r(e), 0)` — the static register count, matching the
-/// verifier's pressure pass (`A003`) exactly.
+/// verifier's pressure pass (`A003`) exactly, saturating at `u64::MAX`
+/// like it.
 #[must_use]
 pub fn static_registers(dfg: &Dfg, retiming: &Retiming) -> u64 {
-    dfg.edge_ids()
-        .map(|e| retiming.retimed_delay(dfg, e).max(0) as u64)
-        .sum()
+    dfg.edge_ids().fold(0_u64, |sum, e| {
+        sum.saturating_add(retiming.retimed_delay(dfg, e).max(0) as u64)
+    })
 }
 
 /// The prologue + epilogue op count of the pipeline expansion:
@@ -249,6 +250,23 @@ mod tests {
         g.add_edge(m, a, 0).unwrap();
         g.add_edge(a, m, 1).unwrap();
         g
+    }
+
+    #[test]
+    fn static_registers_saturate_on_near_i64_retimings() {
+        // Three fanout edges retimed by nearly `i64::MAX` each: their
+        // delays sum past `u64::MAX` and clamp there.
+        let mut g = Dfg::new("far");
+        let a = g.add_node("a", OpKind::Add, 1);
+        for name in ["b", "c", "d"] {
+            let v = g.add_node(name, OpKind::Add, 1);
+            g.add_edge(a, v, 0).unwrap();
+        }
+        let mut r = Retiming::zero(&g);
+        r.set(a, i64::MAX - 1);
+        assert_eq!(static_registers(&g, &r), u64::MAX);
+        r.set(a, 1);
+        assert_eq!(static_registers(&g, &r), 3);
     }
 
     #[test]

@@ -56,6 +56,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod analysis;
 mod builder;

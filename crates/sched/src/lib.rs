@@ -41,6 +41,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod asap_alap;
 pub mod binding;

@@ -2,26 +2,74 @@
 //!
 //! Entries map a *canonical cache key* (the budget-free wire rendering
 //! of a problem, [`rotsched_core::wire::cache_key_text`]) to the
-//! byte-exact response the solver produced for it. The 64-bit
-//! fingerprint of the key selects a shard and prefilters probes; the
-//! stored key is compared exactly on every hit, so a fingerprint
-//! collision costs one string comparison and can never serve the wrong
-//! response.
+//! byte-exact response the solver produced for it. Each shard is keyed
+//! by the key's 64-bit [`fingerprint_text`], which the caller has
+//! already computed: the low bits select the shard and the shard's map
+//! uses the value itself as its hash (it is already
+//! splitmix-finalized), so a probe hashes nothing. The key text is
+//! stored once, in the entry, and compared exactly on every hit, so a
+//! hit can never serve another key's response. The fingerprint is
+//! unkeyed, so a client could craft keys whose fingerprints share
+//! bucket bits and lengthen probes; a probe still visits at most the
+//! shard's entries, which the byte budget bounds, and every planted
+//! entry costs its sender a solve.
+//!
+//! **Collision rule.** A shard holds at most one entry per fingerprint.
+//! An insert whose fingerprint matches a resident entry with a
+//! *different* key replaces that entry and counts it as an eviction;
+//! the displaced key then misses and is re-solved on its next request,
+//! which costs time but never changes bytes. The corpora's keys have
+//! distinct fingerprints (`wire_roundtrip` pins this).
 //!
 //! Each shard is an LRU under its own byte budget (the configured total
-//! split evenly). Recency is tracked with a monotone per-shard tick: a
-//! `BTreeMap<tick, key>` orders entries oldest-first, so eviction pops
-//! the map's first entry — no linked lists, no unsafe. All costs are
-//! accounted in bytes (key twice — map key and recency slot — plus the
-//! response and a fixed per-entry overhead), so the budget bounds real
-//! memory, not entry counts.
+//! split evenly). Recency is a monotone per-shard tick, stamped lazily:
+//! a hit only stores the new tick in its entry. A `BTreeMap<tick,
+//! fingerprint>` holds one *order record* per entry, filed under the
+//! tick it carried when last filed. Eviction pops the oldest record; a
+//! stale one (its entry was hit since) is filed again under the entry's
+//! current tick, and the first fresh one is the victim. Every record
+//! is filed at or before its entry's tick, so that victim is exactly
+//! the least-recently-used entry — no linked lists, no unsafe. A hit
+//! makes no tree edit, hashes no bytes and copies nothing: responses
+//! are shared [`Arc<str>`] bytes.
+//!
+//! All costs are accounted in bytes, `2·key + response + 96` per entry,
+//! so the budget bounds real memory, not entry counts. The charge is
+//! conservative: it still counts the key twice, although the key is
+//! now stored once and the order record holds only two integers, so
+//! every eviction decision under every budget matches the earlier
+//! layout that stored the key in both maps.
+//!
+//! [`fingerprint_text`]: rotsched_core::wire::fingerprint_text
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// Fixed per-entry bookkeeping charge (map nodes, ticks, lengths).
+/// Fixed per-entry bookkeeping charge (map slot, order record, ticks,
+/// lengths).
 const ENTRY_OVERHEAD: usize = 96;
+
+/// Hashes a fingerprint to itself, halves swapped: the low half chose
+/// the shard and is constant within it, and the map picks buckets from
+/// the low bits of its hash.
+#[derive(Default)]
+struct FingerprintHasher(u64);
+
+impl Hasher for FingerprintHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("shard maps hash only u64 fingerprints");
+    }
+
+    fn write_u64(&mut self, fingerprint: u64) {
+        self.0 = fingerprint.rotate_left(32);
+    }
+}
 
 /// A point-in-time summary of cache contents and churn.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -32,7 +80,8 @@ pub struct CacheReport {
     pub bytes: u64,
     /// Total insertions accepted.
     pub insertions: u64,
-    /// Entries evicted to stay under the byte budget.
+    /// Entries evicted to stay under the byte budget, or displaced by
+    /// a different key with the same fingerprint.
     pub evictions: u64,
     /// Insertions rejected because a single entry exceeded a whole
     /// shard's budget.
@@ -41,64 +90,83 @@ pub struct CacheReport {
 
 #[derive(Debug)]
 struct Entry {
-    response: String,
+    key: String,
+    response: Arc<str>,
+    /// The tick of the entry's last insert or hit.
     tick: u64,
+    /// The tick its order record is filed under (at most `tick`).
+    filed: u64,
     cost: usize,
 }
 
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<String, Entry>,
-    /// Oldest-first recency order: tick → key.
-    order: BTreeMap<u64, String>,
+    map: HashMap<u64, Entry, BuildHasherDefault<FingerprintHasher>>,
+    /// One order record per entry: filed tick → fingerprint.
+    order: BTreeMap<u64, u64>,
     tick: u64,
     bytes: usize,
 }
 
 impl Shard {
-    fn touch(&mut self, key: &str) -> Option<String> {
-        let next = self.tick + 1;
-        let entry = self.map.get_mut(key)?;
-        let old = entry.tick;
-        entry.tick = next;
-        let response = entry.response.clone();
-        self.tick = next;
-        let moved = self.order.remove(&old).expect("entry ticks stay in order");
-        self.order.insert(next, moved);
-        Some(response)
+    fn touch(&mut self, fingerprint: u64, key: &str) -> Option<Arc<str>> {
+        let entry = self.map.get_mut(&fingerprint)?;
+        if entry.key != key {
+            return None;
+        }
+        self.tick += 1;
+        entry.tick = self.tick;
+        Some(Arc::clone(&entry.response))
     }
 
-    fn insert(&mut self, key: String, response: String, budget: usize) -> (u64, bool) {
+    fn insert(
+        &mut self,
+        fingerprint: u64,
+        key: String,
+        response: Arc<str>,
+        budget: usize,
+    ) -> Option<u64> {
         let cost = 2 * key.len() + response.len() + ENTRY_OVERHEAD;
         if cost > budget {
-            return (0, false);
+            return None;
         }
         self.tick += 1;
         let tick = self.tick;
-        if let Some(old) = self.map.insert(
-            key.clone(),
-            Entry {
-                response,
-                tick,
-                cost,
-            },
-        ) {
-            self.bytes -= old.cost;
-            self.order.remove(&old.tick);
-        }
-        self.order.insert(tick, key);
-        self.bytes += cost;
         let mut evicted = 0_u64;
+        let entry = Entry {
+            key,
+            response,
+            tick,
+            filed: tick,
+            cost,
+        };
+        if let Some(old) = self.map.get(&fingerprint) {
+            // A re-insert of the same key replaces it silently; a
+            // different key under the same fingerprint displaces it.
+            evicted += u64::from(old.key != entry.key);
+            self.bytes -= old.cost;
+            self.order.remove(&old.filed);
+        }
+        self.map.insert(fingerprint, entry);
+        self.order.insert(tick, fingerprint);
+        self.bytes += cost;
         while self.bytes > budget {
-            let (_, victim) = self
+            let (filed, victim) = self
                 .order
                 .pop_first()
                 .expect("a shard over budget holds at least one entry");
-            let gone = self.map.remove(&victim).expect("order mirrors the map");
-            self.bytes -= gone.cost;
+            let entry = self.map.get_mut(&victim).expect("order mirrors the map");
+            if entry.tick != filed {
+                // Hit since it was filed: file it again where it stands.
+                entry.filed = entry.tick;
+                self.order.insert(entry.tick, victim);
+                continue;
+            }
+            self.bytes -= entry.cost;
+            self.map.remove(&victim);
             evicted += 1;
         }
-        (evicted, true)
+        Some(evicted)
     }
 }
 
@@ -132,29 +200,34 @@ impl SolveCache {
     }
 
     /// Looks up the response cached for `key`, refreshing its recency.
-    /// `fingerprint` must be the key's [`fingerprint_text`]
-    /// (it only selects the shard; the key itself is compared exactly).
+    /// `fingerprint` must be the key's [`fingerprint_text`]: it selects
+    /// the shard and the entry, and the key is then compared exactly.
     ///
     /// [`fingerprint_text`]: rotsched_core::wire::fingerprint_text
     #[must_use]
-    pub fn get(&self, fingerprint: u64, key: &str) -> Option<String> {
+    pub fn get(&self, fingerprint: u64, key: &str) -> Option<Arc<str>> {
         self.shard(fingerprint)
             .lock()
             .expect("cache shard poisoned")
-            .touch(key)
+            .touch(fingerprint, key)
     }
 
-    /// Caches `response` under `key`, evicting least-recently-used
-    /// entries as needed to stay within the shard's byte budget. An
-    /// entry larger than a whole shard's budget is rejected rather than
-    /// wiping the shard for a value that still cannot fit.
-    pub fn insert(&self, fingerprint: u64, key: String, response: String) {
-        let (evicted, accepted) = self
+    /// Caches `response` under `key` (whose [`fingerprint_text`] is
+    /// `fingerprint`), evicting least-recently-used entries as needed
+    /// to stay within the shard's byte budget. An entry larger than a
+    /// whole shard's budget is rejected rather than wiping the shard
+    /// for a value that still cannot fit. A resident entry with the
+    /// same fingerprint but another key is displaced and counted as an
+    /// eviction (see the module docs).
+    ///
+    /// [`fingerprint_text`]: rotsched_core::wire::fingerprint_text
+    pub fn insert(&self, fingerprint: u64, key: String, response: Arc<str>) {
+        let evicted = self
             .shard(fingerprint)
             .lock()
             .expect("cache shard poisoned")
-            .insert(key, response, self.shard_budget);
-        if accepted {
+            .insert(fingerprint, key, response, self.shard_budget);
+        if let Some(evicted) = evicted {
             self.insertions.fetch_add(1, Ordering::Relaxed);
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         } else {
@@ -185,42 +258,52 @@ impl SolveCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rotsched_core::wire::fingerprint_text;
+
+    /// Inserts `key → response` under the key's own fingerprint.
+    fn put(cache: &SolveCache, key: &str, response: &str) {
+        cache.insert(fingerprint_text(key), key.into(), response.into());
+    }
+
+    fn get(cache: &SolveCache, key: &str) -> Option<Arc<str>> {
+        cache.get(fingerprint_text(key), key)
+    }
 
     #[test]
     fn hit_returns_exact_response_and_miss_returns_none() {
         let cache = SolveCache::new(4, 1 << 16);
-        cache.insert(7, "k1".into(), "r1".into());
-        assert_eq!(cache.get(7, "k1").as_deref(), Some("r1"));
-        assert_eq!(cache.get(7, "k2"), None);
-        // A colliding fingerprint only selects the shard — the key
-        // text decides the hit. `7` and `7 + 4` share a shard of 4:
-        // the resident key still answers, a foreign key never does.
-        cache.insert(7 + 4, "k3".into(), "r3".into());
-        assert_eq!(cache.get(7 + 4, "k3").as_deref(), Some("r3"));
-        assert_eq!(cache.get(7, "k3").as_deref(), Some("r3"));
-        assert_eq!(cache.get(7 + 4, "k1").as_deref(), Some("r1"));
-        assert_eq!(cache.get(7, "k4"), None);
+        put(&cache, "k1", "r1");
+        put(&cache, "k3", "r3");
+        assert_eq!(get(&cache, "k1").as_deref(), Some("r1"));
+        assert_eq!(get(&cache, "k3").as_deref(), Some("r3"));
+        assert_eq!(get(&cache, "k2"), None);
+        // The fingerprint selects the entry, the key text decides the
+        // hit: a foreign key under a resident's fingerprint misses.
+        assert_eq!(cache.get(fingerprint_text("k1"), "k3"), None);
+        // Two hits share one allocation: no copy per hit.
+        let (a, b) = (get(&cache, "k1").unwrap(), get(&cache, "k1").unwrap());
+        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]
     fn lru_evicts_oldest_under_pressure() {
-        // One shard, budget for roughly two entries.
+        // One shard, budget for exactly two entries.
         let cache = SolveCache::new(1, 2 * (2 * 2 + 4 + ENTRY_OVERHEAD));
-        cache.insert(0, "aa".into(), "1111".into());
-        cache.insert(0, "bb".into(), "2222".into());
-        let _ = cache.get(0, "aa"); // refresh aa; bb is now oldest
-        cache.insert(0, "cc".into(), "3333".into());
-        assert_eq!(cache.get(0, "bb"), None);
-        assert_eq!(cache.get(0, "aa").as_deref(), Some("1111"));
-        assert_eq!(cache.get(0, "cc").as_deref(), Some("3333"));
+        put(&cache, "aa", "1111");
+        put(&cache, "bb", "2222");
+        let _ = get(&cache, "aa"); // refresh aa; bb is now oldest
+        put(&cache, "cc", "3333");
+        assert_eq!(get(&cache, "bb"), None);
+        assert_eq!(get(&cache, "aa").as_deref(), Some("1111"));
+        assert_eq!(get(&cache, "cc").as_deref(), Some("3333"));
         assert_eq!(cache.report().evictions, 1);
     }
 
     #[test]
     fn oversized_entry_is_rejected_not_cached() {
         let cache = SolveCache::new(1, 64);
-        cache.insert(0, "k".into(), "x".repeat(1024));
-        assert_eq!(cache.get(0, "k"), None);
+        put(&cache, "k", &"x".repeat(1024));
+        assert_eq!(get(&cache, "k"), None);
         let report = cache.report();
         assert_eq!(report.rejected, 1);
         assert_eq!(report.entries, 0);
@@ -229,11 +312,12 @@ mod tests {
     #[test]
     fn reinsert_replaces_without_double_accounting() {
         let cache = SolveCache::new(1, 1 << 16);
-        cache.insert(0, "k".into(), "first".into());
-        cache.insert(0, "k".into(), "second".into());
+        put(&cache, "k", "first");
+        put(&cache, "k", "second");
         let report = cache.report();
         assert_eq!(report.entries, 1);
-        assert_eq!(cache.get(0, "k").as_deref(), Some("second"));
+        assert_eq!(report.evictions, 0);
+        assert_eq!(get(&cache, "k").as_deref(), Some("second"));
         assert_eq!(
             report.bytes as usize,
             2 * "k".len() + "second".len() + ENTRY_OVERHEAD

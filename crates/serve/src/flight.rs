@@ -3,10 +3,10 @@
 //!
 //! When K requests for the same key arrive while none of them is in the
 //! cache yet, exactly one — the *leader* — runs the solver; the other
-//! K−1 — *followers* — block on the flight and receive a clone of the
-//! leader's byte-exact response. The table maps keys to flights; a
-//! flight is a one-shot slot (`Mutex<Option<...>>` + `Condvar`) the
-//! leader publishes into exactly once.
+//! K−1 — *followers* — block on the flight and receive the leader's
+//! byte-exact response, shared rather than copied. The table maps keys
+//! to flights; a flight is a one-shot slot (`Mutex<Option<...>>` +
+//! `Condvar`) the leader publishes into exactly once.
 //!
 //! Leadership is decided under the table lock, so there is never more
 //! than one leader per key. The leader's [`Leader`] guard publishes on
@@ -20,7 +20,7 @@ use std::sync::{Arc, Condvar, Mutex};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FlightOutcome {
     /// The leader finished and published the response bytes.
-    Response(String),
+    Response(Arc<str>),
     /// The leader was torn down without publishing (its solve
     /// panicked); followers must not wait for a response that will
     /// never come.
@@ -131,7 +131,7 @@ impl Leader {
     /// flight. The caller must insert the response into the cache
     /// *before* calling this, so a request arriving after retirement
     /// finds it there rather than starting a redundant solve.
-    pub fn publish(mut self, response: String) {
+    pub fn publish(mut self, response: Arc<str>) {
         self.published = true;
         self.table.retire(&self.key);
         self.flight.publish(FlightOutcome::Response(response));
@@ -186,10 +186,10 @@ mod tests {
         while Arc::strong_count(&leader.flight) < 3 {
             thread::yield_now();
         }
-        leader.publish("answer".to_owned());
+        leader.publish("answer".into());
         assert_eq!(
             follower.join().unwrap(),
-            FlightOutcome::Response("answer".to_owned())
+            FlightOutcome::Response("answer".into())
         );
         // The flight is retired: a fresh joiner leads again.
         assert!(matches!(table.join("k"), FlightTicket::Lead(_)));
@@ -206,8 +206,8 @@ mod tests {
                 thread::spawn(move || match table.join("burst") {
                     FlightTicket::Lead(leader) => {
                         leads.fetch_add(1, Ordering::Relaxed);
-                        leader.publish("r".to_owned());
-                        "r".to_owned()
+                        leader.publish("r".into());
+                        "r".into()
                     }
                     FlightTicket::Followed(FlightOutcome::Response(r)) => r,
                     FlightTicket::Followed(FlightOutcome::Abandoned) => {
@@ -220,7 +220,7 @@ mod tests {
         // it; threads arriving after retirement lead their own (also
         // published) flight. Either way all responses agree.
         for handle in handles {
-            assert_eq!(handle.join().unwrap(), "r");
+            assert_eq!(&*handle.join().unwrap(), "r");
         }
         assert!(leads.load(Ordering::Relaxed) >= 1);
     }
@@ -261,7 +261,7 @@ mod tests {
         assert_eq!(table.in_flight_keys(), 0, "abandon must not wedge the key");
         // The next joiner leads a fresh flight.
         match table.join("k") {
-            FlightTicket::Lead(leader) => leader.publish("r".to_owned()),
+            FlightTicket::Lead(leader) => leader.publish("r".into()),
             FlightTicket::Followed(_) => panic!("abandoned flight must not be joinable"),
         }
         assert_eq!(table.in_flight_keys(), 0);

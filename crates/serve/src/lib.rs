@@ -75,6 +75,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod admission;
 pub mod cache;

@@ -180,13 +180,14 @@ impl ServeCounters {
     }
 }
 
-/// What the transport should do with a handled payload.
+/// What the transport should do with a handled payload. The response
+/// bytes are shared: a warm hit hands out the cache entry's own bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Handled {
     /// Send the response and keep serving.
-    Reply(String),
+    Reply(Arc<str>),
     /// Send the response, then stop accepting connections.
-    Shutdown(String),
+    Shutdown(Arc<str>),
 }
 
 impl Handled {
@@ -282,14 +283,14 @@ impl<F: Faults> SolveService<F> {
         };
         match verb {
             "solve" => Handled::Reply(self.solve(rest)),
-            "stats" => Handled::Reply(self.stats()),
-            "ping" => Handled::Reply(ok_response()),
-            "shutdown" => Handled::Shutdown(ok_response()),
-            other => Handled::Reply(error_response(&format!("unknown verb `{other}`"))),
+            "stats" => Handled::Reply(self.stats().into()),
+            "ping" => Handled::Reply(ok_response().into()),
+            "shutdown" => Handled::Shutdown(ok_response().into()),
+            other => Handled::Reply(error_response(&format!("unknown verb `{other}`")).into()),
         }
     }
 
-    fn solve(&self, problem: &str) -> String {
+    fn solve(&self, problem: &str) -> Arc<str> {
         // A payload already in canonical form is its own cache key (the
         // wire format's fixed point), so a hit needs no parse and no key
         // rendering. A miss is silent and falls through to the parsed
@@ -302,7 +303,7 @@ impl<F: Faults> SolveService<F> {
             Ok(spec) => spec,
             Err(e) => {
                 ServeCounters::bump(&self.counters.parse_errors);
-                return error_response(&format!("{e}"));
+                return error_response(&format!("{e}")).into();
             }
         };
         let key = cache_key_text(&spec);
@@ -319,7 +320,7 @@ impl<F: Faults> SolveService<F> {
             let deadline_ns = u64::try_from(deadline.as_nanos()).unwrap_or(u64::MAX);
             if !self.gauge.admit(deadline_ns) {
                 ServeCounters::bump(&self.counters.shed);
-                return shed_response();
+                return shed_response().into();
             }
             return self.run_solver(&spec, fingerprint, &key).response;
         }
@@ -354,7 +355,7 @@ impl<F: Faults> SolveService<F> {
                     requeues += 1;
                     if requeues > MAX_REQUEUES {
                         ServeCounters::bump(&self.counters.faulted);
-                        return faulted_response();
+                        return faulted_response().into();
                     }
                 }
                 FlightTicket::Lead(leader) => {
@@ -363,7 +364,7 @@ impl<F: Faults> SolveService<F> {
                     // solving again would break exactly-one-solve-per-key.
                     if let Some(hit) = self.cache.get(fingerprint, &key) {
                         ServeCounters::bump(&self.counters.cache_hits);
-                        leader.publish(hit.clone());
+                        leader.publish(Arc::clone(&hit));
                         return hit;
                     }
                     let run = self.run_solver(&spec, fingerprint, &key);
@@ -376,7 +377,7 @@ impl<F: Faults> SolveService<F> {
                         // precedes publish-and-retire, so no later
                         // request can miss both the cache and the
                         // flight.
-                        leader.publish(run.response.clone());
+                        leader.publish(Arc::clone(&run.response));
                     }
                     return run.response;
                 }
@@ -423,12 +424,13 @@ impl<F: Faults> SolveService<F> {
         match rendered {
             Ok(Ok((response, completed))) => {
                 ServeCounters::bump(&self.counters.solver_invocations);
+                let response: Arc<str> = response.into();
                 if completed {
                     if self.faults.drop_cache_insert() {
                         ServeCounters::bump(&self.counters.cache_insert_drops);
                     } else {
                         self.cache
-                            .insert(fingerprint, key.to_owned(), response.clone());
+                            .insert(fingerprint, key.to_owned(), Arc::clone(&response));
                     }
                 }
                 SolverRun {
@@ -440,14 +442,14 @@ impl<F: Faults> SolveService<F> {
                 ServeCounters::bump(&self.counters.solver_invocations);
                 ServeCounters::bump(&self.counters.solve_errors);
                 SolverRun {
-                    response: error_response(&format!("{e}")),
+                    response: error_response(&format!("{e}")).into(),
                     faulted: false,
                 }
             }
             Err(_panic) => {
                 ServeCounters::bump(&self.counters.faulted);
                 SolverRun {
-                    response: faulted_response(),
+                    response: faulted_response().into(),
                     faulted: true,
                 }
             }
@@ -495,7 +497,7 @@ impl<F: Faults> SolveService<F> {
 /// whether it came from a caught panic (faulted responses are never
 /// published to followers or cached).
 struct SolverRun {
-    response: String,
+    response: Arc<str>,
     faulted: bool,
 }
 
@@ -715,7 +717,7 @@ mod tests {
     #[test]
     fn verbs_ping_stats_shutdown() {
         let service = SolveService::new(ServeConfig::default());
-        assert_eq!(service.handle("ping"), Handled::Reply(ok_response()));
+        assert_eq!(service.handle("ping"), Handled::Reply(ok_response().into()));
         let stats = service.handle("stats").response().to_owned();
         assert!(stats.contains("\"requests\": 2"), "{stats}");
         assert!(stats.contains("\"faulted\": 0"), "{stats}");

@@ -339,6 +339,34 @@ mod tests {
         assert!(report.chains.is_none());
         let _ = report.render_json(&g);
         let _ = report.render_text(&g);
+
+        // A legal retiming near the `i64` range: three fanout edges of
+        // `a` carry nearly `i64::MAX` delays each. Their sum passes
+        // `u64::MAX`, and `d_r · L` saturates before the consumer's
+        // start is added: both clamp instead of overflowing.
+        let mut g = Dfg::new("far");
+        let a = g.add_node("a", OpKind::Add, 1);
+        for name in ["b", "c", "d"] {
+            let v = g.add_node(name, OpKind::Mul, 2);
+            g.add_edge(a, v, 0).unwrap();
+        }
+        let mut r = Retiming::zero(&g);
+        r.set(a, i64::MAX - 1);
+        let starts = StartTimes::from_fn(&g, |v| Some(if v == a { 1 } else { 2 }));
+        let view = ScheduleView {
+            starts: &starts,
+            retiming: &r,
+            kernel_length: 2,
+        };
+        let report = analyze(
+            &g,
+            &ResourceSpec::adders_multipliers(1, 3, false),
+            Some(&view),
+        );
+        let pressure = report.pressure.as_ref().unwrap();
+        assert_eq!(pressure.static_registers, u64::MAX);
+        let _ = report.render_json(&g);
+        let _ = report.render_text(&g);
     }
 
     #[test]

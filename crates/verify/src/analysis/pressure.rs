@@ -33,7 +33,9 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
     let n = csr.node_count();
     let m = csr.edge_count();
 
-    let static_registers: u64 = retimed.iter().map(|&d| d.max(0) as u64).sum();
+    let static_registers = retimed
+        .iter()
+        .fold(0_u64, |sum, &d| sum.saturating_add(d.max(0) as u64));
 
     // Dynamic profile and candidate set need a complete schedule.
     let view = ctx.schedule.filter(|s| {
@@ -54,8 +56,8 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
                     continue;
                 };
                 let produced = i64::from(su) + i64::from(csr.times()[u.index()]);
-                let consumed = i64::from(sv) + d_r.saturating_mul(l);
-                let duration = (consumed - produced).max(0);
+                let consumed = i64::from(sv).saturating_add(d_r.saturating_mul(l));
+                let duration = consumed.saturating_sub(produced).max(0);
                 // Fold [produced, consumed) onto the kernel steps;
                 // 1-based step `produced` is slot (produced − 1) mod L.
                 live.add((produced - 1).rem_euclid(l) as u64, duration as u64);

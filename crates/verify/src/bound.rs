@@ -74,7 +74,7 @@ pub(crate) struct RatioCycle {
 
 impl RatioCycle {
     /// `⌈T(C)/D(C)⌉`, or `None` for a cycle without delays.
-    pub fn ceil(&self) -> Option<u64> {
+    pub(crate) fn ceil(&self) -> Option<u64> {
         (self.delays > 0).then(|| self.time.div_ceil(self.delays))
     }
 
@@ -102,9 +102,17 @@ impl RatioCycle {
 /// way or the other: a node improved in round `r` took its predecessor
 /// from a node improved in round `r` or `r − 1`, so the predecessor
 /// walk back from a node improved in round `n` passes `n + 1` nodes and
-/// must repeat one. Sums saturate rather than trust a size argument;
-/// saturation keeps every predecessor edge's `dist(to) ≤ dist(from) +
-/// w`, which is all the cycle argument needs.
+/// must repeat one.
+///
+/// The weights are exact `i128`s: `den` and `num` are a cycle's `u64`
+/// sums (or `1` and `−1`), so both are below `2^64` in magnitude; `t(u)`
+/// is below `2^32`; and both callers pass delays below `2^63` (the
+/// recurrence bound's are `u32`, the critical cycle's non-negative
+/// `i64`s). So `den·t(u) < 2^96` and `|num·d(e)| < 2^127`, and their
+/// difference lies strictly inside the `i128` range. Distance sums
+/// still saturate: a path adds up to `n` weights, and saturation keeps
+/// every predecessor edge's `dist(to) ≤ dist(from) + w`, which is all
+/// the cycle argument needs.
 ///
 /// The first probe runs at `λ = −1` (weights `t(u) + d(e)`), just below
 /// every ratio, so a cycle of zero-time ops still yields its ratio-0
@@ -114,6 +122,10 @@ impl RatioCycle {
 /// A zero-delay cycle of zero-time ops has weight 0 at every `λ` and is
 /// never found: callers rule zero-delay cycles out first.
 pub(crate) fn max_ratio_cycle(dfg: &Dfg, delays: &[u64]) -> Option<RatioCycle> {
+    debug_assert!(
+        delays.iter().all(|&d| d < 1 << 63),
+        "delays below 2^63 keep the weights exact"
+    );
     let csr = dfg.csr();
     let (edge_from, edge_to) = (csr.edge_from(), csr.edge_to());
     let times: Vec<u64> = dfg
@@ -131,9 +143,7 @@ pub(crate) fn max_ratio_cycle(dfg: &Dfg, delays: &[u64]) -> Option<RatioCycle> {
             .as_ref()
             .map_or((-1, 1), |c| (i128::from(c.time), i128::from(c.delays)));
         for (e, w) in weights.iter_mut().enumerate() {
-            *w = den
-                .saturating_mul(i128::from(times[edge_from[e] as usize]))
-                .saturating_sub(num.saturating_mul(i128::from(delays[e])));
+            *w = den * i128::from(times[edge_from[e] as usize]) - num * i128::from(delays[e]);
         }
         dist.fill(0);
         pred.fill(usize::MAX);

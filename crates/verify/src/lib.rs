@@ -44,6 +44,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod analysis;
 pub mod bound;
