@@ -120,7 +120,11 @@ impl Retiming {
         self.values.is_empty()
     }
 
-    /// The retimed delay `d_r(e) = d(e) + r(u) − r(v)`.
+    /// The retimed delay `d_r(e) = d(e) + r(u) − r(v)`, saturating at the
+    /// `i64` range: `d(e) + r(u)` clamps first, then the subtraction, the
+    /// same rule the verifier's traversal cache applies. Retimings a
+    /// search produces stay far inside the range, where the value is
+    /// exact.
     ///
     /// # Panics
     ///
@@ -129,7 +133,9 @@ impl Retiming {
     #[must_use]
     pub fn retimed_delay(&self, dfg: &Dfg, e: EdgeId) -> i64 {
         let edge = dfg.edge(e);
-        i64::from(edge.delays()) + self.values[edge.from()] - self.values[edge.to()]
+        i64::from(edge.delays())
+            .saturating_add(self.values[edge.from()])
+            .saturating_sub(self.values[edge.to()])
     }
 
     /// Whether every retimed delay is non-negative (legality).
@@ -346,6 +352,28 @@ mod tests {
         }
         assert!(r.is_legal(&g));
         assert_eq!(r.depth(), 1);
+    }
+
+    #[test]
+    fn retimed_delay_saturates_past_the_i64_range() {
+        // The minimal reproducer: `r(a) = i64::MAX`, `r(b) = −1` over
+        // `a → b`. Plain `d + r(a) − r(b)` overflows (a debug build
+        // panicked here); the sum clamps at `i64::MAX` instead, while
+        // the opposite edge stays exact. Past the low end it clamps at
+        // `i64::MIN`.
+        let mut g = Dfg::new("far");
+        let a = g.add_node("a", OpKind::Add, 1);
+        let b = g.add_node("b", OpKind::Add, 1);
+        let ab = g.add_edge(a, b, 0).unwrap();
+        let ba = g.add_edge(b, a, 2).unwrap();
+        let mut r = Retiming::zero(&g);
+        r.set(a, i64::MAX);
+        r.set(b, -1);
+        assert_eq!(r.retimed_delay(&g, ab), i64::MAX);
+        assert_eq!(r.retimed_delay(&g, ba), 1 - i64::MAX);
+        r.set(a, i64::MIN);
+        r.set(b, i64::MAX);
+        assert_eq!(r.retimed_delay(&g, ab), i64::MIN);
     }
 
     #[test]

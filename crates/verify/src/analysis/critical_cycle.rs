@@ -19,17 +19,19 @@ use crate::analysis::report::{AnalysisReport, CriticalCycleSection, RatioU64};
 use crate::analysis::AnalysisContext;
 use crate::bound::max_ratio_cycle;
 use crate::diag::{Code, Diagnostic, Locus};
-use crate::lint::has_zero_delay_cycle;
 use rotsched_dfg::NodeId;
 
 pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
     let csr = ctx.cache.csr();
-    report.acyclic = !ctx.cache.scc().has_cycle(csr);
+    report.acyclic = !ctx.facts.has_cycle();
     // A zero-delay cycle has no finite ratio and excludes every kernel
     // length (E001 territory). The search meets one only if its ops
     // take time, so rule them all out up front: a zero-time one would
     // otherwise hide behind a finite ratio.
-    if report.acyclic || ctx.cache.has_negative_retimed_delay() || has_zero_delay_cycle(ctx.dfg) {
+    if report.acyclic
+        || ctx.cache.has_negative_retimed_delay()
+        || ctx.facts.zero_delay().is_cyclic()
+    {
         return;
     }
     // Every retimed delay is non-negative here (checked above).
@@ -89,7 +91,7 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{analyze, TraversalCache};
+    use crate::analysis::analyze;
     use crate::spec::ResourceSpec;
     use rotsched_dfg::{analysis, Dfg, OpKind};
 
@@ -231,8 +233,6 @@ mod tests {
         let b = g.add_node("b", OpKind::Add, 1);
         g.add_edge(a, b, 0).unwrap();
         g.add_edge(b, a, 0).unwrap();
-        let cache = TraversalCache::build(&g, None);
-        assert!(cache.scc().has_cycle(cache.csr()));
         let report = analyze(&g, &spec(), None);
         assert!(report.critical_cycle.is_none(), "no finite ratio exists");
         assert!(!report.acyclic);

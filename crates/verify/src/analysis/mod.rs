@@ -2,7 +2,7 @@
 //! traversal cache, producing an [`AnalysisReport`] with stable `A0xx`
 //! finding codes and byte-stable JSON.
 //!
-//! Where [`lint`] answers "is this input sane?",
+//! Where [`lint`](crate::lint::lint) answers "is this input sane?",
 //! the analysis passes answer "*where* is this instance tight?" — the
 //! facts the rotation heuristic (and the future adaptive-search layer)
 //! needs to focus further search:
@@ -32,13 +32,13 @@ pub mod pressure;
 pub mod report;
 pub mod saturation;
 
-use rotsched_dfg::analysis::{strongly_connected_components_csr, SccDecomposition};
 use rotsched_dfg::{CsrGraph, Dfg, Retiming};
 
 use crate::certify::StartTimes;
 use crate::diag::{sort_canonical, Code};
-use crate::lint::{lint, LintContext, LintOptions};
+use crate::lint::{lint_with, LintContext, LintOptions, PASSES};
 use crate::spec::ResourceSpec;
+use crate::sweep::GraphFacts;
 
 pub use report::{
     AnalysisReport, CandidateDelta, ChainSection, ClassProfile, CriticalCycleSection,
@@ -59,15 +59,16 @@ pub struct ScheduleView<'a> {
 }
 
 /// Traversals shared by the passes, built once per [`analyze`] call:
-/// the SoA CSR view, per-edge retimed delays, and the strongly
-/// connected components. Passes read, never rebuild.
+/// the SoA CSR view and per-edge retimed delays. Passes read, never
+/// rebuild. (Whether the graph has a cycle at all, the one fact an SCC
+/// decomposition would add, is a single Kahn sweep that the call runs
+/// on first use and shares with its lint.)
 #[derive(Debug)]
 pub struct TraversalCache<'a> {
     csr: &'a CsrGraph,
     /// `d_r(e) = d(e) + r(u) − r(v)` per edge, by `EdgeId` index; the
     /// plain delays when no (usable) retiming is given.
     retimed: Vec<i64>,
-    scc: SccDecomposition,
 }
 
 impl<'a> TraversalCache<'a> {
@@ -94,11 +95,7 @@ impl<'a> TraversalCache<'a> {
                 None => d,
             });
         }
-        TraversalCache {
-            csr,
-            retimed,
-            scc: strongly_connected_components_csr(csr),
-        }
+        TraversalCache { csr, retimed }
     }
 
     /// The SoA CSR view of the analyzed graph.
@@ -119,12 +116,6 @@ impl<'a> TraversalCache<'a> {
     pub fn has_negative_retimed_delay(&self) -> bool {
         self.retimed.iter().any(|&d| d < 0)
     }
-
-    /// The strongly connected components of the full graph.
-    #[must_use]
-    pub fn scc(&self) -> &SccDecomposition {
-        &self.scc
-    }
 }
 
 /// Everything an analysis pass may read.
@@ -143,6 +134,9 @@ pub struct AnalysisContext<'a> {
     /// equal by construction — the property suite proves it), other
     /// passes fall back to [`crate::bound::recurrence_bound`].
     recurrence: std::cell::OnceCell<Option<u32>>,
+    /// The unretimed graph's sweeps, each run at most once per analysis
+    /// and shared with the closing lint.
+    pub(crate) facts: GraphFacts<'a>,
 }
 
 impl AnalysisContext<'_> {
@@ -153,7 +147,7 @@ impl AnalysisContext<'_> {
     pub fn recurrence_bound(&self) -> Option<u32> {
         *self
             .recurrence
-            .get_or_init(|| crate::bound::recurrence_bound(self.dfg))
+            .get_or_init(|| crate::bound::recurrence_bound_after(self.dfg, self.facts.zero_delay()))
     }
 
     /// Seeds the shared recurrence bound (first writer wins). The
@@ -234,6 +228,7 @@ pub fn analyze_in_order(
         schedule: schedule.copied(),
         cache: &cache,
         recurrence: std::cell::OnceCell::new(),
+        facts: GraphFacts::new(dfg),
     };
     let mut report = AnalysisReport::new(dfg);
     for &i in order {
@@ -241,9 +236,10 @@ pub fn analyze_in_order(
             (pass.run)(&ctx, &mut report);
         }
     }
-    // Lint last, so the engine can reuse whatever recurrence bound the
-    // passes already computed (a hint is a cache fill — the lints are
-    // byte-identical with or without it, whatever the pass order).
+    // Lint last, so the engine can reuse whatever recurrence bound and
+    // sweeps the passes already computed (both are cache fills — the
+    // lints are byte-identical with or without them, whatever the pass
+    // order).
     let options = LintOptions::default();
     let lint_ctx = LintContext {
         spec: Some(spec),
@@ -251,7 +247,8 @@ pub fn analyze_in_order(
         options: &options,
         recurrence_hint: ctx.recurrence.get().copied(),
     };
-    report.lints = lint(dfg, &lint_ctx);
+    let all: Vec<usize> = (0..PASSES.len()).collect();
+    report.lints = lint_with(dfg, &lint_ctx, &all, &ctx.facts);
     sort_canonical(&mut report.findings);
     report
 }

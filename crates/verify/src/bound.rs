@@ -14,11 +14,17 @@
 //!
 //! `max_ratio_cycle` is the verifier's one cycle-ratio search: the
 //! recurrence bound, the forcing test behind it, and the analysis'
-//! critical cycle all read its answer.
+//! critical cycle all read its answer. Its probes run in machine
+//! words: `i64` whenever a range check on the graph's size and largest
+//! time and delay proves that no probe value can leave `i64` (every
+//! graph short of near-`u32::MAX` weights), the same routine at `i128`
+//! otherwise.
+
+use std::ops::{Mul, Sub};
 
 use rotsched_dfg::Dfg;
 
-use crate::lint::has_zero_delay_cycle;
+use crate::sweep::Sweep;
 
 /// Whether some cycle proves every legal kernel is at least `min_length`
 /// steps long — i.e. there is a cycle with `T(C) > (min_length − 1)·D(C)`.
@@ -44,7 +50,13 @@ pub fn recurrence_forces(dfg: &Dfg, min_length: u32) -> bool {
 /// On a graph without cycles this is 1.
 #[must_use]
 pub fn recurrence_bound(dfg: &Dfg) -> Option<u32> {
-    if has_zero_delay_cycle(dfg) {
+    recurrence_bound_after(dfg, &Sweep::zero_delay(dfg))
+}
+
+/// [`recurrence_bound`] given the graph's zero-delay sweep, for callers
+/// that already ran it.
+pub(crate) fn recurrence_bound_after(dfg: &Dfg, zero_delay: &Sweep) -> Option<u32> {
+    if zero_delay.is_cyclic() {
         return None;
     }
     let delays: Vec<u64> = dfg
@@ -61,7 +73,7 @@ pub fn recurrence_bound(dfg: &Dfg) -> Option<u32> {
 }
 
 /// A cycle of maximum ratio `T(C)/D(C)`.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct RatioCycle {
     /// Edge indices (`EdgeId` order) in traversal order, starting with
     /// the edge that leaves the cycle's smallest node index.
@@ -85,6 +97,69 @@ impl RatioCycle {
     }
 }
 
+/// The signed word a cycle-ratio probe computes in.
+pub(crate) trait Word: Copy + Ord + Mul<Output = Self> + Sub<Output = Self> {
+    /// Zero, where every distance starts.
+    const ZERO: Self;
+    /// `x` as a word, exactly for every value a probe passes: any `u64`
+    /// in `i128`, and below `2^63` in `i64` (see [`fits_i64`]).
+    fn of(x: u64) -> Self;
+    /// `dist + w`: a relaxation candidate.
+    fn extend(self, w: Self) -> Self;
+}
+
+impl Word for i64 {
+    const ZERO: Self = 0;
+    fn of(x: u64) -> Self {
+        i64::try_from(x).unwrap_or(i64::MAX)
+    }
+    /// Plain addition: [`fits_i64`] proves the sum exact, and a build
+    /// with overflow checks would trap a flaw in that proof.
+    fn extend(self, w: Self) -> Self {
+        self + w
+    }
+}
+
+impl Word for i128 {
+    const ZERO: Self = 0;
+    fn of(x: u64) -> Self {
+        i128::from(x)
+    }
+    /// Saturating: a path adds up to `n·|E|` weights of up to `2^127`,
+    /// and saturation still keeps every predecessor edge's
+    /// `dist(to) ≤ dist(from) + w`, which is all the cycle argument
+    /// needs.
+    fn extend(self, w: Self) -> Self {
+        self.saturating_add(w)
+    }
+}
+
+/// Whether a probe over `n` nodes and `m` edges with times up to
+/// `max_t` and delays up to `max_d` keeps every value inside `i64`.
+///
+/// A probe's `λ = num/den` is the ratio of a cycle the predecessor
+/// graph closed, or `−1/1` at the start. Such a cycle is simple, so
+/// `den = D(C) ≤ n·max_d` and `num = T(C) ≤ n·max_t`. Both products
+/// `den·t(u)` and `num·d(e)` then lie in `[0, n·max_t·max_d]`, and so
+/// does the magnitude of their difference, the weight; the `−1/1`
+/// probe's weights are `t(u) + d(e)`. So every product and weight lies
+/// within `W = max(max_t + max_d, n·max_t·max_d)` of zero. Distances
+/// start at 0 and never fall, and each relaxation candidate adds one
+/// weight to a distance, so after `k` edge scans every distance and
+/// candidate lies in `[−W, k·W]`. A probe scans at most `n` rounds of
+/// `m` edges, so `n·m·W ≤ i64::MAX` bounds every value it computes.
+fn fits_i64(n: usize, m: usize, max_t: u64, max_d: u64) -> bool {
+    let (n, m, t, d) = (n as u128, m as u128, u128::from(max_t), u128::from(max_d));
+    let weight = n
+        .checked_mul(t)
+        .and_then(|nt| nt.checked_mul(d))
+        .map(|ntd| ntd.max(t + d));
+    weight
+        .and_then(|w| w.checked_mul(n))
+        .and_then(|w| w.checked_mul(m))
+        .is_some_and(|bound| bound <= i64::MAX as u128)
+}
+
 /// The cycle of maximum ratio `T(C)/D(C)` under the per-edge `delays`
 /// (indexed by `EdgeId`), or `None` when the graph has no cycle.
 ///
@@ -104,15 +179,18 @@ impl RatioCycle {
 /// walk back from a node improved in round `n` passes `n + 1` nodes and
 /// must repeat one.
 ///
-/// The weights are exact `i128`s: `den` and `num` are a cycle's `u64`
-/// sums (or `1` and `−1`), so both are below `2^64` in magnitude; `t(u)`
-/// is below `2^32`; and both callers pass delays below `2^63` (the
-/// recurrence bound's are `u32`, the critical cycle's non-negative
-/// `i64`s). So `den·t(u) < 2^96` and `|num·d(e)| < 2^127`, and their
-/// difference lies strictly inside the `i128` range. Distance sums
-/// still saturate: a path adds up to `n` weights, and saturation keeps
-/// every predecessor edge's `dist(to) ≤ dist(from) + w`, which is all
-/// the cycle argument needs.
+/// The probes scan one packed arc array `(from, to, t(from), d)` and
+/// compute each weight inline. They run in `i64` when [`fits_i64`]
+/// proves every weight, distance and candidate fits, which holds for
+/// any graph short of near-`u32::MAX` weights; otherwise in `i128`.
+/// Both words run the same code and, inside the range check, return
+/// the same cycle. The `i128` weights are exact: `den` and `num` are
+/// a cycle's `u64` sums (or `1` and `−1`), so both are below `2^64` in
+/// magnitude; `t(u)` is below `2^32`; and both callers pass delays
+/// below `2^63` (the recurrence bound's are `u32`, the critical
+/// cycle's non-negative `i64`s). So `den·t(u) < 2^96` and `|num·d(e)| <
+/// 2^127`, and their difference lies strictly inside the `i128` range;
+/// distance sums saturate there ([`Word::extend`]).
 ///
 /// The first probe runs at `λ = −1` (weights `t(u) + d(e)`), just below
 /// every ratio, so a cycle of zero-time ops still yields its ratio-0
@@ -126,33 +204,58 @@ pub(crate) fn max_ratio_cycle(dfg: &Dfg, delays: &[u64]) -> Option<RatioCycle> {
         delays.iter().all(|&d| d < 1 << 63),
         "delays below 2^63 keep the weights exact"
     );
+    let max_t = dfg.nodes().map(|(_, node)| node.time()).max().unwrap_or(0);
+    let max_d = delays.iter().copied().max().unwrap_or(0);
+    if fits_i64(dfg.node_count(), delays.len(), max_t.into(), max_d) {
+        max_ratio_cycle_in::<i64>(dfg, delays)
+    } else {
+        max_ratio_cycle_in::<i128>(dfg, delays)
+    }
+}
+
+/// One edge as a probe reads it.
+#[derive(Clone, Copy)]
+struct ProbeArc<W> {
+    from: u32,
+    to: u32,
+    /// `t(from)`.
+    time: W,
+    delays: W,
+}
+
+/// [`max_ratio_cycle`] in the word `W`.
+pub(crate) fn max_ratio_cycle_in<W: Word>(dfg: &Dfg, delays: &[u64]) -> Option<RatioCycle> {
     let csr = dfg.csr();
-    let (edge_from, edge_to) = (csr.edge_from(), csr.edge_to());
     let times: Vec<u64> = dfg
         .nodes()
         .map(|(_, node)| u64::from(node.time()))
         .collect();
+    let arcs: Vec<ProbeArc<W>> = (csr.edge_from().iter().zip(csr.edge_to()))
+        .zip(delays)
+        .map(|((&from, &to), &d)| ProbeArc {
+            from,
+            to,
+            time: W::of(times[from as usize]),
+            delays: W::of(d),
+        })
+        .collect();
     let n = times.len();
-    let mut weights = vec![0_i128; delays.len()];
-    let mut dist = vec![0_i128; n];
+    let mut dist = vec![W::ZERO; n];
     let mut pred = vec![usize::MAX; n];
     let mut walk_of = vec![0; n];
     let mut best: Option<RatioCycle> = None;
     loop {
-        let (num, den) = best
-            .as_ref()
-            .map_or((-1, 1), |c| (i128::from(c.time), i128::from(c.delays)));
-        for (e, w) in weights.iter_mut().enumerate() {
-            *w = den * i128::from(times[edge_from[e] as usize]) - num * i128::from(delays[e]);
-        }
-        dist.fill(0);
+        let (num, den) = best.as_ref().map_or((W::ZERO - W::of(1), W::of(1)), |c| {
+            (W::of(c.time), W::of(c.delays))
+        });
+        dist.fill(W::ZERO);
         pred.fill(usize::MAX);
         let mut improved = false;
         for _round in 0..n {
             let mut relaxed = false;
-            for (e, &w) in weights.iter().enumerate() {
-                let (u, v) = (edge_from[e] as usize, edge_to[e] as usize);
-                let candidate = dist[u].saturating_add(w);
+            for (e, arc) in arcs.iter().enumerate() {
+                let (u, v) = (arc.from as usize, arc.to as usize);
+                let candidate = dist[u].extend(den * arc.time - num * arc.delays);
                 if candidate > dist[v] {
                     dist[v] = candidate;
                     pred[v] = e;
@@ -162,24 +265,24 @@ pub(crate) fn max_ratio_cycle(dfg: &Dfg, delays: &[u64]) -> Option<RatioCycle> {
             if !relaxed {
                 break;
             }
-            let pred = &pred;
+            let (pred, arcs) = (&pred, arcs.as_slice());
             pred_graph_cycles(
                 &mut walk_of,
-                |v| (pred[v] != usize::MAX).then(|| edge_from[pred[v]] as usize),
+                |v| (pred[v] != usize::MAX).then(|| arcs[pred[v]].from as usize),
                 |anchor| {
                     // The cycle's edges, walked backwards from `anchor`.
                     let back = || {
                         let mut v = Some(anchor);
                         std::iter::from_fn(move || {
                             let e = pred[v?];
-                            let u = edge_from[e] as usize;
+                            let u = arcs[e].from as usize;
                             v = (u != anchor).then_some(u);
                             Some(e)
                         })
                     };
                     let (time, total) = back().fold((0_u64, 0_u64), |(t, d), e| {
                         (
-                            t.saturating_add(times[edge_from[e] as usize]),
+                            t.saturating_add(times[arcs[e].from as usize]),
                             d.saturating_add(delays[e]),
                         )
                     });
@@ -187,7 +290,7 @@ pub(crate) fn max_ratio_cycle(dfg: &Dfg, delays: &[u64]) -> Option<RatioCycle> {
                         let mut edges: Vec<usize> = back().collect();
                         edges.reverse();
                         let first = (0..edges.len())
-                            .min_by_key(|&i| edge_from[edges[i]])
+                            .min_by_key(|&i| arcs[edges[i]].from)
                             .unwrap_or(0);
                         edges.rotate_left(first);
                         best = Some(RatioCycle {
@@ -250,6 +353,8 @@ fn pred_graph_cycles(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rotsched_benchmarks::{random_dfg, RandomDfgConfig};
+    use rotsched_dfg::rng::{Fnv64, SplitMix64};
     use rotsched_dfg::OpKind;
 
     /// A recurrence of total time 3 through one delay: bound 3.
@@ -333,6 +438,135 @@ mod tests {
         assert_eq!(recurrence_bound(&g), None);
         // The probe itself stays exact at any representable threshold.
         assert!(recurrence_forces(&g, u32::MAX));
+    }
+
+    /// A seeded graph of 1–8 nodes with zero-time ops, self-loops and
+    /// parallel edges, plus per-edge delays drawn apart from the graph's
+    /// own (the critical-cycle pass searches under retimed delays), zero
+    /// included. Times and delays reach `2^20`, well inside the range
+    /// check.
+    fn small_case(seed: u64) -> (Dfg, Vec<u64>) {
+        let mut rng = SplitMix64::new(seed);
+        let weight = |rng: &mut SplitMix64| match rng.range_u32(0, 9) {
+            0 | 1 => 0,
+            9 => 1 << 20,
+            _ => rng.range_u32(1, 4),
+        };
+        let n = rng.range_u32(1, 8) as usize;
+        let mut g = Dfg::new("small");
+        let ids: Vec<_> = (0..n)
+            .map(|i| g.add_node(format!("v{i}"), OpKind::Add, weight(&mut rng)))
+            .collect();
+        let mut delays = Vec::new();
+        for _ in 0..rng.range_u32(0, 3 * n as u32) {
+            let (from, to) = (ids[rng.index(n)], ids[rng.index(n)]);
+            g.add_edge(from, to, 1).expect("endpoints exist");
+            delays.push(u64::from(weight(&mut rng)));
+        }
+        (g, delays)
+    }
+
+    /// A graph shaped like the `analyze-256` workload's: 80 to 256
+    /// nodes at the per-node degree of a 64-node random graph, searched
+    /// under its own delays.
+    fn large_case(seed: u64) -> (Dfg, Vec<u64>) {
+        let nodes = 80 + 16 * (seed as usize % 12);
+        let defaults = RandomDfgConfig::default();
+        let scale = 64.0 / nodes as f64;
+        let g = random_dfg(
+            &RandomDfgConfig {
+                nodes,
+                forward_density: defaults.forward_density * scale,
+                feedback_density: defaults.feedback_density * scale,
+                ..defaults
+            },
+            seed,
+        );
+        let delays = g.edges().map(|(_, e)| u64::from(e.delays())).collect();
+        (g, delays)
+    }
+
+    /// Runs both words over `cases`, requiring identical answers inside
+    /// the range check, and digests every witness: edges, `T(C)` and
+    /// `D(C)`.
+    fn both_words(cases: impl Iterator<Item = (Dfg, Vec<u64>)>) -> u64 {
+        let mut digest = Fnv64::new();
+        for (i, (g, delays)) in cases.enumerate() {
+            let max_t = g.nodes().map(|(_, v)| v.time()).max().unwrap_or(0);
+            let max_d = delays.iter().copied().max().unwrap_or(0);
+            assert!(fits_i64(g.node_count(), delays.len(), max_t.into(), max_d));
+            let narrow = max_ratio_cycle_in::<i64>(&g, &delays);
+            let wide = max_ratio_cycle_in::<i128>(&g, &delays);
+            assert_eq!(narrow, wide, "case {i}");
+            assert_eq!(max_ratio_cycle(&g, &delays), narrow, "case {i}");
+            digest.write_u64(i as u64);
+            if let Some(c) = narrow {
+                c.edges.iter().for_each(|&e| digest.write_u64(e as u64));
+                digest.write_u64(c.time);
+                digest.write_u64(c.delays);
+            }
+        }
+        digest.finish()
+    }
+
+    // The digests pin the probe trajectory (relaxation order, the strict
+    // `>`, the predecessor walk and its tie rule): tied cycles abound in
+    // these graphs, and the witness among them is part of every report.
+    #[test]
+    fn word_widths_agree_on_small_degenerate_graphs() {
+        assert_eq!(both_words((0..2000).map(small_case)), SMALL_DIGEST);
+    }
+
+    #[test]
+    fn word_widths_agree_on_analyze_256_shaped_graphs() {
+        assert_eq!(both_words((0..12).map(large_case)), LARGE_DIGEST);
+    }
+
+    /// The witnesses of the `i128`-only search these probes replaced,
+    /// recorded on that search.
+    const SMALL_DIGEST: u64 = 0xc72b_f65a_ea7a_7e1f;
+    const LARGE_DIGEST: u64 = 0x1227_1a50_31f3_f412;
+
+    #[test]
+    fn range_check_is_exact_at_its_boundary() {
+        // `n·m·max(t + d, n·t·d)` against `i64::MAX = 7²·73·p`, where
+        // `p = 127·337·92737·649657`.
+        let p = 127 * 337 * 92_737 * 649_657_u64;
+        // The product term at the bound: `t·d = i64::MAX / 49`.
+        assert!(fits_i64(1, 49, 73, p));
+        assert!(!fits_i64(1, 49, 73, p + 1));
+        assert!(!fits_i64(1, 50, 73, p));
+        assert!(!fits_i64(2, 49, 73, p));
+        // The sum term, with zero-time ops: `n·m·d`.
+        assert!(fits_i64(7, 7, 0, 73 * p));
+        assert!(!fits_i64(7, 7, 0, 73 * p + 1));
+        assert!(!fits_i64(7, 8, 0, 73 * p));
+        assert!(!fits_i64(8, 7, 0, 73 * p));
+        // Products past `u128` do not wrap into range.
+        assert!(!fits_i64(usize::MAX, usize::MAX, u64::MAX, u64::MAX));
+        assert!(fits_i64(0, 0, u64::MAX, u64::MAX));
+    }
+
+    #[test]
+    fn one_input_on_each_side_of_the_range_check() {
+        // A self-loop of one time unit through `D` delays: the first
+        // probe's weight `t + d = D + 1` is the largest value either word
+        // meets. `D = i64::MAX − 1` runs in `i64` at exactly `i64::MAX`,
+        // one more delay runs in `i128`; both find the loop.
+        let mut g = Dfg::new("loop");
+        let a = g.add_node("a", OpKind::Add, 1);
+        g.add_edge(a, a, 1).unwrap();
+        for (delays, narrow) in [
+            (i64::MAX.unsigned_abs() - 1, true),
+            (i64::MAX.unsigned_abs(), false),
+        ] {
+            assert_eq!(fits_i64(1, 1, 1, delays), narrow);
+            let cycle = max_ratio_cycle(&g, &[delays]).expect("a self-loop");
+            assert_eq!(
+                (cycle.edges, cycle.time, cycle.delays),
+                (vec![0], 1, delays)
+            );
+        }
     }
 
     #[test]

@@ -316,8 +316,13 @@ pub fn certify(
     Ok(Certificate {
         graph_fingerprint: dfg.structure_fingerprint(),
         kernel_length,
+        // `1 + max r − min r`, clamped to `u32::MAX` for a retiming
+        // spread past the `u32` range (which no search produces).
         depth: match retiming {
-            Some(r) if !r.is_empty() => r.depth(),
+            Some(r) if !r.is_empty() => {
+                let spread = i128::from(r.max_value()) - i128::from(r.min_value());
+                u32::try_from(spread + 1).unwrap_or(u32::MAX)
+            }
             _ => 1,
         },
         wrapped_nodes: wrapped,
@@ -370,14 +375,15 @@ fn check_claim_consistency(
 ) {
     if let Some(claimed) = claim.registers {
         // Re-derive from first principles: one register per retimed
-        // delay, Σ_e max(d_r(e), 0) — the verifier's own pressure rule.
+        // delay, Σ_e max(d_r(e), 0) — the verifier's own pressure rule,
+        // saturating at `u64::MAX` like it.
         let derived: u64 = dfg
             .edges()
             .map(|(id, edge)| match retiming {
                 Some(r) => u64::try_from(r.retimed_delay(dfg, id).max(0)).unwrap_or(0),
                 None => u64::from(edge.delays()),
             })
-            .sum();
+            .fold(0, u64::saturating_add);
         if derived != claimed {
             bad.push(Diagnostic::new(
                 Code::ScoreClaimMismatch,

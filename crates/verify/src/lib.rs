@@ -54,6 +54,7 @@ mod fold;
 pub mod lint;
 pub mod pipeline;
 pub mod spec;
+mod sweep;
 
 pub use analysis::{
     analyze, analyze_in_order, AnalysisContext, AnalysisPass, AnalysisReport, ScheduleView,

@@ -9,9 +9,10 @@
 
 use rotsched_dfg::{Dfg, NodeId, OpKind, Retiming};
 
-use crate::bound::{recurrence_bound, recurrence_forces};
+use crate::bound::{recurrence_bound_after, recurrence_forces};
 use crate::diag::{sort_canonical, Code, Diagnostic, Locus};
 use crate::spec::ResourceSpec;
+use crate::sweep::{GraphFacts, Sweep};
 
 /// Values at or above this trip the `E003` overflow lint: schedule
 /// arithmetic on `u32` steps stays exact below `2³⁰` even across the
@@ -46,8 +47,8 @@ pub struct LintContext<'a> {
     /// A precomputed recurrence bound, when the caller already ran the
     /// computation (the analysis framework shares one across passes).
     /// `None` means "compute it here"; the inner `Option` carries
-    /// [`recurrence_bound`]'s own verdict. A hint must equal what
-    /// [`recurrence_bound`] would return — it is a cache, not a knob.
+    /// [`recurrence_bound`](crate::recurrence_bound)'s own verdict. A
+    /// hint must equal what it would return — it is a cache, not a knob.
     pub recurrence_hint: Option<Option<u32>>,
 }
 
@@ -70,7 +71,7 @@ pub struct LintPass {
     pub name: &'static str,
     /// The diagnostic codes this pass can emit.
     pub codes: &'static [Code],
-    run: fn(&Dfg, &LintContext<'_>, &mut Vec<Diagnostic>),
+    run: fn(&Dfg, &LintContext<'_>, &GraphFacts<'_>, &mut Vec<Diagnostic>),
 }
 
 /// The pass registry, in execution order.
@@ -131,10 +132,22 @@ pub fn lint(dfg: &Dfg, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
 /// exists so the determinism suite can prove that.
 #[must_use]
 pub fn lint_in_order(dfg: &Dfg, ctx: &LintContext<'_>, order: &[usize]) -> Vec<Diagnostic> {
+    lint_with(dfg, ctx, order, &GraphFacts::new(dfg))
+}
+
+/// [`lint_in_order`] over `facts` the caller may already have filled
+/// (the analysis framework shares its sweeps). Like the recurrence
+/// hint, the facts are a cache: the findings never depend on them.
+pub(crate) fn lint_with(
+    dfg: &Dfg,
+    ctx: &LintContext<'_>,
+    order: &[usize],
+    facts: &GraphFacts<'_>,
+) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for &i in order {
         if let Some(pass) = PASSES.get(i) {
-            (pass.run)(dfg, ctx, &mut diags);
+            (pass.run)(dfg, ctx, facts, &mut diags);
         }
     }
     sort_canonical(&mut diags);
@@ -149,7 +162,12 @@ pub fn has_errors(diags: &[Diagnostic]) -> bool {
         .any(|d| d.severity() == crate::diag::Severity::Error)
 }
 
-fn pass_node_times(dfg: &Dfg, _ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+fn pass_node_times(
+    dfg: &Dfg,
+    _ctx: &LintContext<'_>,
+    _facts: &GraphFacts<'_>,
+    out: &mut Vec<Diagnostic>,
+) {
     for (v, node) in dfg.nodes() {
         if node.time() == 0 {
             out.push(
@@ -173,7 +191,12 @@ fn pass_node_times(dfg: &Dfg, _ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>)
     }
 }
 
-fn pass_edge_delays(dfg: &Dfg, _ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+fn pass_edge_delays(
+    dfg: &Dfg,
+    _ctx: &LintContext<'_>,
+    _facts: &GraphFacts<'_>,
+    out: &mut Vec<Diagnostic>,
+) {
     for (_, edge) in dfg.edges() {
         if edge.delays() >= OVERFLOW_LIMIT {
             out.push(Diagnostic::new(
@@ -191,58 +214,22 @@ fn pass_edge_delays(dfg: &Dfg, _ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>
     }
 }
 
-/// Whether some cycle carries no delay at all (lint `E001`): such a
-/// graph has no legal kernel of any length.
-pub(crate) fn has_zero_delay_cycle(dfg: &Dfg) -> bool {
-    !kahn_zero_delay(dfg, true).iter().all(|&done| done)
-}
-
-/// Kahn's algorithm over the zero-delay subgraph in the given direction;
-/// returns which nodes were ordered (the rest lie on or behind a cycle).
-fn kahn_zero_delay(dfg: &Dfg, forward: bool) -> Vec<bool> {
-    let n = dfg.node_count();
-    let mut degree = vec![0_usize; n];
-    for (_, edge) in dfg.edges() {
-        if edge.is_zero_delay() {
-            let sink = if forward { edge.to() } else { edge.from() };
-            degree[sink.index()] += 1;
-        }
-    }
-    let mut queue: Vec<usize> = (0..n).filter(|&i| degree[i] == 0).collect();
-    let mut ordered = vec![false; n];
-    while let Some(i) = queue.pop() {
-        ordered[i] = true;
-        let v = NodeId::from_index(i);
-        let edges = if forward {
-            dfg.out_edges(v)
-        } else {
-            dfg.in_edges(v)
-        };
-        for &e in edges {
-            let edge = dfg.edge(e);
-            if edge.is_zero_delay() {
-                let next = if forward { edge.to() } else { edge.from() };
-                degree[next.index()] -= 1;
-                if degree[next.index()] == 0 {
-                    queue.push(next.index());
-                }
-            }
-        }
-    }
-    ordered
-}
-
-fn pass_zero_delay_cycles(dfg: &Dfg, _ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-    let fwd = kahn_zero_delay(dfg, true);
-    if fwd.iter().all(|&done| done) {
+fn pass_zero_delay_cycles(
+    dfg: &Dfg,
+    _ctx: &LintContext<'_>,
+    facts: &GraphFacts<'_>,
+    out: &mut Vec<Diagnostic>,
+) {
+    let fwd = facts.zero_delay();
+    if !fwd.is_cyclic() {
         return;
     }
     // A node lies on a zero-delay cycle iff it is stuck in both
     // directions (forward leftovers include cycle *descendants*,
     // backward leftovers cycle *ancestors*).
-    let bwd = kahn_zero_delay(dfg, false);
+    let bwd = Sweep::run(dfg, false, true);
     let cyclic: Vec<NodeId> = (0..dfg.node_count())
-        .filter(|&i| !fwd[i] && !bwd[i])
+        .filter(|&i| !fwd.ordered[i] && !bwd.ordered[i])
         .map(NodeId::from_index)
         .collect();
     let witness = cyclic.first().copied().unwrap_or(NodeId::from_index(0));
@@ -259,7 +246,12 @@ fn pass_zero_delay_cycles(dfg: &Dfg, _ctx: &LintContext<'_>, out: &mut Vec<Diagn
     );
 }
 
-fn pass_connectivity(dfg: &Dfg, _ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+fn pass_connectivity(
+    dfg: &Dfg,
+    _ctx: &LintContext<'_>,
+    _facts: &GraphFacts<'_>,
+    out: &mut Vec<Diagnostic>,
+) {
     for v in dfg.node_ids() {
         let (ins, outs) = (dfg.in_edges(v).len(), dfg.out_edges(v).len());
         if ins == 0 && outs == 0 {
@@ -281,7 +273,12 @@ fn pass_connectivity(dfg: &Dfg, _ctx: &LintContext<'_>, out: &mut Vec<Diagnostic
     }
 }
 
-fn pass_resource_binding(dfg: &Dfg, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+fn pass_resource_binding(
+    dfg: &Dfg,
+    ctx: &LintContext<'_>,
+    _facts: &GraphFacts<'_>,
+    out: &mut Vec<Diagnostic>,
+) {
     let Some(spec) = ctx.spec else { return };
     // One finding per operation *kind*, at its first offending node.
     for op in OpKind::ALL {
@@ -326,7 +323,12 @@ fn pass_resource_binding(dfg: &Dfg, ctx: &LintContext<'_>, out: &mut Vec<Diagnos
     }
 }
 
-fn pass_retiming(dfg: &Dfg, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+fn pass_retiming(
+    dfg: &Dfg,
+    ctx: &LintContext<'_>,
+    _facts: &GraphFacts<'_>,
+    out: &mut Vec<Diagnostic>,
+) {
     let Some(r) = ctx.retiming else { return };
     if r.len() != dfg.node_count() {
         // A mismatched retiming cannot be evaluated edge-by-edge
@@ -373,44 +375,21 @@ fn pass_retiming(dfg: &Dfg, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-fn pass_chain_depth(dfg: &Dfg, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
-    // Longest zero-delay path in total computation time, via one sweep
-    // over a Kahn order. Skipped when a zero-delay cycle exists (E001
+fn pass_chain_depth(
+    _dfg: &Dfg,
+    ctx: &LintContext<'_>,
+    facts: &GraphFacts<'_>,
+    out: &mut Vec<Diagnostic>,
+) {
+    // The longest zero-delay path in total computation time, from the
+    // zero-delay sweep. Skipped when a zero-delay cycle exists (E001
     // already fired; there is no finite chain depth).
-    let n = dfg.node_count();
-    let mut degree = vec![0_usize; n];
-    for (_, edge) in dfg.edges() {
-        if edge.is_zero_delay() {
-            degree[edge.to().index()] += 1;
-        }
+    let sweep = facts.zero_delay();
+    if sweep.is_cyclic() {
+        return;
     }
-    let mut queue: Vec<usize> = (0..n).filter(|&i| degree[i] == 0).collect();
-    let mut depth: Vec<u64> = (0..n)
-        .map(|i| u64::from(dfg.node(NodeId::from_index(i)).time()))
-        .collect();
-    let mut processed = 0_usize;
-    while let Some(i) = queue.pop() {
-        processed += 1;
-        let v = NodeId::from_index(i);
-        for &e in dfg.out_edges(v) {
-            let edge = dfg.edge(e);
-            if edge.is_zero_delay() {
-                let j = edge.to().index();
-                let candidate = depth[i] + u64::from(dfg.node(edge.to()).time());
-                if candidate > depth[j] {
-                    depth[j] = candidate;
-                }
-                degree[j] -= 1;
-                if degree[j] == 0 {
-                    queue.push(j);
-                }
-            }
-        }
-    }
-    if processed < n {
-        return; // zero-delay cycle: covered by E001
-    }
-    if let Some((i, &d)) = depth
+    if let Some((i, &d)) = sweep
+        .depth
         .iter()
         .enumerate()
         .max_by_key(|&(i, &d)| (d, core::cmp::Reverse(i)))
@@ -431,13 +410,21 @@ fn pass_chain_depth(dfg: &Dfg, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>)
     }
 }
 
-fn pass_iteration_boundary(dfg: &Dfg, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+fn pass_iteration_boundary(
+    dfg: &Dfg,
+    ctx: &LintContext<'_>,
+    facts: &GraphFacts<'_>,
+    out: &mut Vec<Diagnostic>,
+) {
     // Only meaningful on cyclic graphs: on a DAG the recurrence bound is
     // 1 and "crossing the boundary" is the common case, not a hazard.
-    if !has_cycle(dfg) {
+    if !facts.has_cycle() {
         return;
     }
-    let Some(bound) = ctx.recurrence_hint.unwrap_or_else(|| recurrence_bound(dfg)) else {
+    let Some(bound) = ctx
+        .recurrence_hint
+        .unwrap_or_else(|| recurrence_bound_after(dfg, facts.zero_delay()))
+    else {
         return; // zero-delay cycle: covered by E001
     };
     debug_assert!(recurrence_forces(dfg, bound));
@@ -455,31 +442,10 @@ fn pass_iteration_boundary(dfg: &Dfg, ctx: &LintContext<'_>, out: &mut Vec<Diagn
     }
 }
 
-/// Whether the full graph (all edges, delays included) has any cycle.
-fn has_cycle(dfg: &Dfg) -> bool {
-    let n = dfg.node_count();
-    let mut degree = vec![0_usize; n];
-    for (_, edge) in dfg.edges() {
-        degree[edge.to().index()] += 1;
-    }
-    let mut queue: Vec<usize> = (0..n).filter(|&i| degree[i] == 0).collect();
-    let mut processed = 0_usize;
-    while let Some(i) = queue.pop() {
-        processed += 1;
-        for &e in dfg.out_edges(NodeId::from_index(i)) {
-            let j = dfg.edge(e).to().index();
-            degree[j] -= 1;
-            if degree[j] == 0 {
-                queue.push(j);
-            }
-        }
-    }
-    processed < n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rotsched_dfg::rng::SplitMix64;
 
     fn ctx(options: &LintOptions) -> LintContext<'_> {
         LintContext::bare(options)
@@ -704,6 +670,102 @@ mod tests {
             vec![Code::ZeroTimeNode, Code::IsolatedNode, Code::IsolatedNode],
             "both nodes are edge-less; errors sort before warnings"
         );
+    }
+
+    /// A seeded graph of 1–10 nodes with zero-time ops, delayed
+    /// self-loops, and zero-delay edges in any direction (so zero-delay
+    /// cycles), with a retiming (sometimes illegal or unnormalized) and
+    /// a spec that may lack a class.
+    fn seeded_case(seed: u64) -> (Dfg, Retiming, ResourceSpec) {
+        let mut rng = SplitMix64::new(seed);
+        let n = rng.range_u32(1, 10) as usize;
+        let mut g = Dfg::new("seeded");
+        let ids: Vec<NodeId> = (0..n)
+            .map(|i| {
+                let op = if rng.chance(0.3) {
+                    OpKind::Mul
+                } else {
+                    OpKind::Add
+                };
+                g.add_node(format!("v{i}"), op, rng.range_u32(0, 3))
+            })
+            .collect();
+        for _ in 0..rng.range_u32(0, 3 * n as u32) {
+            let (from, to) = (ids[rng.index(n)], ids[rng.index(n)]);
+            let delays = if from == to || rng.chance(0.5) {
+                rng.range_u32(1, 3)
+            } else {
+                0
+            };
+            g.add_edge(from, to, delays).expect("endpoints exist");
+        }
+        let mut r = Retiming::zero(&g);
+        if rng.chance(0.5) {
+            for &v in &ids {
+                r.set(v, i64::from(rng.range_u32(0, 2)));
+            }
+        }
+        let spec =
+            ResourceSpec::adders_multipliers(rng.range_u32(0, 2), rng.range_u32(0, 2), false);
+        (g, r, spec)
+    }
+
+    #[test]
+    fn any_pass_order_and_every_single_pass_reproduce_lint() {
+        let all: Vec<usize> = (0..PASSES.len()).collect();
+        let mut shuffled = all.clone();
+        let mut seen = Vec::new();
+        for seed in 0..500 {
+            let (g, r, spec) = seeded_case(seed);
+            let options = LintOptions {
+                max_chain_depth: seed % 4,
+            };
+            for ctx in [
+                LintContext::bare(&options),
+                LintContext {
+                    spec: Some(&spec),
+                    retiming: Some(&r),
+                    options: &options,
+                    recurrence_hint: None,
+                },
+            ] {
+                let expected = lint(&g, &ctx);
+                seen.extend(expected.iter().map(|d| d.code));
+                // Every pass alone, the findings pooled.
+                let mut pooled: Vec<Diagnostic> = all
+                    .iter()
+                    .flat_map(|&i| lint_in_order(&g, &ctx, &[i]))
+                    .collect();
+                sort_canonical(&mut pooled);
+                assert_eq!(pooled, expected, "seed {seed}: single passes");
+                // Reversed, and three seeded permutations.
+                let reversed: Vec<usize> = all.iter().rev().copied().collect();
+                assert_eq!(lint_in_order(&g, &ctx, &reversed), expected, "seed {seed}");
+                let mut rng = SplitMix64::new(seed);
+                for _ in 0..3 {
+                    for i in (1..shuffled.len()).rev() {
+                        shuffled.swap(i, rng.index(i + 1));
+                    }
+                    assert_eq!(
+                        lint_in_order(&g, &ctx, &shuffled),
+                        expected,
+                        "seed {seed}: order {shuffled:?}"
+                    );
+                }
+            }
+        }
+        // The cases reach both readers of the zero-delay sweep, and the
+        // passes around them.
+        for code in [
+            Code::ZeroDelayCycle,
+            Code::ChainDepthHazard,
+            Code::ZeroTimeNode,
+            Code::BoundaryCrossingOp,
+            Code::IllegalRetiming,
+            Code::EmptyClass,
+        ] {
+            assert!(seen.contains(&code), "{code} never fired");
+        }
     }
 
     #[test]

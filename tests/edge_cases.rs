@@ -117,6 +117,59 @@ fn zero_time_zero_delay_cycle_has_no_recurrence_bound() {
         .any(|d| d.code == rotsched::verify::Code::ZeroDelayCycle));
 }
 
+#[test]
+fn far_retiming_certifies_and_lints_like_the_analysis() {
+    // Checked-in reproducer: `r(a) = i64::MAX`, `r(b) = −1` over `a → b`.
+    // `Retiming::retimed_delay` used to overflow here (a debug build
+    // panicked in certify's precedence and register checks and in lint's
+    // retiming pass), while the analysis' traversal cache saturated.
+    // Every layer now clamps the same sum, so all three agree: the edge
+    // holds `i64::MAX` registers and the retiming is legal.
+    use rotsched::verify::{
+        analyze, certify_claim, lint, Claim, Code, LintContext, LintOptions, ResourceSpec,
+        ScheduleView, StartTimes,
+    };
+    let mut g = Dfg::new("far");
+    let a = g.add_node("a", OpKind::Add, 1);
+    let b = g.add_node("b", OpKind::Add, 1);
+    g.add_edge(a, b, 0).unwrap();
+    let mut r = Retiming::zero(&g);
+    r.set(a, i64::MAX);
+    r.set(b, -1);
+    let spec = ResourceSpec::adders_multipliers(2, 0, false);
+    let starts = StartTimes::from_fn(&g, |_| Some(1));
+    let view = ScheduleView {
+        starts: &starts,
+        retiming: &r,
+        kernel_length: 1,
+    };
+    let report = analyze(&g, &spec, Some(&view));
+    let registers = report.pressure.as_ref().unwrap().static_registers;
+    assert_eq!(registers, i64::MAX.unsigned_abs());
+
+    let claim = Claim {
+        kernel_length: 1,
+        depth: None,
+        optimal: false,
+        registers: Some(registers),
+        code_size: None,
+    };
+    let cert = certify_claim(&g, &spec, Some(&r), &starts, &claim)
+        .expect("certify re-derives the analysis' register count");
+    assert_eq!(cert.depth, u32::MAX, "a spread past u32 clamps");
+
+    let options = LintOptions::default();
+    let ctx = LintContext {
+        spec: Some(&spec),
+        retiming: Some(&r),
+        ..LintContext::bare(&options)
+    };
+    let diags = lint(&g, &ctx);
+    assert!(!diags.iter().any(|d| d.code == Code::IllegalRetiming));
+    assert!(diags.iter().any(|d| d.code == Code::UnnormalizedRetiming));
+    assert_eq!(diags, report.lints);
+}
+
 /// Reads a checked-in reproducer line by line. `text::parse` validates,
 /// and validation rejects zero-time ops, so the graph is rebuilt here:
 /// the analyses must be total on graphs that were never validated.
