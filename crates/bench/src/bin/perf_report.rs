@@ -186,6 +186,13 @@ const ANALYZE_LARGE_NODES: usize = 256;
 /// which keeps the analysis invisible next to the solve it annotates.
 const ANALYZE_LARGE_LIMIT_NS: u64 = 5_000_000;
 
+/// The `certify_then_analyze` reading at the commit before a
+/// certificate handed its cycle-ratio search to the analysis: p50 and
+/// p99 (ns) over the 64-node suite. Medians of 3 runs on a shared
+/// 2-vCPU VM, alternated with 3 runs of the handoff, which read p50
+/// 80,035 ns and p99 118,849 ns.
+const CERTIFY_THEN_ANALYZE_BEFORE: (u64, u64) = (106_655, 237_883);
+
 /// Seed of the e2e `analyze-256` workload's graph pool, whose twelve
 /// graphs the `bounds` arm times.
 const ANALYZE256_POOL_SEED: u64 = 0xA7A1_0256;
@@ -1245,6 +1252,8 @@ struct AnalyzeArmReport {
     suite: StepPercentiles,
     /// Full-analysis latency on the single large graph.
     large: StepPercentiles,
+    /// Certify-then-analyze latency over the 64-node suite (ungated).
+    certified: StepPercentiles,
     /// Every repetition rendered byte-identical JSON.
     byte_stable: bool,
 }
@@ -1255,7 +1264,14 @@ struct AnalyzeArmReport {
 /// The schedule view comes from the list scheduler's initial schedule,
 /// so the saturation and register-pressure passes run in their
 /// schedule-aware mode (static-only analysis does strictly less work).
-fn analyze_percentiles(nodes: usize, graphs: u64, byte_stable: &mut bool) -> StepPercentiles {
+/// With `certify`, each timed repetition first certifies that schedule,
+/// as `solve --certify --analyze` does.
+fn analyze_percentiles(
+    nodes: usize,
+    graphs: u64,
+    certify: bool,
+    byte_stable: &mut bool,
+) -> StepPercentiles {
     use rotsched_sched::{verify_spec, verify_starts};
     use rotsched_verify::{analyze, ScheduleView};
     let res = ResourceSet::adders_multipliers(2, 2, false);
@@ -1277,6 +1293,16 @@ fn analyze_percentiles(nodes: usize, graphs: u64, byte_stable: &mut bool) -> Ste
         let reference = analyze(&g, &spec, Some(&view)).render_json(&g);
         for _ in 0..ANALYZE_REPS {
             let start = Instant::now();
+            if certify {
+                let cert = rotsched_verify::certify(
+                    &g,
+                    &spec,
+                    Some(view.retiming),
+                    &starts,
+                    view.kernel_length,
+                );
+                std::hint::black_box(cert).expect("the initial schedule certifies");
+            }
             let report = analyze(&g, &spec, Some(&view));
             ns.push(elapsed_ns(start));
             *byte_stable &= report.render_json(&g) == reference;
@@ -1292,11 +1318,23 @@ fn analyze_percentiles(nodes: usize, graphs: u64, byte_stable: &mut bool) -> Ste
 /// sweep fingerprints above would expose if it ever changed.
 fn analyze_arm() -> AnalyzeArmReport {
     let mut byte_stable = true;
-    let suite = analyze_percentiles(ANALYZE_SUITE_NODES, ANALYZE_SUITE_GRAPHS, &mut byte_stable);
-    let large = analyze_percentiles(ANALYZE_LARGE_NODES, 1, &mut byte_stable);
+    let suite = analyze_percentiles(
+        ANALYZE_SUITE_NODES,
+        ANALYZE_SUITE_GRAPHS,
+        false,
+        &mut byte_stable,
+    );
+    let large = analyze_percentiles(ANALYZE_LARGE_NODES, 1, false, &mut byte_stable);
+    let certified = analyze_percentiles(
+        ANALYZE_SUITE_NODES,
+        ANALYZE_SUITE_GRAPHS,
+        true,
+        &mut byte_stable,
+    );
     AnalyzeArmReport {
         suite,
         large,
+        certified,
         byte_stable,
     }
 }
@@ -1724,6 +1762,14 @@ fn gate(r: &Report, baseline: Option<&Baseline>) -> u32 {
         &format!("full analysis ({ANALYZE_SUITE_NODES}-node suite)"),
         &analyze.suite,
     ));
+    let (before_p50, before_p99) = CERTIFY_THEN_ANALYZE_BEFORE;
+    info(&format!(
+        "{} (before: p50 {before_p50} ns, p99 {before_p99} ns)",
+        percentile_line(
+            &format!("certify + full analysis ({ANALYZE_SUITE_NODES}-node suite)"),
+            &analyze.certified,
+        )
+    ));
     gated(
         analyze.large.p50 <= ANALYZE_LARGE_LIMIT_NS,
         &format!(
@@ -2018,6 +2064,18 @@ fn render_json(r: &Report) -> String {
         "    \"large_nodes\": {ANALYZE_LARGE_NODES}, \"large_ns_p50\": {}, \
          \"large_limit_ns\": {ANALYZE_LARGE_LIMIT_NS},\n",
         analyze.large.p50
+    ));
+    s.push_str(&format!(
+        "    \"certify_then_analyze\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \
+         \"samples\": {}}},\n",
+        analyze.certified.p50,
+        analyze.certified.p90,
+        analyze.certified.p99,
+        analyze.certified.samples
+    ));
+    let (before_p50, before_p99) = CERTIFY_THEN_ANALYZE_BEFORE;
+    s.push_str(&format!(
+        "    \"certify_then_analyze_before\": {{\"p50\": {before_p50}, \"p99\": {before_p99}}},\n"
     ));
     s.push_str(&format!("    \"byte_stable\": {}\n", analyze.byte_stable));
     s.push_str("  },\n");

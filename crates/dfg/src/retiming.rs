@@ -120,11 +120,9 @@ impl Retiming {
         self.values.is_empty()
     }
 
-    /// The retimed delay `d_r(e) = d(e) + r(u) − r(v)`, saturating at the
-    /// `i64` range: `d(e) + r(u)` clamps first, then the subtraction, the
-    /// same rule the verifier's traversal cache applies. Retimings a
-    /// search produces stay far inside the range, where the value is
-    /// exact.
+    /// The retimed delay `d_r(e) = d(e) + r(u) − r(v)`, by
+    /// [`Retiming::shift_delay`]: exact wherever it fits `i64`, clamped
+    /// to the range otherwise.
     ///
     /// # Panics
     ///
@@ -133,9 +131,24 @@ impl Retiming {
     #[must_use]
     pub fn retimed_delay(&self, dfg: &Dfg, e: EdgeId) -> i64 {
         let edge = dfg.edge(e);
-        i64::from(edge.delays())
-            .saturating_add(self.values[edge.from()])
-            .saturating_sub(self.values[edge.to()])
+        Retiming::shift_delay(
+            edge.delays(),
+            self.values[edge.from()],
+            self.values[edge.to()],
+        )
+    }
+
+    /// `d + r_from − r_to`: the retimed delay of an edge carrying `d`
+    /// delays from a node retimed by `r_from` to one retimed by `r_to`.
+    /// The sum is exact in `i128` and only the result clamps to the
+    /// `i64` range, so every retimed delay that fits is exact and every
+    /// cycle of in-range delays keeps its sum `Σ_C d_r = Σ_C d`. The one
+    /// rule for every layer that retimes a delay: certify, lint and the
+    /// analysis' traversal cache all call it.
+    #[must_use]
+    pub fn shift_delay(d: u32, r_from: i64, r_to: i64) -> i64 {
+        let exact = i128::from(d) + i128::from(r_from) - i128::from(r_to);
+        i64::try_from(exact).unwrap_or(if exact < 0 { i64::MIN } else { i64::MAX })
     }
 
     /// Whether every retimed delay is non-negative (legality).
@@ -199,6 +212,12 @@ impl Retiming {
     /// Composition `r1 ∘ r2 (v) = r1(v) + r2(v)` — the combined effect of
     /// performing both retimings (the composite of a sequence of rotations
     /// is the composite of the retimings of the rotated sets).
+    ///
+    /// Each sum saturates at the `i64` range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two retimings cover different node counts.
     #[must_use]
     pub fn compose(&self, other: &Retiming) -> Retiming {
         assert_eq!(self.len(), other.len(), "retimings cover different graphs");
@@ -206,7 +225,7 @@ impl Retiming {
             .values
             .values()
             .zip(other.values.values())
-            .map(|(a, b)| a + b)
+            .map(|(a, b)| a.saturating_add(*b))
             .collect();
         Retiming {
             values: NodeMap::from_vec(values),
@@ -249,21 +268,29 @@ impl Retiming {
     }
 
     /// Returns the normalized retiming `r'(v) = r(v) − min_u r(u)`, which
-    /// retimes `G` to the same graph.
+    /// retimes `G` to the same graph. A value whose distance from the
+    /// minimum passes `i64::MAX` saturates there.
     #[must_use]
     pub fn to_normalized(&self) -> Retiming {
         if self.is_empty() {
             return self.clone();
         }
         let min = self.min_value();
-        let values = self.values.values().map(|v| v - min).collect();
+        let values = self
+            .values
+            .values()
+            .map(|v| v.saturating_sub(min))
+            .collect();
         Retiming {
             values: NodeMap::from_vec(values),
         }
     }
 
     /// The depth of the loop pipeline represented by this retiming
-    /// (Property 2): `1 + max_v r(v) − min_v r(v)`.
+    /// (Property 2): `1 + max_v r(v) − min_v r(v)`, computed in `i128`
+    /// and clamped at `u32::MAX` for a spread past the `u32` range — the
+    /// certificate's rule, so a claimed depth and code size re-derive
+    /// exactly on any retiming.
     ///
     /// A retiming with depth `p` produces a pipeline with `p` stages; nodes
     /// with equal `r` belong to the same stage.
@@ -273,23 +300,32 @@ impl Retiming {
     /// Panics on an empty graph.
     #[must_use]
     pub fn depth(&self) -> u32 {
-        u32::try_from(1 + self.max_value() - self.min_value())
-            .expect("depth of a retiming is always positive")
+        let spread = i128::from(self.max_value()) - i128::from(self.min_value());
+        u32::try_from(spread + 1).unwrap_or(u32::MAX)
     }
 
     /// Groups nodes into pipeline stages, **earliest stage first**: the
     /// nodes with the largest `r` form the first stage (they come from the
     /// most future iteration and appear first in the prologue).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the depth `1 + max_v r(v) − min_v r(v)` passes
+    /// `u32::MAX`, the spread [`Retiming::depth`] clamps: one stage per
+    /// level would not fit in memory. A search's retimings stay far
+    /// inside that range.
     #[must_use]
     pub fn stages(&self) -> Vec<Vec<NodeId>> {
         if self.is_empty() {
             return Vec::new();
         }
         let (min, max) = (self.min_value(), self.max_value());
-        let mut stages = vec![Vec::new(); usize::try_from(max - min + 1).expect("depth fits")];
+        let depth = u32::try_from(i128::from(max) - i128::from(min) + 1)
+            .expect("a retiming's stages are at most u32::MAX deep");
+        let mut stages = vec![Vec::new(); depth as usize];
         for (id, &r) in self.values.iter() {
-            let stage = usize::try_from(max - r).expect("stage index fits");
-            stages[stage].push(id);
+            // `0 ≤ max − r < depth ≤ u32::MAX`.
+            stages[max.abs_diff(r) as usize].push(id);
         }
         stages
     }
@@ -374,6 +410,68 @@ mod tests {
         r.set(a, i64::MIN);
         r.set(b, i64::MAX);
         assert_eq!(r.retimed_delay(&g, ab), i64::MIN);
+    }
+
+    #[test]
+    fn retimed_delay_is_exact_where_the_sum_fits() {
+        // `d + r(u)` passes `i64::MAX` on both edges, but each retimed
+        // delay fits: a clamp before the subtraction read `0` and `5`
+        // here and broke the cycle sum `Σ_C d_r = Σ_C d = 7`.
+        let mut g = Dfg::new("far");
+        let a = g.add_node("a", OpKind::Add, 10);
+        let b = g.add_node("b", OpKind::Add, 10);
+        let ab = g.add_edge(a, b, 6).unwrap();
+        let ba = g.add_edge(b, a, 1).unwrap();
+        let mut r = Retiming::zero(&g);
+        r.set(a, i64::MAX - 5);
+        r.set(b, i64::MAX);
+        assert_eq!(r.retimed_delay(&g, ab), 1);
+        assert_eq!(r.retimed_delay(&g, ba), 6);
+        assert_eq!(Retiming::shift_delay(u32::MAX, i64::MAX, 0), i64::MAX);
+        assert_eq!(Retiming::shift_delay(0, i64::MIN, 1), i64::MIN);
+        assert_eq!(
+            Retiming::shift_delay(u32::MAX, i64::MIN, i64::MIN),
+            0xffff_ffff
+        );
+    }
+
+    /// `r(a) = i64::MAX`, `r(b) = −1`: a spread of `2^63`, past both the
+    /// `i64` and the `u32` range.
+    fn far_spread() -> Retiming {
+        let (g, ids) = diamond();
+        let mut r = Retiming::zero(&g);
+        r.set(ids[0], i64::MAX);
+        r.set(ids[1], -1);
+        r
+    }
+
+    #[test]
+    fn depth_clamps_a_spread_past_u32() {
+        assert_eq!(far_spread().depth(), u32::MAX);
+        let (g, ids) = diamond();
+        let mut r = Retiming::zero(&g);
+        r.set(ids[0], i64::from(u32::MAX) - 2);
+        assert_eq!(r.depth(), u32::MAX - 1, "exact below the clamp");
+        r.set(ids[0], i64::from(u32::MAX));
+        assert_eq!(r.depth(), u32::MAX);
+    }
+
+    #[test]
+    fn normalize_and_compose_saturate() {
+        let r = far_spread();
+        let n = r.to_normalized();
+        assert_eq!(n.as_slice(), &[i64::MAX, 0, 1, 1]);
+        let c = r.compose(&r);
+        assert_eq!(c.as_slice(), &[i64::MAX, -2, 0, 0]);
+        let mut low = far_spread();
+        low.set(NodeId::from_index(1), i64::MIN);
+        assert_eq!(low.compose(&low).of(NodeId::from_index(1)), i64::MIN);
+    }
+
+    #[test]
+    #[should_panic(expected = "a retiming's stages are at most u32::MAX deep")]
+    fn stages_past_u32_depth_panic_with_a_reason() {
+        let _ = far_spread().stages();
     }
 
     #[test]

@@ -13,25 +13,32 @@
 //! The pass works on **retimed** delays; cycle delay sums are
 //! retiming-invariant (`Σ_C d_r = Σ_C d`), so the ratio — and the
 //! iteration bound — agree with the unretimed graph, while the witness
-//! is expressed in the graph the schedule actually sees.
+//! is expressed in the graph the schedule actually sees. A certificate
+//! searches the same retimed delays, so when one just certified this
+//! kernel on this thread the pass takes its answer instead of searching
+//! again (`bound::take_or_search`).
 
 use crate::analysis::report::{AnalysisReport, CriticalCycleSection, RatioU64};
 use crate::analysis::AnalysisContext;
-use crate::bound::max_ratio_cycle;
+use crate::bound::{length_bound, take_or_search};
 use crate::diag::{Code, Diagnostic, Locus};
 use rotsched_dfg::NodeId;
 
 pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
     let csr = ctx.cache.csr();
-    report.acyclic = !ctx.facts.has_cycle();
+    // An illegal retiming leaves no delays to search: whether the graph
+    // has a cycle at all is the full-graph sweep's answer.
+    if ctx.cache.has_negative_retimed_delay() {
+        report.acyclic = !ctx.facts.has_cycle();
+        return;
+    }
     // A zero-delay cycle has no finite ratio and excludes every kernel
     // length (E001 territory). The search meets one only if its ops
     // take time, so rule them all out up front: a zero-time one would
     // otherwise hide behind a finite ratio.
-    if report.acyclic
-        || ctx.cache.has_negative_retimed_delay()
-        || ctx.facts.zero_delay().is_cyclic()
-    {
+    if ctx.facts.zero_delay().is_cyclic() {
+        ctx.facts.set_cyclic(true);
+        report.acyclic = false;
         return;
     }
     // Every retimed delay is non-negative here (checked above).
@@ -41,11 +48,22 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
         .iter()
         .map(|&d| d.unsigned_abs())
         .collect();
-    let Some(cycle) = max_ratio_cycle(ctx.dfg, &delays) else {
-        return; // unreachable for a cyclic graph; stay total
+    let cycle = take_or_search(ctx.dfg, &delays);
+    // With zero-delay cycles ruled out, every cycle weighs
+    // `T(C) + D(C) ≥ 1` at the search's first probe (`λ = −1`), so the
+    // search finds a cycle exactly when the graph has one: its answer
+    // is the cycle bit, and the full-graph sweep never runs. The bound
+    // it states IS the recurrence bound (`Σ_C d_r = Σ_C d`; the property
+    // suite proves the agreement): seed the shared cell so no other pass
+    // re-runs the search.
+    report.acyclic = cycle.is_none();
+    ctx.facts.set_cyclic(cycle.is_some());
+    ctx.seed_recurrence(length_bound(cycle.as_ref()));
+    let Some(cycle) = cycle else {
+        return;
     };
     let Some(ceil) = cycle.ceil() else {
-        return; // saturated retimed delays summed to 0: no finite ratio
+        return; // unreachable without a zero-delay cycle; stay total
     };
 
     let (best_t, best_d) = (cycle.time, cycle.delays);
@@ -58,12 +76,8 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
         .collect();
     // A kernel-length bound is max(1, ⌈ratio⌉): every kernel has at
     // least one step, even when the critical cycle is all zero-time ops
-    // (ratio 0). So stated, it IS the recurrence bound (the property
-    // suite proves the agreement); seed the shared cell so no other
-    // pass re-runs the search. `recurrence_bound` reports bounds past
-    // u32::MAX − 1 as None — mirror that here.
+    // (ratio 0).
     let bound = ceil.max(1);
-    ctx.seed_recurrence(u32::try_from(bound).ok().filter(|&b| b < u32::MAX));
     let head = nodes.first().copied().unwrap_or(0);
     report.findings.push(
         Diagnostic::new(

@@ -61,13 +61,15 @@ pub struct ScheduleView<'a> {
 /// Traversals shared by the passes, built once per [`analyze`] call:
 /// the SoA CSR view and per-edge retimed delays. Passes read, never
 /// rebuild. (Whether the graph has a cycle at all, the one fact an SCC
-/// decomposition would add, is a single Kahn sweep that the call runs
-/// on first use and shares with its lint.)
+/// decomposition would add, comes from the critical-cycle search, or
+/// from a Kahn sweep shared with the lint where that search cannot
+/// run.)
 #[derive(Debug)]
 pub struct TraversalCache<'a> {
     csr: &'a CsrGraph,
-    /// `d_r(e) = d(e) + r(u) − r(v)` per edge, by `EdgeId` index; the
-    /// plain delays when no (usable) retiming is given.
+    /// `d_r(e) = d(e) + r(u) − r(v)` per edge, by `EdgeId` index and by
+    /// [`Retiming::shift_delay`]'s rule; the plain delays when no
+    /// (usable) retiming is given.
     retimed: Vec<i64>,
 }
 
@@ -81,20 +83,17 @@ impl<'a> TraversalCache<'a> {
         let retiming = schedule
             .map(|s| s.retiming)
             .filter(|r| r.len() == dfg.node_count());
-        let m = csr.edge_count();
-        let mut retimed = Vec::with_capacity(m);
-        for e in 0..m {
-            let d = i64::from(csr.edge_delays()[e]);
-            retimed.push(match retiming {
-                Some(r) => {
-                    let u = csr.edge_from()[e] as usize;
-                    let v = csr.edge_to()[e] as usize;
-                    d.saturating_add(r.as_slice()[u])
-                        .saturating_sub(r.as_slice()[v])
-                }
-                None => d,
-            });
-        }
+        let delays = csr.edge_delays().iter().copied();
+        let retimed = match retiming {
+            Some(r) => {
+                let r = r.as_slice();
+                (csr.edge_from().iter().zip(csr.edge_to()))
+                    .zip(delays)
+                    .map(|((&u, &v), d)| Retiming::shift_delay(d, r[u as usize], r[v as usize]))
+                    .collect()
+            }
+            None => delays.map(i64::from).collect(),
+        };
         TraversalCache { csr, retimed }
     }
 

@@ -13,13 +13,20 @@
 //! * **resource**: [`crate::ResourceSpec::resource_bound`].
 //!
 //! `max_ratio_cycle` is the verifier's one cycle-ratio search: the
-//! recurrence bound, the forcing test behind it, and the analysis'
-//! critical cycle all read its answer. Its probes run in machine
-//! words: `i64` whenever a range check on the graph's size and largest
-//! time and delay proves that no probe value can leave `i64` (every
-//! graph short of near-`u32::MAX` weights), the same routine at `i128`
-//! otherwise.
+//! recurrence bound, the forcing test behind it, the certificate's
+//! bound and the analysis' critical cycle all read its answer. Its
+//! probes run in machine words: `i64` whenever a range check on the
+//! graph's size and largest time and delay proves that no probe value
+//! can leave `i64` (every graph short of near-`u32::MAX` weights), the
+//! same routine at `i128` otherwise.
+//!
+//! A certificate searches the kernel's retimed delays, the vector the
+//! critical-cycle pass searches too, and hands its inputs and answer to
+//! the next such pass on its thread (`certified_bound`,
+//! `take_or_search`): a certified-then-analyzed kernel pays for one
+//! search.
 
+use std::cell::RefCell;
 use std::ops::{Mul, Sub};
 
 use rotsched_dfg::Dfg;
@@ -65,11 +72,96 @@ pub(crate) fn recurrence_bound_after(dfg: &Dfg, zero_delay: &Sweep) -> Option<u3
         .iter()
         .map(|&d| u64::from(d))
         .collect();
-    let ceil = match max_ratio_cycle(dfg, &delays) {
+    length_bound(max_ratio_cycle(dfg, &delays).as_ref())
+}
+
+/// The recurrence bound a maximum-ratio cycle states (`None` for a
+/// graph without cycles): `max(1, ⌈T(C)/D(C)⌉)`, or `None` when no
+/// length below `u32::MAX` survives.
+pub(crate) fn length_bound(cycle: Option<&RatioCycle>) -> Option<u32> {
+    let ceil = match cycle {
         Some(cycle) => cycle.ceil()?,
         None => 0,
     };
     u32::try_from(ceil.max(1)).ok().filter(|&b| b < u32::MAX)
+}
+
+/// The recurrence bound of a kernel that just certified, searched under
+/// its retimed delays (`retimed`, by `EdgeId`), with the search's
+/// inputs and answer left for the next [`take_or_search`] on this
+/// thread.
+///
+/// This equals [`recurrence_bound`] without its zero-delay guard. A
+/// certified schedule has no zero-delay cycle: summing its precedence
+/// rule `s(v) + d_r(e)·L ≥ s(u) + steps(u)` around a cycle `C` gives
+/// `L·D(C) ≥ |C| ≥ 1`. And every cycle's ratio is the same under `d_r`
+/// as under `d`, because `Σ_C d_r = Σ_C d`.
+pub(crate) fn certified_bound(dfg: &Dfg, retimed: Vec<u64>) -> Option<u32> {
+    debug_assert_eq!(retimed.len(), dfg.edge_count(), "one delay per edge");
+    let answer = max_ratio_cycle(dfg, &retimed);
+    let bound = length_bound(answer.as_ref());
+    let csr = dfg.csr();
+    let handoff = Handoff {
+        from: csr.edge_from().to_vec(),
+        to: csr.edge_to().to_vec(),
+        times: dfg.nodes().map(|(_, node)| node.time()).collect(),
+        delays: retimed,
+        answer,
+    };
+    HANDOFF.with(|slot| *slot.borrow_mut() = Some(handoff));
+    bound
+}
+
+/// [`max_ratio_cycle`] of `dfg` under `delays`, taken from the handoff
+/// [`certified_bound`] left on this thread when that search had exactly
+/// these inputs — every edge's endpoints, every node's time and every
+/// delay — and searched afresh otherwise.
+///
+/// Taking empties the slot, hit or miss, so each certificate serves at
+/// most one pass and a repeated analysis searches again.
+pub(crate) fn take_or_search(dfg: &Dfg, delays: &[u64]) -> Option<RatioCycle> {
+    match HANDOFF.with(|slot| slot.borrow_mut().take()) {
+        Some(handoff) if handoff.searched(dfg, delays) => handoff.answer,
+        _ => max_ratio_cycle(dfg, delays),
+    }
+}
+
+/// One search's inputs, copied, and its answer.
+struct Handoff {
+    from: Vec<u32>,
+    to: Vec<u32>,
+    times: Vec<u32>,
+    delays: Vec<u64>,
+    answer: Option<RatioCycle>,
+}
+
+impl Handoff {
+    /// Whether [`max_ratio_cycle`]`(dfg, delays)` reads exactly the
+    /// inputs this answer was searched on, and so returns it.
+    fn searched(&self, dfg: &Dfg, delays: &[u64]) -> bool {
+        let csr = dfg.csr();
+        self.delays == delays
+            && self.from == csr.edge_from()
+            && self.to == csr.edge_to()
+            && (self.times.iter().copied()).eq(dfg.nodes().map(|(_, node)| node.time()))
+    }
+}
+
+thread_local! {
+    /// The last certificate's search on this thread, until a
+    /// critical-cycle pass takes it.
+    static HANDOFF: RefCell<Option<Handoff>> = const { RefCell::new(None) };
+}
+
+/// Full searches [`max_ratio_cycle`] has run on this thread.
+#[cfg(test)]
+pub(crate) fn searches() -> u64 {
+    SEARCHES.with(std::cell::Cell::get)
+}
+
+#[cfg(test)]
+thread_local! {
+    static SEARCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// A cycle of maximum ratio `T(C)/D(C)`.
@@ -186,9 +278,9 @@ fn fits_i64(n: usize, m: usize, max_t: u64, max_d: u64) -> bool {
 /// Both words run the same code and, inside the range check, return
 /// the same cycle. The `i128` weights are exact: `den` and `num` are
 /// a cycle's `u64` sums (or `1` and `−1`), so both are below `2^64` in
-/// magnitude; `t(u)` is below `2^32`; and both callers pass delays
-/// below `2^63` (the recurrence bound's are `u32`, the critical
-/// cycle's non-negative `i64`s). So `den·t(u) < 2^96` and `|num·d(e)| <
+/// magnitude; `t(u)` is below `2^32`; and every caller passes delays
+/// below `2^63` (the recurrence bound's are `u32`, the certificate's
+/// and the critical cycle's non-negative retimed `i64`s). So `den·t(u) < 2^96` and `|num·d(e)| <
 /// 2^127`, and their difference lies strictly inside the `i128` range;
 /// distance sums saturate there ([`Word::extend`]).
 ///
@@ -200,6 +292,8 @@ fn fits_i64(n: usize, m: usize, max_t: u64, max_d: u64) -> bool {
 /// A zero-delay cycle of zero-time ops has weight 0 at every `λ` and is
 /// never found: callers rule zero-delay cycles out first.
 pub(crate) fn max_ratio_cycle(dfg: &Dfg, delays: &[u64]) -> Option<RatioCycle> {
+    #[cfg(test)]
+    SEARCHES.with(|n| n.set(n.get() + 1));
     debug_assert!(
         delays.iter().all(|&d| d < 1 << 63),
         "delays below 2^63 keep the weights exact"
@@ -585,5 +679,252 @@ mod tests {
         g.add_edge(a, m, 1).unwrap();
         assert_eq!(recurrence_bound(&g), Some(3));
         assert!(!recurrence_forces(&g, 4));
+    }
+
+    // ---- The certify → critical-cycle handoff ----
+
+    use crate::analysis::{analyze, ScheduleView};
+    use crate::certify::{certify, StartTimes};
+    use crate::spec::ResourceSpec;
+    use rotsched_dfg::{NodeId, Retiming};
+
+    /// A kernel of `g` that certifies under unlimited resources: a
+    /// seeded legal retiming (down-rotations of single nodes whose every
+    /// in-edge still carries a delay), each node started as soon as its
+    /// retimed zero-delay predecessors finish, `L` the last finish. On a
+    /// graph with a zero-delay cycle, every node at step 1 of a
+    /// one-step kernel, which never certifies.
+    fn kernel(g: &Dfg, seed: u64) -> (Retiming, StartTimes, u32) {
+        let mut rng = SplitMix64::new(seed);
+        let mut r = Retiming::zero(g);
+        if g.node_count() > 0 {
+            for _ in 0..2 * g.node_count() {
+                let v = NodeId::from_index(rng.index(g.node_count()));
+                if g.in_edges(v).iter().all(|&e| r.retimed_delay(g, e) >= 1) {
+                    r.add(v, 1);
+                }
+            }
+        }
+        let mut start = vec![1_u64; g.node_count()];
+        if !Sweep::zero_delay(g).is_cyclic() {
+            for _ in 0..g.node_count() {
+                for (e, edge) in g.edges() {
+                    let (u, v) = (edge.from().index(), edge.to().index());
+                    if r.retimed_delay(g, e) == 0 {
+                        let ready = start[u] + u64::from(g.node(edge.from()).steps());
+                        start[v] = start[v].max(ready);
+                    }
+                }
+            }
+        }
+        let finish = g
+            .nodes()
+            .map(|(v, node)| start[v.index()] + u64::from(node.steps()) - 1);
+        let length = u32::try_from(finish.max().unwrap_or(1)).unwrap();
+        let starts = StartTimes::from_fn(g, |v| Some(u32::try_from(start[v.index()]).unwrap()));
+        (r, starts, length)
+    }
+
+    /// A seeded graph of 1–8 nodes with zero-time ops, self-loops,
+    /// parallel edges and zero-delay edges (zero-delay cycles of two or
+    /// more nodes included). Times stay below 4 so kernels stay short.
+    fn degenerate_graph(seed: u64) -> Dfg {
+        let mut rng = SplitMix64::new(seed);
+        let n = rng.range_u32(1, 8) as usize;
+        let mut g = Dfg::new("degenerate");
+        let ids: Vec<_> = (0..n)
+            .map(|i| g.add_node(format!("v{i}"), OpKind::Add, rng.range_u32(0, 3)))
+            .collect();
+        for _ in 0..rng.range_u32(0, 3 * n as u32) {
+            let (from, to) = (ids[rng.index(n)], ids[rng.index(n)]);
+            // The builder rejects a zero-delay self-loop.
+            let floor = u32::from(from == to);
+            g.add_edge(from, to, rng.range_u32(floor, 2)).unwrap();
+        }
+        g
+    }
+
+    /// The analysis of `kernel` as every consumer reads it: both
+    /// renderings and the lints.
+    fn analysis_bytes(g: &Dfg, (r, starts, length): &(Retiming, StartTimes, u32)) -> String {
+        let view = ScheduleView {
+            starts,
+            retiming: r,
+            kernel_length: *length,
+        };
+        let report = analyze(g, &ResourceSpec::unlimited(), Some(&view));
+        format!("{}\n{}", report.render_json(g), report.render_text(g))
+    }
+
+    fn certify_kernel(g: &Dfg, (r, starts, length): &(Retiming, StartTimes, u32)) -> bool {
+        certify(g, &ResourceSpec::unlimited(), Some(r), starts, *length).is_ok()
+    }
+
+    /// The searches one `analyze` of `g` runs besides its critical-cycle
+    /// pass: a debug build's lint re-checks the seeded bound of a cyclic
+    /// graph with `recurrence_forces`, one more search. A release build
+    /// runs none.
+    fn lint_check(g: &Dfg) -> u64 {
+        u64::from(cfg!(debug_assertions) && Sweep::run(g, true, false).is_cyclic())
+    }
+
+    /// Certifies then analyzes each kernel, requiring the analysis' cold
+    /// bytes and, for each certified kernel, no search of its own. Every
+    /// kernel without a zero-delay cycle certifies. Returns how many
+    /// did.
+    fn handoff_matches_cold(graphs: impl Iterator<Item = Dfg>) -> usize {
+        let mut certified = 0;
+        for (i, g) in graphs.enumerate() {
+            let k = kernel(&g, i as u64);
+            let cold = analysis_bytes(&g, &k);
+            let ok = certify_kernel(&g, &k);
+            assert_eq!(ok, !Sweep::zero_delay(&g).is_cyclic(), "case {i}");
+            let before = searches();
+            assert_eq!(analysis_bytes(&g, &k), cold, "case {i}");
+            if ok {
+                let own = searches() - before - lint_check(&g);
+                assert_eq!(own, 0, "case {i}: the certificate's answer");
+                certified += 1;
+            }
+        }
+        certified
+    }
+
+    #[test]
+    fn handoff_keeps_the_analysis_bytes_on_analyze_256_shaped_kernels() {
+        let certified = handoff_matches_cold((0..12).map(|seed| large_case(seed).0));
+        assert_eq!(certified, 12);
+    }
+
+    #[test]
+    fn handoff_keeps_the_analysis_bytes_on_degenerate_kernels() {
+        let certified = handoff_matches_cold((0..500).map(degenerate_graph));
+        assert_eq!(certified, 445, "the other 55 have zero-delay cycles");
+    }
+
+    /// The analyze-256-shaped graph of `seed` with its kernel.
+    fn kernel_case(seed: u64) -> (Dfg, (Retiming, StartTimes, u32)) {
+        let g = large_case(seed).0;
+        let k = kernel(&g, seed);
+        assert!(certify_kernel(&g, &k));
+        (g, k)
+    }
+
+    #[test]
+    fn one_search_per_certified_then_analyzed_kernel() {
+        let (g1, k1) = kernel_case(1);
+        let (g2, k2) = kernel_case(2);
+        // Searches `f` runs, net of the lint checks of its `analyses`.
+        let count = |analyses: u64, f: &dyn Fn()| {
+            let before = searches();
+            f();
+            searches() - before - analyses * lint_check(&g1)
+        };
+        let analyze1 = || drop(analysis_bytes(&g1, &k1));
+        let certify_then_analyze = || {
+            certify_kernel(&g1, &k1);
+            analyze1();
+        };
+        assert_eq!(count(1, &certify_then_analyze), 1, "certify + analyze");
+        assert_eq!(count(1, &analyze1), 1, "analyze alone");
+        let twice = || {
+            analyze1();
+            analyze1();
+        };
+        assert_eq!(
+            count(2, &twice),
+            2,
+            "analyze twice: the slot is not a cache"
+        );
+        let interleaved = || {
+            certify_kernel(&g1, &k1);
+            certify_kernel(&g2, &k2);
+            analyze1();
+        };
+        assert_eq!(
+            count(1, &interleaved),
+            3,
+            "certify(g1), certify(g2), analyze(g1)"
+        );
+    }
+
+    #[test]
+    fn a_kernel_differing_in_one_input_never_receives_the_answer() {
+        let (g, k) = kernel_case(3);
+        let edge = |e: usize| g.edges().nth(e).unwrap().1;
+        // Rebuilds `g` with node 0's time or edge 0's delay or head
+        // moved by one.
+        let variant = |time: u32, delay: u32, head: usize| {
+            let mut h = Dfg::new("variant");
+            for (v, node) in g.nodes() {
+                let t = if v.index() == 0 { time } else { node.time() };
+                h.add_node(node.name(), node.op(), t);
+            }
+            for (e, edge) in g.edges() {
+                let (to, d) = if e.index() == 0 {
+                    (NodeId::from_index(head), delay)
+                } else {
+                    (edge.to(), edge.delays())
+                };
+                h.add_edge(edge.from(), to, d).unwrap();
+            }
+            h
+        };
+        let (t0, d0, head0) = (
+            g.node(NodeId::from_index(0)).time(),
+            edge(0).delays(),
+            edge(0).to().index(),
+        );
+        let other_head = (head0 + 1) % g.node_count();
+        let mut retimed = k.0.clone();
+        let v = NodeId::from_index(0);
+        retimed.set(v, retimed.of(v) + 1);
+        for (case, h, k) in [
+            ("time", variant(t0 + 1, d0, head0), k.clone()),
+            ("delay", variant(t0, d0 + 1, head0), k.clone()),
+            ("endpoint", variant(t0, d0, other_head), k.clone()),
+            (
+                "retiming",
+                variant(t0, d0, head0),
+                (retimed, k.1.clone(), k.2),
+            ),
+        ] {
+            let cold = analysis_bytes(&h, &k);
+            assert!(certify_kernel(&g, &kernel_case(3).1), "{case}");
+            let before = searches();
+            assert_eq!(analysis_bytes(&h, &k), cold, "{case}");
+            let own = searches() - before - lint_check(&h);
+            assert_eq!(own, 1, "{case}: searched afresh");
+        }
+    }
+
+    #[test]
+    fn the_search_decides_acyclic_like_the_full_graph_sweep() {
+        use crate::lint::{lint, LintContext, LintOptions};
+        let spec = ResourceSpec::unlimited();
+        let options = LintOptions::default();
+        let mut acyclic = 0;
+        for seed in 0..500 {
+            let g = degenerate_graph(seed);
+            let (r, starts, length) = kernel(&g, seed);
+            let view = ScheduleView {
+                starts: &starts,
+                retiming: &r,
+                kernel_length: length,
+            };
+            let swept = !Sweep::run(&g, true, false).is_cyclic();
+            acyclic += usize::from(swept);
+            for schedule in [None, Some(&view)] {
+                let report = analyze(&g, &spec, schedule);
+                assert_eq!(report.acyclic, swept, "seed {seed}");
+                let ctx = LintContext {
+                    spec: Some(&spec),
+                    retiming: schedule.map(|s| s.retiming),
+                    ..LintContext::bare(&options)
+                };
+                assert_eq!(report.lints, lint(&g, &ctx), "seed {seed}");
+            }
+        }
+        assert_eq!(acyclic, 105, "acyclic graphs among the 500");
     }
 }

@@ -18,7 +18,7 @@
 
 use rotsched_dfg::{Dfg, NodeId, Retiming};
 
-use crate::bound::recurrence_bound;
+use crate::bound::certified_bound;
 use crate::diag::{sort_canonical, Code, Diagnostic, Locus};
 use crate::fold;
 use crate::spec::ResourceSpec;
@@ -100,8 +100,9 @@ pub struct Certificate {
     pub wrapped_nodes: u32,
     /// The verifier's independent resource lower bound.
     pub resource_bound: u64,
-    /// The verifier's independent recurrence lower bound (`None` only
-    /// for graphs with zero-delay cycles, which never certify).
+    /// The verifier's independent recurrence lower bound, searched on
+    /// the certified retimed delays (`None` only when the critical
+    /// ratio's ceiling passes `u32::MAX − 1`).
     pub recurrence_bound: Option<u32>,
 }
 
@@ -256,13 +257,17 @@ pub fn certify(
         }
     }
 
-    // Retimed-delay legality + uniform wrapped precedence.
+    // Retimed-delay legality + uniform wrapped precedence. A kernel
+    // that certifies has every retimed delay here, each non-negative:
+    // the recurrence bound searches them.
+    let mut retimed = Vec::with_capacity(dfg.edge_count());
     if retiming_usable {
         for (id, edge) in dfg.edges() {
             let dr = match retiming {
                 Some(r) => r.retimed_delay(dfg, id),
                 None => i64::from(edge.delays()),
             };
+            retimed.push(dr.unsigned_abs());
             if dr < 0 {
                 bad.push(Diagnostic::new(
                     Code::CertIllegalRetiming,
@@ -327,7 +332,7 @@ pub fn certify(
         },
         wrapped_nodes: wrapped,
         resource_bound: spec.resource_bound(dfg),
-        recurrence_bound: recurrence_bound(dfg),
+        recurrence_bound: certified_bound(dfg, retimed),
     })
 }
 

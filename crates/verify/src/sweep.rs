@@ -7,8 +7,9 @@
 //! the critical-cycle pass's guard) and how long each node's longest
 //! zero-delay chain is (lint `W003`). The **full-graph sweep** runs the
 //! same pass over every edge; it answers whether the graph has any
-//! cycle at all (the report's `acyclic` flag, the guard of lint's
-//! iteration-boundary pass).
+//! cycle at all (the guard of lint's iteration-boundary pass, and the
+//! report's `acyclic` flag under an illegal retiming) wherever the
+//! analysis' critical-cycle search has not already answered it.
 
 use std::cell::OnceCell;
 
@@ -117,10 +118,18 @@ impl<'a> GraphFacts<'a> {
     }
 
     /// Whether the full graph (all edges, delays included) has any
-    /// cycle.
+    /// cycle: the full-graph sweep's answer, unless a pass that knows
+    /// it recorded it first.
     pub(crate) fn has_cycle(&self) -> bool {
         *self
             .cyclic
             .get_or_init(|| Sweep::run(self.dfg, true, false).is_cyclic())
+    }
+
+    /// Records whether the graph has a cycle, as a pass found without
+    /// the sweep. The first answer stays; every source gives the same.
+    pub(crate) fn set_cyclic(&self, cyclic: bool) {
+        let _ = self.cyclic.set(cyclic);
+        debug_assert_eq!(self.cyclic.get(), Some(&cyclic));
     }
 }

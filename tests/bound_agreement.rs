@@ -12,7 +12,11 @@
 //!   reports a finite ratio, states that ratio, and its `⌈ratio⌉` is
 //!   `recurrence_bound` on the same graph — ratio-0 cycles and bounds
 //!   past `u32::MAX − 1` included; the lints it runs with the seeded
-//!   bound are identical to an unhinted lint run.
+//!   bound are identical to an unhinted lint run;
+//! * a certificate's recurrence bound, which searches the kernel's
+//!   retimed delays, is `recurrence_bound` on the unretimed graph, for
+//!   seeded legal retimings near zero and at either end of the `i64`
+//!   range.
 //!
 //! The small graphs (1–8 nodes) mix zero-time ops, self-loops, parallel
 //! edges, zero-delay cycles, and times and delays at and just below
@@ -27,9 +31,10 @@ use rotsched::dfg::analysis::{
 };
 use rotsched::dfg::rng::SplitMix64;
 use rotsched::verify::{
-    analyze, lint, recurrence_bound, recurrence_forces, LintContext, LintOptions, ResourceSpec,
+    analyze, certify, lint, recurrence_bound, recurrence_forces, LintContext, LintOptions,
+    ResourceSpec, StartTimes,
 };
-use rotsched::{Dfg, DfgError, NodeId, OpKind};
+use rotsched::{Dfg, DfgError, NodeId, OpKind, Retiming};
 
 /// Seeded small graphs checked against brute force.
 const SMALL_CASES: u64 = 3000;
@@ -353,4 +358,94 @@ fn dfg_search_jumps_to_the_best_predecessor_cycle() {
     let ratio = max_cycle_ratio_counted(&g, &mut work).unwrap();
     assert_eq!(ratio, Some(Ratio::new(k as u64, 1)));
     assert!(work.probes <= 3, "{work:?}");
+}
+
+/// A seeded legal retiming of `g` (down-rotations of single nodes whose
+/// every in-edge still carries a delay), shifted by a constant so its
+/// largest value is `i64::MAX` (`far = Some(true)`) or its smallest
+/// `i64::MIN` (`Some(false)`). A shift changes no retimed delay, but
+/// `d + r(u)` passes the `i64` range on the far-high side.
+fn legal_retiming(g: &Dfg, seed: u64, far: Option<bool>) -> Retiming {
+    let mut rng = SplitMix64::new(seed);
+    let mut r = Retiming::zero(g);
+    for _ in 0..2 * g.node_count() {
+        let v = NodeId::from_index(rng.index(g.node_count()));
+        if g.in_edges(v).iter().all(|&e| r.retimed_delay(g, e) >= 1) {
+            r.add(v, 1);
+        }
+    }
+    let (min, max) = (r.min_value(), r.max_value());
+    let values = r
+        .iter()
+        .map(|(_, x)| match far {
+            None => x,
+            Some(true) => i64::MAX - (max - x),
+            Some(false) => i64::MIN + (x - min),
+        })
+        .collect();
+    Retiming::from_values(g, values)
+}
+
+/// Every node started as soon as its retimed zero-delay predecessors
+/// finish, with `L` the last finish: a kernel that certifies under
+/// unlimited resources. `None` when a zero-delay cycle leaves no such
+/// schedule or `L` passes `u32`.
+fn asap_kernel(g: &Dfg, r: &Retiming) -> Option<(StartTimes, u32)> {
+    if max_cycle_ratio(g).is_err() {
+        return None;
+    }
+    let mut start = vec![1_u64; g.node_count()];
+    for _ in 0..g.node_count() {
+        for (e, edge) in g.edges() {
+            if r.retimed_delay(g, e) == 0 {
+                let ready = start[edge.from().index()] + u64::from(g.node(edge.from()).steps());
+                let v = edge.to().index();
+                start[v] = start[v].max(ready);
+            }
+        }
+    }
+    let finish = g
+        .nodes()
+        .map(|(v, node)| start[v.index()] + u64::from(node.steps()) - 1);
+    let length = u32::try_from(finish.max()?).ok()?;
+    let starts = StartTimes::from_fn(g, |v| u32::try_from(start[v.index()]).ok());
+    Some((starts, length))
+}
+
+/// Certifies `g` under seeded legal retimings, near zero and far, and
+/// checks each certificate's bound against `recurrence_bound`. Returns
+/// how many certified.
+fn check_certified_bound(g: &Dfg, seed: u64) -> usize {
+    let mut certified = 0;
+    for far in [None, Some(true), Some(false)] {
+        let r = legal_retiming(g, seed, far);
+        let Some((starts, length)) = asap_kernel(g, &r) else {
+            continue;
+        };
+        let cert = certify(g, &ResourceSpec::unlimited(), Some(&r), &starts, length)
+            .unwrap_or_else(|bad| panic!("{}: {far:?}: {bad:?}", g.name()));
+        assert_eq!(
+            cert.recurrence_bound,
+            recurrence_bound(g),
+            "{}: far {far:?}",
+            g.name()
+        );
+        certified += 1;
+    }
+    certified
+}
+
+#[test]
+fn certified_bounds_match_recurrence_bound_on_small_graphs() {
+    let certified: usize = (0..SMALL_CASES)
+        .map(|seed| check_certified_bound(&small_graph(seed), seed))
+        .sum();
+    assert_eq!(certified, 3 * 2240, "three retimings per certifiable graph");
+}
+
+#[test]
+fn certified_bounds_match_recurrence_bound_on_large_graphs() {
+    for (seed, g) in large_graphs().iter().enumerate() {
+        assert_eq!(check_certified_bound(g, seed as u64), 3, "{}", g.name());
+    }
 }

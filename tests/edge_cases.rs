@@ -170,6 +170,77 @@ fn far_retiming_certifies_and_lints_like_the_analysis() {
     assert_eq!(diags, report.lints);
 }
 
+#[test]
+fn far_retiming_code_size_matches_the_certificate() {
+    // The same spread of `2^63`: `Retiming::depth` used to panic here.
+    // It now clamps at `u32::MAX` like the certificate, so the solver's
+    // own depth and code size pass certify's E113 and E115 checks.
+    use rotsched::verify::{certify_claim, Claim, ResourceSpec, StartTimes};
+    let mut g = Dfg::new("far");
+    let a = g.add_node("a", OpKind::Add, 1);
+    let b = g.add_node("b", OpKind::Add, 1);
+    g.add_edge(a, b, 0).unwrap();
+    let mut r = Retiming::zero(&g);
+    r.set(a, i64::MAX);
+    r.set(b, -1);
+    assert_eq!(r.depth(), u32::MAX);
+    let code_size = rotsched::core::objective::code_size(&g, &r);
+    assert_eq!(code_size, 2 * u64::from(u32::MAX - 1));
+    let claim = Claim {
+        kernel_length: 1,
+        depth: Some(r.depth()),
+        optimal: false,
+        registers: None,
+        code_size: Some(code_size),
+    };
+    let spec = ResourceSpec::adders_multipliers(2, 0, false);
+    let starts = StartTimes::from_fn(&g, |_| Some(1));
+    let cert = certify_claim(&g, &spec, Some(&r), &starts, &claim)
+        .expect("certify re-derives the solver's depth and code size");
+    assert_eq!(cert.depth, u32::MAX);
+}
+
+#[test]
+fn far_retiming_keeps_every_cycle_sum() {
+    // Checked-in reproducer: `d + r(u)` passes `i64::MAX` on both edges
+    // of the cycle, though each retimed delay fits (`1` and `6`). A
+    // clamp before the subtraction read `0` and `5`, and the analysis
+    // reported `D(C) = 5` and a bound of 4 where every other layer says
+    // 3. Only the final retimed delay clamps now.
+    use rotsched::verify::{
+        analyze, certify, recurrence_bound, ResourceSpec, ScheduleView, StartTimes,
+    };
+    let mut g = Dfg::new("far-cycle");
+    let a = g.add_node("a", OpKind::Add, 10);
+    let b = g.add_node("b", OpKind::Add, 10);
+    g.add_edge(a, b, 6).unwrap();
+    g.add_edge(b, a, 1).unwrap();
+    let mut r = Retiming::zero(&g);
+    r.set(a, i64::MAX - 5);
+    r.set(b, i64::MAX);
+    assert_eq!(recurrence_bound(&g), Some(3));
+
+    let spec = ResourceSpec::unlimited();
+    let starts = StartTimes::from_fn(&g, |_| Some(1));
+    let view = ScheduleView {
+        starts: &starts,
+        retiming: &r,
+        kernel_length: 10,
+    };
+    let report = analyze(&g, &spec, Some(&view));
+    let cycle = report.critical_cycle.as_ref().expect("a recurrence");
+    assert_eq!((cycle.total_time, cycle.total_delays), (20, 7));
+    assert_eq!(cycle.iteration_bound, 3);
+    assert_eq!(
+        report.saturation.as_ref().unwrap().recurrence_bound,
+        Some(3)
+    );
+
+    let cert = certify(&g, &spec, Some(&r), &starts, 10).expect("a legal kernel");
+    assert_eq!(cert.recurrence_bound, Some(3));
+    assert_eq!(cert.depth, 6);
+}
+
 /// Reads a checked-in reproducer line by line. `text::parse` validates,
 /// and validation rejects zero-time ops, so the graph is rebuilt here:
 /// the analyses must be total on graphs that were never validated.
