@@ -82,7 +82,7 @@ use rotsched_benchmarks::{
 use rotsched_core::{
     down_rotate, effective_jobs, initial_state, parallel_indexed, BestSet, CycleLog,
     HeuristicConfig, Objective, ProblemSpec, RotationContext, RotationScheduler, Score,
-    SearchDriver, TraceRecorder,
+    SearchDriver, SearchEvent, SearchObserver, TraceRecorder,
 };
 use rotsched_dfg::analysis::RatioWork;
 use rotsched_dfg::rng::{Fnv64, SplitMix64};
@@ -192,6 +192,15 @@ const ANALYZE_LARGE_LIMIT_NS: u64 = 5_000_000;
 /// 2-vCPU VM, alternated with 3 runs of the handoff, which read p50
 /// 80,035 ns and p99 118,849 ns.
 const CERTIFY_THEN_ANALYZE_BEFORE: (u64, u64) = (106_655, 237_883);
+
+/// Timed repetitions of the Table-3 sweep in the phase-boundary arm.
+const BOUNDARY_REPS: usize = 3;
+/// The `phase_boundary_ns` reading at the commit before a Heuristic-2
+/// sweep kept one scheduling context: p50 and p99 (ns) of an executed
+/// phase boundary over the Table-3 cells. Medians of 3 runs on a shared
+/// 2-vCPU VM, alternated with 3 runs of the shared context, which read
+/// p50 2,618 ns and p99 5,714 ns.
+const PHASE_BOUNDARY_BEFORE: (u64, u64) = (8_938, 18_074);
 
 /// Seed of the e2e `analyze-256` workload's graph pool, whose twelve
 /// graphs the `bounds` arm times.
@@ -353,6 +362,7 @@ struct Report {
     scratch: StepPercentiles,
     batch: StepPercentiles,
     replay: ReplayShare,
+    boundary: StepPercentiles,
     overhead: DriverOverhead,
     serve: ServeReport,
     fault: FaultOverheadReport,
@@ -405,6 +415,7 @@ fn measure(graphs: &[(&str, Dfg)], reps: usize) -> Report {
         scratch,
         batch: batch_throughput(&batch_corpus()),
         replay: replay_share(graphs),
+        boundary: phase_boundary_percentiles(graphs),
         overhead: driver_overhead(graphs),
         serve: serve_report(),
         fault: fault_overhead(),
@@ -712,6 +723,57 @@ fn replay_share(graphs: &[(&str, Dfg)]) -> ReplayShare {
         share.sweep_rotations += replayed.iter().map(|p| p.rotations).sum::<usize>();
     }
     share
+}
+
+/// Reads the clock at every phase start and phase end of a sweep.
+#[derive(Default)]
+struct PhaseClock {
+    starts: Vec<Instant>,
+    ends: Vec<Instant>,
+}
+
+impl SearchObserver for PhaseClock {
+    fn on_event(&mut self, event: SearchEvent<'_>) {
+        match event {
+            SearchEvent::PhaseStart { .. } => self.starts.push(Instant::now()),
+            SearchEvent::PhaseEnd { .. } => self.ends.push(Instant::now()),
+            _ => {}
+        }
+    }
+}
+
+/// Samples the executed phase boundaries of the Table-3 sweep: from
+/// the end of each executed phase that another phase follows to that
+/// phase's start — the `FullSchedule(G_R)` of the retimed graph, its
+/// wrap probe and offer, the sweep log's bookkeeping and the next
+/// phase's setup. Each cell is solved as the sweep solves it (paper
+/// defaults, Heuristic 2 on the incremental driver); phases replayed
+/// whole are left out, and so is the boundary before the first of
+/// them, which starts no phase setup. Ungated.
+fn phase_boundary_percentiles(graphs: &[(&str, Dfg)]) -> StepPercentiles {
+    let mut ns = Vec::new();
+    for _ in 0..BOUNDARY_REPS {
+        for row in TABLE_3 {
+            let (_, g) = graphs
+                .iter()
+                .find(|(name, _)| *name == row.benchmark)
+                .expect("benchmark exists");
+            let res = ResourceSet::adders_multipliers(row.adders, row.multipliers, row.pipelined);
+            let sched = ListScheduler::default();
+            let mut driver =
+                SearchDriver::incremental(g, &sched, &res).with_observer(PhaseClock::default());
+            let outcome = driver
+                .heuristic2(&HeuristicConfig::default())
+                .expect("benchmarks are schedulable");
+            let executed = outcome.phases.len() - outcome.replayed_phases;
+            let clock = &driver.observer;
+            for i in 1..executed {
+                let gap = clock.starts[i].duration_since(clock.ends[i - 1]);
+                ns.push(u64::try_from(gap.as_nanos()).unwrap_or(u64::MAX));
+            }
+        }
+    }
+    percentiles(&mut ns)
 }
 
 /// The engine-vs-replica dispatch overhead.
@@ -1651,6 +1713,11 @@ fn gate(r: &Report, baseline: Option<&Baseline>) -> u32 {
         replay.sweep_rotations,
         replay.sweep_phases
     ));
+    let (before_p50, before_p99) = PHASE_BOUNDARY_BEFORE;
+    info(&format!(
+        "{} (before: p50 {before_p50} ns, p99 {before_p99} ns)",
+        percentile_line("executed Heuristic-2 phase boundary", &r.boundary)
+    ));
 
     // Driver-overhead band, two-sided and applied to both the fresh
     // measurement and the baseline's recorded number. Large positive
@@ -1897,6 +1964,7 @@ fn render_json(r: &Report) -> String {
         scratch,
         batch,
         replay,
+        boundary,
         overhead,
         serve,
         fault,
@@ -1985,6 +2053,12 @@ fn render_json(r: &Report) -> String {
         replay.sweep_phases,
         replay.sweep_rotations,
         replay.share_pct()
+    ));
+    let (before_p50, before_p99) = PHASE_BOUNDARY_BEFORE;
+    s.push_str(&format!(
+        "  \"phase_boundary_ns\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"samples\": {}, \
+         \"before\": {{\"p50\": {before_p50}, \"p99\": {before_p99}}}}},\n",
+        boundary.p50, boundary.p90, boundary.p99, boundary.samples
     ));
     s.push_str("  \"driver_overhead\": {\n");
     s.push_str(&format!(

@@ -27,11 +27,13 @@ use crate::rotate::{is_down_rotatable, DownRotateOutcome, RotationState};
 /// Incremental scheduling state for a run of down-rotations on one
 /// `(graph, scheduler, resources)` triple.
 ///
-/// Build one per rotation phase (each portfolio worker builds its own)
-/// from the phase's starting state; it stays valid as long as every
-/// rotation of that state goes through [`RotationContext::down_rotate`]
-/// or [`RotationContext::down_rotate_in_place`]. After an error the
-/// context is stale — rebuild before reuse.
+/// Build one from a phase's starting state (each portfolio worker builds
+/// its own); it stays valid as long as every rotation of that state goes
+/// through [`RotationContext::down_rotate`] or
+/// [`RotationContext::down_rotate_in_place`], and
+/// [`RotationContext::full_schedule`] makes it valid again for the state
+/// it schedules, so a Heuristic-2 sweep keeps one context from phase to
+/// phase. After an error the context is stale — rebuild before reuse.
 #[derive(Debug)]
 pub struct RotationContext {
     ctx: SchedContext,
@@ -180,6 +182,35 @@ impl RotationContext {
         debug_assert_eq!(state.schedule.first_step(), Some(1));
 
         Ok(state.schedule.length(dfg))
+    }
+
+    /// `FullSchedule(G_R)` through the context: replaces `state`'s
+    /// schedule with a fresh full schedule under its rotation function
+    /// — bit-identical to [`ListScheduler::schedule`] — and leaves the
+    /// context as [`RotationContext::new`] would build it for the
+    /// result, so the next phase can start on it without a rebuild (see
+    /// [`SchedContext::full_schedule`]). `state` may have been rewritten
+    /// since the context last saw it.
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`ListScheduler::schedule`]'s errors; the context must be
+    /// rebuilt after one.
+    pub fn full_schedule(
+        &mut self,
+        dfg: &Dfg,
+        scheduler: &ListScheduler,
+        resources: &ResourceSet,
+        state: &mut RotationState,
+    ) -> Result<(), RotationError> {
+        self.ctx.full_schedule(
+            dfg,
+            scheduler,
+            Some(&state.retiming),
+            resources,
+            &mut state.schedule,
+        )?;
+        Ok(())
     }
 
     /// The node set rotated by the most recent

@@ -137,8 +137,12 @@ impl<O: SearchObserver + ?Sized> SearchObserver for &mut O {
 /// Both modes funnel into the same placement core, so their results are
 /// bit-identical; they differ only in per-step cost (see DESIGN.md §6).
 pub trait StepMode {
-    /// Called once at the start of every phase, before any rotation of
-    /// `state`; the incremental mode (re)builds its context here.
+    /// Called once at the start of every executed phase, before any
+    /// rotation of `state`; the incremental mode (re)builds its context
+    /// here. `chained` says that `state` is exactly what this mode's
+    /// last [`StepMode::full_schedule`] produced, untouched since — the
+    /// next phase of a Heuristic-2 sweep — so the incremental mode
+    /// keeps the context that reschedule left instead of rebuilding it.
     ///
     /// # Errors
     ///
@@ -149,6 +153,26 @@ pub trait StepMode {
         scheduler: &ListScheduler,
         resources: &ResourceSet,
         state: &RotationState,
+        chained: bool,
+    ) -> Result<(), RotationError>;
+
+    /// `FullSchedule(G_R)` between the phases of a Heuristic-2 sweep:
+    /// replaces `state`'s schedule with a fresh full schedule of the
+    /// graph retimed by `state`'s rotation function. Called only right
+    /// after an executed phase of this mode, whose state the phase end
+    /// may have rewritten (see [`CycleLog::restore`]).
+    ///
+    /// # Errors
+    ///
+    /// See [`ListScheduler::schedule`].
+    ///
+    /// [`CycleLog::restore`]: crate::cycle::CycleLog::restore
+    fn full_schedule(
+        &mut self,
+        dfg: &Dfg,
+        scheduler: &ListScheduler,
+        resources: &ResourceSet,
+        state: &mut RotationState,
     ) -> Result<(), RotationError>;
 
     /// Performs one down-rotation of `size` on `state`, returning the
@@ -174,13 +198,15 @@ pub trait StepMode {
 }
 
 /// The production step mode: rotations run through a persistent
-/// [`RotationContext`], rebuilt at each phase start, so per-step work is
-/// proportional to the rotated prefix rather than the graph.
+/// [`RotationContext`], so per-step work is proportional to the rotated
+/// prefix rather than the graph. A Heuristic-2 sweep keeps one context
+/// throughout: its `FullSchedule`s run through the context, which leaves
+/// it ready for the next phase. Every other phase start rebuilds it.
 #[derive(Debug, Default)]
 pub struct IncrementalStep {
-    /// The current phase's context. Its retired prefix buffer seeds the
-    /// next phase's (and, when a batch solve hands the step from driver
-    /// to driver, the next item's), so only the first phase of the
+    /// The current phase's context. A rebuild recycles its prefix
+    /// buffer (and, when a batch solve hands the step from driver to
+    /// driver, the next item's does), so only the first phase of the
     /// first solve grows it.
     ctx: Option<RotationContext>,
 }
@@ -192,7 +218,11 @@ impl StepMode for IncrementalStep {
         scheduler: &ListScheduler,
         resources: &ResourceSet,
         state: &RotationState,
+        chained: bool,
     ) -> Result<(), RotationError> {
+        if chained && self.ctx.is_some() {
+            return Ok(());
+        }
         let buffer = match self.ctx.take() {
             Some(retired) => retired.into_buffer(),
             None => Vec::new(),
@@ -214,6 +244,19 @@ impl StepMode for IncrementalStep {
         let ctx = self.ctx.as_mut().expect("begin_phase precedes rotate");
         ctx.down_rotate_in_place(dfg, scheduler, resources, state, size)?;
         Ok(ctx.rotated())
+    }
+
+    fn full_schedule(
+        &mut self,
+        dfg: &Dfg,
+        scheduler: &ListScheduler,
+        resources: &ResourceSet,
+        state: &mut RotationState,
+    ) -> Result<(), RotationError> {
+        self.ctx
+            .as_mut()
+            .expect("an executed phase precedes the reschedule")
+            .full_schedule(dfg, scheduler, resources, state)
     }
 
     fn cache_stats(&self) -> CacheStats {
@@ -240,6 +283,7 @@ impl StepMode for ScratchStep {
         _scheduler: &ListScheduler,
         _resources: &ResourceSet,
         _state: &RotationState,
+        _chained: bool,
     ) -> Result<(), RotationError> {
         Ok(())
     }
@@ -254,6 +298,17 @@ impl StepMode for ScratchStep {
     ) -> Result<&[NodeId], RotationError> {
         self.last = down_rotate(dfg, scheduler, resources, state, size)?.rotated;
         Ok(&self.last)
+    }
+
+    fn full_schedule(
+        &mut self,
+        dfg: &Dfg,
+        scheduler: &ListScheduler,
+        resources: &ResourceSet,
+        state: &mut RotationState,
+    ) -> Result<(), RotationError> {
+        state.schedule = scheduler.schedule(dfg, Some(&state.retiming), resources)?;
+        Ok(())
     }
 
     fn cache_stats(&self) -> CacheStats {
@@ -302,8 +357,9 @@ pub struct SearchDriver<'a, S, O = NoopObserver> {
     /// What the search minimizes; [`Objective::Length`] reproduces the
     /// paper's scalar search bit for bit.
     objective: Objective,
-    /// Reusable buffers for the per-step wrapped-length probe, built on
-    /// the first phase and recycled for the driver's lifetime.
+    /// Reusable buffers for the wrapped-length probe of every rotation
+    /// and every offered schedule, built on first use and recycled for
+    /// the driver's lifetime.
     wrap: Option<WrapScratch>,
     /// The states of the running phase, for cycle replay, and the
     /// phase starts of the running Heuristic-2 sweep, for sweep replay;
@@ -316,15 +372,14 @@ pub struct SearchDriver<'a, S, O = NoopObserver> {
 }
 
 impl<'a, S: StepMode> SearchDriver<'a, S, NoopObserver> {
-    /// A driver on the given step mode. Passing an existing
-    /// [`IncrementalStep`] (and, through [`SearchDriver::with_logs`],
-    /// existing replay logs) keeps its pooled buffers warm across
-    /// drivers, which is how
+    /// A driver on the given step mode — one of the crate's or a
+    /// caller's own [`StepMode`]. Passing an existing
+    /// [`IncrementalStep`] (and, inside the crate, existing replay logs)
+    /// keeps its pooled buffers warm across drivers, which is how
     /// [`solve_batch`](crate::RotationScheduler::solve_batch) amortizes
-    /// per-item setup; reclaim both afterwards with
-    /// [`SearchDriver::into_parts`].
+    /// per-item setup.
     #[must_use]
-    pub(crate) fn new(
+    pub fn new(
         dfg: &'a Dfg,
         scheduler: &'a ListScheduler,
         resources: &'a ResourceSet,
@@ -443,7 +498,7 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         size: u32,
         alpha: usize,
     ) -> Result<PhaseStats, RotationError> {
-        self.phase(state, best, size, alpha, None, None)
+        self.phase(state, best, size, alpha, None, None, false)
     }
 
     /// The loop behind [`SearchDriver::run_phase`]. With
@@ -465,6 +520,10 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
     /// rotation `k` carries executed phase `exec`'s node set and the
     /// wrapped length `lengths[k − 1]`, the phase ends where `lengths`
     /// does, and `state` is left as it was.
+    ///
+    /// `chained` passes through to [`StepMode::begin_phase`]: `state` is
+    /// what the step mode's last `FullSchedule` left.
+    #[allow(clippy::too_many_arguments)]
     fn phase(
         &mut self,
         state: &mut RotationState,
@@ -473,13 +532,11 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         alpha: usize,
         frozen_at: Option<u32>,
         sweep: Option<(usize, &[u32])>,
+        chained: bool,
     ) -> Result<PhaseStats, RotationError> {
         if sweep.is_none() {
             self.step
-                .begin_phase(self.dfg, self.scheduler, self.resources, state)?;
-            if self.wrap.is_none() {
-                self.wrap = Some(WrapScratch::new(self.dfg, self.resources)?);
-            }
+                .begin_phase(self.dfg, self.scheduler, self.resources, state, chained)?;
             self.logs.phase.begin(state, alpha);
         }
         // With no context build, a replayed phase's delta is zero.
@@ -562,16 +619,7 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             if let Some(meter) = self.budget {
                 meter.charge_rotation();
             }
-            let wrapped = self
-                .wrap
-                .as_mut()
-                .expect("scratch is built at phase start")
-                .wrapped_length(
-                    self.dfg,
-                    Some(&state.retiming),
-                    &state.schedule,
-                    self.resources,
-                )?;
+            let wrapped = wrapped_length(&mut self.wrap, self.dfg, self.resources, state)?;
             self.observer.on_event(SearchEvent::Rotated {
                 node_set: rotated,
                 length: wrapped,
@@ -637,7 +685,7 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
     ) -> Result<HeuristicOutcome, RotationError> {
         let init = initial_state(self.dfg, self.scheduler, self.resources)?;
         let mut best = BestSet::new(config.keep_best);
-        let wrapped = init.wrapped_length(self.dfg, self.resources)?;
+        let wrapped = wrapped_length(&mut self.wrap, self.dfg, self.resources, &init)?;
         self.offer(&mut best, wrapped, &init);
 
         let beta = config
@@ -712,7 +760,7 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             None => kernel_lower_bound(self.dfg, self.resources)?,
         };
         let mut best = BestSet::new(config.keep_best);
-        let wrapped = init.wrapped_length(self.dfg, self.resources)?;
+        let wrapped = wrapped_length(&mut self.wrap, self.dfg, self.resources, &init)?;
         self.offer(&mut best, wrapped, &init);
 
         let beta = config
@@ -722,6 +770,10 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         let mut phases: Vec<PhaseStats> = Vec::new();
         let mut state = init;
         self.logs.sweep.begin(state.retiming.len());
+        // Whether `state` is what the step mode's last `FullSchedule`
+        // left: then the next executed phase starts on that reschedule's
+        // context instead of building one.
+        let mut chained = false;
         'sweep: for _round in 0..config.rounds.max(1) {
             for size in (1..=beta).rev() {
                 if self.prune.is_some_and(|p| p.should_stop(best.score)) {
@@ -739,6 +791,7 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
                     config.rotations_per_phase,
                     Some(bound),
                     exec.map(|e| (e, &phases[e].lengths[..])),
+                    chained,
                 )?;
                 let (stopped, rotations) = (stats.stopped.is_some(), stats.rotations);
                 phases.push(stats);
@@ -747,6 +800,7 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
                 }
 
                 if let Some(e) = exec {
+                    chained = false;
                     // Only a lower-indexed task's bound (a cross-prune)
                     // cuts a replayed phase short, and the canonical merge
                     // discards this task's result; the state to reschedule
@@ -765,10 +819,10 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
                 // Find a new initial schedule for the next phase from the
                 // accumulated rotation function: FullSchedule(G_R). The
                 // rotation function is kept in place.
-                state.schedule =
-                    self.scheduler
-                        .schedule(self.dfg, Some(&state.retiming), self.resources)?;
-                let wrapped = state.wrapped_length(self.dfg, self.resources)?;
+                self.step
+                    .full_schedule(self.dfg, self.scheduler, self.resources, &mut state)?;
+                chained = true;
+                let wrapped = wrapped_length(&mut self.wrap, self.dfg, self.resources, &state)?;
                 self.observer
                     .on_event(SearchEvent::Rescheduled { length: wrapped });
                 self.offer(&mut best, wrapped, &state);
@@ -782,6 +836,23 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             ..HeuristicOutcome::from_parts(best, phases)
         })
     }
+}
+
+/// The wrapped length of `state` through the driver's reusable probe
+/// `wrap`, built on first use — equal to
+/// [`RotationState::wrapped_length`], which debug builds check on every
+/// call.
+fn wrapped_length(
+    wrap: &mut Option<WrapScratch>,
+    dfg: &Dfg,
+    resources: &ResourceSet,
+    state: &RotationState,
+) -> Result<u32, RotationError> {
+    let wrap = match wrap {
+        Some(wrap) => wrap,
+        None => wrap.insert(WrapScratch::new(dfg, resources)?),
+    };
+    Ok(wrap.wrapped_length(dfg, Some(&state.retiming), &state.schedule, resources)?)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Allocation discipline of the data-oriented hot path, enforced by a
 //! counting global allocator.
 //!
-//! Two claims are pinned here:
+//! Five claims are pinned here:
 //!
 //! 1. a **steady-state rotation step** — `down_rotate_in_place` plus the
 //!    `WrapScratch` wrapped-length probe, beyond the weight-memo warm-up
@@ -13,7 +13,13 @@
 //!    `PhaseStats::lengths`;
 //! 4. on a warmed `SearchDriver`, a **sweep-replayed phase** (one that
 //!    Heuristic 2 replays whole from its sweep log) allocates nothing but
-//!    its `PhaseStats::lengths` and the growth of the sweep's phase list.
+//!    its `PhaseStats::lengths` and the growth of the sweep's phase list;
+//! 5. on a warmed `SearchDriver`, an **executed phase boundary** of
+//!    Heuristic 2 — the `FullSchedule(G_R)` through the sweep's one
+//!    scheduling context, its wrap probe and offer, and the next
+//!    phase's start on that context — allocates an exact, pinned
+//!    count: the growth of the sweep's phase list and the states `Q`
+//!    admits, nothing for the reschedule or the phase setup.
 //!
 //! The zero-allocation claim only holds in release builds: debug builds
 //! run the self-verifying cross-checks (`WrapScratch` re-runs the
@@ -158,14 +164,24 @@ fn hot_path_allocation_discipline() {
     let single = RotationScheduler::solve_batch(std::slice::from_ref(&spec)).expect("solves");
     let fresh_cost = allocs() - before;
 
+    // The batch's input is built outside the measured window: cloning
+    // a spec is the caller's cost, not the batch's.
+    let specs = [spec.clone(), spec.clone(), spec];
     let before = allocs();
-    let triple =
-        RotationScheduler::solve_batch(&[spec.clone(), spec.clone(), spec]).expect("solves");
+    let triple = RotationScheduler::solve_batch(&specs).expect("solves");
     let triple_cost = allocs() - before;
     assert_eq!(triple[2].length, single[0].length);
 
     // Two duplicate items on top of the representative solve.
     let duplicate_cost = triple_cost.saturating_sub(fresh_cost) / 2;
+    let before = allocs();
+    let clone = single[0].clone();
+    let clone_cost = allocs() - before;
+    drop(clone);
+    assert_eq!(
+        duplicate_cost, clone_cost,
+        "a deduplicated item costs exactly its outcome clone"
+    );
     assert!(
         duplicate_cost < 1_000,
         "a deduplicated item should cost only its outcome clone, \
@@ -249,6 +265,31 @@ fn hot_path_allocation_discipline() {
             between <= growth_bound,
             "between sweep-replayed phases the sweep allocated {between} \
              times; only the phase list's growth (at most {growth_bound}) is allowed"
+        );
+    }
+
+    // ---- claim 5: executed phase boundaries allocate a pinned count ----
+    // The same sweep, on the same warmed driver: its first 9 phases
+    // execute, so 8 boundaries lead from one executed phase to the
+    // next. Each spans the phase list's push, the `FullSchedule(G_R)`
+    // through the sweep's context, its wrap probe and offer, the sweep
+    // log's bookkeeping and the next phase's start on that context.
+    // Only two allocate: the first (the phase list's first buffer, and
+    // `Q` admitting the rescheduled state as a tie — its retiming and
+    // its schedule) and the fifth (the phase list growing past 4).
+    driver.observer.0 = Vec::with_capacity(2 * 64);
+    let outcome = driver.heuristic2(&config).expect("biquad schedules");
+    let executed = outcome.phases.len() - outcome.replayed_phases;
+    assert_eq!(executed, 9);
+    let marks = &driver.observer.0;
+    let boundaries: Vec<u64> = (1..executed)
+        .map(|i| marks[2 * i] - marks[2 * i - 1])
+        .collect();
+    if !cfg!(debug_assertions) {
+        assert_eq!(
+            boundaries,
+            [3, 0, 0, 0, 1, 0, 0, 0],
+            "allocations at each executed phase boundary"
         );
     }
 }

@@ -24,6 +24,12 @@
 //!   preserves every cycle's delay sum, so the zero-delay subgraph stays
 //!   acyclic by construction (`debug_assert`ed, not recomputed).
 //!
+//! A whole `FullSchedule` — Heuristic 2's reschedule between phases —
+//! runs through the context too ([`SchedContext::full_schedule`]): it
+//! re-derives the zero-delay set, reuses the table and the memoized
+//! weights, and leaves the context ready for the next phase, so a sweep
+//! builds one context instead of one per phase.
+//!
 //! Placement itself funnels through the same [`place_free`] core as the
 //! from-scratch path, which is what makes the incremental results
 //! bit-identical — cross-checked by `debug_assert`s against full
@@ -90,8 +96,10 @@ impl CacheStats {
 /// [`SchedContext::shift`] when the schedule is renumbered,
 /// [`SchedContext::apply_retiming_delta`] after the retiming changed on a
 /// node set, and [`SchedContext::reschedule`] to place freed nodes.
-/// After a reschedule error the context is stale; rebuild it with
-/// [`SchedContext::new`] before further use.
+/// [`SchedContext::full_schedule`] replaces the whole schedule and makes
+/// the context valid for the result whatever it saw before. After an
+/// error the context is stale; rebuild it with [`SchedContext::new`]
+/// before further use.
 #[derive(Debug)]
 pub struct SchedContext {
     policy: PriorityPolicy,
@@ -107,6 +115,11 @@ pub struct SchedContext {
     /// instead.
     memo: Vec<WeightsEntry>,
     active: usize,
+    /// Retired memo entries, whose buffers the next misses reuse.
+    spare: Vec<WeightsEntry>,
+    /// Every node in index order: the free set of
+    /// [`SchedContext::full_schedule`].
+    nodes: Vec<NodeId>,
     kernel: WeightKernel,
     scratch: PlaceScratch,
     /// Weight-memo effectiveness counters (see [`CacheStats`]).
@@ -156,6 +169,14 @@ impl SchedContext {
             zero,
             memo,
             active: 0,
+            // Memo and spare entries number at most the cap together,
+            // so the spare list never grows past this.
+            spare: Vec::with_capacity(if policy.has_kernel() {
+                WEIGHT_MEMO_CAP
+            } else {
+                0
+            }),
+            nodes: dfg.node_ids().collect(),
             kernel,
             scratch: PlaceScratch::new(dfg),
             stats: CacheStats::default(),
@@ -232,14 +253,22 @@ impl SchedContext {
         }
         self.stats.weight_memo_misses += 1;
         // A full memo evicts its oldest entry and recycles its buffers.
-        let mut entry = if self.memo.len() == WEIGHT_MEMO_CAP {
-            self.memo.remove(0)
+        let entry = if self.memo.len() == WEIGHT_MEMO_CAP {
+            Some(self.memo.remove(0))
         } else {
-            WeightsEntry {
-                zero: self.zero.clone(),
-                weights: dfg.node_map(0_u64),
-            }
+            self.spare.pop()
         };
+        self.memoize(dfg, entry);
+    }
+
+    /// Computes the current zero set's weights into `entry` (a recycled
+    /// one, or a new one when `None`) and makes them active as the
+    /// newest memo entry.
+    fn memoize(&mut self, dfg: &Dfg, entry: Option<WeightsEntry>) {
+        let mut entry = entry.unwrap_or_else(|| WeightsEntry {
+            zero: self.zero.clone(),
+            weights: dfg.node_map(0_u64),
+        });
         entry.zero.clone_from(&self.zero);
         let acyclic = self
             .kernel
@@ -250,6 +279,88 @@ impl SchedContext {
         );
         self.memo.push(entry);
         self.active = self.memo.len() - 1;
+    }
+
+    /// `FullSchedule(G_r)` through the context: schedules every node of
+    /// the graph afresh into `schedule` under `retiming`, exactly as
+    /// [`ListScheduler::schedule`] does, and leaves the context as
+    /// [`SchedContext::new`] would build it for the result.
+    ///
+    /// Nothing is assumed about the state the context last saw: the
+    /// zero-delay set is re-derived from `retiming` (the caller may have
+    /// rewritten the retiming wholesale), the table is cleared, and the
+    /// weight memo is cut back to the single entry a new context holds
+    /// — the current set's weights, re-activated when memoized, else
+    /// computed — so the memo counters of the rotations that follow
+    /// match a rebuilt context's. The counters themselves are not
+    /// charged. Every node is then placed in index order through the
+    /// shared placement core, and the result normalized by an origin
+    /// shift.
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`ListScheduler::schedule`]'s errors on the context's
+    /// graph and resources; the context is stale after one.
+    pub fn full_schedule(
+        &mut self,
+        dfg: &Dfg,
+        scheduler: &ListScheduler,
+        retiming: Option<&Retiming>,
+        resources: &ResourceSet,
+        schedule: &mut Schedule,
+    ) -> Result<(), SchedError> {
+        debug_assert_eq!(
+            self.policy,
+            scheduler.policy(),
+            "context/scheduler mismatch"
+        );
+        debug_assert_eq!(
+            self.graph,
+            dfg.structure_fingerprint(),
+            "context/graph mismatch"
+        );
+        self.zero.recompute(dfg, retiming);
+        if !self.memo.is_empty() {
+            let key = self.zero.key();
+            let hit = self
+                .memo
+                .iter()
+                .position(|e| e.zero.key() == key && e.zero == self.zero);
+            let kept = hit.map(|i| self.memo.swap_remove(i));
+            self.spare.append(&mut self.memo);
+            match kept {
+                Some(entry) => {
+                    self.memo.push(entry);
+                    self.active = 0;
+                }
+                None => {
+                    let entry = self.spare.pop();
+                    self.memoize(dfg, entry);
+                }
+            }
+        }
+        for &v in &self.nodes {
+            schedule.clear(v);
+        }
+        self.table.clear();
+        let nodes = std::mem::take(&mut self.nodes);
+        let placed = self.reschedule(dfg, scheduler, retiming, resources, schedule, &nodes);
+        self.nodes = nodes;
+        placed?;
+        if let Some(first) = schedule.first_step() {
+            if first != 1 {
+                schedule.shift(1 - i64::from(first));
+                self.shift(1 - i64::from(first));
+            }
+        }
+        #[cfg(debug_assertions)]
+        {
+            let reference = ListScheduler::new(self.policy)
+                .schedule(dfg, retiming, resources)
+                .expect("the reference schedules what the context did");
+            assert_eq!(*schedule, reference, "context FullSchedule diverged");
+        }
+        Ok(())
     }
 
     /// The memoized priority weights of the current zero-delay set, or

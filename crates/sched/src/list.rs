@@ -74,9 +74,23 @@ impl ZeroSet {
     /// `d(e) + r(u) − r(v) == 0` per edge, no edge objects touched.
     #[must_use]
     pub fn compute(dfg: &Dfg, retiming: Option<&Retiming>) -> Self {
+        let mut zero = ZeroSet {
+            bits: Vec::new(),
+            key: 0,
+        };
+        zero.recompute(dfg, retiming);
+        zero
+    }
+
+    /// [`ZeroSet::compute`] in place, reusing the bitset's buffer: how
+    /// a rotation context re-derives its set after the state behind it
+    /// was rewritten wholesale.
+    pub(crate) fn recompute(&mut self, dfg: &Dfg, retiming: Option<&Retiming>) {
         let csr = dfg.csr();
         let delays = csr.edge_delays();
-        let mut bits = vec![0_u64; delays.len().div_ceil(64)];
+        let bits = &mut self.bits;
+        bits.clear();
+        bits.resize(delays.len().div_ceil(64), 0);
         let mut key = 0_u64;
         let mut mark = |i: usize| {
             bits[i / 64] |= 1 << (i % 64);
@@ -101,7 +115,7 @@ impl ZeroSet {
                 }
             }
         }
-        ZeroSet { bits, key }
+        self.key = key;
     }
 
     /// Whether edge `e` is zero-delay in this set.
@@ -448,7 +462,7 @@ impl PlaceScratch {
             blocking: dfg.node_map(0_u32),
             latest: dfg.node_map(None),
             earliest: dfg.node_map(1_u32),
-            ready: Vec::new(),
+            ready: Vec::with_capacity(dfg.node_count()),
         }
     }
 }
@@ -601,56 +615,47 @@ fn place_free_inner(
                 v,
             )
         });
-        let mut placed_any = true;
-        while placed_any {
-            placed_any = false;
-            let mut i = 0;
-            while i < ready.len() {
-                let v = ready[i];
-                if earliest[v] > cs {
-                    i += 1;
-                    continue;
+        // One scan per step suffices: a node passed over here would
+        // never be placed by a second scan of the same step. Its
+        // earliest start and deadline are fixed, and usage only grows,
+        // so a unit that was busy stays busy. Nodes unblocked during the
+        // scan are pushed at the end and visited by this same scan. The
+        // `swap_remove` order decides ties when several units are free.
+        let mut i = 0;
+        while i < ready.len() {
+            let v = ready[i];
+            if earliest[v] > cs {
+                i += 1;
+                continue;
+            }
+            if let Some(bound) = latest[v] {
+                if cs > bound {
+                    return Err(SchedError::NoFeasibleSlot { node: v });
                 }
-                if let Some(bound) = latest[v] {
-                    if cs > bound {
-                        return Err(SchedError::NoFeasibleSlot { node: v });
-                    }
-                }
-                let class_id = class_of[v];
-                let class = resources.class(class_id);
-                let time = dfg.node(v).time();
-                if table.can_place(class_id, class.occupancy(time).map(|off| cs + off)) {
-                    table.place(class_id, class.occupancy(time).map(|off| cs + off));
-                    schedule.set(v, cs);
-                    remaining -= 1;
-                    ready.swap_remove(i);
-                    placed_any = true;
-                    // Unblock free successors.
-                    for j in csr.out_range(v.index()) {
-                        if zero.contains(out_ids[j]) {
-                            let w = NodeId::from_index(out_heads[j] as usize);
-                            if is_free[w.index()] && schedule.start(w).is_none() {
-                                blocking[w] -= 1;
-                                if blocking[w] == 0 {
-                                    earliest[w] = earliest_start(w, schedule);
-                                    ready.push(w);
-                                }
+            }
+            let class_id = class_of[v];
+            let class = resources.class(class_id);
+            let time = dfg.node(v).time();
+            if table.can_place(class_id, class.occupancy(time).map(|off| cs + off)) {
+                table.place(class_id, class.occupancy(time).map(|off| cs + off));
+                schedule.set(v, cs);
+                remaining -= 1;
+                ready.swap_remove(i);
+                // Unblock free successors.
+                for j in csr.out_range(v.index()) {
+                    if zero.contains(out_ids[j]) {
+                        let w = NodeId::from_index(out_heads[j] as usize);
+                        if is_free[w.index()] && schedule.start(w).is_none() {
+                            blocking[w] -= 1;
+                            if blocking[w] == 0 {
+                                earliest[w] = earliest_start(w, schedule);
+                                ready.push(w);
                             }
                         }
                     }
-                } else {
-                    i += 1;
                 }
-            }
-            if placed_any {
-                // Newly unblocked nodes may also fit in this step.
-                ready.sort_unstable_by_key(|&v| {
-                    (
-                        latest[v].unwrap_or(u32::MAX),
-                        core::cmp::Reverse(weights[v.index()]),
-                        v,
-                    )
-                });
+            } else {
+                i += 1;
             }
         }
         cs += 1;

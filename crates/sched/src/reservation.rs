@@ -53,6 +53,16 @@ impl ReservationTable {
         i64::from(cs) - 1 + self.origin
     }
 
+    /// Frees every reservation, keeping the rows' capacity, so a
+    /// rotation context can place a whole schedule again without
+    /// allocating.
+    pub fn clear(&mut self) {
+        for row in &mut self.usage {
+            row.clear();
+        }
+        self.origin = 0;
+    }
+
     /// Busy units of `class` in control step `cs` (1-based).
     #[must_use]
     pub fn used(&self, class: ResourceClassId, cs: u32) -> u32 {

@@ -47,7 +47,7 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
     let (max_live, peak_step) = match view {
         Some(s) => {
             let l = i64::from(s.kernel_length);
-            let mut live = StepProfile::new(l as u64);
+            let mut live = StepProfile::new(l as u64, csr.edge_from().len());
             let endpoints = csr.edge_from().iter().zip(csr.edge_to());
             for ((&from, &to), &d_r) in endpoints.zip(retimed) {
                 let u = NodeId::from_index(from as usize);
@@ -63,12 +63,7 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
                 live.add((produced - 1).rem_euclid(l) as u64, duration as u64);
             }
             // The first step reaching the peak.
-            let (mut max, mut peak) = (0, 0);
-            for (k, count) in live.counts().enumerate() {
-                if count > max {
-                    (max, peak) = (count, k);
-                }
-            }
+            let (max, peak) = live.peak();
             (Some(max), Some(peak as u32 + 1))
         }
         None => (None, None),

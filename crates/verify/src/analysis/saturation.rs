@@ -36,7 +36,8 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
     let mut classes = Vec::with_capacity(spec.classes().len());
     for (c, class) in spec.classes().iter().enumerate() {
         let mut occupancy = 0_u64;
-        let mut usage = view.map(|s| StepProfile::new(u64::from(s.kernel_length)));
+        let mut usage =
+            view.map(|s| StepProfile::new(u64::from(s.kernel_length), dfg.node_count()));
         for (v, node) in dfg.nodes() {
             if spec.class_of(node.op()) != Some(c) {
                 continue;
@@ -55,14 +56,11 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
         } else {
             0
         };
-        let (utilization_permille, saturated_steps) = match (&usage, view) {
+        let (utilization_permille, saturated_steps) = match (&mut usage, view) {
             (Some(usage), Some(s)) if class.units > 0 => {
                 let capacity = u64::from(class.units) * u64::from(s.kernel_length);
                 let permille = occupancy.saturating_mul(1000) / capacity.max(1);
-                let saturated = usage
-                    .counts()
-                    .filter(|&u| u >= u64::from(class.units))
-                    .count();
+                let saturated = usage.slots_at_least(u64::from(class.units));
                 (
                     Some(u32::try_from(permille).unwrap_or(u32::MAX)),
                     Some(u32::try_from(saturated).unwrap_or(u32::MAX)),

@@ -760,14 +760,6 @@ mod tests {
         certify(g, &ResourceSpec::unlimited(), Some(r), starts, *length).is_ok()
     }
 
-    /// The searches one `analyze` of `g` runs besides its critical-cycle
-    /// pass: a debug build's lint re-checks the seeded bound of a cyclic
-    /// graph with `recurrence_forces`, one more search. A release build
-    /// runs none.
-    fn lint_check(g: &Dfg) -> u64 {
-        u64::from(cfg!(debug_assertions) && Sweep::run(g, true, false).is_cyclic())
-    }
-
     /// Certifies then analyzes each kernel, requiring the analysis' cold
     /// bytes and, for each certified kernel, no search of its own. Every
     /// kernel without a zero-delay cycle certifies. Returns how many
@@ -782,7 +774,7 @@ mod tests {
             let before = searches();
             assert_eq!(analysis_bytes(&g, &k), cold, "case {i}");
             if ok {
-                let own = searches() - before - lint_check(&g);
+                let own = searches() - before;
                 assert_eq!(own, 0, "case {i}: the certificate's answer");
                 certified += 1;
             }
@@ -814,35 +806,31 @@ mod tests {
     fn one_search_per_certified_then_analyzed_kernel() {
         let (g1, k1) = kernel_case(1);
         let (g2, k2) = kernel_case(2);
-        // Searches `f` runs, net of the lint checks of its `analyses`.
-        let count = |analyses: u64, f: &dyn Fn()| {
+        // Searches `f` runs.
+        let count = |f: &dyn Fn()| {
             let before = searches();
             f();
-            searches() - before - analyses * lint_check(&g1)
+            searches() - before
         };
         let analyze1 = || drop(analysis_bytes(&g1, &k1));
         let certify_then_analyze = || {
             certify_kernel(&g1, &k1);
             analyze1();
         };
-        assert_eq!(count(1, &certify_then_analyze), 1, "certify + analyze");
-        assert_eq!(count(1, &analyze1), 1, "analyze alone");
+        assert_eq!(count(&certify_then_analyze), 1, "certify + analyze");
+        assert_eq!(count(&analyze1), 1, "analyze alone");
         let twice = || {
             analyze1();
             analyze1();
         };
-        assert_eq!(
-            count(2, &twice),
-            2,
-            "analyze twice: the slot is not a cache"
-        );
+        assert_eq!(count(&twice), 2, "analyze twice: the slot is not a cache");
         let interleaved = || {
             certify_kernel(&g1, &k1);
             certify_kernel(&g2, &k2);
             analyze1();
         };
         assert_eq!(
-            count(1, &interleaved),
+            count(&interleaved),
             3,
             "certify(g1), certify(g2), analyze(g1)"
         );
@@ -893,7 +881,7 @@ mod tests {
             assert!(certify_kernel(&g, &kernel_case(3).1), "{case}");
             let before = searches();
             assert_eq!(analysis_bytes(&h, &k), cold, "{case}");
-            let own = searches() - before - lint_check(&h);
+            let own = searches() - before;
             assert_eq!(own, 1, "{case}: searched afresh");
         }
     }

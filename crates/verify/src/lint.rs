@@ -9,7 +9,7 @@
 
 use rotsched_dfg::{Dfg, NodeId, OpKind, Retiming};
 
-use crate::bound::{recurrence_bound_after, recurrence_forces};
+use crate::bound::recurrence_bound_after;
 use crate::diag::{sort_canonical, Code, Diagnostic, Locus};
 use crate::spec::ResourceSpec;
 use crate::sweep::{GraphFacts, Sweep};
@@ -427,7 +427,6 @@ fn pass_iteration_boundary(
     else {
         return; // zero-delay cycle: covered by E001
     };
-    debug_assert!(recurrence_forces(dfg, bound));
     for (v, node) in dfg.nodes() {
         if u64::from(node.time()) > u64::from(bound) {
             out.push(Diagnostic::new(

@@ -288,3 +288,77 @@ fn near_u32_max_times_and_delays_reach_the_u64_clamp() {
         }
     }
 }
+
+#[test]
+fn long_kernels_fold_through_sorted_breakpoints() {
+    // Kernels longer than 16 steps per profiled node or edge keep the
+    // ranges' breakpoints instead of a slot array; the folds must not
+    // change.
+    let mut cases = 0;
+    for seed in 0..40_u64 {
+        let mut rng = SplitMix64::new(seed ^ 0x1096_F01D);
+        let nodes = 2 + rng.index(5);
+        let dfg = random_dfg(
+            &RandomDfgConfig {
+                nodes,
+                ..RandomDfgConfig::default()
+            },
+            rng.next_u64(),
+        );
+        let retiming = random_retiming(&dfg, &mut rng, 3 * nodes);
+        let base = 16 * (dfg.node_count() + dfg.edge_count()) as u32 + 17;
+        for spec in &specs() {
+            for kernel_length in [base, base + 1, 3 * base + 5] {
+                let starts = StartTimes::from_fn(&dfg, |_| Some(rng.range_u32(1, kernel_length)));
+                let view = ScheduleView {
+                    starts: &starts,
+                    retiming: &retiming,
+                    kernel_length,
+                };
+                let case = format!("seed {seed}, L = {kernel_length}, {spec:?}");
+                cases += usize::from(check(&dfg, spec, &view, &case).is_some());
+            }
+        }
+    }
+    assert_eq!(cases, 40 * 3 * 3);
+}
+
+#[test]
+fn kernels_of_near_u32_max_steps_analyze_without_a_slot_per_step() {
+    // A slot array for L = u32::MAX − 1 would take ~34 GB; the profiles
+    // keep the ranges' breakpoints instead, with the counts a step
+    // replay would give. The producer `a` (step 1) feeds `m` (steps 2–3)
+    // as soon as it finishes, `m` feeds `a` back through one delay, and
+    // `z` (time 0, step 1) reads `a` one iteration later.
+    let mut g = Dfg::new("long-kernel");
+    let a = g.add_node("a", OpKind::Add, 1);
+    let m = g.add_node("m", OpKind::Mul, 2);
+    let z = g.add_node("z", OpKind::Add, 0);
+    g.add_edge(a, m, 0).unwrap();
+    g.add_edge(m, a, 1).unwrap();
+    g.add_edge(a, z, 1).unwrap();
+    let retiming = Retiming::zero(&g);
+    let starts = StartTimes::from_fn(&g, |v| Some([1, 2, 1][v.index()]));
+    let kernel_length = u32::MAX - 1;
+    let view = ScheduleView {
+        starts: &starts,
+        retiming: &retiming,
+        kernel_length,
+    };
+    let spec = ResourceSpec::adders_multipliers(1, 1, false);
+    let report = analyze(&g, &spec, Some(&view));
+    let pressure = report.pressure.expect("a complete legal view");
+    // Live values: m→a over steps 4..=L and a→z over steps 2..=L (a→m
+    // is consumed as it is produced), so two from step 4 on.
+    assert_eq!(pressure.max_live, Some(2));
+    assert_eq!(pressure.peak_step, Some(4));
+    let saturation = report.saturation.expect("always present");
+    let saturated: Vec<_> = saturation
+        .classes
+        .iter()
+        .map(|c| c.saturated_steps)
+        .collect();
+    // The adder is busy at step 1 only; the multiplier at steps 2
+    // and 3.
+    assert_eq!(saturated, [Some(1), Some(2)]);
+}

@@ -16,7 +16,11 @@
 //! * a certificate's recurrence bound, which searches the kernel's
 //!   retimed delays, is `recurrence_bound` on the unretimed graph, for
 //!   seeded legal retimings near zero and at either end of the `i64`
-//!   range.
+//!   range;
+//! * on cyclic graphs, the bound an analysis hands its lint (the
+//!   critical-cycle pass's, searched over the kernel's retimed delays)
+//!   is `recurrence_bound`, is forced by the recurrences, and lints like
+//!   the lint's own search.
 //!
 //! The small graphs (1–8 nodes) mix zero-time ops, self-loops, parallel
 //! edges, zero-delay cycles, and times and delays at and just below
@@ -448,4 +452,63 @@ fn certified_bounds_match_recurrence_bound_on_large_graphs() {
     for (seed, g) in large_graphs().iter().enumerate() {
         assert_eq!(check_certified_bound(g, seed as u64), 3, "{}", g.name());
     }
+}
+
+/// The bound the analysis of `g` under the kernel `(r, starts, length)`
+/// hands its lint must be the lint's own search's: `recurrence_bound`,
+/// forced by the recurrences (`recurrence_forces`), and linting like no
+/// hint at all. Returns whether `g` was checked (cyclic, no zero-delay
+/// cycle).
+fn check_lint_hint(g: &Dfg, r: &Retiming, starts: &StartTimes, length: u32) -> bool {
+    let name = g.name();
+    if !matches!(max_cycle_ratio(g), Ok(Some(_))) {
+        return false;
+    }
+    let spec = ResourceSpec::unlimited();
+    let view = rotsched::verify::ScheduleView {
+        starts,
+        retiming: r,
+        kernel_length: length,
+    };
+    let report = analyze(g, &spec, Some(&view));
+    let cc = report
+        .critical_cycle
+        .as_ref()
+        .unwrap_or_else(|| panic!("{name}: a cyclic graph has a critical cycle"));
+    let hint = u32::try_from(cc.ratio.ceil().max(1))
+        .ok()
+        .filter(|&b| b < u32::MAX);
+    assert_eq!(hint, recurrence_bound(g), "{name}: hint vs search");
+    if let Some(bound) = hint {
+        assert!(recurrence_forces(g, bound), "{name}: bound {bound} forced");
+    }
+    let options = LintOptions::default();
+    let unhinted = LintContext {
+        spec: Some(&spec),
+        retiming: Some(r),
+        ..LintContext::bare(&options)
+    };
+    let hinted = LintContext {
+        recurrence_hint: Some(hint),
+        ..unhinted
+    };
+    let own = lint(g, &unhinted);
+    assert_eq!(lint(g, &hinted), own, "{name}: hinted lints");
+    assert_eq!(report.lints, own, "{name}: the analysis' lints");
+    true
+}
+
+#[test]
+fn analysis_lint_hints_match_the_search_on_seeded_cyclic_graphs() {
+    let mut checked = 0;
+    let small = (0..SMALL_CASES / 4).map(small_graph);
+    for (seed, g) in small.chain(large_graphs()).enumerate() {
+        for far in [None, Some(true)] {
+            let r = legal_retiming(&g, seed as u64, far);
+            if let Some((starts, length)) = asap_kernel(&g, &r) {
+                checked += usize::from(check_lint_hint(&g, &r, &starts, length));
+            }
+        }
+    }
+    assert_eq!(checked, 860, "cyclic kernels checked");
 }
