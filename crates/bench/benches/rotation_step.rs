@@ -12,8 +12,8 @@ use rotsched_sched::{ListScheduler, ResourceSet};
 /// Down-rotations per measured iteration in the context-vs-scratch
 /// arms. The rotation sequence continues across iterations (rotation is
 /// endless — the state space is periodic), so both arms measure the
-/// steady state a rotation phase actually runs in: a warm context and a
-/// warm scheduler cache.
+/// steady state a rotation phase actually runs in (the context arm on a
+/// warm weight memo; the scratch arm computes its weights every step).
 const STEPS: usize = 32;
 
 fn one_rotation_partial(g: &Dfg, res: &ResourceSet) {
@@ -48,9 +48,7 @@ impl SteppedArm {
                 break;
             }
             match &mut self.ctx {
-                Some(ctx) => ctx
-                    .down_rotate(g, &self.sched, res, &mut self.state, 1)
-                    .expect("legal"),
+                Some(ctx) => ctx.down_rotate(g, res, &mut self.state, 1).expect("legal"),
                 None => down_rotate(g, &self.sched, res, &mut self.state, 1).expect("legal"),
             };
         }

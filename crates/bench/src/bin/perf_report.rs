@@ -500,8 +500,7 @@ fn step_percentiles(graphs: &[(&str, Dfg)]) -> (StepPercentiles, StepPercentiles
                 break;
             }
             let start = Instant::now();
-            ctx.down_rotate(g, &sched, &res, &mut state, 1)
-                .expect("legal");
+            ctx.down_rotate(g, &res, &mut state, 1).expect("legal");
             ctx_ns.push(elapsed_ns(start));
         }
         let mut state = init.clone();
@@ -550,7 +549,7 @@ fn soa_steady_percentiles() -> StepPercentiles {
     // warm without charging the probe to the rotation arm (the
     // `context` and `scratch` arms time the rotation operator alone).
     for _ in 0..4 * n {
-        ctx.down_rotate_in_place(&g, &sched, &res, &mut state, 1)
+        ctx.down_rotate_in_place(&g, &res, &mut state, 1)
             .expect("steady ring keeps rotating");
         wrap.wrapped_length(&g, Some(&state.retiming), &state.schedule, &res)
             .expect("rotation states wrap");
@@ -558,7 +557,7 @@ fn soa_steady_percentiles() -> StepPercentiles {
     let mut ns = Vec::with_capacity(SOA_SAMPLES);
     for _ in 0..SOA_SAMPLES {
         let start = Instant::now();
-        ctx.down_rotate_in_place(&g, &sched, &res, &mut state, 1)
+        ctx.down_rotate_in_place(&g, &res, &mut state, 1)
             .expect("steady ring keeps rotating");
         ns.push(elapsed_ns(start));
         wrap.wrapped_length(&g, Some(&state.retiming), &state.schedule, &res)
@@ -611,7 +610,7 @@ fn dense_step_percentiles() -> StepPercentiles {
                     effective = effective.div_ceil(2);
                 }
                 let start = Instant::now();
-                ctx.down_rotate_in_place(&g, &sched, &res, &mut state, effective)
+                ctx.down_rotate_in_place(&g, &res, &mut state, effective)
                     .expect("legal");
                 wrap.wrapped_length(&g, Some(&state.retiming), &state.schedule, &res)
                     .expect("rotation states wrap");
@@ -813,8 +812,8 @@ fn driver_overhead(graphs: &[(&str, Dfg)]) -> DriverOverhead {
         .chain(std::iter::once(&random64));
     for g in subjects {
         let init = initial_state(g, &sched, &res).expect("schedulable");
-        let driver = |_| run_driver_sequence(g, &sched, &res, &init);
-        let legacy = |_| run_legacy_sequence(g, &sched, &res, &init);
+        let driver = |_| run_driver_sequence(g, sched, &res, &init);
+        let legacy = |_| run_legacy_sequence(g, sched, &res, &init);
         // Warm-up: one untimed sequence per arm.
         driver(0);
         legacy(0);
@@ -844,13 +843,13 @@ fn median(values: &mut [f64]) -> f64 {
 /// One phase of `STEP_SEQ` size-1 rotations through the engine.
 fn run_driver_sequence(
     g: &Dfg,
-    sched: &ListScheduler,
+    sched: ListScheduler,
     res: &ResourceSet,
     init: &rotsched_core::RotationState,
 ) {
     let mut state = init.clone();
     let mut best = BestSet::new(4);
-    let mut driver = SearchDriver::incremental(g, sched, res);
+    let mut driver = SearchDriver::incremental(g, &sched, res);
     driver
         .run_phase(&mut state, &mut best, 1, STEP_SEQ)
         .expect("legal");
@@ -870,13 +869,13 @@ fn run_driver_sequence(
 /// `--check` band exists to catch exactly that drift.
 fn run_legacy_sequence(
     g: &Dfg,
-    sched: &ListScheduler,
+    sched: ListScheduler,
     res: &ResourceSet,
     init: &rotsched_core::RotationState,
 ) {
     let mut state = init.clone();
     let mut best = BestSet::new(4);
-    let mut ctx = RotationContext::new(g, sched, res, &state).expect("schedulable");
+    let mut ctx = RotationContext::new(g, &sched, res, &state).expect("schedulable");
     let mut wrap = WrapScratch::new(g, res).expect("ops bind");
     let mut cycles = CycleLog::new();
     cycles.begin(&state, STEP_SEQ);
@@ -901,7 +900,7 @@ fn run_legacy_sequence(
         if effective == 0 {
             break;
         }
-        ctx.down_rotate_in_place(g, sched, res, &mut state, effective)
+        ctx.down_rotate_in_place(g, res, &mut state, effective)
             .expect("legal");
         let wrapped = wrap
             .wrapped_length(g, Some(&state.retiming), &state.schedule, res)
@@ -1234,13 +1233,13 @@ impl ScalarBestSet {
 /// handing each wrapped length and state to `offer`.
 fn run_offer_sequence(
     g: &Dfg,
-    sched: &ListScheduler,
+    sched: ListScheduler,
     res: &ResourceSet,
     init: &rotsched_core::RotationState,
     mut offer: impl FnMut(u32, &rotsched_core::RotationState),
 ) {
     let mut state = init.clone();
-    let mut ctx = RotationContext::new(g, sched, res, &state).expect("schedulable");
+    let mut ctx = RotationContext::new(g, &sched, res, &state).expect("schedulable");
     let mut wrap = WrapScratch::new(g, res).expect("ops bind");
     for _ in 0..STEP_SEQ {
         let length = state.length(g);
@@ -1254,7 +1253,7 @@ fn run_offer_sequence(
         if effective == 0 {
             break;
         }
-        ctx.down_rotate_in_place(g, sched, res, &mut state, effective)
+        ctx.down_rotate_in_place(g, res, &mut state, effective)
             .expect("legal");
         let wrapped = wrap
             .wrapped_length(g, Some(&state.retiming), &state.schedule, res)
@@ -1279,7 +1278,7 @@ fn objective_overhead(graphs: &[(&str, Dfg)]) -> ObjectiveOverheadReport {
     let scalar = |k: usize| {
         let (g, init) = &subjects[k % subjects.len()];
         let mut best = ScalarBestSet::new(4);
-        run_offer_sequence(g, &sched, &res, init, |wrapped, state| {
+        run_offer_sequence(g, sched, &res, init, |wrapped, state| {
             best.offer(wrapped, state);
         });
         std::hint::black_box((best.length, best.schedules.len()));
@@ -1287,7 +1286,7 @@ fn objective_overhead(graphs: &[(&str, Dfg)]) -> ObjectiveOverheadReport {
     let packed = |k: usize| {
         let (g, init) = &subjects[k % subjects.len()];
         let mut best = BestSet::new(4);
-        run_offer_sequence(g, &sched, &res, init, |wrapped, state| {
+        run_offer_sequence(g, sched, &res, init, |wrapped, state| {
             let _ = best.offer(Objective::Length.score(g, &state.retiming, wrapped), state);
         });
         std::hint::black_box((best.length(), best.count()));

@@ -107,12 +107,11 @@ impl RotationContext {
     pub fn down_rotate(
         &mut self,
         dfg: &Dfg,
-        scheduler: &ListScheduler,
         resources: &ResourceSet,
         state: &mut RotationState,
         size: u32,
     ) -> Result<DownRotateOutcome, RotationError> {
-        let length = self.down_rotate_in_place(dfg, scheduler, resources, state, size)?;
+        let length = self.down_rotate_in_place(dfg, resources, state, size)?;
         Ok(DownRotateOutcome {
             rotated: self.rotated.clone(),
             length,
@@ -131,7 +130,6 @@ impl RotationContext {
     pub fn down_rotate_in_place(
         &mut self,
         dfg: &Dfg,
-        scheduler: &ListScheduler,
         resources: &ResourceSet,
         state: &mut RotationState,
         size: u32,
@@ -173,7 +171,6 @@ impl RotationContext {
 
         self.ctx.reschedule(
             dfg,
-            scheduler,
             Some(&state.retiming),
             resources,
             &mut state.schedule,
@@ -199,17 +196,11 @@ impl RotationContext {
     pub fn full_schedule(
         &mut self,
         dfg: &Dfg,
-        scheduler: &ListScheduler,
         resources: &ResourceSet,
         state: &mut RotationState,
     ) -> Result<(), RotationError> {
-        self.ctx.full_schedule(
-            dfg,
-            scheduler,
-            Some(&state.retiming),
-            resources,
-            &mut state.schedule,
-        )?;
+        self.ctx
+            .full_schedule(dfg, Some(&state.retiming), resources, &mut state.schedule)?;
         Ok(())
     }
 
@@ -254,9 +245,7 @@ mod tests {
             if incremental.length(&g) <= 1 {
                 break;
             }
-            let a = ctx
-                .down_rotate(&g, &sched, &res, &mut incremental, 1)
-                .unwrap();
+            let a = ctx.down_rotate(&g, &res, &mut incremental, 1).unwrap();
             let b = down_rotate(&g, &sched, &res, &mut reference, 1).unwrap();
             assert_eq!(a, b);
             assert_eq!(incremental, reference);
@@ -276,12 +265,12 @@ mod tests {
         let mut st = initial_state(&g, &sched, &res).unwrap();
         let mut ctx = RotationContext::new(&g, &sched, &res, &st).unwrap();
         assert!(matches!(
-            ctx.down_rotate(&g, &sched, &res, &mut st, 0),
+            ctx.down_rotate(&g, &res, &mut st, 0),
             Err(RotationError::InvalidSize { .. })
         ));
         let len = st.length(&g);
         assert!(matches!(
-            ctx.down_rotate(&g, &sched, &res, &mut st, len),
+            ctx.down_rotate(&g, &res, &mut st, len),
             Err(RotationError::InvalidSize { .. })
         ));
     }

@@ -179,7 +179,7 @@ fn logged_rotation(cycle: Option<Cycle>, k: usize) -> usize {
 /// let mut log = CycleLog::new();
 /// log.begin(&state, 16);
 /// while log.cycle().is_none() {
-///     ctx.down_rotate_in_place(&g, &sched, &res, &mut state, 1)?;
+///     ctx.down_rotate_in_place(&g, &res, &mut state, 1)?;
 ///     log.record(ctx.rotated(), state.wrapped_length(&g, &res)?, &state);
 /// }
 /// let cycle = log.cycle().expect("the ring repeats");

@@ -29,8 +29,8 @@
 //!
 //! [`RotationScheduler`]: crate::RotationScheduler
 
-use rotsched_dfg::{Dfg, NodeId};
-use rotsched_sched::{CacheStats, ListScheduler, ResourceSet, WrapScratch};
+use rotsched_dfg::{Dfg, NodeId, Retiming};
+use rotsched_sched::{CacheStats, ListScheduler, ResourceSet, Schedule, WrapScratch};
 
 use crate::budget::{BudgetMeter, StopReason};
 use crate::context::RotationContext;
@@ -137,12 +137,31 @@ impl<O: SearchObserver + ?Sized> SearchObserver for &mut O {
 /// Both modes funnel into the same placement core, so their results are
 /// bit-identical; they differ only in per-step cost (see DESIGN.md §6).
 pub trait StepMode {
+    /// The starting state of a heuristic run: `FullSchedule(G)` under
+    /// the zero rotation function, after [`Dfg::validate`]. The default
+    /// is [`initial_state`]; the incremental mode schedules through a
+    /// new context for the graph instead, which the run's first phase
+    /// then starts on.
+    ///
+    /// # Errors
+    ///
+    /// See [`initial_state`].
+    fn initial_state(
+        &mut self,
+        dfg: &Dfg,
+        scheduler: &ListScheduler,
+        resources: &ResourceSet,
+    ) -> Result<RotationState, RotationError> {
+        initial_state(dfg, scheduler, resources)
+    }
+
     /// Called once at the start of every executed phase, before any
     /// rotation of `state`; the incremental mode (re)builds its context
     /// here. `chained` says that `state` is exactly what this mode's
-    /// last [`StepMode::full_schedule`] produced, untouched since — the
-    /// next phase of a Heuristic-2 sweep — so the incremental mode
-    /// keeps the context that reschedule left instead of rebuilding it.
+    /// last [`StepMode::initial_state`] or [`StepMode::full_schedule`]
+    /// produced, untouched since — a run's first phase, or the next
+    /// phase of a Heuristic-2 sweep — so the incremental mode keeps the
+    /// context that schedule left instead of rebuilding it.
     ///
     /// # Errors
     ///
@@ -199,9 +218,10 @@ pub trait StepMode {
 
 /// The production step mode: rotations run through a persistent
 /// [`RotationContext`], so per-step work is proportional to the rotated
-/// prefix rather than the graph. A Heuristic-2 sweep keeps one context
-/// throughout: its `FullSchedule`s run through the context, which leaves
-/// it ready for the next phase. Every other phase start rebuilds it.
+/// prefix rather than the graph. A heuristic run builds its context for
+/// the initial state, and a Heuristic-2 sweep keeps it throughout: its
+/// `FullSchedule`s run through the context, which leaves it ready for the
+/// next phase. Every other phase start rebuilds it.
 #[derive(Debug, Default)]
 pub struct IncrementalStep {
     /// The current phase's context. A rebuild recycles its prefix
@@ -211,7 +231,42 @@ pub struct IncrementalStep {
     ctx: Option<RotationContext>,
 }
 
+impl IncrementalStep {
+    /// Builds a new context for `state`, recycling the retired one's
+    /// prefix buffer.
+    fn rebuild(
+        &mut self,
+        dfg: &Dfg,
+        scheduler: ListScheduler,
+        resources: &ResourceSet,
+        state: &RotationState,
+    ) -> Result<&mut RotationContext, RotationError> {
+        let buffer = self
+            .ctx
+            .take()
+            .map_or_else(Vec::new, RotationContext::into_buffer);
+        let ctx = RotationContext::with_buffer(dfg, &scheduler, resources, state, buffer)?;
+        Ok(self.ctx.insert(ctx))
+    }
+}
+
 impl StepMode for IncrementalStep {
+    fn initial_state(
+        &mut self,
+        dfg: &Dfg,
+        scheduler: &ListScheduler,
+        resources: &ResourceSet,
+    ) -> Result<RotationState, RotationError> {
+        dfg.validate()?;
+        let mut state = RotationState {
+            retiming: Retiming::zero(dfg),
+            schedule: Schedule::empty(dfg),
+        };
+        self.rebuild(dfg, *scheduler, resources, &state)?
+            .full_schedule(dfg, resources, &mut state)?;
+        Ok(state)
+    }
+
     fn begin_phase(
         &mut self,
         dfg: &Dfg,
@@ -220,43 +275,36 @@ impl StepMode for IncrementalStep {
         state: &RotationState,
         chained: bool,
     ) -> Result<(), RotationError> {
-        if chained && self.ctx.is_some() {
-            return Ok(());
+        if !(chained && self.ctx.is_some()) {
+            self.rebuild(dfg, *scheduler, resources, state)?;
         }
-        let buffer = match self.ctx.take() {
-            Some(retired) => retired.into_buffer(),
-            None => Vec::new(),
-        };
-        self.ctx = Some(RotationContext::with_buffer(
-            dfg, scheduler, resources, state, buffer,
-        )?);
         Ok(())
     }
 
     fn rotate(
         &mut self,
         dfg: &Dfg,
-        scheduler: &ListScheduler,
+        _scheduler: &ListScheduler,
         resources: &ResourceSet,
         state: &mut RotationState,
         size: u32,
     ) -> Result<&[NodeId], RotationError> {
         let ctx = self.ctx.as_mut().expect("begin_phase precedes rotate");
-        ctx.down_rotate_in_place(dfg, scheduler, resources, state, size)?;
+        ctx.down_rotate_in_place(dfg, resources, state, size)?;
         Ok(ctx.rotated())
     }
 
     fn full_schedule(
         &mut self,
         dfg: &Dfg,
-        scheduler: &ListScheduler,
+        _scheduler: &ListScheduler,
         resources: &ResourceSet,
         state: &mut RotationState,
     ) -> Result<(), RotationError> {
         self.ctx
             .as_mut()
             .expect("an executed phase precedes the reschedule")
-            .full_schedule(dfg, scheduler, resources, state)
+            .full_schedule(dfg, resources, state)
     }
 
     fn cache_stats(&self) -> CacheStats {
@@ -522,7 +570,7 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
     /// does, and `state` is left as it was.
     ///
     /// `chained` passes through to [`StepMode::begin_phase`]: `state` is
-    /// what the step mode's last `FullSchedule` left.
+    /// what the step mode's last full schedule, initial or not, left.
     #[allow(clippy::too_many_arguments)]
     fn phase(
         &mut self,
@@ -557,16 +605,6 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             if frozen_at.is_some_and(|bound| best.is_frozen(bound)) {
                 break; // every further offer would be rejected
             }
-            // The cancellation point: polled only where a rotation would
-            // otherwise run (after the prune and frozen exits), so a fired
-            // budget never abandons a rotation halfway, the state always
-            // holds a complete legal schedule, and a budget that cuts no
-            // rotation reports no stop.
-            if let Some(reason) = self.budget.and_then(BudgetMeter::check) {
-                stats.stopped = Some(reason);
-                self.observer.on_event(SearchEvent::Stopped(reason));
-                break;
-            }
             // A logged rotation: its node set, its wrapped length, and
             // whether it repeats an earlier rotation of its own phase.
             let logged = match sweep {
@@ -583,6 +621,30 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
                     .replay(j + 1)
                     .map(|(rotated, wrapped)| (rotated, wrapped, true)),
             };
+            let mut effective = size;
+            if logged.is_none() {
+                let length = state.schedule.length(self.dfg);
+                if length <= 1 {
+                    break; // nothing left to rotate
+                }
+                while effective >= length {
+                    effective = effective.div_ceil(2);
+                }
+                if effective == 0 {
+                    break;
+                }
+            }
+            // The cancellation point: polled only where a rotation would
+            // otherwise run (after the prune, frozen and end-of-schedule
+            // exits, a replayed phase's included), so a fired budget
+            // never abandons a rotation halfway, the state always holds
+            // a complete legal schedule, and a budget that cuts no
+            // rotation reports no stop.
+            if let Some(reason) = self.budget.and_then(BudgetMeter::check) {
+                stats.stopped = Some(reason);
+                self.observer.on_event(SearchEvent::Stopped(reason));
+                break;
+            }
             if let Some((rotated, wrapped, repeat)) = logged {
                 if let Some(meter) = self.budget {
                     meter.charge_rotation();
@@ -601,17 +663,6 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
                     stats.first_optimum_at = Some(j + 1);
                 }
                 continue;
-            }
-            let length = state.schedule.length(self.dfg);
-            if length <= 1 {
-                break; // nothing left to rotate
-            }
-            let mut effective = size;
-            while effective >= length {
-                effective = effective.div_ceil(2);
-            }
-            if effective == 0 {
-                break;
             }
             let rotated =
                 self.step
@@ -672,9 +723,10 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
     }
 
     /// Heuristic 1: independent phases of sizes `1..=β`, each restarting
-    /// from the initial schedule and the zero rotation function. A fired
-    /// budget ends the current phase at its cancellation point and skips
-    /// the remaining sizes.
+    /// from the initial schedule and the zero rotation function. The
+    /// first phase starts on the step mode's initial-state context; the
+    /// others rebuild it. A fired budget ends the current phase at its
+    /// cancellation point and skips the remaining sizes.
     ///
     /// # Errors
     ///
@@ -683,7 +735,9 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         &mut self,
         config: &HeuristicConfig,
     ) -> Result<HeuristicOutcome, RotationError> {
-        let init = initial_state(self.dfg, self.scheduler, self.resources)?;
+        let init = self
+            .step
+            .initial_state(self.dfg, self.scheduler, self.resources)?;
         let mut best = BestSet::new(config.keep_best);
         let wrapped = wrapped_length(&mut self.wrap, self.dfg, self.resources, &init)?;
         self.offer(&mut best, wrapped, &init);
@@ -695,7 +749,8 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         let mut phases = Vec::new();
         for size in 1..=beta {
             let mut state = init.clone();
-            let stats = self.run_phase(&mut state, &mut best, size, config.rotations_per_phase)?;
+            let alpha = config.rotations_per_phase;
+            let stats = self.phase(&mut state, &mut best, size, alpha, None, None, size == 1)?;
             // Key the sweep's early exit off the *recorded* stop, not a
             // fresh meter check: deterministic limits then truncate the
             // exact same phase prefix on every run.
@@ -754,7 +809,9 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         &mut self,
         config: &HeuristicConfig,
     ) -> Result<HeuristicOutcome, RotationError> {
-        let init = initial_state(self.dfg, self.scheduler, self.resources)?;
+        let init = self
+            .step
+            .initial_state(self.dfg, self.scheduler, self.resources)?;
         let bound = match self.prune {
             Some(p) => p.bound(),
             None => kernel_lower_bound(self.dfg, self.resources)?,
@@ -770,10 +827,10 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         let mut phases: Vec<PhaseStats> = Vec::new();
         let mut state = init;
         self.logs.sweep.begin(state.retiming.len());
-        // Whether `state` is what the step mode's last `FullSchedule`
-        // left: then the next executed phase starts on that reschedule's
-        // context instead of building one.
-        let mut chained = false;
+        // Whether `state` is what the step mode's last full schedule —
+        // the initial one or a reschedule — left: then the next executed
+        // phase starts on that schedule's context instead of building one.
+        let mut chained = true;
         'sweep: for _round in 0..config.rounds.max(1) {
             for size in (1..=beta).rev() {
                 if self.prune.is_some_and(|p| p.should_stop(best.score)) {

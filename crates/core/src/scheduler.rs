@@ -415,7 +415,7 @@ impl<'a> RotationScheduler<'a> {
     ) -> Result<(HeuristicOutcome, O), RotationError> {
         let (outcome, _, observer) = run_sweep(
             self.dfg,
-            &self.scheduler,
+            self.scheduler,
             &self.resources,
             &self.config,
             self.objective,
@@ -429,9 +429,6 @@ impl<'a> RotationScheduler<'a> {
     /// Solves a whole batch of problem instances, amortizing per-item
     /// setup that [`RotationScheduler::solve`] pays every call:
     ///
-    /// * **one list scheduler per distinct policy** — the priority-weight
-    ///   memo is keyed by graph fingerprint, so items share warm entries
-    ///   safely;
     /// * **one [`IncrementalStep`] for the whole batch** — its retired
     ///   context's prefix buffer keeps scratch capacity warm from item
     ///   to item (only the first item grows it);
@@ -450,7 +447,6 @@ impl<'a> RotationScheduler<'a> {
     /// The first item that fails aborts the batch with its error (a
     /// batch of valid specs cannot fail partway).
     pub fn solve_batch(specs: &[ProblemSpec]) -> Result<Vec<SolveOutcome>, RotationError> {
-        let mut schedulers: Vec<(PriorityPolicy, ListScheduler)> = Vec::new();
         // `(graph fingerprint, spec index)` of every solved representative.
         let mut seen: Vec<(u64, usize)> = Vec::new();
         let mut pooled = (IncrementalStep::default(), ReplayLogs::default());
@@ -465,16 +461,9 @@ impl<'a> RotationScheduler<'a> {
                 outcomes.push(reused);
                 continue;
             }
-            let scheduler = match schedulers.iter().position(|(p, _)| *p == spec.policy) {
-                Some(k) => k,
-                None => {
-                    schedulers.push((spec.policy, ListScheduler::new(spec.policy)));
-                    schedulers.len() - 1
-                }
-            };
             let (outcome, reclaimed, _) = run_sweep(
                 &spec.dfg,
-                &schedulers[scheduler].1,
+                ListScheduler::new(spec.policy),
                 &spec.resources,
                 &spec.config,
                 spec.objective,
@@ -610,7 +599,7 @@ impl<'a> RotationScheduler<'a> {
 #[allow(clippy::too_many_arguments)]
 fn run_sweep<S: StepMode, O: SearchObserver>(
     dfg: &Dfg,
-    scheduler: &ListScheduler,
+    scheduler: ListScheduler,
     resources: &ResourceSet,
     config: &HeuristicConfig,
     objective: Objective,
@@ -620,7 +609,7 @@ fn run_sweep<S: StepMode, O: SearchObserver>(
 ) -> Result<(HeuristicOutcome, (S, ReplayLogs), O), RotationError> {
     // Arm only when limited so the unlimited path does no budget work.
     let meter = (!budget.is_unlimited()).then(|| budget.arm());
-    let mut driver = SearchDriver::new(dfg, scheduler, resources, step)
+    let mut driver = SearchDriver::new(dfg, &scheduler, resources, step)
         .with_logs(logs)
         .with_objective(objective)
         .with_budget(meter.as_ref())

@@ -121,7 +121,7 @@ fn cases() -> Vec<(String, Dfg, ResourceSet)> {
 #[allow(clippy::too_many_arguments)]
 fn oracle_phase(
     g: &Dfg,
-    scheduler: &ListScheduler,
+    scheduler: ListScheduler,
     resources: &ResourceSet,
     objective: Objective,
     state: &mut RotationState,
@@ -155,7 +155,7 @@ fn oracle_phase(
         while effective >= length {
             effective = effective.div_ceil(2);
         }
-        down_rotate(g, scheduler, resources, state, effective).expect("legal rotation");
+        down_rotate(g, &scheduler, resources, state, effective).expect("legal rotation");
         if let Some(left) = allowance {
             *left -= 1;
         }
@@ -178,14 +178,14 @@ fn oracle_phase(
 /// `FullSchedule(G_R)`, ending once `Q` is frozen at the lower bound.
 fn oracle_heuristic2(
     g: &Dfg,
-    scheduler: &ListScheduler,
+    scheduler: ListScheduler,
     resources: &ResourceSet,
     objective: Objective,
     config: &HeuristicConfig,
     budget: Option<usize>,
 ) -> HeuristicOutcome {
     let bound = u32::try_from(lower_bound(g, resources).expect("bound")).expect("small");
-    let mut state = initial_state(g, scheduler, resources).expect("schedulable");
+    let mut state = initial_state(g, &scheduler, resources).expect("schedulable");
     let mut best = BestSet::new(config.keep_best);
     let offer = |best: &mut BestSet, state: &RotationState| {
         let wrapped = state.wrapped_length(g, resources).expect("wraps");
@@ -266,7 +266,7 @@ fn phases_match_the_replay_free_oracle() {
                         let mut want_state = init.clone();
                         let want = oracle_phase(
                             &g,
-                            &scheduler,
+                            scheduler,
                             &res,
                             objective,
                             &mut want_state,
@@ -321,10 +321,10 @@ fn budgeted_heuristic2_is_the_truncated_oracle() {
         for policy in POLICIES {
             let scheduler = ListScheduler::new(policy);
             for objective in OBJECTIVES {
-                let full = oracle_heuristic2(&g, &scheduler, &res, objective, &config, None);
+                let full = oracle_heuristic2(&g, scheduler, &res, objective, &config, None);
                 for k in 0..=full.total_rotations + 1 {
                     let what = format!("{name}, {policy:?}, {}, budget {k}", objective.mnemonic());
-                    let want = oracle_heuristic2(&g, &scheduler, &res, objective, &config, Some(k));
+                    let want = oracle_heuristic2(&g, scheduler, &res, objective, &config, Some(k));
                     let meter = Budget::default().with_max_rotations(k as u64).arm();
                     let got = SearchDriver::incremental(&g, &scheduler, &res)
                         .with_objective(objective)
@@ -362,7 +362,7 @@ fn the_uniform_ring_repeats_with_period_n() {
     let mut k = 0;
     while log.cycle().is_none() {
         assert!(k < 64, "no repeat within 64 size-1 rotations");
-        ctx.down_rotate_in_place(&g, &scheduler, &res, &mut state, 1)
+        ctx.down_rotate_in_place(&g, &res, &mut state, 1)
             .expect("legal rotation");
         k += 1;
         let wrapped = state.wrapped_length(&g, &res).expect("wraps");

@@ -13,7 +13,7 @@
 
 use rotsched_benchmarks::{random_dfg, RandomDfgConfig};
 use rotsched_core::{
-    initial_state, BestSet, HeuristicConfig, HeuristicOutcome, Objective, RotationError,
+    initial_state, BestSet, Budget, HeuristicConfig, HeuristicOutcome, Objective, RotationError,
     SearchDriver,
 };
 use rotsched_dfg::rng::SplitMix64;
@@ -57,13 +57,13 @@ fn suite_graph(seed: u64) -> Dfg {
 /// every round runs, followed by its chained `FullSchedule(G_R)`.
 fn full_sweep(
     g: &Dfg,
-    scheduler: &ListScheduler,
+    scheduler: ListScheduler,
     resources: &ResourceSet,
     config: &HeuristicConfig,
     objective: Objective,
 ) -> Result<HeuristicOutcome, RotationError> {
-    let mut driver = SearchDriver::incremental(g, scheduler, resources).with_objective(objective);
-    let mut state = initial_state(g, scheduler, resources)?;
+    let mut driver = SearchDriver::incremental(g, &scheduler, resources).with_objective(objective);
+    let mut state = initial_state(g, &scheduler, resources)?;
     let mut best = BestSet::new(config.keep_best);
     let wrapped = state.wrapped_length(g, resources)?;
     driver.offer(&mut best, wrapped, &state);
@@ -137,7 +137,7 @@ fn frozen_stop_matches_the_full_sweep() {
                             "seed {seed}, {policy:?}, {}, keep {keep_best}, rounds {rounds}",
                             objective.mnemonic()
                         );
-                        let full = full_sweep(&g, &scheduler, &res, &config, objective)
+                        let full = full_sweep(&g, scheduler, &res, &config, objective)
                             .expect("schedulable");
                         let fast = SearchDriver::incremental(&g, &scheduler, &res)
                             .with_objective(objective)
@@ -168,7 +168,7 @@ fn zero_time_ops_fail_identically() {
     let res = ResourceSet::adders_multipliers(2, 2, false);
     let scheduler = ListScheduler::default();
     let config = HeuristicConfig::default();
-    let full = full_sweep(&g, &scheduler, &res, &config, Objective::Length)
+    let full = full_sweep(&g, scheduler, &res, &config, Objective::Length)
         .expect_err("zero-time ops are rejected");
     let fast = SearchDriver::incremental(&g, &scheduler, &res)
         .heuristic2(&config)
@@ -195,7 +195,7 @@ fn initial_schedule_at_the_bound_does_zero_rotations() {
         keep_best: 1,
         ..HeuristicConfig::default()
     };
-    let full = full_sweep(&g, &scheduler, &res, &config, Objective::Length).expect("schedulable");
+    let full = full_sweep(&g, scheduler, &res, &config, Objective::Length).expect("schedulable");
     let fast = SearchDriver::incremental(&g, &scheduler, &res)
         .heuristic2(&config)
         .expect("schedulable");
@@ -205,4 +205,59 @@ fn initial_schedule_at_the_bound_does_zero_rotations() {
     assert_eq!(fast.total_rotations, 0);
     assert!(fast.phases.is_empty());
     assert!(full.total_rotations > 0, "the full sweep still rotates");
+}
+
+/// A budget of exactly the rotations a search needs is not a stop, also
+/// where the search ends without a rotation to run: the budget is polled
+/// after the exits that run none. Two unit adds in a ring with two
+/// delays, on two adders: the bound is 1, the first rotation of a phase
+/// reaches it, and then nothing is left to rotate. With four rounds the
+/// later phases of Heuristic 2 are replayed whole from the sweep log, and
+/// the last of them ends where the phase it repeats found nothing to
+/// rotate.
+#[test]
+fn a_budget_of_exactly_the_needed_rotations_is_not_a_stop() {
+    let g = DfgBuilder::new("pair")
+        .nodes("v", 2, OpKind::Add, 1)
+        .wire("v0", "v1")
+        .edge("v1", "v0", 2)
+        .build()
+        .expect("valid ring");
+    let res = ResourceSet::adders_multipliers(2, 0, false);
+    for policy in POLICIES {
+        let scheduler = ListScheduler::new(policy);
+        for rounds in [1, 4] {
+            let config = HeuristicConfig {
+                rounds,
+                ..HeuristicConfig::default()
+            };
+            let what = format!("{policy:?}, rounds {rounds}");
+            let run = |heuristic2: bool, budget: Option<usize>| {
+                let meter = budget.map(|k| Budget::default().with_max_rotations(k as u64).arm());
+                let mut driver =
+                    SearchDriver::incremental(&g, &scheduler, &res).with_budget(meter.as_ref());
+                if heuristic2 {
+                    driver.heuristic2(&config)
+                } else {
+                    driver.heuristic1(&config)
+                }
+                .expect("schedulable")
+            };
+            for heuristic2 in [true, false] {
+                let full = run(heuristic2, None);
+                let t = full.total_rotations;
+                assert_eq!(full.best_length, 1, "{what}");
+                assert!(t > 0, "{what}");
+                if heuristic2 && rounds > 1 {
+                    assert!(full.replayed_phases > 0, "{what}: no phase replayed whole");
+                }
+                let at_t = run(heuristic2, Some(t));
+                assert_eq!(at_t.stopped, None, "{what}, heuristic 2: {heuristic2}");
+                assert_eq!(at_t.best, full.best, "{what}");
+                assert_eq!(at_t.phases, full.phases, "{what}");
+                let below = run(heuristic2, Some(t - 1));
+                assert!(below.stopped.is_some(), "{what} at k = T - 1");
+            }
+        }
+    }
 }

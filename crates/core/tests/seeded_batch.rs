@@ -1,12 +1,12 @@
 //! Batch-solving equivalence: `RotationScheduler::solve_batch` must be
 //! byte-identical to per-item `solve` calls on a seeded problem corpus.
 //!
-//! The batch path shares a list scheduler per policy (warm priority
-//! memo), one `IncrementalStep` (a warm prefix buffer), and deduplicates
-//! repeated specs by graph fingerprint — none of which may steer a
-//! single decision. The corpus injects exact duplicates so the
-//! deduplication path is exercised, and cycles all four priority
-//! policies so scheduler sharing crosses graphs.
+//! The batch path shares one `IncrementalStep` (a warm prefix buffer,
+//! with a new context for each item) and deduplicates repeated specs by
+//! graph fingerprint — neither of which may steer a single decision.
+//! The corpus injects exact duplicates so the deduplication path is
+//! exercised, and cycles all four priority policies so consecutive
+//! items differ in graph and policy.
 
 use rotsched_benchmarks::{random_dfg, RandomDfgConfig};
 use rotsched_core::{HeuristicConfig, ProblemSpec, RotationScheduler, SolveOutcome};

@@ -1,18 +1,19 @@
 //! One scheduling context per Heuristic-2 sweep is exact.
 //!
 //! The production step mode keeps one `RotationContext` for a whole
-//! Heuristic-2 sweep: each chained `FullSchedule(G_R)` runs through the
-//! context, which re-derives its zero-delay set from the retiming (a
+//! Heuristic-2 sweep: the initial state is scheduled through a new
+//! context for the graph, which the first phase starts on, and each
+//! chained `FullSchedule(G_R)` runs through the context, which re-derives its zero-delay set from the retiming (a
 //! phase that ended in a cycle-replay restore rewrote the state behind
 //! it), clears its table, cuts its weight memo back to the one entry a
 //! new context holds, and so serves the next phase with no rebuild.
-//! Every other phase start — `heuristic1`'s phases, a new heuristic run
-//! on the same driver, the next item of a `solve_batch` — still builds
-//! a context.
+//! Every other phase start — `heuristic1`'s later phases — still builds
+//! a context, and a new heuristic run on the same driver or the next
+//! item of a `solve_batch` starts with a new one.
 //!
 //! The oracle is the same driver on a step mode that rebuilds its
-//! context at every phase start and runs each `FullSchedule` through
-//! `ListScheduler::schedule`. Against it the suite checks `Q`, the
+//! context at every phase start and runs the initial state and each
+//! `FullSchedule` through `ListScheduler::schedule`. Against it the suite checks `Q`, the
 //! score, every `PhaseStats`, the whole event stream including each
 //! phase end's memo counters, and the run under every rotation budget
 //! `k`, for all four priority policies, a scalar and a three-criteria
@@ -37,8 +38,8 @@ const POLICIES: [PriorityPolicy; 4] = [
 const OBJECTIVES: [Objective; 2] = [Objective::Length, Objective::LengthRegsCode];
 
 /// The step mode of the oracle: the production rotation step, with a
-/// context rebuilt at every phase start and a from-scratch
-/// `FullSchedule`.
+/// context rebuilt at every phase start, the first included, and a
+/// from-scratch initial state (the trait's default) and `FullSchedule`.
 #[derive(Default)]
 struct RebuildEveryPhase(IncrementalStep);
 

@@ -166,7 +166,7 @@ impl Oracle {
 /// at the lower bound.
 fn oracle(
     g: &Dfg,
-    scheduler: &ListScheduler,
+    scheduler: ListScheduler,
     resources: &ResourceSet,
     objective: Objective,
     config: &HeuristicConfig,
@@ -184,7 +184,7 @@ fn oracle(
             }
         };
     let mut wrap = WrapScratch::new(g, resources).expect("ops bind");
-    let mut state = initial_state(g, scheduler, resources).expect("schedulable");
+    let mut state = initial_state(g, &scheduler, resources).expect("schedulable");
     let mut best = BestSet::new(config.keep_best);
     let mut events = Vec::new();
     let mut cuts: Vec<Expected> = Vec::new();
@@ -239,7 +239,7 @@ fn oracle(
                 while effective >= length {
                     effective = effective.div_ceil(2);
                 }
-                let rotated = down_rotate(g, scheduler, resources, &mut state, effective)
+                let rotated = down_rotate(g, &scheduler, resources, &mut state, effective)
                     .expect("legal rotation")
                     .rotated;
                 spent += 1;
@@ -298,13 +298,13 @@ fn unreplayed(stats: &PhaseStats) -> PhaseStats {
 /// an optional rotation budget, with its events.
 fn driver_run(
     g: &Dfg,
-    scheduler: &ListScheduler,
+    scheduler: ListScheduler,
     resources: &ResourceSet,
     objective: Objective,
     budget: Option<usize>,
 ) -> (HeuristicOutcome, Vec<Event>) {
     let meter = budget.map(|k| Budget::default().with_max_rotations(k as u64).arm());
-    let mut driver = SearchDriver::incremental(g, scheduler, resources)
+    let mut driver = SearchDriver::incremental(g, &scheduler, resources)
         .with_objective(objective)
         .with_budget(meter.as_ref())
         .with_observer(Recorder::default());
@@ -323,8 +323,8 @@ fn sweeps_match_the_replay_free_oracle() {
             let scheduler = ListScheduler::new(policy);
             for objective in OBJECTIVES {
                 let what = format!("{name}, {policy:?}, {}", objective.mnemonic());
-                let want = oracle(&g, &scheduler, &res, objective, &config);
-                let (got, events) = driver_run(&g, &scheduler, &res, objective, None);
+                let want = oracle(&g, scheduler, &res, objective, &config);
+                let (got, events) = driver_run(&g, scheduler, &res, objective, None);
                 want.check(&got, &events, None, &what);
                 replayed_phases += got.replayed_phases;
 
@@ -358,12 +358,12 @@ fn budgeted_sweeps_are_the_truncated_oracle() {
         for policy in POLICIES {
             let scheduler = ListScheduler::new(policy);
             for objective in OBJECTIVES {
-                let want = oracle(&g, &scheduler, &res, objective, &config);
+                let want = oracle(&g, scheduler, &res, objective, &config);
                 let total = want.full.phases.iter().map(|p| p.rotations).sum::<usize>();
                 let budgets = (0..total).step_by(stride).chain([total, total + 1]);
                 for k in budgets {
                     let what = format!("{name}, {policy:?}, {}, budget {k}", objective.mnemonic());
-                    let (got, events) = driver_run(&g, &scheduler, &res, objective, Some(k));
+                    let (got, events) = driver_run(&g, scheduler, &res, objective, Some(k));
                     want.check(&got, &events, Some(k), &what);
                     replayed_runs += usize::from(got.replayed_phases > 0);
                 }
@@ -385,7 +385,7 @@ fn the_default_sweeps_repeat_where_measured() {
     ];
     for ((name, g, res), (policy, phases, replayed)) in small_cases().into_iter().zip(expected) {
         let scheduler = ListScheduler::new(policy);
-        let (got, _) = driver_run(&g, &scheduler, &res, Objective::Length, None);
+        let (got, _) = driver_run(&g, scheduler, &res, Objective::Length, None);
         assert_eq!(
             (got.phases.len(), got.replayed_phases),
             (phases, replayed),
@@ -403,12 +403,12 @@ fn the_61_node_random_graph_replays_half_its_sweep() {
     let scheduler = ListScheduler::default();
     let want = oracle(
         &g,
-        &scheduler,
+        scheduler,
         &res,
         Objective::Length,
         &HeuristicConfig::default(),
     );
-    let (got, events) = driver_run(&g, &scheduler, &res, Objective::Length, None);
+    let (got, events) = driver_run(&g, scheduler, &res, Objective::Length, None);
     want.check(&got, &events, None, "61-node random graph");
     assert_eq!((got.phases.len(), got.replayed_phases), (104, 50));
     assert_eq!(got.total_rotations, 3_328);

@@ -255,10 +255,10 @@ impl Dfg {
     /// structure: every node's `(op, time)` and every edge's
     /// `(from, to, delays)`, in index order. Names are excluded.
     ///
-    /// Computed on first use and cached until the next mutation. Caches
-    /// keyed by graph content (e.g. the list scheduler's priority-weight
-    /// cache) combine this with their own derived state instead of
-    /// hashing the whole graph on every probe.
+    /// Computed on first use and cached until the next mutation. Lookups
+    /// keyed by graph content (e.g. `solve_batch`'s deduplication) combine
+    /// this with their own derived state instead of hashing the whole
+    /// graph on every probe.
     #[must_use]
     pub fn structure_fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| {

@@ -77,8 +77,8 @@ impl SplitMix64 {
 
 /// A streaming FNV-1a 64-bit hasher.
 ///
-/// Used for cheap content fingerprints (schedule dedup keys, weight-cache
-/// keys). Deterministic across runs and platforms, unlike
+/// Used for cheap content fingerprints (schedule dedup keys, graph
+/// structure fingerprints). Deterministic across runs and platforms, unlike
 /// `std::collections::hash_map::RandomState`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Fnv64 {

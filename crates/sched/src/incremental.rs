@@ -13,13 +13,12 @@
 //!   becomes an O(1) origin shift ([`ReservationTable::shift_origin`]);
 //! * the **zero-delay edge set** is repaired locally — retiming the set
 //!   `R` can only flip edges incident to `R`, so the [`ZeroSet`] (and its
-//!   XOR fingerprint, the weight-cache key) updates in O(|R|·deg);
+//!   XOR fingerprint, the weight-memo key) updates in O(|R|·deg);
 //! * **priority weights** are memoized by zero set — a rotation
 //!   sequence revisits zero-delay sets (the state space is eventually
 //!   periodic), so a repeat re-activates stored weights in O(1), and a
-//!   new set recomputes them with one CSR pass of the weight kernel
-//!   (the other policies fall back to the fingerprint-keyed scheduler
-//!   cache);
+//!   new set recomputes them with one CSR pass of the weight kernel,
+//!   for every policy;
 //! * the **topological sanity check** is skipped — a legal retiming
 //!   preserves every cycle's delay sum, so the zero-delay subgraph stays
 //!   acyclic by construction (`debug_assert`ed, not recomputed).
@@ -28,7 +27,8 @@
 //! runs through the context too ([`SchedContext::full_schedule`]): it
 //! re-derives the zero-delay set, reuses the table and the memoized
 //! weights, and leaves the context ready for the next phase, so a sweep
-//! builds one context instead of one per phase.
+//! builds one context instead of one per phase — and, starting from an
+//! empty schedule, the sweep's initial state too.
 //!
 //! Placement itself funnels through the same [`place_free`] core as the
 //! from-scratch path, which is what makes the incremental results
@@ -66,9 +66,8 @@ const WEIGHT_MEMO_CAP: usize = 64;
 ///
 /// A *hit* is a retiming delta whose new zero-delay set re-activated
 /// memoized weights in O(1); a *miss* had to recompute the weights (and
-/// memoize the result). Policies without a weight kernel (mobility,
-/// input order) keep both counters at zero — they go through the
-/// scheduler's fingerprint-keyed cache instead.
+/// memoize the result). Every policy counts alike; input order's weights
+/// never change with the zero-delay set, but a new set still misses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Retiming deltas answered by re-activating memoized weights.
@@ -109,10 +108,8 @@ pub struct SchedContext {
     table: ReservationTable,
     zero: ZeroSet,
     /// Memoized weights keyed by zero set, oldest first; `active`
-    /// indexes the entry matching the current `zero`. Empty for policies
-    /// without a weight kernel (mobility, input order), which go through
-    /// the scheduler's fingerprint-keyed cache on each reschedule
-    /// instead.
+    /// indexes the entry matching the current `zero`. Never empty: the
+    /// solve's only weight memo.
     memo: Vec<WeightsEntry>,
     active: usize,
     /// Retired memo entries, whose buffers the next misses reuse.
@@ -129,7 +126,9 @@ pub struct SchedContext {
 impl SchedContext {
     /// Builds the context for `schedule` under `retiming`: binds classes,
     /// reserves every scheduled node's slots, derives the zero-delay set
-    /// and the policy's weights.
+    /// and the policy's weights. An empty `schedule` gives the context
+    /// that [`SchedContext::full_schedule`] turns into a sweep's initial
+    /// state.
     ///
     /// # Errors
     ///
@@ -151,16 +150,13 @@ impl SchedContext {
         let policy = scheduler.policy();
         let zero = ZeroSet::compute(dfg, retiming);
         let mut kernel = WeightKernel::default();
-        let mut memo = Vec::new();
-        if policy.has_kernel() {
-            let mut weights = dfg.node_map(0_u64);
-            let acyclic = kernel.run(policy, dfg, &zero, &mut weights);
-            debug_assert!(acyclic, "the topological order above exists");
-            memo.push(WeightsEntry {
-                zero: zero.clone(),
-                weights,
-            });
-        }
+        let mut weights = dfg.node_map(0_u64);
+        let acyclic = kernel.run(policy, dfg, &zero, &mut weights);
+        debug_assert!(acyclic, "the topological order above exists");
+        let memo = vec![WeightsEntry {
+            zero: zero.clone(),
+            weights,
+        }];
         Ok(SchedContext {
             policy,
             graph: dfg.structure_fingerprint(),
@@ -171,11 +167,7 @@ impl SchedContext {
             active: 0,
             // Memo and spare entries number at most the cap together,
             // so the spare list never grows past this.
-            spare: Vec::with_capacity(if policy.has_kernel() {
-                WEIGHT_MEMO_CAP
-            } else {
-                0
-            }),
+            spare: Vec::with_capacity(WEIGHT_MEMO_CAP),
             nodes: dfg.node_ids().collect(),
             kernel,
             scratch: PlaceScratch::new(dfg),
@@ -236,7 +228,7 @@ impl SchedContext {
                 .chain(dfg.out_edges(v))
                 .all(|&e| self.zero.contains(e) == is_zero_delay_under(dfg, Some(retiming), e)));
         }
-        if !changed || self.memo.is_empty() {
+        if !changed {
             return;
         }
         let key = self.zero.key();
@@ -304,39 +296,31 @@ impl SchedContext {
     pub fn full_schedule(
         &mut self,
         dfg: &Dfg,
-        scheduler: &ListScheduler,
         retiming: Option<&Retiming>,
         resources: &ResourceSet,
         schedule: &mut Schedule,
     ) -> Result<(), SchedError> {
-        debug_assert_eq!(
-            self.policy,
-            scheduler.policy(),
-            "context/scheduler mismatch"
-        );
         debug_assert_eq!(
             self.graph,
             dfg.structure_fingerprint(),
             "context/graph mismatch"
         );
         self.zero.recompute(dfg, retiming);
-        if !self.memo.is_empty() {
-            let key = self.zero.key();
-            let hit = self
-                .memo
-                .iter()
-                .position(|e| e.zero.key() == key && e.zero == self.zero);
-            let kept = hit.map(|i| self.memo.swap_remove(i));
-            self.spare.append(&mut self.memo);
-            match kept {
-                Some(entry) => {
-                    self.memo.push(entry);
-                    self.active = 0;
-                }
-                None => {
-                    let entry = self.spare.pop();
-                    self.memoize(dfg, entry);
-                }
+        let key = self.zero.key();
+        let hit = self
+            .memo
+            .iter()
+            .position(|e| e.zero.key() == key && e.zero == self.zero);
+        let kept = hit.map(|i| self.memo.swap_remove(i));
+        self.spare.append(&mut self.memo);
+        match kept {
+            Some(entry) => {
+                self.memo.push(entry);
+                self.active = 0;
+            }
+            None => {
+                let entry = self.spare.pop();
+                self.memoize(dfg, entry);
             }
         }
         for &v in &self.nodes {
@@ -344,7 +328,7 @@ impl SchedContext {
         }
         self.table.clear();
         let nodes = std::mem::take(&mut self.nodes);
-        let placed = self.reschedule(dfg, scheduler, retiming, resources, schedule, &nodes);
+        let placed = self.reschedule(dfg, retiming, resources, schedule, &nodes);
         self.nodes = nodes;
         placed?;
         if let Some(first) = schedule.first_step() {
@@ -363,12 +347,10 @@ impl SchedContext {
         Ok(())
     }
 
-    /// The memoized priority weights of the current zero-delay set, or
-    /// `None` for policies without a weight kernel (mobility, input
-    /// order), whose weights come from the scheduler's cache.
+    /// The memoized priority weights of the current zero-delay set.
     #[must_use]
-    pub fn active_weights(&self) -> Option<&NodeMap<u64>> {
-        self.memo.get(self.active).map(|entry| &entry.weights)
+    pub fn active_weights(&self) -> &NodeMap<u64> {
+        &self.memo[self.active].weights
     }
 
     /// Places the nodes of `free` (already released via
@@ -386,33 +368,30 @@ impl SchedContext {
     pub fn reschedule(
         &mut self,
         dfg: &Dfg,
-        scheduler: &ListScheduler,
         retiming: Option<&Retiming>,
         resources: &ResourceSet,
         schedule: &mut Schedule,
         free: &[NodeId],
     ) -> Result<(), SchedError> {
         debug_assert_eq!(
-            self.policy,
-            scheduler.policy(),
-            "context/scheduler mismatch"
-        );
-        debug_assert_eq!(
             self.graph,
             dfg.structure_fingerprint(),
             "context/graph mismatch"
         );
+        // Only the debug checks read `retiming` (the zero-delay set and
+        // the weights come from the context), so these two are
+        // `debug_assert`s, which keep it used in release builds.
+        debug_assert_eq!(
+            self.zero,
+            ZeroSet::compute(dfg, retiming),
+            "incremental zero-delay set diverged"
+        );
+        debug_assert!(
+            rotsched_dfg::analysis::zero_delay_topological_order(dfg, retiming).is_ok(),
+            "legal retimings keep the zero-delay subgraph acyclic"
+        );
         #[cfg(debug_assertions)]
         {
-            assert_eq!(
-                self.zero,
-                ZeroSet::compute(dfg, retiming),
-                "incremental zero-delay set diverged"
-            );
-            assert!(
-                rotsched_dfg::analysis::zero_delay_topological_order(dfg, retiming).is_ok(),
-                "legal retimings keep the zero-delay subgraph acyclic"
-            );
             let rebuilt = build_fixed_table(dfg, &self.class_of, resources, schedule)
                 .expect("fixed part stayed feasible");
             assert!(
@@ -421,19 +400,9 @@ impl SchedContext {
             );
         }
 
-        let cached;
-        let weights: &NodeMap<u64> = match self.memo.get(self.active) {
-            Some(entry) => {
-                debug_assert_eq!(entry.zero, self.zero, "active weight entry is stale");
-                &entry.weights
-            }
-            None => {
-                cached = scheduler
-                    .cached_weights_for(dfg, retiming, &self.zero)
-                    .map_err(SchedError::from)?;
-                &cached
-            }
-        };
+        let entry = &self.memo[self.active];
+        debug_assert_eq!(entry.zero, self.zero, "active weight entry is stale");
+        let weights = &entry.weights;
         #[cfg(debug_assertions)]
         {
             let recomputed = self
@@ -505,15 +474,8 @@ mod tests {
                 ctx.shift(1 - i64::from(first));
             }
             let mut reference = schedule.clone();
-            ctx.reschedule(
-                &dfg,
-                &scheduler,
-                Some(&retiming),
-                &resources,
-                &mut schedule,
-                &rotated,
-            )
-            .unwrap();
+            ctx.reschedule(&dfg, Some(&retiming), &resources, &mut schedule, &rotated)
+                .unwrap();
             scheduler
                 .reschedule(&dfg, Some(&retiming), &resources, &mut reference, &rotated)
                 .unwrap();
@@ -522,8 +484,13 @@ mod tests {
     }
 
     #[test]
-    fn memoized_weights_track_flips_for_all_kernel_policies() {
-        for policy in [PriorityPolicy::DescendantCount, PriorityPolicy::PathHeight] {
+    fn memoized_weights_track_flips_for_every_policy() {
+        for policy in [
+            PriorityPolicy::DescendantCount,
+            PriorityPolicy::PathHeight,
+            PriorityPolicy::Mobility,
+            PriorityPolicy::InputOrder,
+        ] {
             let dfg = ring();
             let resources = ResourceSet::adders_multipliers(1, 1, false);
             let scheduler = ListScheduler::new(policy);
@@ -548,15 +515,8 @@ mod tests {
                 }
                 // The debug_asserts inside compare weights and table
                 // against full recomputation.
-                ctx.reschedule(
-                    &dfg,
-                    &scheduler,
-                    Some(&retiming),
-                    &resources,
-                    &mut schedule,
-                    &rotated,
-                )
-                .unwrap();
+                ctx.reschedule(&dfg, Some(&retiming), &resources, &mut schedule, &rotated)
+                    .unwrap();
             }
         }
     }

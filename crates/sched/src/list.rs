@@ -15,9 +15,7 @@
 //!
 //! [`ResourceClass`]: crate::ResourceClass
 
-use std::sync::{Arc, Mutex};
-
-use rotsched_dfg::{Dfg, DfgError, EdgeId, NodeId, NodeMap, Retiming};
+use rotsched_dfg::{Dfg, EdgeId, NodeId, NodeMap, Retiming};
 
 use crate::error::SchedError;
 use crate::priority::PriorityPolicy;
@@ -25,15 +23,10 @@ use crate::reservation::ReservationTable;
 use crate::resources::{ResourceClassId, ResourceSet};
 use crate::schedule::Schedule;
 
-/// Capacity of the per-scheduler priority-weight cache. Rotation search
-/// cycles through a handful of retimed zero-delay DAGs per phase, so a
-/// small LRU captures nearly all repeats without unbounded growth.
-const WEIGHT_CACHE_CAP: usize = 32;
-
 /// Deterministic per-edge hash (the splitmix64 finalizer) for the
 /// XOR-accumulated fingerprint of a zero-delay edge set. Flipping one
 /// edge's membership is a single XOR, which is what lets the rotation
-/// context maintain the cache key in O(flipped edges) per step.
+/// context maintain its weight-memo key in O(flipped edges) per step.
 pub(crate) fn edge_hash(edge_index: usize) -> u64 {
     let mut z = (edge_index as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -42,7 +35,7 @@ pub(crate) fn edge_hash(edge_index: usize) -> u64 {
 }
 
 /// The zero-delay edge set of `G_r`: an exact bitset plus a cheap XOR
-/// fingerprint over per-edge hashes. The fingerprint is the weight-cache
+/// fingerprint over per-edge hashes. The fingerprint is the weight-memo
 /// key (collisions fall back to the exact bitset comparison, so a
 /// collision costs a compare, never a wrong answer) and is maintained
 /// incrementally by [`SchedContext`](crate::SchedContext).
@@ -137,30 +130,11 @@ impl ZeroSet {
         true
     }
 
-    /// The XOR fingerprint (the weight-cache key component).
+    /// The XOR fingerprint (the weight-memo key).
     #[must_use]
     pub fn key(&self) -> u64 {
         self.key
     }
-}
-
-/// One memoized weight computation.
-#[derive(Clone, Debug)]
-struct WeightEntry {
-    /// [`Dfg::structure_fingerprint`] of the graph the weights belong to.
-    graph: u64,
-    /// Exact zero-delay edge set under the retiming; the embedded
-    /// fingerprint is compared first, the bitset confirms on a match.
-    zero: ZeroSet,
-    weights: Arc<NodeMap<u64>>,
-}
-
-/// LRU cache of priority weights, most recently used last.
-#[derive(Clone, Debug, Default)]
-struct WeightCache {
-    entries: Vec<WeightEntry>,
-    hits: u64,
-    misses: u64,
 }
 
 /// A list scheduler with a configurable priority policy.
@@ -186,127 +160,22 @@ struct WeightCache {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ListScheduler {
     policy: PriorityPolicy,
-    /// Weight memo for the hot path: all four policies are pure functions
-    /// of the graph structure and the retimed zero-delay edge set, and a
-    /// rotation phase revisits the same few retimed DAGs over and over.
-    /// A `Mutex` keeps the public API `&self` and the type `Sync`; the
-    /// parallel portfolio clones the scheduler per worker, so the lock is
-    /// uncontended in practice.
-    cache: Mutex<WeightCache>,
 }
-
-impl Clone for ListScheduler {
-    fn clone(&self) -> Self {
-        ListScheduler {
-            policy: self.policy,
-            cache: Mutex::new(self.locked_cache().clone()),
-        }
-    }
-}
-
-// The cache is derived state: schedulers are equal iff their policies are.
-impl PartialEq for ListScheduler {
-    fn eq(&self, other: &Self) -> bool {
-        self.policy == other.policy
-    }
-}
-
-impl Eq for ListScheduler {}
 
 impl ListScheduler {
     /// A scheduler using the given priority policy.
     #[must_use]
     pub fn new(policy: PriorityPolicy) -> Self {
-        ListScheduler {
-            policy,
-            cache: Mutex::new(WeightCache::default()),
-        }
-    }
-
-    /// The cache guard; recovers from poisoning (a panic mid-insert at
-    /// worst loses memoized entries, never correctness).
-    fn locked_cache(&self) -> std::sync::MutexGuard<'_, WeightCache> {
-        self.cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        ListScheduler { policy }
     }
 
     /// The priority policy in use.
     #[must_use]
     pub fn policy(&self) -> PriorityPolicy {
         self.policy
-    }
-
-    /// `(hits, misses)` of the priority-weight cache since construction
-    /// (clones start with their source's counters).
-    #[must_use]
-    pub fn weight_cache_stats(&self) -> (u64, u64) {
-        let cache = self.locked_cache();
-        (cache.hits, cache.misses)
-    }
-
-    /// [`PriorityPolicy::weights`] memoized on the retiming's effect on
-    /// the zero-delay edge set. Returns a shared handle — a hit clones an
-    /// `Arc`, never the weight vector.
-    ///
-    /// Two retimings that expose the same zero-delay DAG (and many do —
-    /// a rotation only redistributes delays along a few edges) hit the
-    /// same entry; the key also includes the graph's structure
-    /// fingerprint so one scheduler can serve interleaved graphs, as the
-    /// bench sweeps do.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DfgError`] from the underlying weight computation
-    /// (e.g. a cyclic zero-delay subgraph).
-    pub fn cached_weights(
-        &self,
-        dfg: &Dfg,
-        retiming: Option<&Retiming>,
-    ) -> Result<Arc<NodeMap<u64>>, DfgError> {
-        let zero = ZeroSet::compute(dfg, retiming);
-        self.cached_weights_for(dfg, retiming, &zero)
-    }
-
-    /// [`Self::cached_weights`] with the caller's precomputed zero-delay
-    /// set, so the incrementally-maintained [`ZeroSet`] of a rotation
-    /// context probes the cache without the O(E) rebuild. The XOR
-    /// fingerprint is checked first; the exact bitset confirms a match,
-    /// so a hash collision costs one comparison, never a wrong answer.
-    pub(crate) fn cached_weights_for(
-        &self,
-        dfg: &Dfg,
-        retiming: Option<&Retiming>,
-        zero: &ZeroSet,
-    ) -> Result<Arc<NodeMap<u64>>, DfgError> {
-        let graph = dfg.structure_fingerprint();
-        {
-            let mut cache = self.locked_cache();
-            if let Some(pos) = cache.entries.iter().position(|entry| {
-                entry.graph == graph && entry.zero.key == zero.key && entry.zero.bits == zero.bits
-            }) {
-                cache.hits += 1;
-                let entry = cache.entries.remove(pos);
-                let weights = Arc::clone(&entry.weights);
-                cache.entries.push(entry); // most recently used last
-                return Ok(weights);
-            }
-            cache.misses += 1;
-        }
-        let weights = Arc::new(self.policy.weights_under(dfg, retiming, zero)?);
-        let mut cache = self.locked_cache();
-        if cache.entries.len() >= WEIGHT_CACHE_CAP {
-            cache.entries.remove(0);
-        }
-        cache.entries.push(WeightEntry {
-            graph,
-            zero: zero.clone(),
-            weights: Arc::clone(&weights),
-        });
-        Ok(weights)
     }
 
     /// Schedules the whole zero-delay DAG of `G_r` from scratch
@@ -357,9 +226,7 @@ impl ListScheduler {
         free: &[NodeId],
     ) -> Result<(), SchedError> {
         let zero = ZeroSet::compute(dfg, retiming);
-        let weights = self
-            .cached_weights_for(dfg, retiming, &zero)
-            .map_err(SchedError::from)?;
+        let weights = self.policy.weights_under(dfg, retiming, &zero)?;
 
         for &v in free {
             schedule.clear(v);
@@ -881,26 +748,8 @@ mod tests {
     }
 
     #[test]
-    fn weight_cache_hits_on_repeated_reschedules() {
-        let g = DfgBuilder::new("cache")
-            .nodes("a", 4, OpKind::Add, 1)
-            .wire("a0", "a1")
-            .wire("a1", "a2")
-            .build()
-            .unwrap();
-        let res = resources(2, 0);
-        let sched = ListScheduler::default();
-        let s1 = sched.schedule(&g, None, &res).unwrap();
-        let s2 = sched.schedule(&g, None, &res).unwrap();
-        assert_eq!(s1, s2, "cache must not change results");
-        let (hits, misses) = sched.weight_cache_stats();
-        assert_eq!(misses, 1, "second run reuses the first run's weights");
-        assert_eq!(hits, 1);
-    }
-
-    #[test]
-    fn weight_cache_distinguishes_retimings_by_zero_delay_set() {
-        let g = DfgBuilder::new("cache-retimed")
+    fn schedules_follow_the_retimed_zero_delay_set() {
+        let g = DfgBuilder::new("retimed")
             .node("a", OpKind::Add, 1)
             .node("b", OpKind::Add, 1)
             .wire("a", "b")
@@ -917,35 +766,6 @@ mod tests {
             plain, rotated,
             "different zero-delay DAGs, different results"
         );
-        let (hits, misses) = sched.weight_cache_stats();
-        assert_eq!(misses, 2, "two distinct zero-delay edge sets");
-        assert_eq!(hits, 0);
-        // The uncached path must agree with the cached one.
-        let fresh = ListScheduler::default();
-        assert_eq!(fresh.schedule(&g, Some(&r), &res).unwrap(), rotated);
-    }
-
-    #[test]
-    fn weight_cache_distinguishes_graphs_by_fingerprint() {
-        let g1 = DfgBuilder::new("g1")
-            .nodes("a", 3, OpKind::Add, 1)
-            .wire("a0", "a1")
-            .build()
-            .unwrap();
-        // Same node/edge counts, different wiring.
-        let g2 = DfgBuilder::new("g2")
-            .nodes("a", 3, OpKind::Add, 1)
-            .wire("a1", "a2")
-            .build()
-            .unwrap();
-        let res = resources(1, 0);
-        let sched = ListScheduler::default();
-        let s1 = sched.schedule(&g1, None, &res).unwrap();
-        let _ = sched.schedule(&g2, None, &res).unwrap();
-        let (_, misses) = sched.weight_cache_stats();
-        assert_eq!(misses, 2, "different graphs may not share weights");
-        // And the interleaved graph still round-trips correctly.
-        assert_eq!(sched.schedule(&g1, None, &res).unwrap(), s1);
     }
 
     #[test]

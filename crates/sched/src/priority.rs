@@ -8,7 +8,6 @@
 use rotsched_dfg::analysis::topo::zero_delay_topological_order;
 use rotsched_dfg::{Dfg, DfgError, NodeId, NodeMap, Retiming};
 
-use crate::asap_alap::timing_bounds;
 use crate::list::ZeroSet;
 
 /// How list scheduling ranks ready nodes (higher weight schedules first).
@@ -39,83 +38,53 @@ impl PriorityPolicy {
         self.weights_under(dfg, retiming, &ZeroSet::compute(dfg, retiming))
     }
 
-    /// [`Self::weights`] with the caller's zero-delay set of `G_r`.
+    /// [`Self::weights`] with the caller's zero-delay set of `G_r`: one
+    /// [`WeightKernel`] pass.
     pub(crate) fn weights_under(
         self,
         dfg: &Dfg,
         retiming: Option<&Retiming>,
         zero: &ZeroSet,
     ) -> Result<NodeMap<u64>, DfgError> {
-        match self {
-            PriorityPolicy::DescendantCount | PriorityPolicy::PathHeight => {
-                let mut weights = dfg.node_map(0_u64);
-                if WeightKernel::default().run(self, dfg, zero, &mut weights) {
-                    Ok(weights)
-                } else {
-                    // The topological sort names the offending cycle.
-                    Err(zero_delay_topological_order(dfg, retiming)
-                        .expect_err("the weight kernel found a zero-delay cycle"))
-                }
-            }
-            PriorityPolicy::Mobility => {
-                let tb = timing_bounds(dfg, retiming, None)?;
-                let max_mob = dfg
-                    .node_ids()
-                    .map(|v| u64::from(tb.mobility(v)))
-                    .max()
-                    .unwrap_or(0);
-                let mut w = dfg.node_map(0_u64);
-                for v in dfg.node_ids() {
-                    w[v] = max_mob - u64::from(tb.mobility(v));
-                }
-                Ok(w)
-            }
-            PriorityPolicy::InputOrder => {
-                let n = dfg.node_count() as u64;
-                let mut w = dfg.node_map(0_u64);
-                for (i, v) in dfg.node_ids().enumerate() {
-                    w[v] = n - i as u64;
-                }
-                Ok(w)
-            }
+        let mut weights = dfg.node_map(0_u64);
+        if WeightKernel::default().run(self, dfg, zero, &mut weights) {
+            Ok(weights)
+        } else {
+            // The topological sort names the offending cycle.
+            Err(zero_delay_topological_order(dfg, retiming)
+                .expect_err("the weight kernel found a zero-delay cycle"))
         }
-    }
-
-    /// Whether the weights are a pure function of the zero-delay DAG,
-    /// computed by [`WeightKernel`] (descendant counts, path heights).
-    pub(crate) fn has_kernel(self) -> bool {
-        matches!(
-            self,
-            PriorityPolicy::DescendantCount | PriorityPolicy::PathHeight
-        )
     }
 }
 
-/// The structural weight computation over the flat CSR: Kahn's algorithm
-/// on zero-delay out-degrees visits every node after all its zero-delay
-/// successors, and each node's weight is accumulated from theirs —
-/// descendant bitsets for [`PriorityPolicy::DescendantCount`], longest
-/// paths for [`PriorityPolicy::PathHeight`]. The buffers are reused
-/// across calls, so a warm kernel allocates nothing.
+/// The weight computation over the flat CSR. Kahn's algorithm on
+/// zero-delay out-degrees orders the nodes sinks first; each policy is
+/// then one or two passes over that order — descendant bitsets for
+/// [`PriorityPolicy::DescendantCount`], longest paths for
+/// [`PriorityPolicy::PathHeight`], and for [`PriorityPolicy::Mobility`]
+/// an ASAP pass from the sources and an ALAP pass from the sinks, as
+/// [`timing_bounds`](crate::timing_bounds) computes them. Every policy
+/// reads a node's time as its step count, `max(t, 1)`.
+/// [`PriorityPolicy::InputOrder`] needs no order. The buffers are
+/// reused across calls, so a warm kernel allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct WeightKernel {
-    /// Zero-delay successors not yet visited, per node.
+    /// Zero-delay successors not yet ordered, per node.
     pending: Vec<u32>,
-    /// Nodes whose zero-delay successors have all been visited.
-    stack: Vec<u32>,
+    /// The nodes, each after all its zero-delay successors.
+    order: Vec<u32>,
     /// Descendant bitsets, `node_count.div_ceil(64)` words per node.
     rows: Vec<u64>,
+    /// ASAP and ALAP start steps, per node.
+    asap: Vec<u32>,
+    alap: Vec<u32>,
 }
 
 impl WeightKernel {
     /// Writes `policy`'s weight of every node of the zero-delay DAG
     /// `zero` into `weights`. Returns `false`, with `weights` partly
-    /// written, when the zero-delay subgraph is cyclic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy` has no kernel (see
-    /// [`PriorityPolicy::has_kernel`]).
+    /// written, when the zero-delay subgraph is cyclic (input order
+    /// never looks at it, so it always succeeds).
     pub(crate) fn run(
         &mut self,
         policy: PriorityPolicy,
@@ -123,17 +92,70 @@ impl WeightKernel {
         zero: &ZeroSet,
         weights: &mut NodeMap<u64>,
     ) -> bool {
-        assert!(policy.has_kernel(), "{policy:?} has no weight kernel");
-        let descendants = policy == PriorityPolicy::DescendantCount;
         let n = dfg.node_count();
-        let words = n.div_ceil(64);
+        if policy == PriorityPolicy::InputOrder {
+            for v in 0..n {
+                weights[NodeId::from_index(v)] = (n - v) as u64;
+            }
+            return true;
+        }
+        if !self.order_sinks_first(dfg, zero) {
+            return false;
+        }
         let csr = dfg.csr();
         let (out_ids, out_heads) = (csr.out_edge_ids(), csr.out_heads());
-        let (in_ids, in_tails) = (csr.in_edge_ids(), csr.in_tails());
         let times = csr.times();
+        match policy {
+            PriorityPolicy::DescendantCount => {
+                let words = n.div_ceil(64);
+                self.rows.clear();
+                self.rows.resize(n * words, 0);
+                for &v in &self.order {
+                    let v = v as usize;
+                    for j in csr.out_range(v) {
+                        if zero.contains(out_ids[j]) {
+                            let w = out_heads[j] as usize;
+                            self.rows[v * words + w / 64] |= 1 << (w % 64);
+                            for k in 0..words {
+                                let bits = self.rows[w * words + k];
+                                self.rows[v * words + k] |= bits;
+                            }
+                        }
+                    }
+                    weights[NodeId::from_index(v)] = self.rows[v * words..(v + 1) * words]
+                        .iter()
+                        .map(|bits| u64::from(bits.count_ones()))
+                        .sum();
+                }
+            }
+            PriorityPolicy::PathHeight => {
+                for &v in &self.order {
+                    let v = v as usize;
+                    let mut below = 0_u64;
+                    for j in csr.out_range(v) {
+                        if zero.contains(out_ids[j]) {
+                            below = below.max(weights[NodeId::from_index(out_heads[j] as usize)]);
+                        }
+                    }
+                    weights[NodeId::from_index(v)] = below + u64::from(times[v]);
+                }
+            }
+            PriorityPolicy::Mobility => self.mobility(dfg, zero, weights),
+            PriorityPolicy::InputOrder => unreachable!("answered above"),
+        }
+        true
+    }
 
+    /// Kahn's algorithm on zero-delay out-degrees: fills `order` with
+    /// every node after all its zero-delay successors, or returns
+    /// `false` when a zero-delay cycle leaves nodes out.
+    fn order_sinks_first(&mut self, dfg: &Dfg, zero: &ZeroSet) -> bool {
+        let n = dfg.node_count();
+        let csr = dfg.csr();
+        let out_ids = csr.out_edge_ids();
+        let (in_ids, in_tails) = (csr.in_edge_ids(), csr.in_tails());
         self.pending.clear();
-        self.stack.clear();
+        self.order.clear();
         for v in 0..n {
             let degree = csr
                 .out_range(v)
@@ -142,55 +164,70 @@ impl WeightKernel {
             self.pending
                 .push(u32::try_from(degree).expect("degree fits u32"));
             if degree == 0 {
-                self.stack
+                self.order
                     .push(u32::try_from(v).expect("node index fits u32"));
             }
         }
-        if descendants {
-            self.rows.clear();
-            self.rows.resize(n * words, 0);
-        }
-
-        let mut visited = 0_usize;
-        while let Some(v) = self.stack.pop() {
-            let v = v as usize;
-            let weight = if descendants {
-                for j in csr.out_range(v) {
-                    if zero.contains(out_ids[j]) {
-                        let w = out_heads[j] as usize;
-                        self.rows[v * words + w / 64] |= 1 << (w % 64);
-                        for k in 0..words {
-                            let bits = self.rows[w * words + k];
-                            self.rows[v * words + k] |= bits;
-                        }
-                    }
-                }
-                self.rows[v * words..(v + 1) * words]
-                    .iter()
-                    .map(|bits| u64::from(bits.count_ones()))
-                    .sum()
-            } else {
-                let mut below = 0_u64;
-                for j in csr.out_range(v) {
-                    if zero.contains(out_ids[j]) {
-                        below = below.max(weights[NodeId::from_index(out_heads[j] as usize)]);
-                    }
-                }
-                below + u64::from(times[v])
-            };
-            weights[NodeId::from_index(v)] = weight;
-            visited += 1;
-            for j in csr.in_range(v) {
+        let mut next = 0;
+        while let Some(&v) = self.order.get(next) {
+            next += 1;
+            for j in csr.in_range(v as usize) {
                 if zero.contains(in_ids[j]) {
                     let u = in_tails[j] as usize;
                     self.pending[u] -= 1;
                     if self.pending[u] == 0 {
-                        self.stack.push(in_tails[j]);
+                        self.order.push(in_tails[j]);
                     }
                 }
             }
         }
-        visited == n
+        self.order.len() == n
+    }
+
+    /// Inverse mobility over `order`: the largest ALAP − ASAP slack
+    /// minus each node's own, with the ALAP horizon at the critical-path
+    /// length — [`timing_bounds`](crate::timing_bounds) without a
+    /// horizon, step for step.
+    fn mobility(&mut self, dfg: &Dfg, zero: &ZeroSet, weights: &mut NodeMap<u64>) {
+        let n = dfg.node_count();
+        let csr = dfg.csr();
+        let (out_ids, out_heads) = (csr.out_edge_ids(), csr.out_heads());
+        let (in_ids, in_tails) = (csr.in_edge_ids(), csr.in_tails());
+        let steps = csr.times();
+        self.asap.clear();
+        self.asap.resize(n, 1);
+        self.alap.clear();
+        self.alap.resize(n, 0);
+        let mut horizon = 0;
+        for &v in self.order.iter().rev() {
+            let v = v as usize;
+            let mut earliest = 1;
+            for j in csr.in_range(v) {
+                if zero.contains(in_ids[j]) {
+                    let u = in_tails[j] as usize;
+                    earliest = earliest.max(self.asap[u] + steps[u]);
+                }
+            }
+            self.asap[v] = earliest;
+            horizon = horizon.max(earliest + steps[v] - 1);
+        }
+        let mut max_mobility = 0;
+        for &v in &self.order {
+            let v = v as usize;
+            // Latest start so that v finishes by the horizon.
+            let mut latest = horizon - steps[v] + 1;
+            for j in csr.out_range(v) {
+                if zero.contains(out_ids[j]) {
+                    latest = latest.min(self.alap[out_heads[j] as usize] - steps[v]);
+                }
+            }
+            self.alap[v] = latest;
+            max_mobility = max_mobility.max(latest - self.asap[v]);
+        }
+        for v in 0..n {
+            let mobility = self.alap[v] - self.asap[v];
+            weights[NodeId::from_index(v)] = u64::from(max_mobility - mobility);
+        }
     }
 }
 
@@ -253,6 +290,54 @@ mod tests {
         let w = PriorityPolicy::Mobility.weights(&g, None).unwrap();
         // v2 is off the critical chain; it must rank strictly below v0.
         assert!(w[v[0]] > w[v[2]]);
+    }
+
+    #[test]
+    fn mobility_kernel_matches_timing_bounds_with_zero_time_ops() {
+        // A zero-time op still takes a step: asap/alap use max(t, 1).
+        // The branch s -> z -> b has slack 1 in steps, 2 in raw time.
+        let mut g = Dfg::new("zero-time");
+        let s = g.add_node("s", OpKind::Add, 1);
+        let z = g.add_node("z", OpKind::Add, 0);
+        let b = g.add_node("b", OpKind::Add, 1);
+        let p = g.add_node("p", OpKind::Mul, 2);
+        let q = g.add_node("q", OpKind::Add, 1);
+        g.add_edge(s, z, 0).unwrap();
+        g.add_edge(z, b, 0).unwrap();
+        g.add_edge(s, p, 0).unwrap();
+        g.add_edge(p, q, 0).unwrap();
+        g.add_edge(b, s, 1).unwrap();
+        g.add_edge(q, s, 2).unwrap();
+        let rotated = Retiming::from_set(&g, [s]);
+        for retiming in [None, Some(&rotated)] {
+            let tb = crate::timing_bounds(&g, retiming, None).unwrap();
+            let max = g.node_ids().map(|v| tb.mobility(v)).max().unwrap();
+            let w = PriorityPolicy::Mobility.weights(&g, retiming).unwrap();
+            for v in g.node_ids() {
+                assert_eq!(w[v], u64::from(max - tb.mobility(v)), "{v:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn cyclic_zero_delay_graphs_fail_except_for_input_order() {
+        let mut g = Dfg::new("cycle");
+        let a = g.add_node("a", OpKind::Add, 1);
+        let b = g.add_node("b", OpKind::Add, 1);
+        g.add_edge(a, b, 0).unwrap();
+        g.add_edge(b, a, 0).unwrap();
+        for policy in [
+            PriorityPolicy::DescendantCount,
+            PriorityPolicy::PathHeight,
+            PriorityPolicy::Mobility,
+        ] {
+            assert!(matches!(
+                policy.weights(&g, None),
+                Err(DfgError::ZeroDelayCycle { .. })
+            ));
+        }
+        let w = PriorityPolicy::InputOrder.weights(&g, None).unwrap();
+        assert_eq!((w[a], w[b]), (2, 1));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use rotsched_dfg::analysis::topo::is_zero_delay_under;
 use rotsched_dfg::rng::SplitMix64;
 use rotsched_dfg::{Dfg, NodeId, NodeMap, OpKind, Retiming};
-use rotsched_sched::{PriorityPolicy, Schedule};
+use rotsched_sched::{timing_bounds, PriorityPolicy, Schedule};
 
 /// Every priority policy.
 pub const POLICIES: [PriorityPolicy; 4] = [
@@ -74,8 +74,9 @@ pub fn rotate_prefix(
 
 /// Weights straight from the definitions: descendant counts by a
 /// depth-first search per node, path heights by recursion over the
-/// zero-delay successors; the other policies defer to the library
-/// (they never went through the kernel).
+/// zero-delay successors, inverse mobility from the ASAP/ALAP bounds of
+/// `timing_bounds`, input order from the node index. Node times count
+/// as `max(t, 1)` steps throughout.
 pub fn reference_weights(
     policy: PriorityPolicy,
     dfg: &Dfg,
@@ -127,11 +128,20 @@ pub fn reference_weights(
                 weights[v] = height(v, dfg, &succ, &mut memo);
             }
         }
-        other => {
-            weights = other
-                .weights(dfg, retiming)
+        PriorityPolicy::Mobility => {
+            let bounds = timing_bounds(dfg, retiming, None)
                 .expect("legal retimings keep the zero-delay subgraph acyclic");
+            let most = dfg.node_ids().map(|v| bounds.mobility(v)).max();
+            for v in dfg.node_ids() {
+                weights[v] = u64::from(most.unwrap_or(0) - bounds.mobility(v));
+            }
         }
+        PriorityPolicy::InputOrder => {
+            for v in dfg.node_ids() {
+                weights[v] = (dfg.node_count() - v.index()) as u64;
+            }
+        }
+        other => panic!("no reference for {other:?}"),
     }
     weights
 }

@@ -3,23 +3,25 @@
 //! weight memo.
 //!
 //! A `SchedContext` keeps the weights of up to 64 zero-delay sets and
-//! recomputes them with the CSR weight kernel on a miss. After every
-//! rotation step the active weights must equal both
-//! `PriorityPolicy::weights` and a test-local reference written from the
-//! definitions (a depth-first descendant count, a recursive path
-//! height). The sequences visit well over 64 distinct zero-delay sets,
+//! recomputes them with the CSR weight kernel on a miss, for every
+//! priority policy. After every rotation step the active weights must
+//! equal both `PriorityPolicy::weights` and a test-local reference
+//! written from the definitions (a depth-first descendant count, a
+//! recursive path height, the mobility of `timing_bounds`, the node
+//! index). The sequences visit well over 64 distinct zero-delay sets,
 //! on graphs both below and above 64 nodes (one- and multi-word
-//! descendant bitsets). A second test pins the memo's hit/miss counts
-//! on fixed seeds: the memo's keys and eviction order are part of its
-//! contract.
+//! descendant bitsets) with zero-time operations among them, whose raw
+//! time 0 differs from the one step they take. A second test pins the
+//! memo's hit/miss counts on fixed seeds: the memo's keys and eviction
+//! order are part of its contract.
 
 mod common;
 
 use std::collections::HashSet;
 
-use common::{random_dfg, reference_weights};
+use common::{random_dfg, reference_weights, POLICIES};
 use rotsched_dfg::rng::SplitMix64;
-use rotsched_dfg::{Dfg, Retiming};
+use rotsched_dfg::{Dfg, NodeId, Retiming};
 use rotsched_sched::{
     CacheStats, ListScheduler, PriorityPolicy, ResourceSet, SchedContext, Schedule, ZeroSet,
 };
@@ -37,6 +39,15 @@ fn graph(seed: u64, n: usize) -> Dfg {
     let mut rng = SplitMix64::new(seed);
     let density = 3.0 / n as f64;
     random_dfg(&mut rng, n, 2, density)
+}
+
+/// [`graph`] with every fourth node made a zero-time operation.
+fn graph_with_zero_time_ops(seed: u64, n: usize) -> Dfg {
+    let mut g = graph(seed, n);
+    for i in (0..n).step_by(4) {
+        g.node_mut(NodeId::from_index(i)).set_time(0);
+    }
+    g
 }
 
 /// A rotation sequence through one context, with seeded rotation
@@ -71,7 +82,7 @@ fn rotate_through(
             schedule.shift(1 - i64::from(first));
             ctx.shift(1 - i64::from(first));
         }
-        ctx.reschedule(g, &scheduler, Some(&retiming), &res, &mut schedule, &prefix)
+        ctx.reschedule(g, Some(&retiming), &res, &mut schedule, &prefix)
             .expect("a rotated prefix has no fixed zero-delay successors");
         after_step(&ctx, &retiming);
     }
@@ -80,13 +91,13 @@ fn rotate_through(
 
 #[test]
 fn memoized_weights_match_the_definitions_across_eviction() {
-    for policy in [PriorityPolicy::DescendantCount, PriorityPolicy::PathHeight] {
+    for policy in POLICIES {
         for (i, &n) in SIZES.iter().enumerate() {
             let seed = 11 + i as u64;
-            let g = graph(seed, n);
+            let g = graph_with_zero_time_ops(seed, n);
             let mut seen = HashSet::new();
             let stats = rotate_through(&g, policy, seed, |ctx, retiming| {
-                let weights = ctx.active_weights().expect("kernel policies memoize");
+                let weights = ctx.active_weights();
                 let library = policy.weights(&g, Some(retiming)).expect("acyclic");
                 let reference = reference_weights(policy, &g, Some(retiming));
                 assert_eq!(weights.as_slice(), library.as_slice(), "{policy:?}, n {n}");
@@ -121,6 +132,10 @@ fn memo_hit_and_miss_counts_are_pinned() {
         (PriorityPolicy::DescendantCount, 100, 23, 374),
         (PriorityPolicy::PathHeight, 40, 56, 341),
         (PriorityPolicy::PathHeight, 100, 34, 366),
+        (PriorityPolicy::Mobility, 40, 57, 343),
+        (PriorityPolicy::Mobility, 100, 58, 341),
+        (PriorityPolicy::InputOrder, 40, 48, 350),
+        (PriorityPolicy::InputOrder, 100, 47, 353),
     ];
     for (policy, n, hits, misses) in pinned {
         let seed = 23 + n as u64;
