@@ -1,20 +1,17 @@
 //! Experiment harness for the rotation-scheduling reproduction.
 //!
 //! The binaries in `src/bin/` regenerate each table and figure of the
-//! paper; the benches in `benches/` measure runtime claims with the
-//! self-contained [`harness`]. This library hosts the shared measurement
-//! helpers.
+//! paper, and `perf_report` measures and gates the runtime claims. This
+//! library hosts the measurement helpers the table binaries share.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(unreachable_pub)]
 
-pub mod harness;
-
 use rotsched_baselines::lower_bound;
-use rotsched_core::{HeuristicConfig, RotationScheduler};
+use rotsched_core::RotationScheduler;
 use rotsched_dfg::Dfg;
-use rotsched_sched::{PriorityPolicy, ResourceSet};
+use rotsched_sched::ResourceSet;
 
 /// One measured row: rotation scheduling on a benchmark under a
 /// resource configuration.
@@ -50,36 +47,9 @@ pub struct MeasuredRow {
 /// happens for the suite's graphs).
 #[must_use]
 pub fn measure_rs(dfg: &Dfg, adders: u32, multipliers: u32, pipelined: bool) -> MeasuredRow {
-    measure_rs_with(
-        dfg,
-        adders,
-        multipliers,
-        pipelined,
-        &HeuristicConfig::default(),
-        PriorityPolicy::DescendantCount,
-    )
-}
-
-/// [`measure_rs`] with explicit heuristic configuration and priority
-/// policy (used by the convergence and ablation studies).
-///
-/// # Panics
-///
-/// Panics if the benchmark graph cannot be scheduled at all.
-#[must_use]
-pub fn measure_rs_with(
-    dfg: &Dfg,
-    adders: u32,
-    multipliers: u32,
-    pipelined: bool,
-    config: &HeuristicConfig,
-    policy: PriorityPolicy,
-) -> MeasuredRow {
     let resources = ResourceSet::adders_multipliers(adders, multipliers, pipelined);
     let lb = lower_bound(dfg, &resources).expect("valid benchmark graph");
-    let scheduler = RotationScheduler::new(dfg, resources.clone())
-        .with_config(*config)
-        .with_policy(policy);
+    let scheduler = RotationScheduler::new(dfg, resources.clone());
     let solved = scheduler.solve().expect("benchmarks are schedulable");
     let verified = scheduler.verify(&solved.state, 25).is_ok();
     let registers = scheduler

@@ -96,7 +96,10 @@ mod tests {
         let g = biquad(&TimingModel::paper());
         let w1 = g.node_by_name("s2_1").unwrap();
         let s12 = g.node_by_name("s1_2").unwrap();
-        assert!(g.zero_delay_successors(w1).any(|v| v == s12));
+        assert!(g.out_edges(w1).iter().any(|&e| {
+            let e = g.edge(e);
+            e.is_zero_delay() && e.to() == s12
+        }));
     }
 
     #[test]

@@ -112,12 +112,13 @@ mod tests {
     fn the_loop_test_is_a_root() {
         let g = diffeq(&TimingModel::paper());
         let test = g.node_by_name("test").unwrap();
+        let zero_delay = |edges: &[_]| edges.iter().filter(|&&e| g.edge(e).is_zero_delay()).count();
         assert_eq!(
-            g.zero_delay_predecessors(test).count(),
+            zero_delay(g.in_edges(test)),
             0,
             "all incoming edges of the loop test carry delays"
         );
-        assert!(g.zero_delay_successors(test).count() >= 4);
+        assert!(zero_delay(g.out_edges(test)) >= 4);
     }
 
     #[test]

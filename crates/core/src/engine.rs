@@ -159,9 +159,10 @@ pub trait StepMode {
     /// rotation of `state`; the incremental mode (re)builds its context
     /// here. `chained` says that `state` is exactly what this mode's
     /// last [`StepMode::initial_state`] or [`StepMode::full_schedule`]
-    /// produced, untouched since — a run's first phase, or the next
-    /// phase of a Heuristic-2 sweep — so the incremental mode keeps the
-    /// context that schedule left instead of rebuilding it.
+    /// produced, untouched since — a run's first phase (a portfolio
+    /// phase task's only one), or the next phase of a Heuristic-2
+    /// sweep — so the incremental mode keeps the context that schedule
+    /// left instead of rebuilding it.
     ///
     /// # Errors
     ///
@@ -317,7 +318,8 @@ impl StepMode for IncrementalStep {
 
 /// The reference step mode: every rotation uses the non-incremental
 /// [`down_rotate`] operator. Kept as the ablation arm for equivalence
-/// tests and the `rotation_step` before/after benchmark.
+/// tests; `perf_report`'s "rotation step (from scratch)" arm times the
+/// same operator.
 #[derive(Clone, Debug, Default)]
 pub struct ScratchStep {
     /// Retains the last rotated set so the trait can hand out a borrow.
@@ -722,6 +724,43 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         }
     }
 
+    /// A new `Q` of capacity `keep_best` holding the run's initial
+    /// schedule `init`, offered through [`SearchDriver::offer`].
+    fn initial_best(
+        &mut self,
+        keep_best: usize,
+        init: &RotationState,
+    ) -> Result<BestSet, RotationError> {
+        let mut best = BestSet::new(keep_best);
+        let wrapped = wrapped_length(&mut self.wrap, self.dfg, self.resources, init)?;
+        self.offer(&mut best, wrapped, init);
+        Ok(best)
+    }
+
+    /// One phase of `size` and `alpha` rotations from the initial state,
+    /// starting on the step mode's initial-state context — a portfolio
+    /// phase task. Returns the phase's `Q` (capacity `keep_best`, the
+    /// initial schedule offered first) and statistics: exactly what
+    /// [`StepMode::initial_state`], [`SearchDriver::offer`] and
+    /// [`SearchDriver::run_phase`] give, with one context build fewer.
+    ///
+    /// # Errors
+    ///
+    /// Propagates graph and scheduling failures.
+    pub(crate) fn initial_phase(
+        &mut self,
+        keep_best: usize,
+        size: u32,
+        alpha: usize,
+    ) -> Result<(BestSet, PhaseStats), RotationError> {
+        let mut state = self
+            .step
+            .initial_state(self.dfg, self.scheduler, self.resources)?;
+        let mut best = self.initial_best(keep_best, &state)?;
+        let stats = self.phase(&mut state, &mut best, size, alpha, None, None, true)?;
+        Ok((best, stats))
+    }
+
     /// Heuristic 1: independent phases of sizes `1..=β`, each restarting
     /// from the initial schedule and the zero rotation function. The
     /// first phase starts on the step mode's initial-state context; the
@@ -738,9 +777,7 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         let init = self
             .step
             .initial_state(self.dfg, self.scheduler, self.resources)?;
-        let mut best = BestSet::new(config.keep_best);
-        let wrapped = wrapped_length(&mut self.wrap, self.dfg, self.resources, &init)?;
-        self.offer(&mut best, wrapped, &init);
+        let mut best = self.initial_best(config.keep_best, &init)?;
 
         let beta = config
             .max_size
@@ -816,9 +853,7 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             Some(p) => p.bound(),
             None => kernel_lower_bound(self.dfg, self.resources)?,
         };
-        let mut best = BestSet::new(config.keep_best);
-        let wrapped = wrapped_length(&mut self.wrap, self.dfg, self.resources, &init)?;
-        self.offer(&mut best, wrapped, &init);
+        let mut best = self.initial_best(config.keep_best, &init)?;
 
         let beta = config
             .max_size

@@ -78,9 +78,7 @@ pub mod nested;
 pub mod objective;
 pub mod phase;
 pub mod portfolio;
-pub mod rate;
 pub mod rotate;
-pub mod rotate_chained;
 mod scheduler;
 pub mod trace;
 pub mod wire;
@@ -99,11 +97,9 @@ pub use portfolio::{
     effective_jobs, parallel_indexed, parallel_indexed_isolated, IsolatedResult, Portfolio,
     PortfolioOutcome, PruneSignal, SearchTask, SharedBound, TaskOutcome, TaskReport,
 };
-pub use rate::{rate_optimal, unfold_and_rotate, RateResult};
 pub use rotate::{
     down_rotate, initial_state, is_down_rotatable, up_rotate, DownRotateOutcome, RotationState,
 };
-pub use rotate_chained::{down_rotate_chained, initial_chained_state, ChainedRotationState};
 pub use scheduler::{ProblemSpec, RotationScheduler, SolveOutcome, SolveQuality, SolveStats};
 pub use trace::{
     PhaseCounters, SearchTrace, TaskTrace, TraceEvent, TraceRecorder, DEFAULT_TRACE_EVENTS,

@@ -639,11 +639,7 @@ fn run_task_with<O: SearchObserver>(
                 .with_budget(budget)
                 .with_objective(objective)
                 .with_observer(observer);
-            let mut state = initial_state(dfg, &scheduler, resources)?;
-            let mut best = BestSet::new(keep_best);
-            let wrapped = state.wrapped_length(dfg, resources)?;
-            driver.offer(&mut best, wrapped, &state);
-            let stats = driver.run_phase(&mut state, &mut best, *size, *alpha)?;
+            let (best, stats) = driver.initial_phase(keep_best, *size, *alpha)?;
             Ok((
                 TaskRun {
                     best,

@@ -3,12 +3,15 @@
 //! worker-thread count, and pruning must never produce a length below
 //! the combined lower bound.
 
-use rotsched_benchmarks::{random_dfg, RandomDfgConfig};
-use rotsched_core::{Budget, HeuristicConfig, Portfolio, RotationScheduler, SearchTask};
+use rotsched_benchmarks::{all_benchmarks, random_dfg, RandomDfgConfig, TimingModel};
+use rotsched_core::{
+    initial_state, BestSet, Budget, HeuristicConfig, Objective, Portfolio, RotationScheduler,
+    SearchDriver, SearchTask, SharedBound,
+};
 use rotsched_dfg::rng::SplitMix64;
 use rotsched_dfg::Dfg;
 use rotsched_sched::validate::realizing_retiming;
-use rotsched_sched::ResourceSet;
+use rotsched_sched::{ListScheduler, PriorityPolicy, ResourceSet};
 
 const CASES: u64 = 32;
 
@@ -207,5 +210,79 @@ fn injected_panic_degrades_to_the_survivors_best_everywhere() {
                 assert!(r.is_legal(&g), "{what}: illegal survivor schedule");
             }
         }
+    }
+}
+
+/// Checks every phase size `1..=β` of `g` under `res`: a one-task
+/// portfolio running the phase gives the best set and phase statistics
+/// of the from-scratch driver running `initial_state` → `offer` →
+/// `run_phase` under the same prune signal.
+fn assert_phase_task_matches_the_reference(what: &str, g: &Dfg, res: &ResourceSet) {
+    let (alpha, keep_best) = (8, 4);
+    let bound = u32::try_from(rotsched_baselines::lower_bound(g, res).expect("valid graph"))
+        .expect("small bound");
+    for policy in [
+        PriorityPolicy::DescendantCount,
+        PriorityPolicy::PathHeight,
+        PriorityPolicy::Mobility,
+        PriorityPolicy::InputOrder,
+    ] {
+        let scheduler = ListScheduler::new(policy);
+        let init = initial_state(g, &scheduler, res).expect("schedulable");
+        let beta = init.length(g).max(1);
+        for size in 1..=beta {
+            let portfolio = Portfolio {
+                tasks: vec![SearchTask::Phase {
+                    size,
+                    alpha,
+                    policy,
+                }],
+                jobs: 1,
+                keep_best,
+                budget: Budget::unlimited(),
+                objective: Objective::Length,
+            };
+            let out = portfolio.run(g, res).expect("runs");
+
+            let shared = SharedBound::new(bound);
+            let signal = shared.signal(0);
+            let mut driver = SearchDriver::reference(g, &scheduler, res).with_prune(Some(&signal));
+            let mut state = init.clone();
+            let mut best = BestSet::new(keep_best);
+            let wrapped = state.wrapped_length(g, res).expect("wraps");
+            driver.offer(&mut best, wrapped, &state);
+            let stats = driver
+                .run_phase(&mut state, &mut best, size, alpha)
+                .expect("runs");
+
+            let what = format!("{what}, {policy:?}, size {size}");
+            assert_eq!(out.merged.best_score, best.score, "{what}: best score");
+            assert_eq!(out.merged.best, best.schedules, "{what}: best set");
+            assert_eq!(out.merged.phases, vec![stats], "{what}: phase stats");
+        }
+    }
+}
+
+/// A portfolio phase task starts on the context its initial schedule
+/// was built in, and that changes nothing it returns: on the five paper
+/// benchmarks and on random cyclic DFGs, every size `1..=β` under every
+/// policy matches the from-scratch reference.
+#[test]
+fn phase_task_matches_the_reference_phase_from_the_initial_state() {
+    for (name, g) in all_benchmarks(&TimingModel::paper()) {
+        for (adders, mults, pipelined) in [(1, 1, false), (2, 2, true)] {
+            let res = ResourceSet::adders_multipliers(adders, mults, pipelined);
+            assert_phase_task_matches_the_reference(&format!("{name} {adders}/{mults}"), &g, &res);
+        }
+    }
+    for case in 0..CASES / 2 {
+        let mut rng = SplitMix64::new(0x9A5E ^ case);
+        let g = random_graph(&mut rng);
+        let res = ResourceSet::adders_multipliers(
+            rng.range_u32(1, 2),
+            rng.range_u32(1, 2),
+            rng.chance(0.5),
+        );
+        assert_phase_task_matches_the_reference(&format!("case {case}"), &g, &res);
     }
 }

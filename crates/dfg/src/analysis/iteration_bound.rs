@@ -78,13 +78,6 @@ impl Ratio {
     pub fn ceil(self) -> u64 {
         self.num.div_ceil(self.den)
     }
-
-    /// The value as an `f64` (for reporting only; comparisons use exact
-    /// arithmetic).
-    #[must_use]
-    pub fn to_f64(self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
 }
 
 impl PartialOrd for Ratio {

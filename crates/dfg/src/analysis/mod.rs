@@ -29,6 +29,6 @@ pub use iteration_bound::{
     iteration_bound, max_cycle_ratio, max_cycle_ratio_counted, Ratio, RatioWork,
 };
 pub use paths::{bellman_ford, NegativeCycle, ShortestPaths, WeightedEdge};
-pub use retime_feasibility::{min_period_retiming, retime_to_period};
-pub use scc::{strongly_connected_components, strongly_connected_components_csr, SccDecomposition};
+pub use retime_feasibility::retime_to_period;
+pub use scc::{strongly_connected_components, SccDecomposition};
 pub use topo::zero_delay_topological_order;

@@ -15,7 +15,7 @@ use crate::error::DfgError;
 use crate::graph::Dfg;
 use crate::retiming::Retiming;
 
-use super::critical_path::{arrival_times, critical_path_length};
+use super::critical_path::arrival_times;
 
 /// Searches for a legal retiming `r` with `CP(G_r) ≤ period`.
 ///
@@ -60,43 +60,10 @@ pub fn retime_to_period(dfg: &Dfg, period: u64) -> Result<Option<Retiming>, DfgE
     }
 }
 
-/// The minimum iteration period achievable by retiming alone (no resource
-/// constraints), together with a retiming that realizes it.
-///
-/// Binary-searches the period between the largest single-node time and the
-/// unretimed critical path, using [`retime_to_period`] as the feasibility
-/// oracle.
-///
-/// # Errors
-///
-/// Returns [`DfgError::ZeroDelayCycle`] if the input graph has no static
-/// schedule.
-pub fn min_period_retiming(dfg: &Dfg) -> Result<(u64, Retiming), DfgError> {
-    let upper = critical_path_length(dfg, None)?;
-    let lower = u64::from(dfg.max_node_time());
-    let mut lo = lower;
-    let mut hi = upper;
-    let mut best = (upper, Retiming::zero(dfg));
-    while lo <= hi {
-        let mid = lo + (hi - lo) / 2;
-        match retime_to_period(dfg, mid)? {
-            Some(r) => {
-                best = (mid, r);
-                if mid == 0 {
-                    break;
-                }
-                hi = mid - 1;
-            }
-            None => lo = mid + 1,
-        }
-    }
-    Ok(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::iteration_bound::max_cycle_ratio;
+    use crate::analysis::critical_path::critical_path_length;
     use crate::op::OpKind;
 
     /// A recurrence with a long combinational chain that retiming can cut:
@@ -124,8 +91,7 @@ mod tests {
         let g = ring();
         // Max cycle ratio = 4/2 = 2; retiming can spread the two delays to
         // cut the chain into two halves of length 2.
-        let (period, r) = min_period_retiming(&g).unwrap();
-        assert_eq!(period, 2);
+        let r = retime_to_period(&g, 2).unwrap().expect("2 = ratio");
         assert!(r.is_legal(&g));
         assert_eq!(critical_path_length(&g, Some(&r)).unwrap(), 2);
     }
@@ -146,14 +112,6 @@ mod tests {
     }
 
     #[test]
-    fn min_period_never_beats_the_cycle_ratio() {
-        let g = ring();
-        let ratio = max_cycle_ratio(&g).unwrap().expect("ring is cyclic");
-        let (period, _) = min_period_retiming(&g).unwrap();
-        assert!(period as f64 >= ratio.to_f64() - 1e-9);
-    }
-
-    #[test]
     fn acyclic_graph_retimes_to_max_node_time() {
         let mut g = Dfg::new("dag");
         let a = g.add_node("a", OpKind::Mul, 2);
@@ -162,9 +120,11 @@ mod tests {
         g.add_edge(a, b, 0).unwrap();
         g.add_edge(b, c, 0).unwrap();
         // Pipelining an acyclic chain can always reach the largest node
-        // time by inserting registers between every pair of stages.
-        let (period, r) = min_period_retiming(&g).unwrap();
-        assert_eq!(period, 2);
+        // time by inserting registers between every pair of stages, and
+        // no further.
+        let r = retime_to_period(&g, 2).unwrap().expect("2 = max node time");
         assert!(r.is_legal(&g));
+        assert_eq!(critical_path_length(&g, Some(&r)).unwrap(), 2);
+        assert!(retime_to_period(&g, 1).unwrap().is_none());
     }
 }

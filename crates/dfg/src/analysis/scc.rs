@@ -6,7 +6,6 @@
 //! here. An iterative formulation is used so that deep chains in large
 //! random graphs cannot overflow the call stack.
 
-use crate::csr::CsrGraph;
 use crate::graph::Dfg;
 use crate::ids::NodeId;
 
@@ -32,13 +31,6 @@ impl SccDecomposition {
         self.component_of[v.index()]
     }
 
-    /// Whether `u` and `v` are strongly connected (lie on a common cycle,
-    /// or are the same node).
-    #[must_use]
-    pub fn same_component(&self, u: NodeId, v: NodeId) -> bool {
-        self.component_of(u) == self.component_of(v)
-    }
-
     /// Components that can contain a cycle: more than one node, or a single
     /// node with a self loop.
     pub fn cyclic_components<'a>(&'a self, dfg: &'a Dfg) -> impl Iterator<Item = &'a Vec<NodeId>> {
@@ -50,48 +42,17 @@ impl SccDecomposition {
                     .any(|&e| dfg.edge(e).to() == comp[0])
         })
     }
-
-    /// Indices (into [`SccDecomposition::components`]) of the components
-    /// that can contain a cycle, read directly off a CSR view.
-    #[must_use]
-    pub fn cyclic_component_indices(&self, csr: &CsrGraph) -> Vec<usize> {
-        self.components
-            .iter()
-            .enumerate()
-            .filter(|(_, comp)| {
-                comp.len() > 1 || {
-                    let v = comp[0].index();
-                    csr.out_range(v).any(|i| csr.out_heads()[i] as usize == v)
-                }
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Whether any cycle exists at all (some component is cyclic).
-    #[must_use]
-    pub fn has_cycle(&self, csr: &CsrGraph) -> bool {
-        !self.cyclic_component_indices(csr).is_empty()
-    }
 }
 
 /// Computes the strongly connected components of `dfg` considering **all**
 /// edges (delays do not break connectivity — they are inter-iteration
-/// dependencies, not absences of dependency).
+/// dependencies, not absences of dependency). The walk runs over the
+/// graph's flat CSR view, whose per-node edge order is the insertion
+/// order.
 #[must_use]
 pub fn strongly_connected_components(dfg: &Dfg) -> SccDecomposition {
-    strongly_connected_components_csr(dfg.csr())
-}
-
-/// [`strongly_connected_components`] running directly over a flat CSR
-/// view, for passes that already hold one (the verifier's analysis
-/// cache, the hot-path schedulers) and never want to touch `Vec<Vec<_>>`
-/// adjacency. Per-node edge order is the CSR's, which is the `Dfg`'s
-/// insertion order, so both entry points produce identical
-/// decompositions.
-#[must_use]
-pub fn strongly_connected_components_csr(csr: &CsrGraph) -> SccDecomposition {
     const UNVISITED: usize = usize::MAX;
+    let csr = dfg.csr();
     let n = csr.node_count();
     let mut index = vec![UNVISITED; n];
     let mut lowlink = vec![0_usize; n];
@@ -184,9 +145,9 @@ mod tests {
 
         let scc = strongly_connected_components(&g);
         assert_eq!(scc.components().len(), 2);
-        assert!(scc.same_component(v[0], v[1]));
-        assert!(scc.same_component(v[2], v[4]));
-        assert!(!scc.same_component(v[1], v[2]));
+        assert_eq!(scc.component_of(v[0]), scc.component_of(v[1]));
+        assert_eq!(scc.component_of(v[2]), scc.component_of(v[4]));
+        assert_ne!(scc.component_of(v[1]), scc.component_of(v[2]));
         // Reverse topological order: the downstream loop B comes first.
         assert_eq!(scc.components()[0], vec![v[2], v[3], v[4]]);
     }
@@ -224,22 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn csr_entry_point_matches_graph_entry_point() {
-        let mut g = Dfg::new("g");
-        let v = add_nodes(&mut g, 5);
-        g.add_edge(v[0], v[1], 0).unwrap();
-        g.add_edge(v[1], v[0], 1).unwrap();
-        g.add_edge(v[2], v[3], 0).unwrap();
-        g.add_edge(v[3], v[4], 0).unwrap();
-        g.add_edge(v[4], v[2], 1).unwrap();
-        g.add_edge(v[1], v[2], 0).unwrap();
-        let from_graph = strongly_connected_components(&g);
-        let from_csr = strongly_connected_components_csr(&CsrGraph::build(&g));
-        assert_eq!(from_graph, from_csr);
-    }
-
-    #[test]
-    fn cyclic_component_indices_match_cyclic_components() {
+    fn cyclic_components_keep_loops_and_drop_acyclic_singletons() {
         let mut g = Dfg::new("mix");
         let v = add_nodes(&mut g, 4);
         g.add_edge(v[0], v[0], 1).unwrap(); // self loop
@@ -247,16 +193,14 @@ mod tests {
         g.add_edge(v[2], v[3], 0).unwrap();
         g.add_edge(v[3], v[2], 1).unwrap(); // two-node loop
         let scc = strongly_connected_components(&g);
-        let idx = scc.cyclic_component_indices(g.csr());
-        let expected: Vec<usize> = scc
-            .components()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| scc.cyclic_components(&g).any(|cc| &cc == c))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(idx, expected);
-        assert!(scc.has_cycle(g.csr()));
+        let mut cyclic: Vec<_> = scc.cyclic_components(&g).collect();
+        cyclic.sort();
+        assert_eq!(cyclic, vec![&vec![v[0]], &vec![v[2], v[3]]]);
+        for comp in scc.components() {
+            for &u in comp {
+                assert_eq!(&scc.components()[scc.component_of(u)], comp);
+            }
+        }
     }
 
     #[test]

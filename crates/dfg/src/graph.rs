@@ -219,26 +219,6 @@ impl Dfg {
         &self.inn[v.index()]
     }
 
-    /// Successors of `v` along zero-delay edges (the DAG the static
-    /// schedule must obey), possibly with repeats for parallel edges.
-    pub fn zero_delay_successors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.out[v.index()]
-            .iter()
-            .map(|&e| self.edge(e))
-            .filter(|e| e.is_zero_delay())
-            .map(Edge::to)
-    }
-
-    /// Predecessors of `v` along zero-delay edges, possibly with repeats
-    /// for parallel edges.
-    pub fn zero_delay_predecessors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.inn[v.index()]
-            .iter()
-            .map(|&e| self.edge(e))
-            .filter(|e| e.is_zero_delay())
-            .map(Edge::from)
-    }
-
     /// The flattened CSR adjacency view, built on first use and cached
     /// until the next mutation.
     ///
@@ -288,12 +268,6 @@ impl Dfg {
     #[must_use]
     pub fn total_delays(&self) -> u64 {
         self.edges.iter().map(|e| u64::from(e.delays())).sum()
-    }
-
-    /// Number of nodes with the given operation kind.
-    #[must_use]
-    pub fn count_op(&self, op: OpKind) -> usize {
-        self.nodes.iter().filter(|n| n.op() == op).count()
     }
 
     /// Maximum computation time over all nodes.
@@ -355,7 +329,6 @@ mod tests {
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.total_time(), 3);
         assert_eq!(g.total_delays(), 1);
-        assert_eq!(g.count_op(OpKind::Mul), 1);
         assert_eq!(g.max_node_time(), 2);
     }
 
@@ -367,17 +340,6 @@ mod tests {
         let e = g.edge(g.out_edges(a)[0]);
         assert_eq!(e.from(), a);
         assert_eq!(e.to(), b);
-    }
-
-    #[test]
-    fn zero_delay_neighbors_skip_delayed_edges() {
-        let (g, a, b) = two_node_loop();
-        let succ: Vec<_> = g.zero_delay_successors(a).collect();
-        assert_eq!(succ, vec![b]);
-        let succ_b: Vec<_> = g.zero_delay_successors(b).collect();
-        assert!(succ_b.is_empty(), "b -> a carries a delay");
-        let pred_a: Vec<_> = g.zero_delay_predecessors(a).collect();
-        assert!(pred_a.is_empty());
     }
 
     #[test]

@@ -146,12 +146,6 @@ impl<T> NodeMap<T> {
         self.values.iter_mut()
     }
 
-    /// Consumes the map, returning the raw vector.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<T> {
-        self.values
-    }
-
     /// Borrows the raw vector.
     #[must_use]
     pub fn as_slice(&self) -> &[T] {
@@ -218,11 +212,5 @@ mod tests {
         let m = NodeMap::from_vec(vec![10, 20]);
         let pairs: Vec<_> = m.iter().map(|(id, v)| (id.index(), *v)).collect();
         assert_eq!(pairs, vec![(0, 10), (1, 20)]);
-    }
-
-    #[test]
-    fn node_map_into_vec() {
-        let m = NodeMap::from_vec(vec![1, 2, 3]);
-        assert_eq!(m.into_vec(), vec![1, 2, 3]);
     }
 }

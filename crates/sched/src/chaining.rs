@@ -92,17 +92,6 @@ impl ChainedSchedule {
         self.start[v] = Some((step, offset));
     }
 
-    /// Removes `v`.
-    pub fn clear(&mut self, v: NodeId) {
-        self.start[v] = None;
-    }
-
-    /// Whether every node is scheduled.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.start.values().all(Option::is_some)
-    }
-
     /// The finish `(step, offset)` of `v` under `timing` — the position
     /// at which a chained successor could begin.
     ///
@@ -145,28 +134,8 @@ impl ChainedSchedule {
         }
     }
 
-    /// Nodes starting within the first `steps` control steps (for
-    /// chained rotation).
-    #[must_use]
-    pub fn prefix_nodes(&self, steps: u32) -> Vec<NodeId> {
-        let first = self
-            .start
-            .iter()
-            .filter_map(|(_, s)| s.map(|(step, _)| step))
-            .min();
-        let Some(first) = first else {
-            return Vec::new();
-        };
-        self.start
-            .iter()
-            .filter_map(|(v, s)| s.map(|(step, _)| (v, step)))
-            .filter(|&(_, step)| step < first + steps)
-            .map(|(v, _)| v)
-            .collect()
-    }
-
     /// Renumbers steps so the first occupied one becomes 1.
-    pub fn normalize(&mut self) {
+    fn normalize(&mut self) {
         let first = self
             .start
             .iter()
@@ -205,37 +174,11 @@ impl ChainedScheduler {
         resources: &ResourceSet,
         timing: &ChainTiming,
     ) -> Result<ChainedSchedule, SchedError> {
-        let mut s = ChainedSchedule::empty(dfg);
-        let free: Vec<NodeId> = dfg.node_ids().collect();
-        self.reschedule(dfg, retiming, resources, timing, &mut s, &free)?;
-        s.normalize();
-        Ok(s)
-    }
-
-    /// Incrementally places `free` into `schedule` without moving fixed
-    /// nodes — the chained `PartialSchedule`.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`crate::ListScheduler::reschedule`].
-    pub fn reschedule(
-        &self,
-        dfg: &Dfg,
-        retiming: Option<&Retiming>,
-        resources: &ResourceSet,
-        timing: &ChainTiming,
-        schedule: &mut ChainedSchedule,
-        free: &[NodeId],
-    ) -> Result<(), SchedError> {
         let weights = self
             .policy
             .weights(dfg, retiming)
             .map_err(SchedError::from)?;
-        let mut is_free = dfg.node_map(false);
-        for &v in free {
-            is_free[v] = true;
-            schedule.clear(v);
-        }
+        let mut schedule = ChainedSchedule::empty(dfg);
 
         let mut class_of = dfg.node_map(None);
         for (v, node) in dfg.nodes() {
@@ -246,31 +189,12 @@ impl ChainedScheduler {
             );
         }
 
-        // Reserve fixed nodes.
-        let mut table = ReservationTable::new(resources);
-        for v in dfg.node_ids() {
-            if let Some((step, _)) = schedule.start(v) {
-                let class_id = class_of[v].expect("bound");
-                let steps = timing.steps_for(dfg.node(v).time());
-                let occ: Vec<u32> = (0..steps).map(|off| step + off).collect();
-                if !table.can_place(class_id, occ.iter().copied()) {
-                    let class = resources.class(class_id);
-                    return Err(SchedError::ResourceOverflow {
-                        class: class.name().to_owned(),
-                        cs: step,
-                        used: table.used(class_id, step) + 1,
-                        limit: class.count(),
-                    });
-                }
-                table.place(class_id, occ);
-            }
-        }
-
         // Blocking counts over the zero-delay DAG.
+        let mut table = ReservationTable::new(resources);
         let mut blocking = dfg.node_map(0_u32);
-        for &v in free {
+        for v in dfg.node_ids() {
             for &e in dfg.in_edges(v) {
-                if is_zero_delay_under(dfg, retiming, e) && is_free[dfg.edge(e).from()] {
+                if is_zero_delay_under(dfg, retiming, e) {
                     blocking[v] += 1;
                 }
             }
@@ -278,11 +202,10 @@ impl ChainedScheduler {
         rotsched_dfg::analysis::zero_delay_topological_order(dfg, retiming)
             .map_err(SchedError::from)?;
 
-        let mut ready: Vec<NodeId> = free.iter().copied().filter(|&v| blocking[v] == 0).collect();
-        let mut remaining = free.len();
-        let horizon = table.horizon()
-            + u32::try_from(dfg.node_count()).unwrap_or(u32::MAX)
-                * timing.steps_for(dfg.max_node_time()).max(1)
+        let mut ready: Vec<NodeId> = dfg.node_ids().filter(|&v| blocking[v] == 0).collect();
+        let mut remaining = dfg.node_count();
+        let horizon = u32::try_from(dfg.node_count()).unwrap_or(u32::MAX)
+            * timing.steps_for(dfg.max_node_time()).max(1)
             + 1;
 
         while remaining > 0 {
@@ -290,9 +213,8 @@ impl ChainedScheduler {
             // Place the best ready node at its earliest chained slot.
             let Some(&v) = ready.first() else {
                 return Err(SchedError::NoFeasibleSlot {
-                    node: free
-                        .iter()
-                        .copied()
+                    node: dfg
+                        .node_ids()
                         .find(|&v| schedule.start(v).is_none())
                         .expect("remaining > 0"),
                 });
@@ -346,7 +268,7 @@ impl ChainedScheduler {
             for &e in dfg.out_edges(v) {
                 if is_zero_delay_under(dfg, retiming, e) {
                     let w = dfg.edge(e).to();
-                    if is_free[w] && schedule.start(w).is_none() {
+                    if schedule.start(w).is_none() {
                         blocking[w] -= 1;
                         if blocking[w] == 0 {
                             ready.push(w);
@@ -355,7 +277,8 @@ impl ChainedScheduler {
                 }
             }
         }
-        Ok(())
+        schedule.normalize();
+        Ok(schedule)
     }
 }
 
@@ -525,25 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn chained_partial_reschedule_keeps_fixed() {
-        let g = DfgBuilder::new("p")
-            .nodes("a", 3, OpKind::Add, 40)
-            .build()
-            .unwrap();
-        let ids: Vec<_> = g.node_ids().collect();
-        let res = ResourceSet::adders_multipliers(1, 0, false);
-        let timing = paper_chain();
-        let sched = ChainedScheduler::default();
-        let mut s = sched.schedule(&g, None, &res, &timing).unwrap();
-        let fixed = s.start(ids[1]);
-        sched
-            .reschedule(&g, None, &res, &timing, &mut s, &[ids[0]])
-            .unwrap();
-        assert_eq!(s.start(ids[1]), fixed);
-        check_chained_schedule(&g, None, &s, &res, &timing).unwrap();
-    }
-
-    #[test]
     fn chained_schedule_under_retiming() {
         let g = DfgBuilder::new("r")
             .node("a", OpKind::Shift, 15)
@@ -563,18 +467,5 @@ mod tests {
         let (sa, oa) = s.start(a).unwrap();
         assert!((sb, ob) < (sa, oa));
         check_chained_schedule(&g, Some(&r), &s, &res, &paper_chain()).unwrap();
-    }
-
-    #[test]
-    fn prefix_nodes_for_chained_rotation() {
-        let g = DfgBuilder::new("pref")
-            .nodes("a", 4, OpKind::Add, 40)
-            .build()
-            .unwrap();
-        let res = ResourceSet::adders_multipliers(2, 0, false);
-        let s = ChainedScheduler::default()
-            .schedule(&g, None, &res, &paper_chain())
-            .unwrap();
-        assert_eq!(s.prefix_nodes(1).len(), 2);
     }
 }

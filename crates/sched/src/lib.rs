@@ -63,9 +63,7 @@ pub mod wrapping;
 pub use asap_alap::{timing_bounds, TimingBounds};
 pub use binding::{bind_datapath, DatapathBinding};
 pub use chaining::{ChainTiming, ChainedSchedule, ChainedScheduler};
-pub use diagnostics::{
-    analyze_loop_schedule, check_static_schedule_diag, verify_spec, verify_starts,
-};
+pub use diagnostics::{analyze_loop_schedule, verify_spec, verify_starts};
 pub use error::SchedError;
 pub use executor::{simulate, SimulationError, SimulationReport};
 pub use incremental::{CacheStats, SchedContext};

@@ -187,28 +187,6 @@ impl ReservationTable {
         }
     }
 
-    /// Folds the absolute control steps `steps` into a cyclic kernel of
-    /// `period` steps and checks the per-step limits there — the resource
-    /// condition for a *wrapped* schedule (Section 4). Returns `true` when
-    /// the folded usage fits.
-    #[must_use]
-    pub fn fits_cyclically(&self, period: u32) -> bool {
-        assert!(period >= 1, "kernel period must be positive");
-        for (class_idx, row) in self.usage.iter().enumerate() {
-            let mut folded = vec![0_u32; period as usize];
-            for (idx, &used) in row.iter().enumerate() {
-                // Fold by the *external* step (0-based): idx - origin.
-                let external = i64::try_from(idx).expect("row index fits") - self.origin;
-                let residue = external.rem_euclid(i64::from(period));
-                folded[usize::try_from(residue).expect("residue fits")] += used;
-            }
-            if folded.iter().any(|&u| u > self.limits[class_idx]) {
-                return false;
-            }
-        }
-        true
-    }
-
     /// The largest occupied control step, or 0 when empty.
     #[must_use]
     pub fn horizon(&self) -> u32 {
@@ -281,18 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_fit_folds_usage() {
-        let (mut t, _, mul) = table();
-        // Multiplier busy at steps 1 and 4; folded over period 3 they land
-        // on residues 1 and 1 -> two units needed, only one exists.
-        t.place(mul, [1]);
-        t.place(mul, [4]);
-        assert!(!t.fits_cyclically(3));
-        // Folded over period 2: residues 1 and 2 -> fits.
-        assert!(t.fits_cyclically(2));
-    }
-
-    #[test]
     fn shift_origin_renumbers_in_place() {
         let (mut t, add, mul) = table();
         t.place(add, [3, 4]);
@@ -352,18 +318,6 @@ mod tests {
             t.remove(add, [1]);
         }
         assert_eq!(t.horizon(), 0);
-    }
-
-    #[test]
-    fn cyclic_fit_is_origin_independent() {
-        let (mut t, _, mul) = table();
-        t.place(mul, [4]);
-        t.place(mul, [7]);
-        let plain_fit_3 = t.fits_cyclically(3);
-        let plain_fit_2 = t.fits_cyclically(2);
-        t.shift_origin(-3); // steps become 1 and 4
-        assert_eq!(t.fits_cyclically(3), plain_fit_3);
-        assert_eq!(t.fits_cyclically(2), plain_fit_2);
     }
 
     #[test]

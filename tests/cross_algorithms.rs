@@ -2,8 +2,13 @@
 //! executable baselines on the benchmark suite.
 
 use rotsched::baselines::{dag_only, lower_bound, modulo_schedule, unfold_sweep, ModuloConfig};
+use rotsched::dfg::analysis::max_cycle_ratio;
+use rotsched::dfg::unfold::unfold;
 use rotsched::sched::simulate;
-use rotsched::{all_benchmarks, PriorityPolicy, ResourceSet, RotationScheduler, TimingModel};
+use rotsched::{
+    all_benchmarks, DfgBuilder, HeuristicConfig, OpKind, PriorityPolicy, ResourceSet,
+    RotationScheduler, TimingModel,
+};
 
 fn configs() -> Vec<ResourceSet> {
     vec![
@@ -81,6 +86,52 @@ fn unfolding_converges_toward_but_never_beats_rotation() {
             .fold(f64::INFINITY, f64::min);
         assert!(best <= sweep[0].per_iteration + 1e-9);
     }
+}
+
+/// Section 7 leaves unfolding to the front end: a loop whose maximum
+/// cycle ratio is fractional (three unit adds around two delays, 3/2)
+/// has no 1.5-step kernel, so rotation alone is stuck at the integer
+/// bound of 2 steps. Unfolding by the ratio's denominator makes the
+/// bound integral, and rotation scheduling the unfolded graph reaches
+/// 3 steps per 2 iterations — the true rate.
+#[test]
+fn unfolding_by_the_ratio_denominator_lets_rotation_reach_the_fractional_rate() {
+    let ring = DfgBuilder::new("frac")
+        .nodes("v", 3, OpKind::Add, 1)
+        .chain(&["v0", "v1", "v2"])
+        .edge("v2", "v0", 2)
+        .build()
+        .unwrap();
+    let ratio = max_cycle_ratio(&ring).unwrap().unwrap();
+    assert_eq!((ratio.num(), ratio.den()), (3, 2));
+    let config = HeuristicConfig {
+        rotations_per_phase: 16,
+        max_size: None,
+        keep_best: 4,
+        rounds: 2,
+    };
+    let solve = |factor: u32, adders: u32| {
+        let unfolded = unfold(&ring, factor).unwrap();
+        let res = ResourceSet::adders_multipliers(adders, 0, false);
+        RotationScheduler::new(&unfolded.graph, res)
+            .with_config(config)
+            .solve()
+            .unwrap()
+            .length
+    };
+    assert_eq!(
+        solve(1, 2),
+        2,
+        "plain rotation is stuck at the integer bound"
+    );
+    assert_eq!(
+        solve(2, 2),
+        3,
+        "3 steps per 2 iterations beat the integer bound"
+    );
+    // Unfolding cannot beat the resources: one adder still needs 3 steps
+    // per iteration.
+    assert_eq!(solve(2, 1), 6);
 }
 
 #[test]
