@@ -39,8 +39,8 @@
 //! allocation-free SoA step, for full driver steps on a dense graph,
 //! and for the incremental context path against the from-scratch path;
 //! `solve_batch` throughput over a deduplicating corpus; the rotations
-//! the sweep replays from its phases' cycle logs and the phases it
-//! replays whole from its sweep logs; the `SearchDriver` dispatch
+//! the sweep replays within its executed phases and the phases it
+//! replays whole, both from the driver's one replay log; the `SearchDriver` dispatch
 //! overhead against a hand-rolled replica of the phase loop; the
 //! warm-path serve layer in-process (cold vs. warm-hit latency,
 //! single-flight deduplication under an identical burst, closed-loop
@@ -679,7 +679,7 @@ struct ReplayShare {
     /// Of those, the rotations an executed phase replayed from its
     /// cycle log.
     replayed: usize,
-    /// Phases Heuristic 2 replayed whole from its sweep log.
+    /// Phases Heuristic 2 replayed whole from its replay log.
     sweep_phases: usize,
     /// The rotations of those phases.
     sweep_rotations: usize,
@@ -744,7 +744,7 @@ impl SearchObserver for PhaseClock {
 /// Samples the executed phase boundaries of the Table-3 sweep: from
 /// the end of each executed phase that another phase follows to that
 /// phase's start — the `FullSchedule(G_R)` of the retimed graph, its
-/// wrap probe and offer, the sweep log's bookkeeping and the next
+/// wrap probe and offer, the replay log's phase-end bookkeeping and the next
 /// phase's setup. Each cell is solved as the sweep solves it (paper
 /// defaults, Heuristic 2 on the incremental driver); phases replayed
 /// whole are left out, and so is the boundary before the first of

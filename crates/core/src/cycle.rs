@@ -21,9 +21,12 @@
 //! a fixed size order and `FullSchedule(G_R)` reads `R` only through
 //! retimed delays too. Once a phase starts on the state an earlier phase
 //! of its size started on, the rest of the sweep repeats the phases in
-//! between, and the driver's sweep log replays them whole: node sets,
-//! lengths and reschedules (see
+//! between, and the driver replays them whole from the same log: node
+//! sets, lengths and reschedules (see
 //! [`SearchDriver::heuristic2`](crate::engine::SearchDriver::heuristic2)).
+//! Each executed rotation is logged once, and both levels read it back
+//! the same way: map the rotation through its phase's [`Cycle`], then
+//! read the logged node set and length.
 //!
 //! A logged state is stored whole and found through a 64-bit
 //! fingerprint. A fingerprint match is confirmed by an exact comparison,
@@ -35,24 +38,23 @@ use rotsched_dfg::NodeId;
 use crate::rotate::RotationState;
 
 /// Header words of a state record: fingerprint, retiming minimum, and
-/// two words the owning log assigns (see [`StateRecords`]).
-const HEAD: usize = 4;
+/// a tag (see [`StateRecords`]).
+const HEAD: usize = 3;
 
-/// A log stops recording (and its phase or sweep runs on without
-/// replay) once its records would pass this many words — 2 MiB. Only a
-/// phase that never repeats a state gets there: its retiming spread
-/// keeps growing, which takes parts of the graph with no recurrence
-/// between them. A sweep log holds one record per phase, plus the
-/// node sets of its rotations.
+/// A log stops recording once it would pass this many words — 2 MiB —
+/// counting its state records, node sets and rotation entries alike.
+/// Its phase then runs on without cycle replay, and its sweep without
+/// sweep replay. Only a phase that never repeats a state gets there:
+/// its retiming spread keeps growing, which takes parts of the graph
+/// with no recurrence between them.
 const MAX_LOG_WORDS: usize = 1 << 18;
 
 /// Normalized states, one fixed-stride record each: the [`HEAD`] words
-/// — a 64-bit fingerprint of the rest, the retiming minimum, two words
-/// for the owning log — then each node's start step (0 when
-/// unscheduled), then each node's retiming minus the minimum. The one
-/// record format and fingerprint behind both replay levels: the states
-/// of a phase ([`CycleLog`]) and the phase starts of a sweep
-/// ([`SweepLog`]).
+/// — a 64-bit fingerprint of the rest, the retiming minimum, and a tag
+/// (a sweep's phase size, 0 for a phase's states) — then each node's
+/// start step (0 when unscheduled), then each node's retiming minus the
+/// minimum. The one record format and fingerprint behind both replay
+/// levels.
 #[derive(Clone, Debug, Default)]
 struct StateRecords {
     /// Nodes per state (`|V|`).
@@ -61,13 +63,6 @@ struct StateRecords {
 }
 
 impl StateRecords {
-    const fn new() -> Self {
-        StateRecords {
-            nodes: 0,
-            words: Vec::new(),
-        }
-    }
-
     /// Forgets every record, keeping the buffer, for states of `nodes`
     /// nodes.
     fn reset(&mut self, nodes: usize) {
@@ -87,16 +82,16 @@ impl StateRecords {
         &self.words[i * self.stride()..(i + 1) * self.stride()]
     }
 
-    /// Appends `state` with the owner's two header words; `false` (and
-    /// nothing appended) when the records would pass `cap` words.
-    fn push(&mut self, owner: [i64; 2], state: &RotationState, cap: usize) -> bool {
-        if self.words.len() + self.stride() > cap {
+    /// Appends `state` with `tag`; `false` (and nothing appended) when
+    /// the record would take more than `room` words.
+    fn push(&mut self, tag: i64, state: &RotationState, room: usize) -> bool {
+        if self.stride() > room {
             return false;
         }
         let r = state.retiming.as_slice();
         let min = r.iter().copied().min().unwrap_or(0);
         let at = self.words.len();
-        self.words.extend_from_slice(&[0, min, owner[0], owner[1]]);
+        self.words.extend_from_slice(&[0, min, tag]);
         self.words.extend((0..self.nodes).map(|i| {
             let start = state.schedule.start(NodeId::from_index(i));
             start.map_or(0, i64::from)
@@ -150,11 +145,35 @@ fn logged_rotation(cycle: Option<Cycle>, k: usize) -> usize {
     }
 }
 
-/// The states one rotation phase has visited, with the node set and
-/// wrapped length of the rotation that reached each.
+/// One executed phase of a sweep, as the log keeps it for sweep replay.
+#[derive(Clone, Copy, Debug)]
+struct LoggedPhase {
+    /// Its rotation 1 in the log's `rotations`.
+    first: usize,
+    /// Its repeat, which maps any of its rotations to a logged one.
+    cycle: Option<Cycle>,
+    /// The rotations it ran, replayed ones included.
+    rotations: usize,
+    /// The wrapped length of the reschedule that followed it.
+    rescheduled: u32,
+}
+
+/// The replay log: the states the running rotation phase has visited,
+/// the node set and wrapped length of every rotation it executed, and,
+/// during a Heuristic-2 sweep, what it takes to replay each executed
+/// phase of the sweep.
 ///
-/// Owned by its runner and reused from phase to phase: [`CycleLog::begin`]
-/// clears it without freeing, so a warm log costs no allocation.
+/// Owned by its runner and reused from phase to phase and sweep to
+/// sweep: [`CycleLog::begin`] clears it without freeing, so a warm log
+/// costs no allocation. What persists is by level:
+///
+/// * **per rotation** — each executed rotation's node set, set end and
+///   wrapped length, written once;
+/// * **per phase** — the running phase's state records, cleared at each
+///   phase start and dropped at its end;
+/// * **per sweep** — each executed phase's start record, first
+///   rotation, [`Cycle`], rotation count and reschedule length. A phase
+///   outside a sweep starts on an empty log.
 ///
 /// # Examples
 ///
@@ -194,50 +213,86 @@ fn logged_rotation(cycle: Option<Cycle>, k: usize) -> usize {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct CycleLog {
-    /// One record per logged state `s_0, s_1, …`; the owner's header
-    /// words are the wrapped length after the rotation that produced the
-    /// state and the end of that rotation's node set in `sets`.
-    records: StateRecords,
-    /// The node sets of rotations `1, 2, …`, back to back.
+    /// The running phase's states `s_0, s_1, …`.
+    states: StateRecords,
+    /// The node sets of the logged rotations, back to back.
     sets: Vec<NodeId>,
-    /// The first repeat, once found.
+    /// Per logged rotation: the end of its node set in `sets` and the
+    /// wrapped length after it.
+    rotations: Vec<(u32, u32)>,
+    /// The running phase's rotation 1 in `rotations`.
+    first: usize,
+    /// The running phase's first repeat, once found.
     cycle: Option<Cycle>,
-    /// Set when the log reached [`MAX_LOG_WORDS`]; no repeat is looked
-    /// for during the rest of the phase.
+    /// Set when the running phase reached [`MAX_LOG_WORDS`]; no repeat
+    /// is looked for during the rest of the phase.
     full: bool,
+    /// The start state of every executed phase of the sweep, in
+    /// execution order, tagged with its size.
+    starts: StateRecords,
+    /// One entry per executed phase of the sweep.
+    phases: Vec<LoggedPhase>,
+    /// Whether the running phase is part of a sweep the log still
+    /// follows: set at the sweep's start, cleared once the log reached
+    /// [`MAX_LOG_WORDS`] or a phase's rotations were not all logged.
+    sweep: bool,
+    /// `(q, P)` once phase `q` started on phase `q − P`'s start state:
+    /// every phase from `q` on is replayed.
+    repeat: Option<(usize, usize)>,
 }
 
 impl CycleLog {
     /// An empty log.
     #[must_use]
-    pub const fn new() -> Self {
-        CycleLog {
-            records: StateRecords::new(),
-            sets: Vec::new(),
-            cycle: None,
-            full: false,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Starts a phase at `state` (logged as `s_0`), forgetting the
-    /// previous phase but keeping the buffers. `alpha`, the phase's
-    /// rotation count, sizes the buffers so the first phase grows each
-    /// one once.
-    pub fn begin(&mut self, state: &RotationState, alpha: usize) {
-        let nodes = state.retiming.len();
-        self.records.reset(nodes);
+    /// Forgets everything the log holds, keeping the buffers.
+    fn clear(&mut self, nodes: usize) {
+        self.states.reset(nodes);
         self.sets.clear();
+        self.rotations.clear();
+        self.starts.reset(nodes);
+        self.phases.clear();
+        self.repeat = None;
+    }
+
+    fn words(&self) -> usize {
+        self.states.words.len() + self.sets.len() + self.rotations.len() + self.starts.words.len()
+    }
+
+    /// Starts a phase at `state` (logged as `s_0`) on an empty log,
+    /// forgetting everything logged before but keeping the buffers.
+    /// `alpha`, the phase's rotation count, sizes the buffers so the
+    /// first phase grows each one once.
+    pub fn begin(&mut self, state: &RotationState, alpha: usize) {
+        self.sweep = false;
+        self.begin_in_sweep(state, alpha);
+    }
+
+    /// Starts an executed phase of the sweep at `state`: as
+    /// [`CycleLog::begin`], but the rotations the sweep's earlier phases
+    /// logged stay, as long as the log still follows the sweep.
+    pub(crate) fn begin_in_sweep(&mut self, state: &RotationState, alpha: usize) {
+        let nodes = state.retiming.len();
+        if !self.sweep {
+            self.clear(nodes);
+        }
+        self.states.reset(nodes);
+        self.first = self.rotations.len();
         self.cycle = None;
-        self.full = false;
         let states = alpha.saturating_add(1);
-        self.records.words.reserve(
+        self.states.words.reserve(
             states
-                .saturating_mul(self.records.stride())
+                .saturating_mul(self.states.stride())
                 .min(MAX_LOG_WORDS),
         );
         self.sets
             .reserve(alpha.saturating_mul(nodes).min(MAX_LOG_WORDS));
-        self.push(&[], 0, state);
+        self.rotations.reserve(alpha.min(MAX_LOG_WORDS));
+        let room = MAX_LOG_WORDS.saturating_sub(self.words());
+        self.full = !self.states.push(0, state, room);
     }
 
     /// Logs the next rotation: its node set, the wrapped length after
@@ -247,12 +302,20 @@ impl CycleLog {
     /// `None`.
     pub fn record(&mut self, rotated: &[NodeId], wrapped: u32, state: &RotationState) {
         debug_assert!(self.cycle.is_none(), "a cycled phase replays");
-        if self.full || !self.push(rotated, wrapped, state) {
+        if self.full {
             return;
         }
-        let j = self.records.len() - 1;
+        let room = MAX_LOG_WORDS.saturating_sub(self.words() + rotated.len() + 1);
+        if !self.states.push(0, state, room) {
+            self.full = true;
+            return;
+        }
+        self.sets.extend_from_slice(rotated);
+        let end = u32::try_from(self.sets.len()).expect("the log is capped");
+        self.rotations.push((end, wrapped));
+        let j = self.states.len() - 1;
         self.cycle = self
-            .records
+            .states
             .repeat_of_last(|_| true)
             .map(|(m, shift)| Cycle {
                 start: m,
@@ -261,33 +324,19 @@ impl CycleLog {
             });
     }
 
-    /// Appends one state record; `false` (and the log is full) when it
-    /// would pass [`MAX_LOG_WORDS`].
-    fn push(&mut self, rotated: &[NodeId], wrapped: u32, state: &RotationState) -> bool {
-        let end = i64::try_from(self.sets.len() + rotated.len()).expect("log is capped");
-        if !self
-            .records
-            .push([i64::from(wrapped), end], state, MAX_LOG_WORDS)
-        {
-            self.full = true;
-            return false;
-        }
-        self.sets.extend_from_slice(rotated);
-        true
-    }
-
     /// The phase's first repeat, once [`CycleLog::record`] found it.
     #[must_use]
     pub fn cycle(&self) -> Option<Cycle> {
         self.cycle
     }
 
-    /// The node set and wrapped length of logged rotation `t`.
-    fn rotation(&self, t: usize) -> (&[NodeId], u32) {
-        let rec = self.records.get(t);
-        let begin = self.records.get(t - 1)[3] as usize;
-        let set = &self.sets[begin..rec[3] as usize];
-        (set, u32::try_from(rec[2]).expect("a logged length"))
+    /// The node set and wrapped length of logged rotation `t` of the
+    /// phase whose rotation 1 is `first` in `rotations`.
+    fn rotation(&self, first: usize, t: usize) -> (&[NodeId], u32) {
+        let at = first + t - 1;
+        let begin = at.checked_sub(1).map_or(0, |i| self.rotations[i].0);
+        let (end, wrapped) = self.rotations[at];
+        (&self.sets[begin as usize..end as usize], wrapped)
     }
 
     /// The node set and wrapped length of rotation `k` (1-based) of the
@@ -296,7 +345,7 @@ impl CycleLog {
     #[must_use]
     pub fn replay(&self, k: usize) -> Option<(&[NodeId], u32)> {
         let Cycle { start, period, .. } = self.cycle?;
-        (k > start + period).then(|| self.rotation(logged_rotation(self.cycle, k)))
+        (k > start + period).then(|| self.rotation(self.first, logged_rotation(self.cycle, k)))
     }
 
     /// Rebuilds the state after rotation `k` of a phase whose rotations
@@ -317,9 +366,9 @@ impl CycleLog {
             return;
         }
         let laps = i64::try_from((k - start) / period).expect("rotation counts fit in i64");
-        let rec = self.records.get(start + (k - start) % period);
+        let rec = self.states.get(start + (k - start) % period);
         let base = rec[1] + laps * shift;
-        let nodes = self.records.nodes;
+        let nodes = self.states.nodes;
         let (starts, retiming) = rec[HEAD..].split_at(nodes);
         for (i, (&cs, &r)) in starts.iter().zip(retiming).enumerate() {
             let v = NodeId::from_index(i);
@@ -330,73 +379,12 @@ impl CycleLog {
             state.retiming.set(v, r + base);
         }
     }
-}
 
-/// One executed phase of a sweep, as [`SweepLog`] keeps it for replay.
-#[derive(Clone, Copy, Debug)]
-struct LoggedPhase {
-    /// Its first logged rotation in [`SweepLog::ends`].
-    first: usize,
-    /// Its [`CycleLog`]'s repeat, which maps any rotation of the phase
-    /// to a logged one.
-    cycle: Option<Cycle>,
-    /// The wrapped length of the reschedule that followed it.
-    rescheduled: u32,
-}
-
-/// Sweep replay for Heuristic 2: the start state of every phase of one
-/// sweep, and what it takes to replay each executed phase.
-///
-/// Heuristic 2 runs its phases in a fixed size order, round after
-/// round, and reads `R` only through retimed delays, like a phase does:
-/// rotation, the wrap probe and `FullSchedule(G_R)` alike. `Q`, the
-/// budget and the prune signal only decide when the sweep stops. So once
-/// a phase starts on the state an earlier phase of the same size
-/// started on (up to a constant retiming shift), every later phase `i`
-/// repeats phase `i − P`, `P` phases back: its rotations (node sets and
-/// wrapped lengths) and the length of its reschedule. None of it can
-/// improve `Q`, which already rejected every one of those states.
-///
-/// The log keeps each executed phase's start in a state record (the
-/// record format of [`CycleLog`], with the phase size as the owner's
-/// first header word) and copies the node sets of its logged rotations
-/// out of the phase's [`CycleLog`]; the wrapped lengths are in the
-/// phase's [`PhaseStats`](crate::PhaseStats). Owned by the driver and
-/// reused from sweep to sweep; it stops logging, and the sweep runs on
-/// without replay, once it would pass [`MAX_LOG_WORDS`] words.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct SweepLog {
-    /// The start state of every executed phase, in execution order.
-    starts: StateRecords,
-    /// The node sets of the executed phases' logged rotations, back to
-    /// back.
-    sets: Vec<NodeId>,
-    /// The end of each logged rotation's set in `sets`.
-    ends: Vec<usize>,
-    /// One entry per executed phase.
-    phases: Vec<LoggedPhase>,
-    /// `(q, P)` once phase `q` started on phase `q − P`'s start state:
-    /// every phase from `q` on is replayed.
-    repeat: Option<(usize, usize)>,
-    /// Set when the log reached [`MAX_LOG_WORDS`] or a phase's node sets
-    /// were not all logged; the rest of the sweep executes.
-    full: bool,
-}
-
-impl SweepLog {
-    /// Starts a sweep on states of `nodes` nodes, forgetting the
-    /// previous sweep but keeping the buffers.
-    pub(crate) fn begin(&mut self, nodes: usize) {
-        self.starts.reset(nodes);
-        self.sets.clear();
-        self.ends.clear();
-        self.phases.clear();
-        self.repeat = None;
-        self.full = false;
-    }
-
-    fn words(&self) -> usize {
-        self.starts.words.len() + self.sets.len() + self.ends.len()
+    /// Starts a Heuristic-2 sweep on states of `nodes` nodes, forgetting
+    /// the previous sweep but keeping the buffers.
+    pub(crate) fn begin_sweep(&mut self, nodes: usize) {
+        self.clear(nodes);
+        self.sweep = true;
     }
 
     /// Phase `q` of the sweep, of size `size`, is about to start on
@@ -408,13 +396,13 @@ impl SweepLog {
         if let Some((at, period)) = self.repeat {
             return Some(at - period + (q - at) % period);
         }
-        if self.full {
+        if !self.sweep {
             return None;
         }
         debug_assert_eq!(self.starts.len(), q, "one start per executed phase");
-        let cap = MAX_LOG_WORDS - (self.sets.len() + self.ends.len());
-        if !self.starts.push([i64::from(size), 0], state, cap) {
-            self.full = true;
+        let room = MAX_LOG_WORDS.saturating_sub(self.words());
+        if !self.starts.push(i64::from(size), state, room) {
+            self.sweep = false;
             return None;
         }
         let (m, _) = self
@@ -424,64 +412,48 @@ impl SweepLog {
         Some(m)
     }
 
-    /// Logs the executed phase that just ended, from its cycle log,
-    /// and the wrapped length of the reschedule that followed it.
-    pub(crate) fn record(&mut self, phase: &CycleLog, rescheduled: u32) {
+    /// Ends the executed phase of the sweep that ran `rotations`
+    /// rotations and was followed by a reschedule of wrapped length
+    /// `rescheduled`: drops its state records and keeps what replaying
+    /// it takes.
+    pub(crate) fn end_phase(&mut self, rotations: usize, rescheduled: u32) {
         debug_assert!(self.repeat.is_none(), "a repeating sweep replays");
-        if self.full {
-            return;
+        self.states.words.clear();
+        self.sweep &= !self.full; // rotations past the cap have no node set
+        if self.sweep {
+            self.phases.push(LoggedPhase {
+                first: self.first,
+                cycle: self.cycle,
+                rotations,
+                rescheduled,
+            });
         }
-        if phase.full {
-            self.full = true; // rotations past the log's end have no node set
-            return;
-        }
-        let logged = phase.records.len() - 1;
-        if self.words() + phase.sets.len() + logged > MAX_LOG_WORDS {
-            self.full = true;
-            return;
-        }
-        let first = self.ends.len();
-        let base = self.sets.len();
-        self.sets.extend_from_slice(&phase.sets);
-        self.ends.extend(
-            (1..=logged).map(|t| base + usize::try_from(phase.records.get(t)[3]).expect("set end")),
-        );
-        self.phases.push(LoggedPhase {
-            first,
-            cycle: phase.cycle,
-            rescheduled,
-        });
     }
 
-    /// The node set of rotation `k` (1-based) of executed phase `exec`,
-    /// and whether that phase replayed rotation `k` from its own cycle
-    /// log (it lies past the phase's repeat).
-    pub(crate) fn rotation(&self, exec: usize, k: usize) -> (&[NodeId], bool) {
+    /// The node set and wrapped length of rotation `k` (1-based) of
+    /// executed phase `exec`, and whether that phase replayed rotation
+    /// `k` from its own repeat; `None` past the rotations it ran.
+    pub(crate) fn replay_phase(&self, exec: usize, k: usize) -> Option<(&[NodeId], u32, bool)> {
         let phase = &self.phases[exec];
-        let t = logged_rotation(phase.cycle, k);
-        let at = phase.first + t - 1;
-        let begin = if at == 0 { 0 } else { self.ends[at - 1] };
-        (&self.sets[begin..self.ends[at]], t != k)
+        (k <= phase.rotations).then(|| {
+            let t = logged_rotation(phase.cycle, k);
+            let (set, wrapped) = self.rotation(phase.first, t);
+            (set, wrapped, t != k)
+        })
     }
 
-    /// How many of a sweep's `phases` phases were replayed.
-    pub(crate) fn replayed(&self, phases: usize) -> usize {
-        self.repeat.map_or(0, |(at, _)| phases.saturating_sub(at))
+    /// The rotations executed phase `exec` ran.
+    pub(crate) fn rotations_of(&self, exec: usize) -> usize {
+        self.phases[exec].rotations
     }
 
     /// The wrapped length of the reschedule after executed phase `exec`.
     pub(crate) fn rescheduled(&self, exec: usize) -> u32 {
         self.phases[exec].rescheduled
     }
-}
 
-/// A driver's two replay logs, the phase level and the sweep level,
-/// pooled together: owned by the driver and handed from item to item of
-/// a batch solve so their buffers stay warm.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct ReplayLogs {
-    /// The running phase's states.
-    pub(crate) phase: CycleLog,
-    /// The running Heuristic-2 sweep's phase starts.
-    pub(crate) sweep: SweepLog,
+    /// How many of a sweep's `phases` phases were replayed.
+    pub(crate) fn replayed(&self, phases: usize) -> usize {
+        self.repeat.map_or(0, |(at, _)| phases.saturating_sub(at))
+    }
 }

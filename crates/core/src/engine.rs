@@ -34,7 +34,7 @@ use rotsched_sched::{CacheStats, ListScheduler, ResourceSet, Schedule, WrapScrat
 
 use crate::budget::{BudgetMeter, StopReason};
 use crate::context::RotationContext;
-use crate::cycle::ReplayLogs;
+use crate::cycle::CycleLog;
 use crate::error::RotationError;
 use crate::heuristics::{HeuristicConfig, HeuristicOutcome};
 use crate::objective::{Objective, Score};
@@ -56,9 +56,8 @@ pub enum SearchEvent<'a> {
         alpha: usize,
     },
     /// One down-rotation completed, executed or replayed from the
-    /// phase's [`CycleLog`](crate::cycle::CycleLog) or the sweep's
-    /// phase log (a replayed rotation carries the logged node set and
-    /// length of the rotation it repeats).
+    /// driver's [`CycleLog`] (a replayed rotation carries the logged
+    /// node set and length of the rotation it repeats).
     Rotated {
         /// The rotated node set (the old schedule's first steps).
         node_set: &'a [NodeId],
@@ -185,8 +184,6 @@ pub trait StepMode {
     /// # Errors
     ///
     /// See [`ListScheduler::schedule`].
-    ///
-    /// [`CycleLog::restore`]: crate::cycle::CycleLog::restore
     fn full_schedule(
         &mut self,
         dfg: &Dfg,
@@ -411,11 +408,10 @@ pub struct SearchDriver<'a, S, O = NoopObserver> {
     /// and every offered schedule, built on first use and recycled for
     /// the driver's lifetime.
     wrap: Option<WrapScratch>,
-    /// The states of the running phase, for cycle replay, and the
-    /// phase starts of the running Heuristic-2 sweep, for sweep replay;
+    /// The replay log of the running phase and Heuristic-2 sweep;
     /// cleared, not freed, at each phase or sweep start (and handed from
     /// item to item of a batch solve with the step mode).
-    logs: ReplayLogs,
+    log: CycleLog,
     /// The attached observer; public so callers can reclaim a recorder
     /// after the run.
     pub observer: O,
@@ -424,7 +420,7 @@ pub struct SearchDriver<'a, S, O = NoopObserver> {
 impl<'a, S: StepMode> SearchDriver<'a, S, NoopObserver> {
     /// A driver on the given step mode — one of the crate's or a
     /// caller's own [`StepMode`]. Passing an existing
-    /// [`IncrementalStep`] (and, inside the crate, existing replay logs)
+    /// [`IncrementalStep`] (and, inside the crate, an existing replay log)
     /// keeps its pooled buffers warm across drivers, which is how
     /// [`solve_batch`](crate::RotationScheduler::solve_batch) amortizes
     /// per-item setup.
@@ -444,7 +440,7 @@ impl<'a, S: StepMode> SearchDriver<'a, S, NoopObserver> {
             step,
             objective: Objective::Length,
             wrap: None,
-            logs: ReplayLogs::default(),
+            log: CycleLog::new(),
             observer: NoopObserver,
         }
     }
@@ -509,25 +505,25 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             step: self.step,
             objective: self.objective,
             wrap: self.wrap,
-            logs: self.logs,
+            log: self.log,
             observer,
         }
     }
 
-    /// Runs the driver's phases and sweeps on warm replay logs (see
+    /// Runs the driver's phases and sweeps on a warm replay log (see
     /// [`SearchDriver::new`]).
     #[must_use]
-    pub(crate) fn with_logs(mut self, logs: ReplayLogs) -> Self {
-        self.logs = logs;
+    pub(crate) fn with_log(mut self, log: CycleLog) -> Self {
+        self.log = log;
         self
     }
 
-    /// Consumes the driver, handing back its step mode and replay logs
+    /// Consumes the driver, handing back its step mode and replay log
     /// with every pooled buffer intact (see [`SearchDriver::new`]) and
     /// its observer.
     #[must_use]
-    pub(crate) fn into_parts(self) -> ((S, ReplayLogs), O) {
-        ((self.step, self.logs), self.observer)
+    pub(crate) fn into_parts(self) -> ((S, CycleLog), O) {
+        ((self.step, self.log), self.observer)
     }
 
     /// Runs `RotationPhase(S_init, L_opt, Q, G, i, α)` — `alpha`
@@ -548,46 +544,50 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         size: u32,
         alpha: usize,
     ) -> Result<PhaseStats, RotationError> {
-        self.phase(state, best, size, alpha, None, None, false)
+        self.phase(state, best, size, alpha, None, false)
     }
 
-    /// The loop behind [`SearchDriver::run_phase`]. With
-    /// `frozen_at = Some(bound)` the phase also ends, at the top of a
-    /// rotation, once `best` is frozen at `bound` (see
-    /// [`SearchDriver::heuristic2`]); `None` runs the plain phase.
+    /// The loop behind [`SearchDriver::run_phase`]. `sweep = None` runs
+    /// the plain phase on an empty log. With `sweep = Some((bound, _))`
+    /// it is a phase of a Heuristic-2 sweep (see
+    /// [`SearchDriver::heuristic2`]): it also ends, at the top of a
+    /// rotation, once `best` is frozen at `bound`, and its rotations
+    /// stay in the sweep's log.
     ///
     /// Once a rotation lands on a state the phase already held (up to a
-    /// constant retiming shift, see
-    /// [`CycleLog`](crate::cycle::CycleLog)), the remaining rotations
+    /// constant retiming shift, see [`CycleLog`]), the remaining rotations
     /// are replayed from the log: each keeps its budget poll
     /// and charge, prune and frozen checks, [`SearchEvent::Rotated`]
     /// and length record, but runs no rotation step, wrap probe or
     /// offer — every replayed state repeats an offered one, which `Q`
     /// rejects. The exact final state is rebuilt at phase end.
     ///
-    /// With `sweep = Some((exec, lengths))` the whole phase is replayed
-    /// from the sweep log instead (see [`SearchDriver::heuristic2`]):
-    /// rotation `k` carries executed phase `exec`'s node set and the
-    /// wrapped length `lengths[k − 1]`, the phase ends where `lengths`
-    /// does, and `state` is left as it was.
+    /// With `sweep = Some((_, Some(exec)))` the whole phase is replayed
+    /// from the sweep's log instead: rotation `k` carries executed phase
+    /// `exec`'s node set and wrapped length, the phase ends where phase
+    /// `exec` did, and `state` is left as it was.
     ///
     /// `chained` passes through to [`StepMode::begin_phase`]: `state` is
     /// what the step mode's last full schedule, initial or not, left.
-    #[allow(clippy::too_many_arguments)]
     fn phase(
         &mut self,
         state: &mut RotationState,
         best: &mut BestSet,
         size: u32,
         alpha: usize,
-        frozen_at: Option<u32>,
-        sweep: Option<(usize, &[u32])>,
+        sweep: Option<(u32, Option<usize>)>,
         chained: bool,
     ) -> Result<PhaseStats, RotationError> {
-        if sweep.is_none() {
+        let (frozen_at, exec) = sweep.unzip();
+        let exec = exec.flatten();
+        if exec.is_none() {
             self.step
                 .begin_phase(self.dfg, self.scheduler, self.resources, state, chained)?;
-            self.logs.phase.begin(state, alpha);
+            if sweep.is_some() {
+                self.log.begin_in_sweep(state, alpha);
+            } else {
+                self.log.begin(state, alpha);
+            }
         }
         // With no context build, a replayed phase's delta is zero.
         let cache_before = self.step.cache_stats();
@@ -595,7 +595,7 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             .on_event(SearchEvent::PhaseStart { size, alpha });
         let mut stats = PhaseStats {
             requested_size: size,
-            lengths: Vec::with_capacity(sweep.map_or(0, |(_, lengths)| lengths.len())),
+            lengths: Vec::with_capacity(exec.map_or(0, |e| self.log.rotations_of(e))),
             ..PhaseStats::default()
         };
         let mut min_seen = u32::MAX;
@@ -609,17 +609,13 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             }
             // A logged rotation: its node set, its wrapped length, and
             // whether it repeats an earlier rotation of its own phase.
-            let logged = match sweep {
-                Some((exec, lengths)) => match lengths.get(j) {
-                    Some(&wrapped) => {
-                        let (rotated, repeat) = self.logs.sweep.rotation(exec, j + 1);
-                        Some((rotated, wrapped, repeat))
-                    }
+            let logged = match exec {
+                Some(e) => match self.log.replay_phase(e, j + 1) {
+                    Some(logged) => Some(logged),
                     None => break, // where the repeated phase ended
                 },
                 None => self
-                    .logs
-                    .phase
+                    .log
                     .replay(j + 1)
                     .map(|(rotated, wrapped)| (rotated, wrapped, true)),
             };
@@ -693,10 +689,10 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             if let Some(p) = self.prune {
                 p.record(best.score);
             }
-            self.logs.phase.record(rotated, wrapped, state);
+            self.log.record(rotated, wrapped, state);
         }
-        if sweep.is_none() {
-            self.logs.phase.restore(stats.rotations, state);
+        if exec.is_none() {
+            self.log.restore(stats.rotations, state);
         }
         self.observer.on_event(SearchEvent::PhaseEnd {
             rotations: stats.rotations,
@@ -757,7 +753,7 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             .step
             .initial_state(self.dfg, self.scheduler, self.resources)?;
         let mut best = self.initial_best(keep_best, &state)?;
-        let stats = self.phase(&mut state, &mut best, size, alpha, None, None, true)?;
+        let stats = self.phase(&mut state, &mut best, size, alpha, None, true)?;
         Ok((best, stats))
     }
 
@@ -787,7 +783,7 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         for size in 1..=beta {
             let mut state = init.clone();
             let alpha = config.rotations_per_phase;
-            let stats = self.phase(&mut state, &mut best, size, alpha, None, None, size == 1)?;
+            let stats = self.phase(&mut state, &mut best, size, alpha, None, size == 1)?;
             // Key the sweep's early exit off the *recorded* stop, not a
             // fresh meter check: deterministic limits then truncate the
             // exact same phase prefix on every run.
@@ -826,14 +822,15 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
     /// Phases are **replayed whole** once the sweep repeats: when phase
     /// `q` starts on the state phase `q − P` of the same size started on
     /// (same schedule, retiming shifted by a constant), each remaining
-    /// phase `i` replays phase `i − P` from the sweep log. The path of a
-    /// sweep does not depend on `Q` — `Q`, the budget and the prune
-    /// signal only decide when it stops — and every replayed state and
-    /// reschedule repeats one `Q` already rejected or holds. A replayed
-    /// phase keeps its events, budget poll and charge, prune and frozen
-    /// checks and statistics, and its reschedule keeps its event and
-    /// prune record, but it runs no context build, rotation step, wrap
-    /// probe, scoring, offer or `FullSchedule`. So `Q`, every
+    /// phase `i` replays phase `i − P` from the driver's [`CycleLog`],
+    /// which keeps every executed phase's rotations for the whole sweep.
+    /// The path of a sweep does not depend on `Q` — `Q`, the budget and
+    /// the prune signal only decide when it stops — and every replayed
+    /// state and reschedule repeats one `Q` already rejected or holds. A
+    /// replayed phase keeps its events, budget poll and charge, prune
+    /// and frozen checks and statistics, and its reschedule keeps its
+    /// event and prune record, but it runs no context build, rotation
+    /// step, wrap probe, scoring, offer or `FullSchedule`. So `Q`, every
     /// [`PhaseStats`], every budget-`k` prefix and every event but a
     /// phase end's memo counters are what executing the phases gives;
     /// [`HeuristicOutcome::replayed_phases`] counts them.
@@ -861,7 +858,7 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             .max(1);
         let mut phases: Vec<PhaseStats> = Vec::new();
         let mut state = init;
-        self.logs.sweep.begin(state.retiming.len());
+        self.log.begin_sweep(state.retiming.len());
         // Whether `state` is what the step mode's last full schedule —
         // the initial one or a reschedule — left: then the next executed
         // phase starts on that schedule's context instead of building one.
@@ -875,14 +872,13 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
                 if best.is_frozen(bound) {
                     break 'sweep;
                 }
-                let exec = self.logs.sweep.source(phases.len(), size, &state);
+                let exec = self.log.source(phases.len(), size, &state);
                 let stats = self.phase(
                     &mut state,
                     &mut best,
                     size,
                     config.rotations_per_phase,
-                    Some(bound),
-                    exec.map(|e| (e, &phases[e].lengths[..])),
+                    Some((bound, exec)),
                     chained,
                 )?;
                 let (stopped, rotations) = (stats.stopped.is_some(), stats.rotations);
@@ -897,10 +893,10 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
                     // cuts a replayed phase short, and the canonical merge
                     // discards this task's result; the state to reschedule
                     // is not logged, so the sweep just ends.
-                    if rotations < phases[e].rotations {
+                    if rotations < self.log.rotations_of(e) {
                         break 'sweep;
                     }
-                    let length = self.logs.sweep.rescheduled(e);
+                    let length = self.log.rescheduled(e);
                     self.observer.on_event(SearchEvent::Rescheduled { length });
                     // `Q` already rejected this schedule.
                     if let Some(p) = self.prune {
@@ -918,10 +914,10 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
                 self.observer
                     .on_event(SearchEvent::Rescheduled { length: wrapped });
                 self.offer(&mut best, wrapped, &state);
-                self.logs.sweep.record(&self.logs.phase, wrapped);
+                self.log.end_phase(rotations, wrapped);
             }
         }
-        let replayed_phases = self.logs.sweep.replayed(phases.len());
+        let replayed_phases = self.log.replayed(phases.len());
         Ok(HeuristicOutcome {
             lower_bound: Some(bound),
             replayed_phases,

@@ -204,7 +204,7 @@ pub struct PhaseStats {
     /// the phase had returned to a state it already held. Always the
     /// last ones: once a phase repeats a state it replays to its end.
     ///
-    /// A phase that Heuristic 2 replays whole from its sweep log (see
+    /// A phase that Heuristic 2 replays whole from the log (see
     /// [`HeuristicOutcome::replayed_phases`](crate::HeuristicOutcome::replayed_phases))
     /// executes none of its rotations but reports the count executing
     /// it would have: its statistics, this field included, never depend

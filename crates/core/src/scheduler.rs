@@ -14,7 +14,7 @@ use rotsched_sched::{
 };
 
 use crate::budget::{Budget, StopReason};
-use crate::cycle::ReplayLogs;
+use crate::cycle::CycleLog;
 use crate::depth::{into_loop_schedule, minimized_depth};
 use crate::engine::{IncrementalStep, NoopObserver, SearchDriver, SearchObserver, StepMode};
 use crate::error::RotationError;
@@ -420,7 +420,7 @@ impl<'a> RotationScheduler<'a> {
             &self.config,
             self.objective,
             &self.budget,
-            (IncrementalStep::default(), ReplayLogs::default()),
+            (IncrementalStep::default(), CycleLog::new()),
             observer,
         )?;
         Ok((outcome, observer))
@@ -449,7 +449,7 @@ impl<'a> RotationScheduler<'a> {
     pub fn solve_batch(specs: &[ProblemSpec]) -> Result<Vec<SolveOutcome>, RotationError> {
         // `(graph fingerprint, spec index)` of every solved representative.
         let mut seen: Vec<(u64, usize)> = Vec::new();
-        let mut pooled = (IncrementalStep::default(), ReplayLogs::default());
+        let mut pooled = (IncrementalStep::default(), CycleLog::new());
         let mut outcomes: Vec<SolveOutcome> = Vec::with_capacity(specs.len());
         for (i, spec) in specs.iter().enumerate() {
             let fingerprint = spec.dfg.structure_fingerprint();
@@ -594,7 +594,7 @@ impl<'a> RotationScheduler<'a> {
 /// [`RotationScheduler::solve_traced`], and every
 /// [`RotationScheduler::solve_batch`] item: arms the budget, sets the
 /// objective, and attaches the observer, then hands back the step mode
-/// and replay logs (with their pooled buffers) and the observer
+/// and replay log (with their pooled buffers) and the observer
 /// alongside the outcome.
 #[allow(clippy::too_many_arguments)]
 fn run_sweep<S: StepMode, O: SearchObserver>(
@@ -604,13 +604,13 @@ fn run_sweep<S: StepMode, O: SearchObserver>(
     config: &HeuristicConfig,
     objective: Objective,
     budget: &Budget,
-    (step, logs): (S, ReplayLogs),
+    (step, log): (S, CycleLog),
     observer: O,
-) -> Result<(HeuristicOutcome, (S, ReplayLogs), O), RotationError> {
+) -> Result<(HeuristicOutcome, (S, CycleLog), O), RotationError> {
     // Arm only when limited so the unlimited path does no budget work.
     let meter = (!budget.is_unlimited()).then(|| budget.arm());
     let mut driver = SearchDriver::new(dfg, &scheduler, resources, step)
-        .with_logs(logs)
+        .with_log(log)
         .with_objective(objective)
         .with_budget(meter.as_ref())
         .with_observer(observer);

@@ -95,9 +95,9 @@ pub struct PhaseCounters {
     pub rotations: u64,
     /// Weight-memo cache hits in the phase's incremental context. This
     /// counts memo work actually done: a rotation replayed from the
-    /// phase's cycle log runs no rotation step and adds no hit, so the
+    /// driver's replay log runs no rotation step and adds no hit, so the
     /// count falls with the replays. A phase Heuristic 2 replays whole
-    /// from its sweep log builds no context and reports 0.
+    /// builds no context and reports 0.
     pub cache_hits: u64,
     /// Weight-memo cache misses in the phase's incremental context.
     /// Within a phase no miss is replayed (every state past a repeat was

@@ -387,3 +387,65 @@ fn the_uniform_ring_repeats_with_period_n() {
     assert_eq!(stats.rotations, 200);
     assert_eq!(stats.replayed, 200 - k);
 }
+
+#[test]
+fn phases_and_sweeps_past_the_log_cap_run_on_without_replay() {
+    // `ring(n, 3)` under 4 adders returns to its start state after `n`
+    // size-1 rotations, and each logged state takes `2n + 3` words. At
+    // n = 300 the whole period fits in the log's 2 MiB and the phase
+    // replays; at n = 400 the log passes its cap at rotation 324, before
+    // the repeat at 400, so the phase runs on without replay.
+    let scheduler = ListScheduler::default();
+    let res = ResourceSet::adders_multipliers(4, 0, false);
+    let config = HeuristicConfig {
+        rotations_per_phase: 800,
+        max_size: Some(2),
+        keep_best: 100_000, // never frozen: every phase runs to its end
+        rounds: 2,
+    };
+    for (n, capped) in [(300, false), (400, true)] {
+        let g = ring(n, 3);
+        let what = format!("ring({n}, 3)");
+        let init = initial_state(&g, &scheduler, &res).expect("schedulable");
+        let (mut want_state, mut want_best) = (init.clone(), BestSet::new(8));
+        let want = oracle_phase(
+            &g,
+            scheduler,
+            &res,
+            Objective::Length,
+            &mut want_state,
+            &mut want_best,
+            (1, 2 * n),
+            None,
+            &mut None,
+        );
+        let (mut state, mut best) = (init, BestSet::new(8));
+        let got = SearchDriver::incremental(&g, &scheduler, &res)
+            .run_phase(&mut state, &mut best, 1, 2 * n)
+            .expect("legal phase");
+        assert_eq!(unreplayed(&got), want, "{what}: phase stats");
+        assert_eq!(state, want_state, "{what}: final state");
+        assert_eq!(best.schedules, want_best.schedules, "{what}: best set");
+        assert_eq!(
+            got.replayed == 0,
+            capped,
+            "{what}: {} replayed",
+            got.replayed
+        );
+
+        // In a sweep, the capped size-1 phase stops the sweep's log: the
+        // next size-2 phase starts on an empty log and replays within
+        // itself, and the sweep replays no phase.
+        let want = oracle_heuristic2(&g, scheduler, &res, Objective::Length, &config, None);
+        let got = SearchDriver::incremental(&g, &scheduler, &res)
+            .heuristic2(&config)
+            .expect("schedulable");
+        assert_eq!(got.best, want.best, "{what}: sweep best set");
+        assert_eq!(got.total_rotations, want.total_rotations, "{what}");
+        let stats: Vec<PhaseStats> = got.phases.iter().map(unreplayed).collect();
+        assert_eq!(stats, want.phases, "{what}: sweep phase stats");
+        let replayed: Vec<bool> = got.phases.iter().map(|p| p.replayed > 0).collect();
+        assert_eq!(replayed, [true, !capped, true, !capped], "{what}");
+        assert_eq!(got.replayed_phases, usize::from(!capped), "{what}");
+    }
+}
