@@ -409,8 +409,7 @@ pub struct SearchDriver<'a, S, O = NoopObserver> {
     /// the driver's lifetime.
     wrap: Option<WrapScratch>,
     /// The replay log of the running phase and Heuristic-2 sweep;
-    /// cleared, not freed, at each phase or sweep start (and handed from
-    /// item to item of a batch solve with the step mode).
+    /// cleared, not freed, at each phase or sweep start.
     log: CycleLog,
     /// The attached observer; public so callers can reclaim a recorder
     /// after the run.
@@ -419,11 +418,7 @@ pub struct SearchDriver<'a, S, O = NoopObserver> {
 
 impl<'a, S: StepMode> SearchDriver<'a, S, NoopObserver> {
     /// A driver on the given step mode — one of the crate's or a
-    /// caller's own [`StepMode`]. Passing an existing
-    /// [`IncrementalStep`] (and, inside the crate, an existing replay log)
-    /// keeps its pooled buffers warm across drivers, which is how
-    /// [`solve_batch`](crate::RotationScheduler::solve_batch) amortizes
-    /// per-item setup.
+    /// caller's own [`StepMode`].
     #[must_use]
     pub fn new(
         dfg: &'a Dfg,
@@ -508,22 +503,6 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
             log: self.log,
             observer,
         }
-    }
-
-    /// Runs the driver's phases and sweeps on a warm replay log (see
-    /// [`SearchDriver::new`]).
-    #[must_use]
-    pub(crate) fn with_log(mut self, log: CycleLog) -> Self {
-        self.log = log;
-        self
-    }
-
-    /// Consumes the driver, handing back its step mode and replay log
-    /// with every pooled buffer intact (see [`SearchDriver::new`]) and
-    /// its observer.
-    #[must_use]
-    pub(crate) fn into_parts(self) -> ((S, CycleLog), O) {
-        ((self.step, self.log), self.observer)
     }
 
     /// Runs `RotationPhase(S_init, L_opt, Q, G, i, α)` — `alpha`

@@ -14,9 +14,8 @@ use rotsched_sched::{
 };
 
 use crate::budget::{Budget, StopReason};
-use crate::cycle::CycleLog;
 use crate::depth::{into_loop_schedule, minimized_depth};
-use crate::engine::{IncrementalStep, NoopObserver, SearchDriver, SearchObserver, StepMode};
+use crate::engine::{NoopObserver, SearchDriver, SearchObserver};
 use crate::error::RotationError;
 use crate::heuristics::{HeuristicConfig, HeuristicOutcome};
 use crate::objective::{Objective, Score};
@@ -413,28 +412,21 @@ impl<'a> RotationScheduler<'a> {
         &self,
         observer: O,
     ) -> Result<(HeuristicOutcome, O), RotationError> {
-        let (outcome, _, observer) = run_sweep(
+        run_sweep(
             self.dfg,
             self.scheduler,
             &self.resources,
             &self.config,
             self.objective,
             &self.budget,
-            (IncrementalStep::default(), CycleLog::new()),
             observer,
-        )?;
-        Ok((outcome, observer))
+        )
     }
 
-    /// Solves a whole batch of problem instances, amortizing per-item
-    /// setup that [`RotationScheduler::solve`] pays every call:
-    ///
-    /// * **one [`IncrementalStep`] for the whole batch** — its retired
-    ///   context's prefix buffer keeps scratch capacity warm from item
-    ///   to item (only the first item grows it);
-    /// * **request deduplication** — items whose graph fingerprint and
-    ///   exact spec match an earlier unlimited-budget item reuse its
-    ///   outcome instead of re-solving.
+    /// Solves a whole batch of problem instances, each on the path
+    /// [`RotationScheduler::solve`] runs, with request deduplication:
+    /// items whose graph fingerprint and exact spec match an earlier
+    /// unlimited-budget item reuse its outcome instead of re-solving.
     ///
     /// Every outcome is byte-identical to what a per-item
     /// `RotationScheduler::new(&spec.dfg, spec.resources)` configured
@@ -449,7 +441,6 @@ impl<'a> RotationScheduler<'a> {
     pub fn solve_batch(specs: &[ProblemSpec]) -> Result<Vec<SolveOutcome>, RotationError> {
         // `(graph fingerprint, spec index)` of every solved representative.
         let mut seen: Vec<(u64, usize)> = Vec::new();
-        let mut pooled = (IncrementalStep::default(), CycleLog::new());
         let mut outcomes: Vec<SolveOutcome> = Vec::with_capacity(specs.len());
         for (i, spec) in specs.iter().enumerate() {
             let fingerprint = spec.dfg.structure_fingerprint();
@@ -461,17 +452,15 @@ impl<'a> RotationScheduler<'a> {
                 outcomes.push(reused);
                 continue;
             }
-            let (outcome, reclaimed, _) = run_sweep(
+            let (outcome, _) = run_sweep(
                 &spec.dfg,
                 ListScheduler::new(spec.policy),
                 &spec.resources,
                 &spec.config,
                 spec.objective,
                 &spec.budget,
-                pooled,
                 NoopObserver,
             )?;
-            pooled = reclaimed;
             outcomes.push(package(&spec.dfg, &spec.resources, outcome, 0)?);
             seen.push((fingerprint, i));
         }
@@ -593,30 +582,25 @@ impl<'a> RotationScheduler<'a> {
 /// The one Heuristic-2 sweep runner behind [`RotationScheduler::solve`],
 /// [`RotationScheduler::solve_traced`], and every
 /// [`RotationScheduler::solve_batch`] item: arms the budget, sets the
-/// objective, and attaches the observer, then hands back the step mode
-/// and replay log (with their pooled buffers) and the observer
+/// objective, and attaches the observer, then hands the observer back
 /// alongside the outcome.
-#[allow(clippy::too_many_arguments)]
-fn run_sweep<S: StepMode, O: SearchObserver>(
+fn run_sweep<O: SearchObserver>(
     dfg: &Dfg,
     scheduler: ListScheduler,
     resources: &ResourceSet,
     config: &HeuristicConfig,
     objective: Objective,
     budget: &Budget,
-    (step, log): (S, CycleLog),
     observer: O,
-) -> Result<(HeuristicOutcome, (S, CycleLog), O), RotationError> {
+) -> Result<(HeuristicOutcome, O), RotationError> {
     // Arm only when limited so the unlimited path does no budget work.
     let meter = (!budget.is_unlimited()).then(|| budget.arm());
-    let mut driver = SearchDriver::new(dfg, &scheduler, resources, step)
-        .with_log(log)
+    let mut driver = SearchDriver::incremental(dfg, &scheduler, resources)
         .with_objective(objective)
         .with_budget(meter.as_ref())
         .with_observer(observer);
     let outcome = driver.heuristic2(config)?;
-    let (pooled, observer) = driver.into_parts();
-    Ok((outcome, pooled, observer))
+    Ok((outcome, driver.observer))
 }
 
 /// Packages a search result — a single sweep's or a portfolio's merged

@@ -88,9 +88,6 @@ pub struct ServeConfig {
     pub cache_bytes: usize,
     /// Cache shard count (rounded up to a power of two).
     pub shards: usize,
-    /// EWMA seed for the per-solve cost estimate, in nanoseconds
-    /// (0 = the admission module's default assumption).
-    pub assumed_solve_ns: u64,
     /// Per-frame transfer deadline in milliseconds (0 = none): once a
     /// request frame's first byte arrives, the whole frame must land
     /// within this window or the connection is dropped — the slowloris
@@ -106,7 +103,6 @@ impl Default for ServeConfig {
         ServeConfig {
             cache_bytes: 8 << 20,
             shards: 8,
-            assumed_solve_ns: 0,
             read_timeout_ms: 0,
             idle_timeout_ms: 0,
         }
@@ -234,7 +230,8 @@ impl<F: Faults> SolveService<F> {
         SolveService {
             cache: SolveCache::new(config.shards, config.cache_bytes),
             flights: Arc::new(FlightTable::new()),
-            gauge: Arc::new(AdmissionGauge::new(config.assumed_solve_ns)),
+            // Seeded with the admission module's default per-solve cost.
+            gauge: Arc::new(AdmissionGauge::new(0)),
             counters: ServeCounters::default(),
             faults,
         }
