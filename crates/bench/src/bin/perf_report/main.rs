@@ -170,8 +170,8 @@ struct Report {
     serve: serve::Serve,
     /// The noop and quiet-armed warm p50s.
     fault: (u64, u64),
-    /// The packed and scalar best-set p50s.
-    objective: (u64, u64),
+    /// The packed and scalar best-set p50s and the packed overhead.
+    objective: (u64, u64, f64),
     analysis: analyze::Analysis,
     bounds: analyze::Bounds,
 }
@@ -463,7 +463,7 @@ mod tests {
                 deterministic: true,
             },
             fault: (400, 410),
-            objective: (400, 410),
+            objective: (400, 410, -2.44),
             analysis: analyze::Analysis {
                 suite: p,
                 large: p,

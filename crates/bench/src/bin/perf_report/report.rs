@@ -51,20 +51,19 @@ impl Sheet {
         println!("{} {line}", if ok { "ok  " } else { "FAIL" });
     }
 
-    /// Gates a zero-cost claim, one-sided: the overhead of a default
-    /// path's p50 over a rival's that does strictly more work, and the
+    /// Gates a zero-cost claim, one-sided: `pct`, the overhead of a
+    /// default path over a rival that does strictly more work, and the
     /// baseline's `recorded` overhead, each at most `limit` — so a stale
-    /// baseline cannot hide a regression. Returns the overhead, in
-    /// percent: negative or near zero while the default path is free.
+    /// baseline cannot hide a regression. `pct` is negative or near
+    /// zero while the default path is free.
     pub fn zero_cost(
         &mut self,
         name: &str,
         reading: &str,
-        (default, rival): (u64, u64),
+        pct: f64,
         limit: f64,
         recorded: Option<f64>,
-    ) -> f64 {
-        let pct = (default as f64 - rival as f64) / rival.max(1) as f64 * 100.0;
+    ) {
         self.gate(
             pct <= limit,
             &format!("{reading}, {pct:+.2}% within {limit}%"),
@@ -73,7 +72,6 @@ impl Sheet {
             let line = format!("baseline {name} overhead {recorded:+.2}% within {limit}%");
             self.gate(recorded <= limit, &line);
         }
-        pct
     }
 }
 
@@ -85,12 +83,19 @@ pub fn info(line: &str) {
 /// Readings recorded at earlier commits, by report path: the "before"
 /// half of each before/after claim the report carries. Medians of 3 runs
 /// on a shared 2-vCPU Xeon VM.
-const BEFORE: [(&str, u64); 12] = [
+const BEFORE: [(&str, u64); 14] = [
     // The `dense` arm before ready nodes' earliest starts were cached in
     // the placement core, the weight repair became one CSR weight-kernel
     // pass, and the wrap probe became single-pass (medians of 5 runs).
     ("rotation_step_ns.dense_before.p50", 62_849),
     ("rotation_step_ns.dense_before.p99", 109_825),
+    // The `dense` arm before the rotation context kept its topological
+    // order, placement read each freed node's in-edges once, and the
+    // wrap probe folded without division (medians of 12 runs);
+    // alternated with 12 runs of the change, which read p50 18,772 ns
+    // and p99 33,584 ns.
+    ("rotation_step_ns.dense_parent.p50", 22_228),
+    ("rotation_step_ns.dense_parent.p99", 45_200),
     // An executed Heuristic-2 phase boundary before a sweep kept one
     // scheduling context; alternated with 3 runs of the shared context,
     // which read p50 2,618 ns and p99 5,714 ns.
@@ -241,19 +246,20 @@ pub fn time_one(call: impl FnOnce()) -> u64 {
 }
 
 /// Times `a(k)` and `b(k)` back to back for every `k < samples`,
-/// alternating which runs first: the second call of a pair runs with
-/// the warmer caches the first leaves behind, and a fixed order would
-/// bias the comparison toward whichever arm always ran second. Returns
-/// each arm's times in sample order.
+/// alternating which runs first every `period` samples: the second call
+/// of a pair runs with the warmer caches the first leaves behind, and a
+/// fixed order would bias the comparison toward whichever arm always
+/// ran second. Returns each arm's times in sample order.
 pub fn interleave(
     samples: usize,
+    period: usize,
     mut a: impl FnMut(usize),
     mut b: impl FnMut(usize),
 ) -> (Vec<u64>, Vec<u64>) {
     let mut a_ns = Vec::with_capacity(samples);
     let mut b_ns = Vec::with_capacity(samples);
     for k in 0..samples {
-        if k % 2 == 0 {
+        if (k / period).is_multiple_of(2) {
             a_ns.push(time_one(|| a(k)));
             b_ns.push(time_one(|| b(k)));
         } else {
@@ -262,4 +268,26 @@ pub fn interleave(
         }
     }
     (a_ns, b_ns)
+}
+
+/// The overhead of `a` over `b` in percent, from their [`interleave`]
+/// times at the same `period`: the geometric mean of the median ratio
+/// `a / b` over the pairs where `a` ran first and over those where `b`
+/// did. Each order alone is off by the second call's warm-cache gain
+/// (about 10% for a rotation sequence); in the product the two cancel.
+pub fn crossover_pct(a_ns: &[u64], b_ns: &[u64], period: usize) -> f64 {
+    let median_ratio = |a_first: bool| {
+        let mut ratios: Vec<f64> = (0..a_ns.len())
+            .filter(|k| (k / period).is_multiple_of(2) == a_first)
+            .map(|k| ratio(a_ns[k], b_ns[k]))
+            .collect();
+        median(&mut ratios)
+    };
+    ((median_ratio(true) * median_ratio(false)).sqrt() - 1.0) * 100.0
+}
+
+/// The middle value (upper middle for an even count).
+pub fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }

@@ -278,6 +278,7 @@ pub fn fault_overhead() -> (u64, u64) {
     }
     let (mut noop_ns, mut armed_ns) = interleave(
         FAULT_OVERHEAD_SAMPLES,
+        1,
         |k| drop(noop.handle(&payloads[k % payloads.len()])),
         |k| drop(armed.handle(&payloads[k % payloads.len()])),
     );
@@ -296,12 +297,13 @@ pub fn fault_overhead() -> (u64, u64) {
 /// (see [`Sheet::zero_cost`]).
 pub fn record_fault(p50s: (u64, u64), sheet: &mut Sheet, baseline: Option<&Baseline>) {
     let (noop_p50, armed_p50) = p50s;
-    let pct = sheet.zero_cost(
+    let pct = (noop_p50 as f64 - armed_p50 as f64) / armed_p50.max(1) as f64 * 100.0;
+    sheet.zero_cost(
         "fault-plane",
         &format!(
             "fault-plane overhead: noop warm p50 {noop_p50} ns vs quiet-armed p50 {armed_p50} ns"
         ),
-        p50s,
+        pct,
         FAULT_OVERHEAD_LIMIT_PCT,
         baseline.map(|b| b.fault_overhead_pct),
     );

@@ -154,8 +154,8 @@ impl RotationContext {
             self.ctx.release(dfg, resources, v, cs);
             state.schedule.clear(v);
         }
-        state.retiming.apply_set(rotated, 1);
-        self.ctx.apply_retiming_delta(dfg, &state.retiming, rotated);
+        self.ctx
+            .apply_down_rotation(dfg, &mut state.retiming, rotated);
 
         // Normalize the fixed remainder; the table follows with an O(1)
         // origin shift. The remainder can be empty even for size <

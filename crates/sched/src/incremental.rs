@@ -17,11 +17,14 @@
 //! * **priority weights** are memoized by zero set — a rotation
 //!   sequence revisits zero-delay sets (the state space is eventually
 //!   periodic), so a repeat re-activates stored weights in O(1), and a
-//!   new set recomputes them with one CSR pass of the weight kernel,
-//!   for every policy;
-//! * the **topological sanity check** is skipped — a legal retiming
-//!   preserves every cycle's delay sum, so the zero-delay subgraph stays
-//!   acyclic by construction (`debug_assert`ed, not recomputed).
+//!   new set recomputes them with one CSR weight pass, for every policy;
+//! * the **topological order** is kept — after a down-rotation of a
+//!   prefix `R` no zero-delay edge leaves `R`, so moving `R` to the
+//!   front of the weight kernel's sinks-first order keeps it sinks
+//!   first in O(|V|), and a weight pass needs no sort (`debug_assert`ed
+//!   against the definition). Kahn's sort runs when the context is
+//!   built, and again only at the first weight pass after a full
+//!   schedule re-derived a different zero-delay set.
 //!
 //! A whole `FullSchedule` — Heuristic 2's reschedule between phases —
 //! runs through the context too ([`SchedContext::full_schedule`]): it
@@ -93,7 +96,7 @@ impl CacheStats {
 /// The context must observe every mutation of the schedule it tracks:
 /// [`SchedContext::release`] when a node's reservation is freed,
 /// [`SchedContext::shift`] when the schedule is renumbered,
-/// [`SchedContext::apply_retiming_delta`] after the retiming changed on a
+/// [`SchedContext::apply_down_rotation`] to rotate the retiming on a
 /// node set, and [`SchedContext::reschedule`] to place freed nodes.
 /// [`SchedContext::full_schedule`] replaces the whole schedule and makes
 /// the context valid for the result whatever it saw before. After an
@@ -118,6 +121,11 @@ pub struct SchedContext {
     /// [`SchedContext::full_schedule`].
     nodes: Vec<NodeId>,
     kernel: WeightKernel,
+    /// Whether `kernel`'s order is sinks first for `zero` (input order
+    /// reads no order and counts as ordered): kept across
+    /// down-rotations, dropped when a full schedule re-derives a
+    /// different set, and restored by the next weight pass.
+    ordered: bool,
     scratch: PlaceScratch,
     /// Weight-memo effectiveness counters (see [`CacheStats`]).
     stats: CacheStats,
@@ -170,6 +178,7 @@ impl SchedContext {
             spare: Vec::with_capacity(WEIGHT_MEMO_CAP),
             nodes: dfg.node_ids().collect(),
             kernel,
+            ordered: true,
             scratch: PlaceScratch::new(dfg),
             stats: CacheStats::default(),
         })
@@ -197,13 +206,23 @@ impl SchedContext {
         self.table.shift_origin(delta);
     }
 
-    /// Repairs the zero-delay set after the caller changed the retiming
-    /// on exactly the nodes of `touched` (e.g. via
-    /// [`Retiming::apply_set`]) — only edges incident to `touched` can
-    /// change status — and makes the weights of the new set active:
-    /// memoized ones when the set was seen before, else one pass of the
-    /// weight kernel.
-    pub fn apply_retiming_delta(&mut self, dfg: &Dfg, retiming: &Retiming, touched: &[NodeId]) {
+    /// Applies the down-rotation of `rotated` to `retiming` (+1 on every
+    /// node of the set, which must be closed under zero-delay
+    /// predecessors, as a schedule prefix is) and follows it: repairs
+    /// the zero-delay set — only edges incident to `rotated` can change
+    /// status — and, when the set changed, moves `rotated` to the front
+    /// of the kept sinks-first order and makes the weights of the new
+    /// set active: memoized ones when the set was seen before, else one
+    /// weight pass over the kept order.
+    pub fn apply_down_rotation(&mut self, dfg: &Dfg, retiming: &mut Retiming, rotated: &[NodeId]) {
+        debug_assert!(
+            rotated.iter().all(|&v| dfg
+                .in_edges(v)
+                .iter()
+                .all(|&e| !self.zero.contains(e) || rotated.contains(&dfg.edge(e).from()))),
+            "a down-rotated set is closed under zero-delay predecessors"
+        );
+        retiming.apply_set(rotated, 1);
         // Flat SoA walk: an edge's new status is d(e) + r(u) − r(v) == 0,
         // read straight off the CSR delay arrays and the retiming slice.
         let csr = dfg.csr();
@@ -212,7 +231,7 @@ impl SchedContext {
         let (out_ids, out_heads, out_delays) =
             (csr.out_edge_ids(), csr.out_heads(), csr.out_delays());
         let mut changed = false;
-        for &v in touched {
+        for &v in rotated {
             let rv = r[v.index()];
             for i in csr.in_range(v.index()) {
                 let now = i64::from(in_delays[i]) + r[in_tails[i] as usize] - rv == 0;
@@ -230,6 +249,14 @@ impl SchedContext {
         }
         if !changed {
             return;
+        }
+        if self.ordered {
+            self.scratch.rotate_down(&mut self.kernel, rotated);
+            debug_assert!(
+                self.policy == PriorityPolicy::InputOrder
+                    || self.kernel.orders_sinks_first(dfg, &self.zero),
+                "the kept order is sinks first for the rotated zero-delay set"
+            );
         }
         let key = self.zero.key();
         if let Some(i) = self
@@ -254,21 +281,25 @@ impl SchedContext {
     }
 
     /// Computes the current zero set's weights into `entry` (a recycled
-    /// one, or a new one when `None`) and makes them active as the
-    /// newest memo entry.
+    /// one, or a new one when `None`) from the kept order — sorted
+    /// afresh first when a full schedule dropped it — and makes them
+    /// active as the newest memo entry.
     fn memoize(&mut self, dfg: &Dfg, entry: Option<WeightsEntry>) {
         let mut entry = entry.unwrap_or_else(|| WeightsEntry {
             zero: self.zero.clone(),
             weights: dfg.node_map(0_u64),
         });
         entry.zero.clone_from(&self.zero);
-        let acyclic = self
-            .kernel
-            .run(self.policy, dfg, &self.zero, &mut entry.weights);
-        debug_assert!(
-            acyclic,
-            "legal retimings keep the zero-delay subgraph acyclic"
-        );
+        if !self.ordered {
+            let acyclic = self.kernel.sort(self.policy, dfg, &self.zero);
+            debug_assert!(
+                acyclic,
+                "legal retimings keep the zero-delay subgraph acyclic"
+            );
+            self.ordered = true;
+        }
+        self.kernel
+            .weigh(self.policy, dfg, &self.zero, &mut entry.weights);
         self.memo.push(entry);
         self.active = self.memo.len() - 1;
     }
@@ -280,7 +311,8 @@ impl SchedContext {
     ///
     /// Nothing is assumed about the state the context last saw: the
     /// zero-delay set is re-derived from `retiming` (the caller may have
-    /// rewritten the retiming wholesale), the table is cleared, and the
+    /// rewritten the retiming wholesale) — the kept order survives only
+    /// when the set came out the same — the table is cleared, and the
     /// weight memo is cut back to the single entry a new context holds
     /// — the current set's weights, re-activated when memoized, else
     /// computed — so the memo counters of the rotations that follow
@@ -305,7 +337,10 @@ impl SchedContext {
             dfg.structure_fingerprint(),
             "context/graph mismatch"
         );
-        self.zero.recompute(dfg, retiming);
+        if self.zero.recompute(dfg, retiming) {
+            // The kept order was sinks first for the old set only.
+            self.ordered = false;
+        }
         let key = self.zero.key();
         let hit = self
             .memo
@@ -466,8 +501,7 @@ mod tests {
                 ctx.release(&dfg, &resources, v, cs);
                 schedule.clear(v);
             }
-            retiming.apply_set(&rotated, 1);
-            ctx.apply_retiming_delta(&dfg, &retiming, &rotated);
+            ctx.apply_down_rotation(&dfg, &mut retiming, &rotated);
             let first = schedule.first_step().unwrap();
             if first != 1 {
                 schedule.shift(1 - i64::from(first));
@@ -506,8 +540,7 @@ mod tests {
                     ctx.release(&dfg, &resources, v, cs);
                     schedule.clear(v);
                 }
-                retiming.apply_set(&rotated, 1);
-                ctx.apply_retiming_delta(&dfg, &retiming, &rotated);
+                ctx.apply_down_rotation(&dfg, &mut retiming, &rotated);
                 let first = schedule.first_step().unwrap();
                 if first != 1 {
                     schedule.shift(1 - i64::from(first));

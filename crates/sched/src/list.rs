@@ -18,7 +18,7 @@
 use rotsched_dfg::{Dfg, EdgeId, NodeId, NodeMap, Retiming};
 
 use crate::error::SchedError;
-use crate::priority::PriorityPolicy;
+use crate::priority::{PriorityPolicy, WeightKernel};
 use crate::reservation::ReservationTable;
 use crate::resources::{ResourceClassId, ResourceSet};
 use crate::schedule::Schedule;
@@ -77,38 +77,32 @@ impl ZeroSet {
 
     /// [`ZeroSet::compute`] in place, reusing the bitset's buffer: how
     /// a rotation context re-derives its set after the state behind it
-    /// was rewritten wholesale.
-    pub(crate) fn recompute(&mut self, dfg: &Dfg, retiming: Option<&Retiming>) {
+    /// was rewritten wholesale. Each word is compared with the one it
+    /// replaces, so the fingerprint follows only the flipped edges, and
+    /// the return value says whether any flipped.
+    pub(crate) fn recompute(&mut self, dfg: &Dfg, retiming: Option<&Retiming>) -> bool {
         let csr = dfg.csr();
         let delays = csr.edge_delays();
-        let bits = &mut self.bits;
-        bits.clear();
-        bits.resize(delays.len().div_ceil(64), 0);
-        let mut key = 0_u64;
-        let mut mark = |i: usize| {
-            bits[i / 64] |= 1 << (i % 64);
-            key ^= edge_hash(i);
-        };
-        match retiming {
-            None => {
-                for (i, &d) in delays.iter().enumerate() {
-                    if d == 0 {
-                        mark(i);
-                    }
-                }
+        let (from, to) = (csr.edge_from(), csr.edge_to());
+        let r = retiming.map(Retiming::as_slice);
+        self.bits.resize(delays.len().div_ceil(64), 0);
+        let mut changed = false;
+        for (w, chunk) in delays.chunks(64).enumerate() {
+            let mut word = 0_u64;
+            for (j, &d) in chunk.iter().enumerate() {
+                let i = w * 64 + j;
+                let shift = r.map_or(0, |r| r[from[i] as usize] - r[to[i] as usize]);
+                word |= u64::from(i64::from(d) + shift == 0) << j;
             }
-            Some(r) => {
-                let r = r.as_slice();
-                let from = csr.edge_from();
-                let to = csr.edge_to();
-                for (i, &d) in delays.iter().enumerate() {
-                    if i64::from(d) + r[from[i] as usize] - r[to[i] as usize] == 0 {
-                        mark(i);
-                    }
-                }
+            let mut flipped = word ^ self.bits[w];
+            changed |= flipped != 0;
+            while flipped != 0 {
+                self.key ^= edge_hash(w * 64 + flipped.trailing_zeros() as usize);
+                flipped &= flipped - 1;
             }
+            self.bits[w] = word;
         }
-        self.key = key;
+        changed
     }
 
     /// Whether edge `e` is zero-delay in this set.
@@ -315,9 +309,10 @@ pub(crate) struct PlaceScratch {
     is_free: NodeMap<bool>,
     blocking: NodeMap<u32>,
     latest: NodeMap<Option<u32>>,
-    /// Earliest start of each ready node, written when it enters
-    /// `ready`: by then every zero-delay predecessor is placed or fixed,
-    /// and neither kind moves again, so the value is final.
+    /// Earliest start of each free node: from its fixed zero-delay
+    /// predecessors at first, raised as each free one is placed. Final
+    /// when the node enters `ready`, since placed and fixed nodes never
+    /// move again.
     earliest: NodeMap<u32>,
     ready: Vec<NodeId>,
 }
@@ -330,6 +325,20 @@ impl PlaceScratch {
             latest: dfg.node_map(None),
             earliest: dfg.node_map(1_u32),
             ready: Vec::with_capacity(dfg.node_count()),
+        }
+    }
+
+    /// Moves `rotated` to the front of `kernel`'s order
+    /// ([`WeightKernel::rotate_down`]), marking the set in `is_free`:
+    /// every mark is clear between [`place_free`] calls, so the buffer
+    /// is borrowed here and cleared again before returning.
+    pub(crate) fn rotate_down(&mut self, kernel: &mut WeightKernel, rotated: &[NodeId]) {
+        for &v in rotated {
+            self.is_free[v] = true;
+        }
+        kernel.rotate_down(self.is_free.as_slice());
+        for &v in rotated {
+            self.is_free[v] = false;
         }
     }
 }
@@ -349,7 +358,6 @@ pub(crate) fn place_free(
 ) -> Result<(), SchedError> {
     for &v in free {
         scratch.is_free[v] = true;
-        scratch.blocking[v] = 0;
         scratch.latest[v] = None;
     }
     let result = place_free_inner(inputs, table, schedule, free, scratch);
@@ -394,14 +402,24 @@ fn place_free_inner(
     let is_free = is_free.as_slice();
     let weights = weights.as_slice();
 
-    // Dependency bookkeeping over the zero-delay DAG of G_r.
-    // blocking[v] = number of *unscheduled free* zero-delay preds.
-    for v in free.iter().copied() {
+    // Dependency bookkeeping over the zero-delay DAG of G_r, one pass
+    // over each free node's in-edges: blocking[v] counts its
+    // *unscheduled free* zero-delay predecessors (all of them, as none
+    // is placed yet), and earliest[v] starts from the fixed ones.
+    for &v in free {
+        let (mut blocked, mut start) = (0, 1);
         for i in csr.in_range(v.index()) {
-            if zero.contains(in_ids[i]) && is_free[in_tails[i] as usize] {
-                blocking[v] += 1;
+            if zero.contains(in_ids[i]) {
+                let u = in_tails[i] as usize;
+                if is_free[u] {
+                    blocked += 1;
+                } else if let Some(su) = schedule.start(NodeId::from_index(u)) {
+                    start = start.max(su + times[u]);
+                }
             }
         }
+        blocking[v] = blocked;
+        earliest[v] = start;
     }
 
     // Latest start allowed by *fixed* zero-delay successors: v must
@@ -424,33 +442,15 @@ fn place_free_inner(
         }
     }
 
-    // Earliest start from already-scheduled zero-delay predecessors,
-    // evaluated once per node as it becomes ready.
-    let earliest_start = |v: NodeId, schedule: &Schedule| -> u32 {
-        let mut earliest = 1;
-        for i in csr.in_range(v.index()) {
-            if zero.contains(in_ids[i]) {
-                let u = in_tails[i] as usize;
-                if let Some(su) = schedule.start(NodeId::from_index(u)) {
-                    earliest = earliest.max(su + times[u]);
-                }
-            }
-        }
-        earliest
-    };
-
     let mut remaining: usize = free.len();
     ready.clear();
-    for &v in free {
-        if blocking[v] == 0 {
-            earliest[v] = earliest_start(v, schedule);
-            ready.push(v);
-        }
-    }
+    ready.extend(free.iter().copied().filter(|&v| blocking[v] == 0));
 
     // A safe horizon: everything fits after the fixed part even fully
-    // serialized.
-    let horizon = table.horizon() + u32::try_from(dfg.total_time()).unwrap_or(u32::MAX) + 1;
+    // serialized. Every node takes its step count, `max(t, 1)`, so a
+    // zero-time node still adds a step.
+    let steps = times.iter().fold(0_u32, |sum, &t| sum.saturating_add(t));
+    let horizon = table.horizon().saturating_add(steps).saturating_add(1);
 
     let mut cs: u32 = 1;
     while remaining > 0 {
@@ -508,14 +508,15 @@ fn place_free_inner(
                 schedule.set(v, cs);
                 remaining -= 1;
                 ready.swap_remove(i);
-                // Unblock free successors.
+                // Unblock free successors, which start after v ends.
+                let finish = cs + times[v.index()];
                 for j in csr.out_range(v.index()) {
                     if zero.contains(out_ids[j]) {
                         let w = NodeId::from_index(out_heads[j] as usize);
                         if is_free[w.index()] && schedule.start(w).is_none() {
+                            earliest[w] = earliest[w].max(finish);
                             blocking[w] -= 1;
                             if blocking[w] == 0 {
-                                earliest[w] = earliest_start(w, schedule);
                                 ready.push(w);
                             }
                         }
@@ -551,6 +552,38 @@ mod tests {
             .unwrap();
         assert_eq!(s.length(&g), 3);
         check_dag_schedule(&g, None, &s, &resources(1, 0)).unwrap();
+    }
+
+    /// Three zero-time adds on one adder: each still takes a step, so
+    /// the placement horizon must count steps, not raw time (which sums
+    /// to 0 here and once boxed the third add out).
+    fn zero_time_adds() -> Dfg {
+        let mut g = Dfg::new("zero-time-adds");
+        for i in 0..3 {
+            g.add_node(format!("a{i}"), OpKind::Add, 0);
+        }
+        g
+    }
+
+    #[test]
+    fn zero_time_ops_serialize_within_the_horizon() {
+        let g = zero_time_adds();
+        let s = ListScheduler::default()
+            .schedule(&g, None, &resources(1, 0))
+            .unwrap();
+        assert_eq!(s.length(&g), 3);
+        check_dag_schedule(&g, None, &s, &resources(1, 0)).unwrap();
+    }
+
+    #[test]
+    fn context_full_schedule_places_zero_time_ops() {
+        let g = zero_time_adds();
+        let (res, scheduler) = (resources(1, 0), ListScheduler::default());
+        let mut s = Schedule::empty(&g);
+        let mut ctx = crate::SchedContext::new(&g, &scheduler, &res, None, &s).unwrap();
+        ctx.full_schedule(&g, None, &res, &mut s).unwrap();
+        assert_eq!(s.length(&g), 3);
+        assert_eq!(s, scheduler.schedule(&g, None, &res).unwrap());
     }
 
     #[test]

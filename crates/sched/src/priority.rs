@@ -6,7 +6,7 @@
 //! policies are provided for the ablation benchmarks.
 
 use rotsched_dfg::analysis::topo::zero_delay_topological_order;
-use rotsched_dfg::{Dfg, DfgError, NodeId, NodeMap, Retiming};
+use rotsched_dfg::{Dfg, DfgError, EdgeId, NodeId, NodeMap, Retiming};
 
 use crate::list::ZeroSet;
 
@@ -65,7 +65,10 @@ impl PriorityPolicy {
 /// an ASAP pass from the sources and an ALAP pass from the sinks, as
 /// [`timing_bounds`](crate::timing_bounds) computes them. Every policy
 /// reads a node's time as its step count, `max(t, 1)`.
-/// [`PriorityPolicy::InputOrder`] needs no order. The buffers are
+/// [`PriorityPolicy::InputOrder`] needs no order. The weights do not
+/// depend on which sinks-first order a pass reads, so a caller that
+/// keeps the order valid across zero-set changes
+/// ([`WeightKernel::rotate_down`]) skips the sort. The buffers are
 /// reused across calls, so a warm kernel allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct WeightKernel {
@@ -82,8 +85,9 @@ pub(crate) struct WeightKernel {
 
 impl WeightKernel {
     /// Writes `policy`'s weight of every node of the zero-delay DAG
-    /// `zero` into `weights`. Returns `false`, with `weights` partly
-    /// written, when the zero-delay subgraph is cyclic (input order
+    /// `zero` into `weights`: [`WeightKernel::sort`], then
+    /// [`WeightKernel::weigh`]. Returns `false`, with `weights`
+    /// unwritten, when the zero-delay subgraph is cyclic (input order
     /// never looks at it, so it always succeeds).
     pub(crate) fn run(
         &mut self,
@@ -92,16 +96,65 @@ impl WeightKernel {
         zero: &ZeroSet,
         weights: &mut NodeMap<u64>,
     ) -> bool {
-        let n = dfg.node_count();
-        if policy == PriorityPolicy::InputOrder {
-            for v in 0..n {
-                weights[NodeId::from_index(v)] = (n - v) as u64;
-            }
-            return true;
-        }
-        if !self.order_sinks_first(dfg, zero) {
+        if !self.sort(policy, dfg, zero) {
             return false;
         }
+        self.weigh(policy, dfg, zero, weights);
+        true
+    }
+
+    /// Orders the nodes sinks first for `zero` when `policy` reads the
+    /// order (input order does not, and leaves it as it was). Returns
+    /// `false` when a zero-delay cycle leaves nodes out.
+    pub(crate) fn sort(&mut self, policy: PriorityPolicy, dfg: &Dfg, zero: &ZeroSet) -> bool {
+        policy == PriorityPolicy::InputOrder || self.order_sinks_first(dfg, zero)
+    }
+
+    /// Moves the nodes marked in `rotated` to the front of the order,
+    /// each part keeping its relative order. After a down-rotation of a
+    /// set closed under zero-delay predecessors no zero-delay edge
+    /// leaves the set, and edges into it only point at the front, so a
+    /// sinks-first order stays sinks first. The new order is built in
+    /// `pending`, whose capacity the sort grew, so nothing allocates.
+    pub(crate) fn rotate_down(&mut self, rotated: &[bool]) {
+        self.pending.clear();
+        let (front, back) = (&mut self.pending, &self.order);
+        front.extend(back.iter().filter(|&&v| rotated[v as usize]));
+        front.extend(back.iter().filter(|&&v| !rotated[v as usize]));
+        std::mem::swap(&mut self.pending, &mut self.order);
+    }
+
+    /// Whether the order holds every node once, each after all its
+    /// zero-delay successors in `zero`: the kept order's invariant.
+    pub(crate) fn orders_sinks_first(&self, dfg: &Dfg, zero: &ZeroSet) -> bool {
+        let n = dfg.node_count();
+        let mut position = vec![usize::MAX; n];
+        for (at, &v) in self.order.iter().enumerate() {
+            match position.get_mut(v as usize) {
+                Some(p) if *p == usize::MAX => *p = at,
+                _ => return false,
+            }
+        }
+        let csr = dfg.csr();
+        let (from, to) = (csr.edge_from(), csr.edge_to());
+        self.order.len() == n
+            && (0..from.len()).all(|i| {
+                !zero.contains(EdgeId::from_index(i))
+                    || position[to[i] as usize] < position[from[i] as usize]
+            })
+    }
+
+    /// Writes `policy`'s weight of every node into `weights`, reading
+    /// the current order, which must be sinks first for `zero` unless
+    /// the policy is input order.
+    pub(crate) fn weigh(
+        &mut self,
+        policy: PriorityPolicy,
+        dfg: &Dfg,
+        zero: &ZeroSet,
+        weights: &mut NodeMap<u64>,
+    ) {
+        let n = dfg.node_count();
         let csr = dfg.csr();
         let (out_ids, out_heads) = (csr.out_edge_ids(), csr.out_heads());
         let times = csr.times();
@@ -141,9 +194,12 @@ impl WeightKernel {
                 }
             }
             PriorityPolicy::Mobility => self.mobility(dfg, zero, weights),
-            PriorityPolicy::InputOrder => unreachable!("answered above"),
+            PriorityPolicy::InputOrder => {
+                for v in 0..n {
+                    weights[NodeId::from_index(v)] = (n - v) as u64;
+                }
+            }
         }
-        true
     }
 
     /// Kahn's algorithm on zero-delay out-degrees: fills `order` with

@@ -333,12 +333,19 @@ impl WrapScratch {
             unwrapped_len = unwrapped_len.max(cs + times[v.index()] - 1);
         }
 
+        // Tail condition: only one kernel boundary may be crossed, and
+        // the latest inclusive finish is `unwrapped_len`, so every
+        // target below ⌈unwrapped_len / 2⌉ fails it; the scan starts
+        // past them. (Starts never exceed a target either — the scan
+        // begins at the maximum start step.)
+        let first_target = min_start.max(unwrapped_len.div_ceil(2));
+
         // One pass over the edges. Zero-retimed-delay precedences are
         // target-independent: if one is violated, every target fails —
         // defer to the reference path for the exact error. A one-delay
         // edge rejects `target` only if its producer's tail ends past
-        // it (`finish − 1 > target ≥ min_start`), so only those edges
-        // are kept for the scan.
+        // it (`finish − 1 > target ≥ first_target`), so only those
+        // edges are kept for the scan.
         let delays = csr.edge_delays();
         let edge_from = csr.edge_from();
         let edge_to = csr.edge_to();
@@ -354,21 +361,17 @@ impl WrapScratch {
             if dr == 0 && finish > self.starts[v] {
                 return wrapped_length(dfg, retiming, schedule, resources);
             }
-            if dr == 1 && finish - 1 > min_start {
+            if dr == 1 && finish - 1 > first_target {
                 self.one_delay.push((finish, self.starts[v]));
             }
         }
 
         let classes = resources.classes();
-        'target: for target in min_start..=unwrapped_len.max(min_start) {
-            // Tail condition: only one kernel boundary may be crossed.
-            // The latest inclusive finish is `unwrapped_len`. (Starts
-            // never exceed `target` in this scan — it begins at the
-            // maximum start step.)
-            if unwrapped_len > 2 * target {
-                continue;
-            }
-            // Resource condition: fold occupancy modulo `target`.
+        'target: for target in first_target..=unwrapped_len {
+            // Resource condition: fold occupancy modulo `target`. A
+            // 0-based slot lies below `2 · target` (starts are at most
+            // `target`, finishes at most `2 · target`), so one
+            // subtraction folds it.
             self.usage.clear();
             self.usage.resize(classes.len() * target as usize, 0);
             for v in 0..n {
@@ -376,7 +379,10 @@ impl WrapScratch {
                 let class = resources.class(class_id);
                 let row = class_id.index() * target as usize;
                 for off in class.occupancy(times[v]) {
-                    let folded = (self.starts[v] + off - 1) % target;
+                    let mut folded = self.starts[v] + off - 1;
+                    if folded >= target {
+                        folded -= target;
+                    }
                     let slot = row + folded as usize;
                     self.usage[slot] += 1;
                     if self.usage[slot] > class.count() {

@@ -11,9 +11,12 @@
 //! index). The sequences visit well over 64 distinct zero-delay sets,
 //! on graphs both below and above 64 nodes (one- and multi-word
 //! descendant bitsets) with zero-time operations among them, whose raw
-//! time 0 differs from the one step they take. A second test pins the
-//! memo's hit/miss counts on fixed seeds: the memo's keys and eviction
-//! order are part of its contract.
+//! time 0 differs from the one step they take. Full schedules are
+//! interleaved at seeded points, some restoring an earlier retiming, so
+//! the context's kept topological order is both rebuilt by a sort and
+//! carried across rotations and unchanged full schedules. A second test
+//! pins the memo's hit/miss counts on fixed seeds: the memo's keys and
+//! eviction order are part of its contract.
 
 mod common;
 
@@ -50,19 +53,31 @@ fn graph_with_zero_time_ops(seed: u64, n: usize) -> Dfg {
     g
 }
 
+/// One step in this many, on average, is followed by a full schedule
+/// when a sequence interleaves them.
+const FULL_SCHEDULE_EVERY: u64 = 16;
+
 /// A rotation sequence through one context, with seeded rotation
-/// sizes; calls `after_step` after every step.
+/// sizes; calls `after_step` after every step. With `full_schedules`,
+/// steps picked by a second seeded stream are each followed by the
+/// context's full schedule (and another `after_step`): half of them of
+/// a retiming saved at an earlier such point, as Heuristic 2 restores
+/// its best state, so the zero-delay set changes and the kept order is
+/// sorted afresh; the rest of the current retiming, which keeps it.
 fn rotate_through(
     g: &Dfg,
     policy: PriorityPolicy,
     seed: u64,
+    full_schedules: bool,
     mut after_step: impl FnMut(&SchedContext, &Retiming),
 ) -> CacheStats {
     let res = ResourceSet::adders_multipliers(3, 2, false);
     let scheduler = ListScheduler::new(policy);
     let mut rng = SplitMix64::new(seed);
+    let mut points = SplitMix64::new(!seed);
     let mut schedule: Schedule = scheduler.schedule(g, None, &res).expect("DAGs schedule");
     let mut retiming = Retiming::zero(g);
+    let mut saved = retiming.clone();
     let mut ctx = SchedContext::new(g, &scheduler, &res, Some(&retiming), &schedule)
         .expect("the initial schedule is legal");
     for _ in 0..STEPS {
@@ -76,8 +91,7 @@ fn rotate_through(
             ctx.release(g, &res, v, schedule.start(v).expect("scheduled"));
             schedule.clear(v);
         }
-        retiming.apply_set(&prefix, 1);
-        ctx.apply_retiming_delta(g, &retiming, &prefix);
+        ctx.apply_down_rotation(g, &mut retiming, &prefix);
         if let Some(first) = schedule.first_step() {
             schedule.shift(1 - i64::from(first));
             ctx.shift(1 - i64::from(first));
@@ -85,6 +99,16 @@ fn rotate_through(
         ctx.reschedule(g, Some(&retiming), &res, &mut schedule, &prefix)
             .expect("a rotated prefix has no fixed zero-delay successors");
         after_step(&ctx, &retiming);
+        if full_schedules && points.below(FULL_SCHEDULE_EVERY) == 0 {
+            if points.below(2) == 0 {
+                std::mem::swap(&mut retiming, &mut saved);
+            } else {
+                saved.clone_from(&retiming);
+            }
+            ctx.full_schedule(g, Some(&retiming), &res, &mut schedule)
+                .expect("a legal retiming schedules");
+            after_step(&ctx, &retiming);
+        }
     }
     ctx.cache_stats()
 }
@@ -96,7 +120,7 @@ fn memoized_weights_match_the_definitions_across_eviction() {
             let seed = 11 + i as u64;
             let g = graph_with_zero_time_ops(seed, n);
             let mut seen = HashSet::new();
-            let stats = rotate_through(&g, policy, seed, |ctx, retiming| {
+            let stats = rotate_through(&g, policy, seed, true, |ctx, retiming| {
                 let weights = ctx.active_weights();
                 let library = policy.weights(&g, Some(retiming)).expect("acyclic");
                 let reference = reference_weights(policy, &g, Some(retiming));
@@ -139,7 +163,7 @@ fn memo_hit_and_miss_counts_are_pinned() {
     ];
     for (policy, n, hits, misses) in pinned {
         let seed = 23 + n as u64;
-        let stats = rotate_through(&graph(seed, n), policy, seed, |_, _| {});
+        let stats = rotate_through(&graph(seed, n), policy, seed, false, |_, _| {});
         assert_eq!(
             (stats.weight_memo_hits, stats.weight_memo_misses),
             (hits, misses),
