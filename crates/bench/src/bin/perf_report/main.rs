@@ -168,8 +168,8 @@ struct Report {
     boundaries: sweep::Boundaries,
     overhead: step::DriverOverhead,
     serve: serve::Serve,
-    /// The noop and quiet-armed warm p50s.
-    fault: (u64, u64),
+    /// The noop and quiet-armed warm p50s and the noop overhead.
+    fault: (u64, u64, f64),
     /// The packed and scalar best-set p50s and the packed overhead.
     objective: (u64, u64, f64),
     analysis: analyze::Analysis,
@@ -462,7 +462,7 @@ mod tests {
                 sustained_rps: 1e5,
                 deterministic: true,
             },
-            fault: (400, 410),
+            fault: (400, 410, -1.2),
             objective: (400, 410, -2.44),
             analysis: analyze::Analysis {
                 suite: p,

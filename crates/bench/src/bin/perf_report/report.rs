@@ -89,13 +89,13 @@ const BEFORE: [(&str, u64); 14] = [
     // pass, and the wrap probe became single-pass (medians of 5 runs).
     ("rotation_step_ns.dense_before.p50", 62_849),
     ("rotation_step_ns.dense_before.p99", 109_825),
-    // The `dense` arm before the rotation context kept its topological
-    // order, placement read each freed node's in-edges once, and the
-    // wrap probe folded without division (medians of 12 runs);
-    // alternated with 12 runs of the change, which read p50 18,772 ns
-    // and p99 33,584 ns.
-    ("rotation_step_ns.dense_parent.p50", 22_228),
-    ("rotation_step_ns.dense_parent.p99", 45_200),
+    // The `dense` arm before the zero-delay set kept one bit per CSR
+    // position, its repair read only the rotated set's boundary, and
+    // the wrap probe's edge pass lost its branches (medians of 16
+    // runs); alternated with 16 runs of the change, which read p50
+    // 12,738 ns and p99 25,510 ns.
+    ("rotation_step_ns.dense_parent.p50", 17_428),
+    ("rotation_step_ns.dense_parent.p99", 30_436),
     // An executed Heuristic-2 phase boundary before a sweep kept one
     // scheduling context; alternated with 3 runs of the shared context,
     // which read p50 2,618 ns and p99 5,714 ns.

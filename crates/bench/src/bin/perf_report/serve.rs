@@ -7,7 +7,7 @@ use std::time::Instant;
 use rotsched_dfg::rng::SplitMix64;
 use rotsched_serve::{seeded_corpus, FaultPlan, InjectedFaults, ServeConfig, SolveService};
 
-use crate::report::{elapsed_ns, info, interleave, ratio, Percentiles, Sheet};
+use crate::report::{crossover_pct, elapsed_ns, info, interleave, ratio, Percentiles, Sheet};
 use crate::Baseline;
 
 /// Report path of the fault plane's overhead.
@@ -256,8 +256,11 @@ impl Serve {
 /// Measures the fault plane's cost on the serve hot path: interleaved
 /// warm hits of the default service against one armed with
 /// [`FaultPlan::quiet`] (every injection point consulted, nothing
-/// fires); returns both p50s.
-pub fn fault_overhead() -> (u64, u64) {
+/// fires), the arm that runs first alternating by sample; returns both
+/// p50s and the default path's overhead ([`crossover_pct`]): a pair's
+/// second call reads warmer, and the pooled p50s of ~300-ns hits differ
+/// by more than the limit between runs of one build.
+pub fn fault_overhead() -> (u64, u64, f64) {
     let payloads = payloads();
     let noop = SolveService::new(ServeConfig::default());
     let armed = SolveService::with_faults(
@@ -287,21 +290,26 @@ pub fn fault_overhead() -> (u64, u64) {
         payloads.len() as u64,
         "sampling must stay on the warm path"
     );
+    let pct = crossover_pct(&noop_ns, &armed_ns, 1);
     (
         Percentiles::of(&mut noop_ns).p50,
         Percentiles::of(&mut armed_ns).p50,
+        pct,
     )
 }
 
 /// Gates and records the fault arm from its noop and quiet-armed p50s
-/// (see [`Sheet::zero_cost`]).
-pub fn record_fault(p50s: (u64, u64), sheet: &mut Sheet, baseline: Option<&Baseline>) {
-    let (noop_p50, armed_p50) = p50s;
-    let pct = (noop_p50 as f64 - armed_p50 as f64) / armed_p50.max(1) as f64 * 100.0;
+/// and the noop path's overhead (see [`Sheet::zero_cost`]).
+pub fn record_fault(
+    (noop_p50, armed_p50, pct): (u64, u64, f64),
+    sheet: &mut Sheet,
+    baseline: Option<&Baseline>,
+) {
     sheet.zero_cost(
         "fault-plane",
         &format!(
-            "fault-plane overhead: noop warm p50 {noop_p50} ns vs quiet-armed p50 {armed_p50} ns"
+            "fault-plane overhead: noop warm p50 {noop_p50} ns vs quiet-armed p50 {armed_p50} \
+             ns, paired in both orders"
         ),
         pct,
         FAULT_OVERHEAD_LIMIT_PCT,

@@ -189,7 +189,7 @@ fn hot_path_allocation_discipline() {
          got {duplicate_cost} allocations"
     );
     // In release both sides are pinned exactly, so either one growing
-    // fails here: a fresh solve of this ring allocates 208 times, its
+    // fails here: a fresh solve of this ring allocates 205 times, its
     // outcome clone 54 times. Debug builds, whose cross-checks
     // allocate, check the ratio.
     if cfg!(debug_assertions) {
@@ -201,7 +201,7 @@ fn hot_path_allocation_discipline() {
     } else {
         assert_eq!(
             (fresh_cost, clone_cost),
-            (208, 54),
+            (205, 54),
             "pinned allocation counts of a fresh solve and an outcome clone"
         );
     }

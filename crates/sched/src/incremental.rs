@@ -11,9 +11,13 @@
 //! * the **reservation table** is maintained incrementally — a rotation
 //!   releases only the prefix nodes' slots, and schedule normalization
 //!   becomes an O(1) origin shift ([`ReservationTable::shift_origin`]);
-//! * the **zero-delay edge set** is repaired locally — retiming the set
-//!   `R` can only flip edges incident to `R`, so the [`ZeroSet`] (and its
-//!   XOR fingerprint, the weight-memo key) updates in O(|R|·deg);
+//! * the **zero-delay edge set** is repaired over `R`'s boundary —
+//!   retiming the set `R` can only flip edges with one end in it, so
+//!   the [`ZeroSet`] (and its XOR fingerprint, the weight-memo key)
+//!   updates in O(|R|·deg): edges leaving `R` are cleared, edges
+//!   entering it re-evaluated, edges inside it skipped. The set keeps
+//!   one bit per CSR position, so every pass below visits a node's
+//!   zero-delay edges as the set bits of its CSR range;
 //! * **priority weights** are memoized by zero set — a rotation
 //!   sequence revisits zero-delay sets (the state space is eventually
 //!   periodic), so a repeat re-activates stored weights in O(1), and a
@@ -38,12 +42,12 @@
 //! bit-identical — cross-checked by `debug_assert`s against full
 //! recomputation in debug builds.
 
-use rotsched_dfg::analysis::topo::is_zero_delay_under;
 use rotsched_dfg::{Dfg, NodeId, NodeMap, Retiming};
 
 use crate::error::SchedError;
 use crate::list::{
-    bind_classes, build_fixed_table, place_free, ListScheduler, PlaceInputs, PlaceScratch, ZeroSet,
+    bind_classes, build_fixed_table, place_free, CsrTwins, ListScheduler, PlaceInputs,
+    PlaceScratch, ZeroSet,
 };
 use crate::priority::{PriorityPolicy, WeightKernel};
 use crate::reservation::ReservationTable;
@@ -110,6 +114,9 @@ pub struct SchedContext {
     class_of: NodeMap<ResourceClassId>,
     table: ReservationTable,
     zero: ZeroSet,
+    /// Each edge's position in the other CSR array, for repairing
+    /// `zero`.
+    twins: CsrTwins,
     /// Memoized weights keyed by zero set, oldest first; `active`
     /// indexes the entry matching the current `zero`. Never empty: the
     /// solve's only weight memo.
@@ -153,14 +160,22 @@ impl SchedContext {
     ) -> Result<Self, SchedError> {
         let class_of = bind_classes(dfg, resources)?;
         let table = build_fixed_table(dfg, &class_of, resources, schedule)?;
-        rotsched_dfg::analysis::zero_delay_topological_order(dfg, retiming)
-            .map_err(SchedError::from)?;
         let policy = scheduler.policy();
-        let zero = ZeroSet::compute(dfg, retiming);
+        let twins = CsrTwins::new(dfg.csr());
+        let zero = ZeroSet::compute_with(dfg, retiming, &twins);
+        // The kernel's Kahn sort is the acyclicity check, for every
+        // policy; only a failure pays for the topological sort that
+        // names the cycle.
         let mut kernel = WeightKernel::default();
+        if !kernel.order_sinks_first(dfg, &zero) {
+            return Err(
+                rotsched_dfg::analysis::zero_delay_topological_order(dfg, retiming)
+                    .expect_err("the weight kernel found a zero-delay cycle")
+                    .into(),
+            );
+        }
         let mut weights = dfg.node_map(0_u64);
-        let acyclic = kernel.run(policy, dfg, &zero, &mut weights);
-        debug_assert!(acyclic, "the topological order above exists");
+        kernel.weigh(policy, dfg, &zero, &mut weights);
         let memo = vec![WeightsEntry {
             zero: zero.clone(),
             weights,
@@ -171,6 +186,7 @@ impl SchedContext {
             class_of,
             table,
             zero,
+            twins,
             memo,
             active: 0,
             // Memo and spare entries number at most the cap together,
@@ -208,56 +224,45 @@ impl SchedContext {
 
     /// Applies the down-rotation of `rotated` to `retiming` (+1 on every
     /// node of the set, which must be closed under zero-delay
-    /// predecessors, as a schedule prefix is) and follows it: repairs
-    /// the zero-delay set — only edges incident to `rotated` can change
-    /// status — and, when the set changed, moves `rotated` to the front
-    /// of the kept sinks-first order and makes the weights of the new
-    /// set active: memoized ones when the set was seen before, else one
-    /// weight pass over the kept order.
+    /// predecessors, as a schedule prefix is) and follows it: with the
+    /// set marked in the placement scratch, repairs the zero-delay set
+    /// over the set's boundary only and, when the set changed, moves
+    /// `rotated` to the front of the kept sinks-first order and makes
+    /// the weights of the new set active: memoized ones when the set
+    /// was seen before, else one weight pass over the kept order.
     pub fn apply_down_rotation(&mut self, dfg: &Dfg, retiming: &mut Retiming, rotated: &[NodeId]) {
-        debug_assert!(
-            rotated.iter().all(|&v| dfg
-                .in_edges(v)
-                .iter()
-                .all(|&e| !self.zero.contains(e) || rotated.contains(&dfg.edge(e).from()))),
-            "a down-rotated set is closed under zero-delay predecessors"
-        );
-        retiming.apply_set(rotated, 1);
-        // Flat SoA walk: an edge's new status is d(e) + r(u) − r(v) == 0,
-        // read straight off the CSR delay arrays and the retiming slice.
         let csr = dfg.csr();
+        retiming.apply_set(rotated, 1);
         let r = retiming.as_slice();
-        let (in_ids, in_tails, in_delays) = (csr.in_edge_ids(), csr.in_tails(), csr.in_delays());
-        let (out_ids, out_heads, out_delays) =
-            (csr.out_edge_ids(), csr.out_heads(), csr.out_delays());
-        let mut changed = false;
-        for &v in rotated {
-            let rv = r[v.index()];
-            for i in csr.in_range(v.index()) {
-                let now = i64::from(in_delays[i]) + r[in_tails[i] as usize] - rv == 0;
-                changed |= self.zero.set(in_ids[i], now);
+        let (zero, twins, kernel, ordered) =
+            (&mut self.zero, &self.twins, &mut self.kernel, self.ordered);
+        let changed = self.scratch.with_marks(rotated, |marked| {
+            debug_assert!(
+                rotated.iter().all(|&v| zero
+                    .ins(csr.in_range(v.index()))
+                    .all(|i| marked[csr.in_tails()[i] as usize])),
+                "a down-rotated set is closed under zero-delay predecessors"
+            );
+            let changed = zero.down_rotate(csr, twins, r, rotated, marked);
+            if changed && ordered {
+                kernel.rotate_down(marked);
             }
-            for i in csr.out_range(v.index()) {
-                let now = i64::from(out_delays[i]) + rv - r[out_heads[i] as usize] == 0;
-                changed |= self.zero.set(out_ids[i], now);
-            }
-            debug_assert!(dfg
-                .in_edges(v)
-                .iter()
-                .chain(dfg.out_edges(v))
-                .all(|&e| self.zero.contains(e) == is_zero_delay_under(dfg, Some(retiming), e)));
-        }
+            changed
+        });
+        debug_assert_eq!(
+            self.zero,
+            ZeroSet::compute(dfg, Some(retiming)),
+            "incremental zero-delay set diverged"
+        );
         if !changed {
             return;
         }
-        if self.ordered {
-            self.scratch.rotate_down(&mut self.kernel, rotated);
-            debug_assert!(
-                self.policy == PriorityPolicy::InputOrder
-                    || self.kernel.orders_sinks_first(dfg, &self.zero),
-                "the kept order is sinks first for the rotated zero-delay set"
-            );
-        }
+        debug_assert!(
+            !self.ordered
+                || self.policy == PriorityPolicy::InputOrder
+                || self.kernel.orders_sinks_first(dfg, &self.zero),
+            "the kept order is sinks first for the rotated zero-delay set"
+        );
         let key = self.zero.key();
         if let Some(i) = self
             .memo
@@ -337,7 +342,7 @@ impl SchedContext {
             dfg.structure_fingerprint(),
             "context/graph mismatch"
         );
-        if self.zero.recompute(dfg, retiming) {
+        if self.zero.recompute(dfg, retiming, &self.twins) {
             // The kept order was sinks first for the old set only.
             self.ordered = false;
         }
@@ -380,6 +385,13 @@ impl SchedContext {
             assert_eq!(*schedule, reference, "context FullSchedule diverged");
         }
         Ok(())
+    }
+
+    /// The maintained zero-delay set of the retiming the context last
+    /// saw.
+    #[must_use]
+    pub fn zero_set(&self) -> &ZeroSet {
+        &self.zero
     }
 
     /// The memoized priority weights of the current zero-delay set.

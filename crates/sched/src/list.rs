@@ -15,7 +15,9 @@
 //!
 //! [`ResourceClass`]: crate::ResourceClass
 
-use rotsched_dfg::{Dfg, EdgeId, NodeId, NodeMap, Retiming};
+use core::ops::Range;
+
+use rotsched_dfg::{CsrGraph, Dfg, NodeId, NodeMap, Retiming};
 
 use crate::error::SchedError;
 use crate::priority::{PriorityPolicy, WeightKernel};
@@ -23,25 +25,115 @@ use crate::reservation::ReservationTable;
 use crate::resources::{ResourceClassId, ResourceSet};
 use crate::schedule::Schedule;
 
-/// Deterministic per-edge hash (the splitmix64 finalizer) for the
-/// XOR-accumulated fingerprint of a zero-delay edge set. Flipping one
-/// edge's membership is a single XOR, which is what lets the rotation
-/// context maintain its weight-memo key in O(flipped edges) per step.
-pub(crate) fn edge_hash(edge_index: usize) -> u64 {
-    let mut z = (edge_index as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+/// Deterministic per-edge hash (the splitmix64 finalizer), by the
+/// edge's CSR out-position, for the XOR-accumulated fingerprint of a
+/// zero-delay edge set. Flipping one edge's membership is a single XOR,
+/// which is what lets the rotation context maintain its weight-memo key
+/// in O(flipped edges) per step.
+pub(crate) fn edge_hash(position: usize) -> u64 {
+    let mut z = (position as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-/// The zero-delay edge set of `G_r`: an exact bitset plus a cheap XOR
-/// fingerprint over per-edge hashes. The fingerprint is the weight-memo
-/// key (collisions fall back to the exact bitset comparison, so a
-/// collision costs a compare, never a wrong answer) and is maintained
-/// incrementally by [`SchedContext`](crate::SchedContext).
+/// The set bits of a bitset within a position range, ascending: a
+/// node's zero-delay edges, read off its contiguous CSR range one word
+/// at a time instead of one edge at a time.
+#[derive(Debug)]
+pub(crate) struct Ones<'a> {
+    words: &'a [u64],
+    /// The word `bits` came from, and the range's last word.
+    word: usize,
+    last: usize,
+    /// The bits of the last word inside the range.
+    last_mask: u64,
+    /// The current word's unvisited set bits.
+    bits: u64,
+}
+
+impl<'a> Ones<'a> {
+    /// The set bits of `words` at positions `range`.
+    pub(crate) fn new(words: &'a [u64], range: Range<usize>) -> Self {
+        if range.is_empty() {
+            return Ones {
+                words,
+                word: 0,
+                last: 0,
+                last_mask: 0,
+                bits: 0,
+            };
+        }
+        let (word, last) = (range.start / 64, (range.end - 1) / 64);
+        let last_mask = u64::MAX >> (63 - (range.end - 1) % 64);
+        let mut bits = words[word] & (u64::MAX << (range.start % 64));
+        if word == last {
+            bits &= last_mask;
+        }
+        Ones {
+            words,
+            word,
+            last,
+            last_mask,
+            bits,
+        }
+    }
+
+    /// Advances to the next word of the range holding a set bit;
+    /// `false` when none is left.
+    fn refill(&mut self) -> bool {
+        while self.bits == 0 {
+            if self.word >= self.last {
+                return false;
+            }
+            self.word += 1;
+            self.bits = self.words[self.word];
+            if self.word == self.last {
+                self.bits &= self.last_mask;
+            }
+        }
+        true
+    }
+}
+
+impl Iterator for Ones<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if !self.refill() {
+            return None;
+        }
+        let at = self.word * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(at)
+    }
+
+    // A word at a time: the zero-delay degree of a node.
+    fn count(mut self) -> usize {
+        let mut count = 0;
+        while self.refill() {
+            count += self.bits.count_ones() as usize;
+            self.bits = 0;
+        }
+        count
+    }
+}
+
+/// The zero-delay edge set of `G_r`, one bit per position of the
+/// graph's [`CsrGraph`] edge arrays: the out-edge array's bits, then
+/// the in-edge array's, in one buffer. Either half alone is the set;
+/// together they give every node's zero-delay out- and in-edges as the
+/// set bits of its contiguous CSR ranges, in the CSR's per-node
+/// insertion order, so a walk over them skips every other edge without
+/// reading it. A cheap XOR fingerprint over per-out-position hashes is
+/// the weight-memo key (collisions fall back to the exact bitset
+/// comparison, so a collision costs a compare, never a wrong answer);
+/// [`SchedContext`](crate::SchedContext) maintains both incrementally.
 #[derive(Debug, PartialEq, Eq)]
 pub struct ZeroSet {
     bits: Vec<u64>,
+    /// Words per half: where the in-position bits start.
+    words: usize,
     key: u64,
 }
 
@@ -49,6 +141,7 @@ impl Clone for ZeroSet {
     fn clone(&self) -> Self {
         ZeroSet {
             bits: self.bits.clone(),
+            words: self.words,
             key: self.key,
         }
     }
@@ -57,77 +150,220 @@ impl Clone for ZeroSet {
     // memo entries through this.
     fn clone_from(&mut self, source: &Self) {
         self.bits.clone_from(&source.bits);
+        self.words = source.words;
         self.key = source.key;
     }
 }
 
 impl ZeroSet {
-    /// Evaluates every edge's retimed delay once, straight off the
-    /// graph's flat [`CsrGraph`](rotsched_dfg::CsrGraph) edge arrays —
-    /// `d(e) + r(u) − r(v) == 0` per edge, no edge objects touched.
+    /// Evaluates every edge's retimed delay, `d(e) + r(u) − r(v) == 0`,
+    /// straight off the graph's flat [`CsrGraph`] arrays — no edge
+    /// objects touched. Builds the position maps the in-half is
+    /// gathered through; a rotation context keeps its own.
     #[must_use]
     pub fn compute(dfg: &Dfg, retiming: Option<&Retiming>) -> Self {
+        ZeroSet::compute_with(dfg, retiming, &CsrTwins::new(dfg.csr()))
+    }
+
+    /// [`ZeroSet::compute`] through the caller's position maps.
+    pub(crate) fn compute_with(dfg: &Dfg, retiming: Option<&Retiming>, twins: &CsrTwins) -> Self {
         let mut zero = ZeroSet {
             bits: Vec::new(),
+            words: 0,
             key: 0,
         };
-        zero.recompute(dfg, retiming);
+        zero.recompute(dfg, retiming, twins);
         zero
     }
 
     /// [`ZeroSet::compute`] in place, reusing the bitset's buffer: how
     /// a rotation context re-derives its set after the state behind it
-    /// was rewritten wholesale. Each word is compared with the one it
-    /// replaces, so the fingerprint follows only the flipped edges, and
-    /// the return value says whether any flipped.
-    pub(crate) fn recompute(&mut self, dfg: &Dfg, retiming: Option<&Retiming>) -> bool {
-        let csr = dfg.csr();
-        let delays = csr.edge_delays();
-        let (from, to) = (csr.edge_from(), csr.edge_to());
-        let r = retiming.map(Retiming::as_slice);
-        self.bits.resize(delays.len().div_ceil(64), 0);
-        let mut changed = false;
-        for (w, chunk) in delays.chunks(64).enumerate() {
-            let mut word = 0_u64;
-            for (j, &d) in chunk.iter().enumerate() {
-                let i = w * 64 + j;
-                let shift = r.map_or(0, |r| r[from[i] as usize] - r[to[i] as usize]);
-                word |= u64::from(i64::from(d) + shift == 0) << j;
+    /// was rewritten wholesale. Each out-position's status is computed
+    /// from its retimed delay, and each word is compared with the one
+    /// it replaces, so the fingerprint follows only the flipped edges,
+    /// and the return value says whether any flipped. The in-half is
+    /// then gathered from the out-half through `twins`, without
+    /// arithmetic, when any did.
+    pub(crate) fn recompute(
+        &mut self,
+        dfg: &Dfg,
+        retiming: Option<&Retiming>,
+        twins: &CsrTwins,
+    ) -> bool {
+        match retiming {
+            Some(r) => {
+                let r = r.as_slice();
+                self.fill(dfg.csr(), twins, |u, v| r[u] - r[v])
             }
-            let mut flipped = word ^ self.bits[w];
+            None => self.fill(dfg.csr(), twins, |_, _| 0),
+        }
+    }
+
+    /// [`ZeroSet::recompute`] with the retiming's `r(u) − r(v)` as
+    /// `shift(u, v)`.
+    fn fill(
+        &mut self,
+        csr: &CsrGraph,
+        twins: &CsrTwins,
+        shift: impl Fn(usize, usize) -> i64,
+    ) -> bool {
+        let words = csr.edge_count().div_ceil(64);
+        let resized = words != self.words;
+        self.words = words;
+        self.bits.resize(2 * words, 0);
+        let (outs, ins) = self.bits.split_at_mut(words);
+        let (heads, delays) = (csr.out_heads(), csr.out_delays());
+        let (mut key, mut changed) = (self.key, false);
+        let mut store = |w: usize, word: u64| {
+            let mut flipped = word ^ outs[w];
             changed |= flipped != 0;
             while flipped != 0 {
-                self.key ^= edge_hash(w * 64 + flipped.trailing_zeros() as usize);
+                key ^= edge_hash(w * 64 + flipped.trailing_zeros() as usize);
                 flipped &= flipped - 1;
             }
-            self.bits[w] = word;
+            outs[w] = word;
+        };
+        // The nodes' out-ranges tile the out-positions in order.
+        let (mut word, mut end) = (0_u64, 0);
+        for v in 0..csr.node_count() {
+            let positions = csr.out_range(v);
+            end = positions.end;
+            for j in positions {
+                let zero = i64::from(delays[j]) + shift(v, heads[j] as usize) == 0;
+                word |= u64::from(zero) << (j % 64);
+                if j % 64 == 63 {
+                    store(j / 64, word);
+                    word = 0;
+                }
+            }
         }
+        if end % 64 != 0 {
+            store(end / 64, word);
+        }
+        // An unchanged out-half leaves the in-half as it was.
+        if changed || resized {
+            for (w, chunk) in twins.out_of_in.chunks(64).enumerate() {
+                let mut word = 0_u64;
+                for (k, &j) in chunk.iter().enumerate() {
+                    let j = j as usize;
+                    word |= ((outs[j / 64] >> (j % 64)) & 1) << k;
+                }
+                ins[w] = word;
+            }
+        }
+        self.key = key;
         changed
     }
 
-    /// Whether edge `e` is zero-delay in this set.
+    /// Whether the edge at CSR out-position `j` (an index into
+    /// [`CsrGraph::out_edge_ids`]) is zero-delay in this set.
     #[must_use]
-    pub fn contains(&self, e: EdgeId) -> bool {
-        let i = e.index();
-        (self.bits[i / 64] >> (i % 64)) & 1 == 1
+    pub fn contains_out(&self, j: usize) -> bool {
+        (self.bits[j / 64] >> (j % 64)) & 1 == 1
     }
 
-    /// Sets edge `e`'s membership, updating the fingerprint; returns
-    /// `true` when the membership actually changed.
-    pub fn set(&mut self, e: EdgeId, zero: bool) -> bool {
-        if self.contains(e) == zero {
-            return false;
+    /// Whether the edge at CSR in-position `i` (an index into
+    /// [`CsrGraph::in_edge_ids`]) is zero-delay in this set.
+    #[must_use]
+    pub fn contains_in(&self, i: usize) -> bool {
+        (self.bits[self.words + i / 64] >> (i % 64)) & 1 == 1
+    }
+
+    /// The zero-delay out-positions within `range` (a node's
+    /// [`CsrGraph::out_range`]), ascending.
+    pub(crate) fn outs(&self, range: Range<usize>) -> Ones<'_> {
+        Ones::new(&self.bits[..self.words], range)
+    }
+
+    /// The zero-delay in-positions within `range` (a node's
+    /// [`CsrGraph::in_range`]), ascending.
+    pub(crate) fn ins(&self, range: Range<usize>) -> Ones<'_> {
+        Ones::new(&self.bits[self.words..], range)
+    }
+
+    /// Flips one edge's membership, at its out-position `j` and its
+    /// in-position `i`, and the fingerprint with it.
+    fn flip(&mut self, j: usize, i: usize) {
+        self.bits[j / 64] ^= 1 << (j % 64);
+        self.bits[self.words + i / 64] ^= 1 << (i % 64);
+        self.key ^= edge_hash(j);
+    }
+
+    /// Follows the down-rotation of `rotated` (`r` already holds the
+    /// +1 on each of its nodes, which `marked` flags). Only edges with
+    /// exactly one end in the set change their retimed delay: an edge
+    /// leaving it gains a delay, so a zero-delay one is cleared without
+    /// arithmetic, and an edge entering it loses one, so only those get
+    /// their status recomputed. Returns whether the set changed.
+    pub(crate) fn down_rotate(
+        &mut self,
+        csr: &CsrGraph,
+        twins: &CsrTwins,
+        r: &[i64],
+        rotated: &[NodeId],
+        marked: &[bool],
+    ) -> bool {
+        let (tails, in_delays, heads) = (csr.in_tails(), csr.in_delays(), csr.out_heads());
+        let mut changed = false;
+        for &v in rotated {
+            let v = v.index();
+            for i in csr.in_range(v) {
+                let u = tails[i] as usize;
+                if !marked[u] && (i64::from(in_delays[i]) + r[u] - r[v] == 0) != self.contains_in(i)
+                {
+                    self.flip(twins.out_of_in[i] as usize, i);
+                    changed = true;
+                }
+            }
+            for j in csr.out_range(v) {
+                if self.contains_out(j) && !marked[heads[j] as usize] {
+                    self.flip(j, twins.in_of_out[j] as usize);
+                    changed = true;
+                }
+            }
         }
-        let i = e.index();
-        self.bits[i / 64] ^= 1 << (i % 64);
-        self.key ^= edge_hash(i);
-        true
+        changed
     }
 
     /// The XOR fingerprint (the weight-memo key).
     #[must_use]
     pub fn key(&self) -> u64 {
         self.key
+    }
+}
+
+/// Where each edge sits in the other CSR edge array: what a zero-set
+/// repair needs to keep a [`ZeroSet`]'s two halves in step. Built once
+/// per rotation context, in O(|E|); kept out of the graph's cached
+/// [`CsrGraph`], which every solve and served request builds.
+#[derive(Clone, Debug)]
+pub(crate) struct CsrTwins {
+    /// The in-position of the edge at each out-position.
+    in_of_out: Vec<u32>,
+    /// The out-position of the edge at each in-position.
+    out_of_in: Vec<u32>,
+}
+
+impl CsrTwins {
+    pub(crate) fn new(csr: &CsrGraph) -> Self {
+        let position = |at: usize| u32::try_from(at).expect("edge count fits u32");
+        // Indexed by edge id first, then rewritten by out-position.
+        let mut in_of_out = vec![0_u32; csr.edge_count()];
+        for (j, e) in csr.out_edge_ids().iter().enumerate() {
+            in_of_out[e.index()] = position(j);
+        }
+        let out_of_in: Vec<u32> = csr
+            .in_edge_ids()
+            .iter()
+            .map(|e| in_of_out[e.index()])
+            .collect();
+        for (i, &j) in out_of_in.iter().enumerate() {
+            in_of_out[j as usize] = position(i);
+        }
+        CsrTwins {
+            in_of_out,
+            out_of_in,
+        }
     }
 }
 
@@ -220,7 +456,23 @@ impl ListScheduler {
         free: &[NodeId],
     ) -> Result<(), SchedError> {
         let zero = ZeroSet::compute(dfg, retiming);
-        let weights = self.policy.weights_under(dfg, retiming, &zero)?;
+        // One Kahn sort serves as the weights' order and as the
+        // acyclicity check; only a failure pays for the topological
+        // sort that names the cycle. Input order reads no order, so its
+        // cycle error comes after the binding and table checks.
+        let mut kernel = WeightKernel::default();
+        let acyclic = kernel.order_sinks_first(dfg, &zero);
+        let cycle = || {
+            SchedError::from(
+                rotsched_dfg::analysis::zero_delay_topological_order(dfg, retiming)
+                    .expect_err("the weight kernel found a zero-delay cycle"),
+            )
+        };
+        if !acyclic && self.policy != PriorityPolicy::InputOrder {
+            return Err(cycle());
+        }
+        let mut weights = dfg.node_map(0_u64);
+        kernel.weigh(self.policy, dfg, &zero, &mut weights);
 
         for &v in free {
             schedule.clear(v);
@@ -228,10 +480,9 @@ impl ListScheduler {
 
         let class_of = bind_classes(dfg, resources)?;
         let mut table = build_fixed_table(dfg, &class_of, resources, schedule)?;
-
-        // Sanity: the zero-delay subgraph must be acyclic overall.
-        rotsched_dfg::analysis::zero_delay_topological_order(dfg, retiming)
-            .map_err(SchedError::from)?;
+        if !acyclic {
+            return Err(cycle());
+        }
 
         let inputs = PlaceInputs {
             dfg,
@@ -328,18 +579,19 @@ impl PlaceScratch {
         }
     }
 
-    /// Moves `rotated` to the front of `kernel`'s order
-    /// ([`WeightKernel::rotate_down`]), marking the set in `is_free`:
-    /// every mark is clear between [`place_free`] calls, so the buffer
-    /// is borrowed here and cleared again before returning.
-    pub(crate) fn rotate_down(&mut self, kernel: &mut WeightKernel, rotated: &[NodeId]) {
-        for &v in rotated {
+    /// Runs `f` with `nodes` marked in `is_free`: every mark is clear
+    /// between [`place_free`] calls, so a down-rotation borrows the
+    /// buffer to mark its rotated set, and the marks are cleared again
+    /// before returning.
+    pub(crate) fn with_marks<T>(&mut self, nodes: &[NodeId], f: impl FnOnce(&[bool]) -> T) -> T {
+        for &v in nodes {
             self.is_free[v] = true;
         }
-        kernel.rotate_down(self.is_free.as_slice());
-        for &v in rotated {
+        let result = f(self.is_free.as_slice());
+        for &v in nodes {
             self.is_free[v] = false;
         }
+        result
     }
 }
 
@@ -394,28 +646,24 @@ fn place_free_inner(
     // vectors and edge objects. Per-node order is insertion order, so
     // every decision matches the `Vec<Vec<EdgeId>>` iteration exactly.
     let csr = dfg.csr();
-    let in_ids = csr.in_edge_ids();
     let in_tails = csr.in_tails();
-    let out_ids = csr.out_edge_ids();
     let out_heads = csr.out_heads();
     let times = csr.times();
     let is_free = is_free.as_slice();
     let weights = weights.as_slice();
 
     // Dependency bookkeeping over the zero-delay DAG of G_r, one pass
-    // over each free node's in-edges: blocking[v] counts its
+    // over each free node's zero-delay in-edges: blocking[v] counts its
     // *unscheduled free* zero-delay predecessors (all of them, as none
     // is placed yet), and earliest[v] starts from the fixed ones.
     for &v in free {
         let (mut blocked, mut start) = (0, 1);
-        for i in csr.in_range(v.index()) {
-            if zero.contains(in_ids[i]) {
-                let u = in_tails[i] as usize;
-                if is_free[u] {
-                    blocked += 1;
-                } else if let Some(su) = schedule.start(NodeId::from_index(u)) {
-                    start = start.max(su + times[u]);
-                }
+        for i in zero.ins(csr.in_range(v.index())) {
+            let u = in_tails[i] as usize;
+            if is_free[u] {
+                blocked += 1;
+            } else if let Some(su) = schedule.start(NodeId::from_index(u)) {
+                start = start.max(su + times[u]);
             }
         }
         blocking[v] = blocked;
@@ -429,14 +677,12 @@ fn place_free_inner(
     // computed once.
     for &v in free {
         let t = times[v.index()];
-        for i in csr.out_range(v.index()) {
-            if zero.contains(out_ids[i]) {
-                let w = out_heads[i] as usize;
-                if !is_free[w] {
-                    if let Some(sw) = schedule.start(NodeId::from_index(w)) {
-                        let bound = sw.saturating_sub(t);
-                        latest[v] = Some(latest[v].map_or(bound, |a| a.min(bound)));
-                    }
+        for j in zero.outs(csr.out_range(v.index())) {
+            let w = out_heads[j] as usize;
+            if !is_free[w] {
+                if let Some(sw) = schedule.start(NodeId::from_index(w)) {
+                    let bound = sw.saturating_sub(t);
+                    latest[v] = Some(latest[v].map_or(bound, |a| a.min(bound)));
                 }
             }
         }
@@ -510,15 +756,13 @@ fn place_free_inner(
                 ready.swap_remove(i);
                 // Unblock free successors, which start after v ends.
                 let finish = cs + times[v.index()];
-                for j in csr.out_range(v.index()) {
-                    if zero.contains(out_ids[j]) {
-                        let w = NodeId::from_index(out_heads[j] as usize);
-                        if is_free[w.index()] && schedule.start(w).is_none() {
-                            earliest[w] = earliest[w].max(finish);
-                            blocking[w] -= 1;
-                            if blocking[w] == 0 {
-                                ready.push(w);
-                            }
+                for j in zero.outs(csr.out_range(v.index())) {
+                    let w = NodeId::from_index(out_heads[j] as usize);
+                    if is_free[w.index()] && schedule.start(w).is_none() {
+                        earliest[w] = earliest[w].max(finish);
+                        blocking[w] -= 1;
+                        if blocking[w] == 0 {
+                            ready.push(w);
                         }
                     }
                 }
@@ -535,10 +779,91 @@ fn place_free_inner(
 mod tests {
     use super::*;
     use crate::validate::check_dag_schedule;
+    use rotsched_dfg::analysis::topo::is_zero_delay_under;
     use rotsched_dfg::{DfgBuilder, OpKind};
 
     fn resources(adders: u32, mults: u32) -> ResourceSet {
         ResourceSet::adders_multipliers(adders, mults, false)
+    }
+
+    /// Three words of bits set at and around both word boundaries.
+    const WORDS: [u64; 3] = [
+        0x8000_0000_0000_0003,
+        0xC000_0000_0000_0001,
+        0x0000_0000_0000_0003,
+    ];
+
+    fn naive_ones(range: Range<usize>) -> Vec<usize> {
+        range
+            .filter(|&at| (WORDS[at / 64] >> (at % 64)) & 1 == 1)
+            .collect()
+    }
+
+    #[test]
+    fn ones_match_a_bit_by_bit_scan_at_word_edges() {
+        let edges = [0, 1, 2, 62, 63, 64, 65, 126, 127, 128, 129, 130, 191, 192];
+        for &lo in &edges {
+            for &hi in edges.iter().filter(|&&hi| hi >= lo) {
+                let ones: Vec<usize> = Ones::new(&WORDS, lo..hi).collect();
+                assert_eq!(ones, naive_ones(lo..hi), "{lo}..{hi}");
+                assert_eq!(Ones::new(&WORDS, lo..hi).count(), ones.len(), "{lo}..{hi}");
+            }
+        }
+        assert_eq!(
+            Ones::new(&WORDS, 63..129).collect::<Vec<_>>(),
+            [63, 64, 126, 127, 128]
+        );
+        // An empty range reads no word, even past the end.
+        assert_eq!(Ones::new(&[], 0..0).count(), 0);
+        assert_eq!(Ones::new(&WORDS, 192..192).next(), None);
+    }
+
+    #[test]
+    fn zero_set_halves_list_each_node_zero_delay_edges_in_csr_order() {
+        let g = DfgBuilder::new("halves")
+            .node("a", OpKind::Add, 1)
+            .node("b", OpKind::Add, 1)
+            .wire("a", "b")
+            .edge("a", "b", 1)
+            .edge("b", "a", 1)
+            .edge("b", "b", 2)
+            .wire("a", "b")
+            .build()
+            .unwrap();
+        let csr = g.csr();
+        let a = g.node_by_name("a").unwrap();
+        let r = Retiming::from_set(&g, [a]);
+        for retiming in [None, Some(&r)] {
+            let zero = ZeroSet::compute(&g, retiming);
+            for v in g.node_ids() {
+                let outs: Vec<_> = zero.outs(csr.out_range(v.index())).collect();
+                let want: Vec<_> = csr
+                    .out_range(v.index())
+                    .filter(|&j| is_zero_delay_under(&g, retiming, csr.out_edge_ids()[j]))
+                    .collect();
+                assert_eq!(outs, want, "{v:?} out");
+                let ins: Vec<_> = zero.ins(csr.in_range(v.index())).collect();
+                let want: Vec<_> = csr
+                    .in_range(v.index())
+                    .filter(|&i| is_zero_delay_under(&g, retiming, csr.in_edge_ids()[i]))
+                    .collect();
+                assert_eq!(ins, want, "{v:?} in");
+            }
+        }
+        // Unretimed, a's out-range holds the wires at 0 and 2 around
+        // the delayed edge at 1; retimed by one, only b -> a is.
+        assert_eq!(
+            ZeroSet::compute(&g, None)
+                .outs(csr.out_range(0))
+                .collect::<Vec<_>>(),
+            [0, 2]
+        );
+        assert_eq!(
+            ZeroSet::compute(&g, Some(&r))
+                .outs(csr.out_range(0))
+                .count(),
+            0
+        );
     }
 
     #[test]

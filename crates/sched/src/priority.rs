@@ -6,7 +6,7 @@
 //! policies are provided for the ablation benchmarks.
 
 use rotsched_dfg::analysis::topo::zero_delay_topological_order;
-use rotsched_dfg::{Dfg, DfgError, EdgeId, NodeId, NodeMap, Retiming};
+use rotsched_dfg::{Dfg, DfgError, NodeId, NodeMap, Retiming};
 
 use crate::list::ZeroSet;
 
@@ -35,19 +35,9 @@ impl PriorityPolicy {
     /// Returns [`DfgError::ZeroDelayCycle`] if the zero-delay subgraph is
     /// not a DAG.
     pub fn weights(self, dfg: &Dfg, retiming: Option<&Retiming>) -> Result<NodeMap<u64>, DfgError> {
-        self.weights_under(dfg, retiming, &ZeroSet::compute(dfg, retiming))
-    }
-
-    /// [`Self::weights`] with the caller's zero-delay set of `G_r`: one
-    /// [`WeightKernel`] pass.
-    pub(crate) fn weights_under(
-        self,
-        dfg: &Dfg,
-        retiming: Option<&Retiming>,
-        zero: &ZeroSet,
-    ) -> Result<NodeMap<u64>, DfgError> {
         let mut weights = dfg.node_map(0_u64);
-        if WeightKernel::default().run(self, dfg, zero, &mut weights) {
+        let zero = ZeroSet::compute(dfg, retiming);
+        if WeightKernel::default().run(self, dfg, &zero, &mut weights) {
             Ok(weights)
         } else {
             // The topological sort names the offending cycle.
@@ -136,11 +126,11 @@ impl WeightKernel {
             }
         }
         let csr = dfg.csr();
-        let (from, to) = (csr.edge_from(), csr.edge_to());
+        let heads = csr.out_heads();
         self.order.len() == n
-            && (0..from.len()).all(|i| {
-                !zero.contains(EdgeId::from_index(i))
-                    || position[to[i] as usize] < position[from[i] as usize]
+            && (0..n).all(|v| {
+                zero.outs(csr.out_range(v))
+                    .all(|j| position[heads[j] as usize] < position[v])
             })
     }
 
@@ -156,7 +146,7 @@ impl WeightKernel {
     ) {
         let n = dfg.node_count();
         let csr = dfg.csr();
-        let (out_ids, out_heads) = (csr.out_edge_ids(), csr.out_heads());
+        let out_heads = csr.out_heads();
         let times = csr.times();
         match policy {
             PriorityPolicy::DescendantCount => {
@@ -165,14 +155,12 @@ impl WeightKernel {
                 self.rows.resize(n * words, 0);
                 for &v in &self.order {
                     let v = v as usize;
-                    for j in csr.out_range(v) {
-                        if zero.contains(out_ids[j]) {
-                            let w = out_heads[j] as usize;
-                            self.rows[v * words + w / 64] |= 1 << (w % 64);
-                            for k in 0..words {
-                                let bits = self.rows[w * words + k];
-                                self.rows[v * words + k] |= bits;
-                            }
+                    for j in zero.outs(csr.out_range(v)) {
+                        let w = out_heads[j] as usize;
+                        self.rows[v * words + w / 64] |= 1 << (w % 64);
+                        for k in 0..words {
+                            let bits = self.rows[w * words + k];
+                            self.rows[v * words + k] |= bits;
                         }
                     }
                     weights[NodeId::from_index(v)] = self.rows[v * words..(v + 1) * words]
@@ -185,10 +173,8 @@ impl WeightKernel {
                 for &v in &self.order {
                     let v = v as usize;
                     let mut below = 0_u64;
-                    for j in csr.out_range(v) {
-                        if zero.contains(out_ids[j]) {
-                            below = below.max(weights[NodeId::from_index(out_heads[j] as usize)]);
-                        }
+                    for j in zero.outs(csr.out_range(v)) {
+                        below = below.max(weights[NodeId::from_index(out_heads[j] as usize)]);
                     }
                     weights[NodeId::from_index(v)] = below + u64::from(times[v]);
                 }
@@ -205,18 +191,14 @@ impl WeightKernel {
     /// Kahn's algorithm on zero-delay out-degrees: fills `order` with
     /// every node after all its zero-delay successors, or returns
     /// `false` when a zero-delay cycle leaves nodes out.
-    fn order_sinks_first(&mut self, dfg: &Dfg, zero: &ZeroSet) -> bool {
+    pub(crate) fn order_sinks_first(&mut self, dfg: &Dfg, zero: &ZeroSet) -> bool {
         let n = dfg.node_count();
         let csr = dfg.csr();
-        let out_ids = csr.out_edge_ids();
-        let (in_ids, in_tails) = (csr.in_edge_ids(), csr.in_tails());
+        let in_tails = csr.in_tails();
         self.pending.clear();
         self.order.clear();
         for v in 0..n {
-            let degree = csr
-                .out_range(v)
-                .filter(|&j| zero.contains(out_ids[j]))
-                .count();
+            let degree = zero.outs(csr.out_range(v)).count();
             self.pending
                 .push(u32::try_from(degree).expect("degree fits u32"));
             if degree == 0 {
@@ -227,13 +209,11 @@ impl WeightKernel {
         let mut next = 0;
         while let Some(&v) = self.order.get(next) {
             next += 1;
-            for j in csr.in_range(v as usize) {
-                if zero.contains(in_ids[j]) {
-                    let u = in_tails[j] as usize;
-                    self.pending[u] -= 1;
-                    if self.pending[u] == 0 {
-                        self.order.push(in_tails[j]);
-                    }
+            for j in zero.ins(csr.in_range(v as usize)) {
+                let u = in_tails[j] as usize;
+                self.pending[u] -= 1;
+                if self.pending[u] == 0 {
+                    self.order.push(in_tails[j]);
                 }
             }
         }
@@ -247,8 +227,7 @@ impl WeightKernel {
     fn mobility(&mut self, dfg: &Dfg, zero: &ZeroSet, weights: &mut NodeMap<u64>) {
         let n = dfg.node_count();
         let csr = dfg.csr();
-        let (out_ids, out_heads) = (csr.out_edge_ids(), csr.out_heads());
-        let (in_ids, in_tails) = (csr.in_edge_ids(), csr.in_tails());
+        let (out_heads, in_tails) = (csr.out_heads(), csr.in_tails());
         let steps = csr.times();
         self.asap.clear();
         self.asap.resize(n, 1);
@@ -258,11 +237,9 @@ impl WeightKernel {
         for &v in self.order.iter().rev() {
             let v = v as usize;
             let mut earliest = 1;
-            for j in csr.in_range(v) {
-                if zero.contains(in_ids[j]) {
-                    let u = in_tails[j] as usize;
-                    earliest = earliest.max(self.asap[u] + steps[u]);
-                }
+            for j in zero.ins(csr.in_range(v)) {
+                let u = in_tails[j] as usize;
+                earliest = earliest.max(self.asap[u] + steps[u]);
             }
             self.asap[v] = earliest;
             horizon = horizon.max(earliest + steps[v] - 1);
@@ -272,10 +249,8 @@ impl WeightKernel {
             let v = v as usize;
             // Latest start so that v finishes by the horizon.
             let mut latest = horizon - steps[v] + 1;
-            for j in csr.out_range(v) {
-                if zero.contains(out_ids[j]) {
-                    latest = latest.min(self.alap[out_heads[j] as usize] - steps[v]);
-                }
+            for j in zero.outs(csr.out_range(v)) {
+                latest = latest.min(self.alap[out_heads[j] as usize] - steps[v]);
             }
             self.alap[v] = latest;
             max_mobility = max_mobility.max(latest - self.asap[v]);

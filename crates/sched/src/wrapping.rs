@@ -232,7 +232,9 @@ pub struct WrapScratch {
     usage: Vec<u32>,
     /// `(exclusive finish of u, s(v))` of every one-delay edge `u → v`
     /// whose producer ends past the smallest probed target — the only
-    /// one-delay edges that can reject a target (filled per call).
+    /// one-delay edges that can reject a target — compacted to the
+    /// front (filled per call). One entry per edge, so the pass that
+    /// fills it never grows it.
     one_delay: Vec<(u32, u32)>,
 }
 
@@ -255,7 +257,7 @@ impl WrapScratch {
             class_of,
             starts: Vec::new(),
             usage: Vec::new(),
-            one_delay: Vec::new(),
+            one_delay: vec![(0, 0); dfg.edge_count()],
         })
     }
 
@@ -297,8 +299,9 @@ impl WrapScratch {
 
     // Index loops walk several parallel arrays (`starts`, `times`,
     // `class_of`) in lockstep; an iterator over any one of them would
-    // obscure that.
-    #[allow(clippy::needless_range_loop)]
+    // obscure that. The edge pass combines comparisons with `&` so that
+    // no edge takes a branch.
+    #[allow(clippy::needless_range_loop, clippy::needless_bitwise_bool)]
     fn wrapped_length_inner(
         &mut self,
         dfg: &Dfg,
@@ -340,31 +343,32 @@ impl WrapScratch {
         // begins at the maximum start step.)
         let first_target = min_start.max(unwrapped_len.div_ceil(2));
 
-        // One pass over the edges. Zero-retimed-delay precedences are
-        // target-independent: if one is violated, every target fails —
-        // defer to the reference path for the exact error. A one-delay
-        // edge rejects `target` only if its producer's tail ends past
-        // it (`finish − 1 > target ≥ first_target`), so only those
-        // edges are kept for the scan.
+        // One pass over the edges, without a branch on any edge.
+        // Zero-retimed-delay precedences are target-independent: if one
+        // is violated, every target fails — the violation is folded
+        // into one flag, and a set flag defers to the reference path
+        // for the exact error. A one-delay edge rejects `target` only if
+        // its producer's tail ends past it (`finish − 1 > target ≥
+        // first_target`), so only those edges are kept for the scan:
+        // every edge is written at the kept count, which advances past
+        // the kept ones only. The buffer holds one entry per edge.
         let delays = csr.edge_delays();
-        let edge_from = csr.edge_from();
-        let edge_to = csr.edge_to();
+        let (edge_from, edge_to) = (csr.edge_from(), csr.edge_to());
         let r = retiming.map(Retiming::as_slice);
-        self.one_delay.clear();
-        for i in 0..delays.len() {
+        self.one_delay.resize(delays.len(), (0, 0));
+        let (mut violated, mut kept) = (false, 0);
+        for (i, &d) in delays.iter().enumerate() {
             let (u, v) = (edge_from[i] as usize, edge_to[i] as usize);
-            let dr = match r {
-                Some(r) => i64::from(delays[i]) + r[u] - r[v],
-                None => i64::from(delays[i]),
-            };
-            let finish = self.starts[u] + times[u];
-            if dr == 0 && finish > self.starts[v] {
-                return wrapped_length(dfg, retiming, schedule, resources);
-            }
-            if dr == 1 && finish - 1 > first_target {
-                self.one_delay.push((finish, self.starts[v]));
-            }
+            let dr = i64::from(d) + r.map_or(0, |r| r[u] - r[v]);
+            let (finish, sv) = (self.starts[u] + times[u], self.starts[v]);
+            violated |= (dr == 0) & (finish > sv);
+            self.one_delay[kept] = (finish, sv);
+            kept += usize::from((dr == 1) & (finish - 1 > first_target));
         }
+        if violated {
+            return wrapped_length(dfg, retiming, schedule, resources);
+        }
+        let one_delay = &self.one_delay[..kept];
 
         let classes = resources.classes();
         'target: for target in first_target..=unwrapped_len {
@@ -392,7 +396,7 @@ impl WrapScratch {
             }
             // One-delay precedences across the wrap boundary: the
             // consumer of the next iteration waits for the tail.
-            for &(finish, sv) in &self.one_delay {
+            for &(finish, sv) in one_delay {
                 if finish - 1 > target && sv + target < finish {
                     continue 'target;
                 }

@@ -1,14 +1,19 @@
 //! Shared generators and test-local reference implementations for the
 //! seeded differential suites (`seeded_place`, `seeded_wrap`,
-//! `seeded_weights`). Every reference here is written from the
-//! definitions, independently of the library's incremental machinery.
+//! `seeded_weights`, `seeded_zero_set`). Every reference here is
+//! written from the definitions, independently of the library's
+//! incremental machinery.
 
 #![allow(dead_code)] // each suite uses a different subset
+
+use std::cmp::Reverse;
 
 use rotsched_dfg::analysis::topo::is_zero_delay_under;
 use rotsched_dfg::rng::SplitMix64;
 use rotsched_dfg::{Dfg, NodeId, NodeMap, OpKind, Retiming};
-use rotsched_sched::{timing_bounds, PriorityPolicy, Schedule};
+use rotsched_sched::{
+    timing_bounds, PriorityPolicy, ReservationTable, ResourceSet, SchedError, Schedule,
+};
 
 /// Every priority policy.
 pub const POLICIES: [PriorityPolicy; 4] = [
@@ -144,4 +149,139 @@ pub fn reference_weights(
         other => panic!("no reference for {other:?}"),
     }
     weights
+}
+
+/// The naive `PartialSchedule`: every free node goes to its earliest
+/// feasible step, ready nodes ranked by (deadline, weight, id), with the
+/// earliest start recomputed on every look.
+pub fn naive_reschedule(
+    dfg: &Dfg,
+    policy: PriorityPolicy,
+    retiming: Option<&Retiming>,
+    resources: &ResourceSet,
+    schedule: &mut Schedule,
+    free: &[NodeId],
+) -> Result<(), SchedError> {
+    let weights = reference_weights(policy, dfg, retiming);
+    for &v in free {
+        schedule.clear(v);
+    }
+    let class_of = |v: NodeId| {
+        resources
+            .class_for(dfg.node(v).op())
+            .expect("every op binds")
+    };
+    let mut table = ReservationTable::new(resources);
+    for (v, cs) in schedule.iter() {
+        let class = resources.class(class_of(v));
+        let slots = || class.occupancy(dfg.node(v).time()).map(|off| cs + off);
+        assert!(
+            table.can_place(class_of(v), slots()),
+            "the generated fixed part is feasible"
+        );
+        table.place(class_of(v), slots());
+    }
+    let zero = |e| is_zero_delay_under(dfg, retiming, e);
+    let is_free = |v: NodeId| free.contains(&v);
+    let time = |v: NodeId| dfg.node(v).time().max(1);
+
+    let mut blocking = dfg.node_map(0_u32);
+    let mut latest: Vec<Option<u32>> = vec![None; dfg.node_count()];
+    for &v in free {
+        for &e in dfg.in_edges(v) {
+            if zero(e) && is_free(dfg.edge(e).from()) {
+                blocking[v] += 1;
+            }
+        }
+        for &e in dfg.out_edges(v) {
+            let w = dfg.edge(e).to();
+            if zero(e) && !is_free(w) {
+                if let Some(sw) = schedule.start(w) {
+                    let bound = sw.saturating_sub(time(v));
+                    latest[v.index()] = Some(latest[v.index()].map_or(bound, |a| a.min(bound)));
+                }
+            }
+        }
+    }
+    let earliest_start = |v: NodeId, schedule: &Schedule| {
+        dfg.in_edges(v)
+            .iter()
+            .filter(|&&e| zero(e))
+            .filter_map(|&e| {
+                let u = dfg.edge(e).from();
+                schedule.start(u).map(|su| su + time(u))
+            })
+            .fold(1, u32::max)
+    };
+    let key = |v: &NodeId| {
+        (
+            latest[v.index()].unwrap_or(u32::MAX),
+            Reverse(weights[*v]),
+            *v,
+        )
+    };
+
+    let mut ready: Vec<NodeId> = free.iter().copied().filter(|&v| blocking[v] == 0).collect();
+    let mut remaining = free.len();
+    let horizon = table.horizon() + u32::try_from(dfg.total_time()).unwrap_or(u32::MAX) + 1;
+    let mut cs = 1;
+    while remaining > 0 {
+        if let Some(min) = ready.iter().map(|&v| earliest_start(v, schedule)).min() {
+            cs = cs.max(min);
+        }
+        if cs > horizon {
+            let stuck = free
+                .iter()
+                .copied()
+                .find(|&v| schedule.start(v).is_none())
+                .expect("an unscheduled free node remains");
+            return Err(SchedError::NoFeasibleSlot { node: stuck });
+        }
+        ready.sort_by_key(key);
+        let mut placed_any = true;
+        while placed_any {
+            placed_any = false;
+            let mut i = 0;
+            while i < ready.len() {
+                let v = ready[i];
+                if earliest_start(v, schedule) > cs {
+                    i += 1;
+                    continue;
+                }
+                if latest[v.index()].is_some_and(|bound| cs > bound) {
+                    return Err(SchedError::NoFeasibleSlot { node: v });
+                }
+                let class_id = class_of(v);
+                let slots = || {
+                    resources
+                        .class(class_id)
+                        .occupancy(dfg.node(v).time())
+                        .map(|off| cs + off)
+                };
+                if !table.can_place(class_id, slots()) {
+                    i += 1;
+                    continue;
+                }
+                table.place(class_id, slots());
+                schedule.set(v, cs);
+                remaining -= 1;
+                ready.swap_remove(i);
+                placed_any = true;
+                for &e in dfg.out_edges(v) {
+                    let w = dfg.edge(e).to();
+                    if zero(e) && is_free(w) && schedule.start(w).is_none() {
+                        blocking[w] -= 1;
+                        if blocking[w] == 0 {
+                            ready.push(w);
+                        }
+                    }
+                }
+            }
+            if placed_any {
+                ready.sort_by_key(key);
+            }
+        }
+        cs += 1;
+    }
+    Ok(())
 }
