@@ -7,12 +7,12 @@ use std::time::Instant;
 
 use rotsched_benchmarks::{random_dfg, RandomDfgConfig};
 use rotsched_core::{
-    down_rotate, initial_state, BestSet, CycleLog, HeuristicConfig, Objective, RotationContext,
-    RotationState, Score, SearchDriver,
+    down_rotate, initial_state, BestSet, CycleLog, HeuristicConfig, Objective, RotationState,
+    Score, SearchDriver,
 };
 use rotsched_dfg::rng::Fnv64;
-use rotsched_dfg::Dfg;
-use rotsched_sched::{ListScheduler, ResourceSet, WrapScratch};
+use rotsched_dfg::{Dfg, NodeId};
+use rotsched_sched::{ListScheduler, ResourceSet, SchedContext, WrapScratch};
 
 use crate::report::{
     before, crossover_pct, elapsed_ns, info, interleave, median, ratio, Percentiles, Sheet,
@@ -46,20 +46,36 @@ const OBJECTIVE_OVERHEAD_LIMIT_PCT: f64 = 2.0;
 const OBJECTIVE_OVERHEAD_SAMPLES: usize = 400;
 
 /// The engine's rotation kernel on one graph, as the replica arms drive
-/// it: the incremental context's in-place rotation plus the
-/// allocation-free wrapped-length probe.
+/// it: the incremental context's in-place rotation into a reused prefix
+/// buffer plus the allocation-free wrapped-length probe.
 struct Kernel<'a> {
     g: &'a Dfg,
     res: &'a ResourceSet,
-    ctx: RotationContext,
+    ctx: SchedContext,
+    rotated: Vec<NodeId>,
     wrap: WrapScratch,
+}
+
+/// A scheduling context for `state`.
+fn context(
+    g: &Dfg,
+    sched: ListScheduler,
+    res: &ResourceSet,
+    state: &RotationState,
+) -> SchedContext {
+    SchedContext::new(g, &sched, res, Some(&state.retiming), &state.schedule).expect("schedulable")
 }
 
 impl<'a> Kernel<'a> {
     fn new(g: &'a Dfg, sched: ListScheduler, res: &'a ResourceSet, state: &RotationState) -> Self {
-        let ctx = RotationContext::new(g, &sched, res, state).expect("schedulable");
         let wrap = WrapScratch::new(g, res).expect("ops bind");
-        Kernel { g, res, ctx, wrap }
+        Kernel {
+            g,
+            res,
+            ctx: context(g, sched, res, state),
+            rotated: Vec::new(),
+            wrap,
+        }
     }
 
     /// The size a phase of `size` rotates `state` by — halved until it
@@ -74,10 +90,22 @@ impl<'a> Kernel<'a> {
         (length > 1 && effective > 0).then_some(effective)
     }
 
-    /// Rotates `state` down by `effective` in place.
+    /// Rotates `state` down by `effective` in place, after the size
+    /// check the engine's step makes.
     fn rotate(&mut self, state: &mut RotationState, effective: u32) {
+        assert!(
+            effective > 0 && effective < state.length(self.g),
+            "a rotation size lies inside the schedule"
+        );
         self.ctx
-            .down_rotate_in_place(self.g, self.res, state, effective)
+            .down_rotate(
+                self.g,
+                self.res,
+                &mut state.retiming,
+                &mut state.schedule,
+                effective,
+                &mut self.rotated,
+            )
             .expect("legal");
     }
 
@@ -207,10 +235,8 @@ fn context_and_scratch(graphs: &[(&str, Dfg)]) -> (Percentiles, Percentiles) {
     let sched = ListScheduler::default();
     let (mut ctx_ns, mut scratch_ns) = (Vec::new(), Vec::new());
     for (g, init) in &subjects(graphs, sched, &res) {
-        let mut ctx = RotationContext::new(g, &sched, &res, init).expect("schedulable");
-        let on_context =
-            |s: &mut RotationState| drop(ctx.down_rotate(g, &res, s, 1).expect("legal"));
-        time_steps(g, init, &mut ctx_ns, on_context);
+        let mut kernel = Kernel::new(g, sched, &res, init);
+        time_steps(g, init, &mut ctx_ns, |s| kernel.rotate(s, 1));
         let from_scratch =
             |s: &mut RotationState| drop(down_rotate(g, &sched, &res, s, 1).expect("legal"));
         time_steps(g, init, &mut scratch_ns, from_scratch);
@@ -305,7 +331,7 @@ fn dense_steps() -> Percentiles {
     let mut ns = Vec::new();
     for _ in 0..config.rounds {
         for size in (1..=beta).rev() {
-            kernel.ctx = RotationContext::new(&g, &sched, &res, &state).expect("schedulable");
+            kernel.ctx = context(&g, sched, &res, &state);
             for _ in 0..config.rotations_per_phase {
                 let Some(effective) = kernel.effective(&state, size) else {
                     break;
@@ -437,7 +463,7 @@ fn legacy_sequence(g: &Dfg, sched: ListScheduler, res: &ResourceSet, init: &Rota
             first_optimum_at = Some(j + 1);
         }
         let _ = best.offer(Score::from_length(wrapped), &state);
-        cycles.record(kernel.ctx.rotated(), wrapped, &state);
+        cycles.record(&kernel.rotated, wrapped, &state);
     }
     cycles.restore(rotations, &mut state);
     // Keep the bookkeeping observable so the optimizer cannot discard

@@ -1,9 +1,13 @@
 //! Seeded equivalence properties for the incremental rotation kernel:
-//! on random cyclic DFGs, the persistent
-//! [`RotationContext`](rotsched_core::RotationContext) path must be
-//! bit-identical to the from-scratch reference at every level — single
-//! rotation phases (under every priority policy), full Heuristic-1 and
-//! Heuristic-2 sweeps, and the parallel portfolio at every job count.
+//! on random cyclic DFGs, the production step mode
+//! ([`IncrementalStep`](rotsched_core::IncrementalStep)), which runs
+//! each rotation as one call on a persistent
+//! [`SchedContext`](rotsched_sched::SchedContext), must be bit-identical
+//! to the from-scratch reference ([`ScratchStep`](rotsched_core::ScratchStep),
+//! the [`down_rotate`](rotsched_core::down_rotate) operator) at every
+//! level — single rotation phases (under every priority policy), full
+//! Heuristic-1 and Heuristic-2 sweeps, and the parallel portfolio at
+//! every job count.
 //!
 //! Debug builds additionally cross-check every incrementally maintained
 //! structure (reservation table, zero-delay view, priority weights)

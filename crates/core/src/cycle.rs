@@ -182,9 +182,9 @@ struct LoggedPhase {
 ///
 /// ```
 /// use rotsched_core::cycle::CycleLog;
-/// use rotsched_core::{initial_state, RotationContext};
+/// use rotsched_core::initial_state;
 /// use rotsched_dfg::{DfgBuilder, OpKind};
-/// use rotsched_sched::{ListScheduler, ResourceSet};
+/// use rotsched_sched::{ListScheduler, ResourceSet, SchedContext};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = DfgBuilder::new("ring")
@@ -194,12 +194,12 @@ struct LoggedPhase {
 ///     .build()?;
 /// let (sched, res) = (ListScheduler::default(), ResourceSet::adders_multipliers(1, 0, false));
 /// let mut state = initial_state(&g, &sched, &res)?;
-/// let mut ctx = RotationContext::new(&g, &sched, &res, &state)?;
-/// let mut log = CycleLog::new();
+/// let mut ctx = SchedContext::new(&g, &sched, &res, Some(&state.retiming), &state.schedule)?;
+/// let (mut log, mut rotated) = (CycleLog::new(), Vec::new());
 /// log.begin(&state, 16);
 /// while log.cycle().is_none() {
-///     ctx.down_rotate_in_place(&g, &res, &mut state, 1)?;
-///     log.record(ctx.rotated(), state.wrapped_length(&g, &res)?, &state);
+///     ctx.down_rotate(&g, &res, &mut state.retiming, &mut state.schedule, 1, &mut rotated)?;
+///     log.record(&rotated, state.wrapped_length(&g, &res)?, &state);
 /// }
 /// let cycle = log.cycle().expect("the ring repeats");
 /// assert_eq!((cycle.start, cycle.period, cycle.shift), (0, 4, 1));

@@ -7,7 +7,7 @@
 //! generic driver parameterized over the composable concerns —
 //!
 //! * a **step mode** ([`StepMode`]): how one down-rotation executes —
-//!   through a persistent incremental [`RotationContext`]
+//!   through a persistent incremental [`SchedContext`]
 //!   ([`IncrementalStep`], the production path) or the from-scratch
 //!   operator ([`ScratchStep`], the reference/ablation path);
 //! * a **prune source**: `None` or a portfolio [`PruneSignal`];
@@ -30,17 +30,16 @@
 //! [`RotationScheduler`]: crate::RotationScheduler
 
 use rotsched_dfg::{Dfg, NodeId, Retiming};
-use rotsched_sched::{CacheStats, ListScheduler, ResourceSet, Schedule, WrapScratch};
+use rotsched_sched::{CacheStats, ListScheduler, ResourceSet, SchedContext, Schedule, WrapScratch};
 
 use crate::budget::{BudgetMeter, StopReason};
-use crate::context::RotationContext;
 use crate::cycle::CycleLog;
 use crate::error::RotationError;
 use crate::heuristics::{HeuristicConfig, HeuristicOutcome};
 use crate::objective::{Objective, Score};
 use crate::phase::{BestSet, PhaseStats};
 use crate::portfolio::{kernel_lower_bound, PruneSignal};
-use crate::rotate::{down_rotate, initial_state, RotationState};
+use crate::rotate::{check_size, down_rotate, initial_state, RotationState};
 
 /// A structured event emitted by the [`SearchDriver`] at every decision
 /// point of the search. Borrowed payloads keep emission allocation-free;
@@ -215,35 +214,38 @@ pub trait StepMode {
 }
 
 /// The production step mode: rotations run through a persistent
-/// [`RotationContext`], so per-step work is proportional to the rotated
+/// [`SchedContext`], so per-step work is proportional to the rotated
 /// prefix rather than the graph. A heuristic run builds its context for
 /// the initial state, and a Heuristic-2 sweep keeps it throughout: its
 /// `FullSchedule`s run through the context, which leaves it ready for the
 /// next phase. Every other phase start rebuilds it.
 #[derive(Debug, Default)]
 pub struct IncrementalStep {
-    /// The current phase's context. A rebuild recycles its prefix
-    /// buffer (and, when a batch solve hands the step from driver to
-    /// driver, the next item's does), so only the first phase of the
-    /// first solve grows it.
-    ctx: Option<RotationContext>,
+    /// The current phase's context.
+    ctx: Option<SchedContext>,
+    /// The latest rotated set. It outlives every rebuild (and, when a
+    /// batch solve hands the step from driver to driver, every item), so
+    /// only the first phase of the first solve grows it.
+    rotated: Vec<NodeId>,
 }
 
 impl IncrementalStep {
-    /// Builds a new context for `state`, recycling the retired one's
-    /// prefix buffer.
+    /// Builds a new context for `state`, dropping the retired one.
     fn rebuild(
         &mut self,
         dfg: &Dfg,
         scheduler: ListScheduler,
         resources: &ResourceSet,
         state: &RotationState,
-    ) -> Result<&mut RotationContext, RotationError> {
-        let buffer = self
-            .ctx
-            .take()
-            .map_or_else(Vec::new, RotationContext::into_buffer);
-        let ctx = RotationContext::with_buffer(dfg, &scheduler, resources, state, buffer)?;
+    ) -> Result<&mut SchedContext, RotationError> {
+        self.ctx = None;
+        let ctx = SchedContext::new(
+            dfg,
+            &scheduler,
+            resources,
+            Some(&state.retiming),
+            &state.schedule,
+        )?;
         Ok(self.ctx.insert(ctx))
     }
 }
@@ -261,7 +263,7 @@ impl StepMode for IncrementalStep {
             schedule: Schedule::empty(dfg),
         };
         self.rebuild(dfg, *scheduler, resources, &state)?
-            .full_schedule(dfg, resources, &mut state)?;
+            .full_schedule(dfg, Some(&state.retiming), resources, &mut state.schedule)?;
         Ok(state)
     }
 
@@ -287,9 +289,17 @@ impl StepMode for IncrementalStep {
         state: &mut RotationState,
         size: u32,
     ) -> Result<&[NodeId], RotationError> {
+        check_size(dfg, &state.schedule, size)?;
         let ctx = self.ctx.as_mut().expect("begin_phase precedes rotate");
-        ctx.down_rotate_in_place(dfg, resources, state, size)?;
-        Ok(ctx.rotated())
+        ctx.down_rotate(
+            dfg,
+            resources,
+            &mut state.retiming,
+            &mut state.schedule,
+            size,
+            &mut self.rotated,
+        )?;
+        Ok(&self.rotated)
     }
 
     fn full_schedule(
@@ -302,13 +312,14 @@ impl StepMode for IncrementalStep {
         self.ctx
             .as_mut()
             .expect("an executed phase precedes the reschedule")
-            .full_schedule(dfg, resources, state)
+            .full_schedule(dfg, Some(&state.retiming), resources, &mut state.schedule)?;
+        Ok(())
     }
 
     fn cache_stats(&self) -> CacheStats {
         self.ctx
             .as_ref()
-            .map(RotationContext::cache_stats)
+            .map(SchedContext::cache_stats)
             .unwrap_or_default()
     }
 }
@@ -1036,5 +1047,89 @@ mod tests {
         assert_eq!(fast.best_length, slow.best_length);
         assert_eq!(fast.best, slow.best);
         assert_eq!(fast.phases, slow.phases);
+    }
+
+    #[test]
+    fn incremental_rotations_match_the_from_scratch_operator() {
+        let ring5 = ring(5, 2);
+        // An add and a two-step mul, both starting at step 1: a size-1
+        // rotation takes every start, and the mul's tail alone pads the
+        // length, so the fixed remainder is empty.
+        let tail = DfgBuilder::new("tail")
+            .node("a", OpKind::Add, 1)
+            .node("m", OpKind::Mul, 2)
+            .edge("a", "m", 1)
+            .edge("m", "a", 1)
+            .build()
+            .unwrap();
+        let sched = ListScheduler::default();
+        for (g, res) in [
+            (&ring5, ResourceSet::adders_multipliers(2, 0, false)),
+            (&tail, ResourceSet::adders_multipliers(1, 1, false)),
+        ] {
+            let mut step = IncrementalStep::default();
+            let mut incremental = step.initial_state(g, &sched, &res).unwrap();
+            let mut reference = initial_state(g, &sched, &res).unwrap();
+            assert_eq!(incremental, reference);
+            step.begin_phase(g, &sched, &res, &incremental, true)
+                .unwrap();
+            for _ in 0..6 {
+                if incremental.length(g) <= 1 {
+                    break;
+                }
+                let rotated = step
+                    .rotate(g, &sched, &res, &mut incremental, 1)
+                    .unwrap()
+                    .to_vec();
+                let outcome = down_rotate(g, &sched, &res, &mut reference, 1).unwrap();
+                assert_eq!(rotated, outcome.rotated, "{}", g.name());
+                assert_eq!(incremental, reference, "{}", g.name());
+                assert_eq!(incremental.length(g), outcome.length, "{}", g.name());
+            }
+        }
+        // Every start of `tail` lies in the size-1 prefix of its
+        // two-step schedule.
+        let st =
+            initial_state(&tail, &sched, &ResourceSet::adders_multipliers(1, 1, false)).unwrap();
+        assert_eq!(
+            (st.schedule.prefix_nodes(1).len(), st.length(&tail)),
+            (2, 2)
+        );
+    }
+
+    #[test]
+    fn both_step_modes_reject_invalid_sizes_alike() {
+        let g = DfgBuilder::new("pair")
+            .nodes("v", 2, OpKind::Add, 1)
+            .wire("v0", "v1")
+            .edge("v1", "v0", 1)
+            .build()
+            .unwrap();
+        let sched = ListScheduler::default();
+        let res = ResourceSet::adders_multipliers(1, 0, false);
+        let mut incremental = IncrementalStep::default();
+        let mut scratch = ScratchStep::default();
+        let mut st = incremental.initial_state(&g, &sched, &res).unwrap();
+        incremental
+            .begin_phase(&g, &sched, &res, &st, true)
+            .unwrap();
+        scratch.begin_phase(&g, &sched, &res, &st, true).unwrap();
+        let len = st.length(&g);
+        for size in [0, len] {
+            let want = Err(RotationError::InvalidSize {
+                size,
+                schedule_length: len,
+            });
+            let before = st.clone();
+            let got = incremental.rotate(&g, &sched, &res, &mut st, size);
+            assert_eq!(
+                got.map(<[NodeId]>::to_vec),
+                want,
+                "incremental, size {size}"
+            );
+            let got = scratch.rotate(&g, &sched, &res, &mut st, size);
+            assert_eq!(got.map(<[NodeId]>::to_vec), want, "scratch, size {size}");
+            assert_eq!(st, before, "size {size} left the state as it was");
+        }
     }
 }

@@ -40,16 +40,18 @@
 //!
 //! * [`rotate`] — down-/up-rotation operators, rotatability checks
 //!   (Property 1), and the `DownRotate` procedure (Section 3.1).
-//! * [`context`] — the persistent [`RotationContext`] that makes each
-//!   rotation step cost `O(|R|·deg)` instead of `O(V+E)` (Section 3.3's
-//!   complexity claim).
 //! * [`cycle`] — [`CycleLog`]: the states a rotation phase visits, so
 //!   a phase that repeats a state replays its period instead of
 //!   rotating again; Heuristic 2 logs its phase starts the same way and
 //!   replays the rest of a sweep once a phase start repeats.
 //! * [`engine`] — the unified [`SearchDriver`]: one instrumented loop
 //!   (step mode × prune × budget × observer) behind every phase,
-//!   heuristic, and portfolio worker.
+//!   heuristic, and portfolio worker. Its production step mode,
+//!   [`IncrementalStep`], runs each rotation through the scheduling
+//!   crate's persistent
+//!   [`SchedContext::down_rotate`](rotsched_sched::SchedContext::down_rotate),
+//!   so a step costs `O(|R|·deg)` instead of `O(V+E)` (Section 3.3's
+//!   complexity claim).
 //! * [`trace`] — [`TraceRecorder`]/[`SearchTrace`]: ring-buffered
 //!   convergence telemetry over driver events (`rotsched solve
 //!   --trace`).
@@ -68,7 +70,6 @@
 #![warn(unreachable_pub)]
 
 pub mod budget;
-pub mod context;
 pub mod cycle;
 pub mod depth;
 pub mod engine;
@@ -84,7 +85,6 @@ pub mod trace;
 pub mod wire;
 
 pub use budget::{Budget, BudgetMeter, CancelToken, StopReason};
-pub use context::RotationContext;
 pub use cycle::{Cycle, CycleLog};
 pub use engine::{
     IncrementalStep, NoopObserver, ScratchStep, SearchDriver, SearchEvent, SearchObserver, StepMode,

@@ -24,6 +24,7 @@ use rotsched_sched::{
 };
 
 use crate::error::RotationError;
+use crate::rotate::check_size;
 
 /// An inner loop collapsed into a single schedulable operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -371,13 +372,7 @@ pub fn down_rotate_nested(
     schedule: &mut Schedule,
     size: u32,
 ) -> Result<Vec<NodeId>, RotationError> {
-    let length = schedule.length(outer);
-    if size == 0 || size >= length {
-        return Err(RotationError::InvalidSize {
-            size,
-            schedule_length: length,
-        });
-    }
+    check_size(outer, schedule, size)?;
     let rotated = schedule.prefix_nodes(size);
     for &v in &rotated {
         schedule.clear(v);

@@ -376,8 +376,8 @@ impl Portfolio {
     /// Runs every task and merges the results deterministically.
     ///
     /// Each worker's phases run through their own
-    /// [`RotationContext`](crate::RotationContext) (built per phase
-    /// inside its [`SearchDriver`]), so the incremental state is never
+    /// [`SchedContext`](rotsched_sched::SchedContext) (built inside its
+    /// [`SearchDriver`]), so the incremental state is never
     /// shared across threads and the merged outcome is identical for
     /// every job count.
     ///

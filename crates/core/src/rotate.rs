@@ -87,6 +87,21 @@ pub struct DownRotateOutcome {
     pub length: u32,
 }
 
+/// Rejects a rotation `size` of 0 or of the whole `schedule` (the
+/// identity on the DAG), as the paper's phases do: every rotation
+/// operator and step mode reports [`RotationError::InvalidSize`] alike.
+/// Returns the schedule's length.
+pub(crate) fn check_size(dfg: &Dfg, schedule: &Schedule, size: u32) -> Result<u32, RotationError> {
+    let length = schedule.length(dfg);
+    if size == 0 || size >= length {
+        return Err(RotationError::InvalidSize {
+            size,
+            schedule_length: length,
+        });
+    }
+    Ok(length)
+}
+
 /// Performs one down-rotation of `size` control steps on `state`
 /// (procedure `DownRotate(G, s, i)`):
 ///
@@ -115,13 +130,7 @@ pub fn down_rotate(
     state: &mut RotationState,
     size: u32,
 ) -> Result<DownRotateOutcome, RotationError> {
-    let length = state.schedule.length(dfg);
-    if size == 0 || size >= length {
-        return Err(RotationError::InvalidSize {
-            size,
-            schedule_length: length,
-        });
-    }
+    check_size(dfg, &state.schedule, size)?;
 
     // X = nodes starting in the first `size` control steps.
     let rotated = state.schedule.prefix_nodes(size);
@@ -181,13 +190,7 @@ pub fn up_rotate(
     state: &mut RotationState,
     size: u32,
 ) -> Result<DownRotateOutcome, RotationError> {
-    let length = state.schedule.length(dfg);
-    if size == 0 || size >= length {
-        return Err(RotationError::InvalidSize {
-            size,
-            schedule_length: length,
-        });
-    }
+    let length = check_size(dfg, &state.schedule, size)?;
     let first = state
         .schedule
         .first_step()

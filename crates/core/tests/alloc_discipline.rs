@@ -3,9 +3,9 @@
 //!
 //! Five claims are pinned here:
 //!
-//! 1. a **steady-state rotation step** — `down_rotate_in_place` plus the
-//!    `WrapScratch` wrapped-length probe, beyond the weight-memo warm-up
-//!    — performs **zero** heap allocations;
+//! 1. a **steady-state rotation step** — `SchedContext::down_rotate`
+//!    plus the `WrapScratch` wrapped-length probe, beyond the
+//!    weight-memo warm-up — performs **zero** heap allocations;
 //! 2. a **deduplicated `solve_batch` item** costs a small fixed
 //!    allocation budget (the outcome clone), far below a fresh solve
 //!    (both counts pinned exactly in release);
@@ -36,11 +36,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rotsched_benchmarks::{biquad, TimingModel};
 use rotsched_core::{
-    BestSet, HeuristicConfig, ProblemSpec, RotationContext, RotationScheduler, SearchDriver,
+    BestSet, HeuristicConfig, ProblemSpec, RotationScheduler, RotationState, SearchDriver,
     SearchEvent, SearchObserver,
 };
 use rotsched_dfg::{Dfg, DfgBuilder, OpKind};
-use rotsched_sched::{ListScheduler, ResourceSet, WrapScratch};
+use rotsched_sched::{ListScheduler, ResourceSet, SchedContext, WrapScratch};
 
 /// Counts every allocation and reallocation (frees are irrelevant to
 /// the zero-alloc claim) on top of the system allocator.
@@ -127,12 +127,21 @@ fn hot_path_allocation_discipline() {
     let sched = ListScheduler::default();
     let res = ResourceSet::adders_multipliers(4, 0, false);
     let mut state = rotsched_core::initial_state(&g, &sched, &res).expect("ring schedules");
-    let mut ctx = RotationContext::new(&g, &sched, &res, &state).expect("context builds");
+    let mut ctx = SchedContext::new(&g, &sched, &res, Some(&state.retiming), &state.schedule)
+        .expect("context builds");
     let mut wrap = WrapScratch::new(&g, &res).expect("ops bind");
+    let mut rotated = Vec::new();
 
-    let step = |ctx: &mut RotationContext, wrap: &mut WrapScratch, state: &mut _| {
-        ctx.down_rotate_in_place(&g, &res, state, 1)
-            .expect("steady ring keeps rotating");
+    let mut step = |ctx: &mut SchedContext, wrap: &mut WrapScratch, state: &mut RotationState| {
+        ctx.down_rotate(
+            &g,
+            &res,
+            &mut state.retiming,
+            &mut state.schedule,
+            1,
+            &mut rotated,
+        )
+        .expect("steady ring keeps rotating");
         wrap.wrapped_length(&g, Some(&state.retiming), &state.schedule, &res)
             .expect("rotation states wrap");
     };

@@ -21,11 +21,11 @@ use rotsched_baselines::lower_bound;
 use rotsched_benchmarks::{random_dfg, RandomDfgConfig};
 use rotsched_core::{
     down_rotate, initial_state, BestSet, Budget, CycleLog, HeuristicConfig, HeuristicOutcome,
-    Objective, PhaseStats, RotationContext, RotationState, Score, SearchDriver, StopReason,
+    Objective, PhaseStats, RotationState, Score, SearchDriver, StopReason,
 };
 use rotsched_dfg::rng::SplitMix64;
 use rotsched_dfg::{Dfg, DfgBuilder, OpKind};
-use rotsched_sched::{ListScheduler, PriorityPolicy, ResourceSet, WrapScratch};
+use rotsched_sched::{ListScheduler, PriorityPolicy, ResourceSet, SchedContext, WrapScratch};
 
 const SEEDS: [u64; 4] = [3, 11, 42, 77];
 
@@ -356,17 +356,25 @@ fn the_uniform_ring_repeats_with_period_n() {
     let scheduler = ListScheduler::default();
     let res = ResourceSet::adders_multipliers(4, 0, false);
     let mut state = initial_state(&g, &scheduler, &res).expect("schedulable");
-    let mut ctx = RotationContext::new(&g, &scheduler, &res, &state).expect("context");
-    let mut log = CycleLog::new();
+    let mut ctx = SchedContext::new(&g, &scheduler, &res, Some(&state.retiming), &state.schedule)
+        .expect("context");
+    let (mut log, mut rotated) = (CycleLog::new(), Vec::new());
     log.begin(&state, 64);
     let mut k = 0;
     while log.cycle().is_none() {
         assert!(k < 64, "no repeat within 64 size-1 rotations");
-        ctx.down_rotate_in_place(&g, &res, &mut state, 1)
-            .expect("legal rotation");
+        ctx.down_rotate(
+            &g,
+            &res,
+            &mut state.retiming,
+            &mut state.schedule,
+            1,
+            &mut rotated,
+        )
+        .expect("legal rotation");
         k += 1;
         let wrapped = state.wrapped_length(&g, &res).expect("wraps");
-        log.record(ctx.rotated(), wrapped, &state);
+        log.record(&rotated, wrapped, &state);
     }
     let cycle = log.cycle().expect("found");
     assert_eq!(cycle.period, 24, "{cycle:?}");

@@ -1,6 +1,6 @@
 //! One scheduling context per Heuristic-2 sweep is exact.
 //!
-//! The production step mode keeps one `RotationContext` for a whole
+//! The production step mode keeps one `SchedContext` for a whole
 //! Heuristic-2 sweep: the initial state is scheduled through a new
 //! context for the graph, which the first phase starts on, and each
 //! chained `FullSchedule(G_R)` runs through the context, which re-derives its zero-delay set from the retiming (a

@@ -6,7 +6,9 @@
 //! the *placement* bound but pays `O(V+E)` per call in setup: it rebuilds
 //! the reservation table from every fixed node, re-derives the zero-delay
 //! edge set, revalidates the topological order, and rebinds every
-//! operation. [`SchedContext`] hoists all of that out of the loop:
+//! operation. [`SchedContext`] hoists all of that out of the loop, and
+//! one call, [`SchedContext::down_rotate`], runs the paper's whole
+//! `DownRotate` step through it:
 //!
 //! * the **reservation table** is maintained incrementally — a rotation
 //!   releases only the prefix nodes' slots, and schedule normalization
@@ -97,15 +99,12 @@ impl CacheStats {
 /// Persistent scheduling state for a run of rotations over one `(graph,
 /// scheduler, resources)` triple.
 ///
-/// The context must observe every mutation of the schedule it tracks:
-/// [`SchedContext::release`] when a node's reservation is freed,
-/// [`SchedContext::shift`] when the schedule is renumbered,
-/// [`SchedContext::apply_down_rotation`] to rotate the retiming on a
-/// node set, and [`SchedContext::reschedule`] to place freed nodes.
-/// [`SchedContext::full_schedule`] replaces the whole schedule and makes
-/// the context valid for the result whatever it saw before. After an
-/// error the context is stale; rebuild it with [`SchedContext::new`]
-/// before further use.
+/// The context stays valid for the schedule and retiming it tracks as
+/// long as they change only through it: [`SchedContext::down_rotate`]
+/// runs one rotation step, and [`SchedContext::full_schedule`] replaces
+/// the whole schedule and makes the context valid for the result
+/// whatever it saw before. After an error the context is stale; rebuild
+/// it with [`SchedContext::new`] before further use.
 #[derive(Debug)]
 pub struct SchedContext {
     policy: PriorityPolicy,
@@ -161,8 +160,7 @@ impl SchedContext {
         let class_of = bind_classes(dfg, resources)?;
         let table = build_fixed_table(dfg, &class_of, resources, schedule)?;
         let policy = scheduler.policy();
-        let twins = CsrTwins::new(dfg.csr());
-        let zero = ZeroSet::compute_with(dfg, retiming, &twins);
+        let zero = ZeroSet::compute(dfg, retiming);
         // The kernel's Kahn sort is the acyclicity check, for every
         // policy; only a failure pays for the topological sort that
         // names the cycle.
@@ -186,7 +184,7 @@ impl SchedContext {
             class_of,
             table,
             zero,
-            twins,
+            twins: CsrTwins::new(dfg.csr()),
             memo,
             active: 0,
             // Memo and spare entries number at most the cap together,
@@ -206,20 +204,67 @@ impl SchedContext {
         self.stats
     }
 
-    /// Releases `v`'s reservation; `cs` must be its current start step.
-    /// Call before clearing `v` from the schedule.
-    pub fn release(&mut self, dfg: &Dfg, resources: &ResourceSet, v: NodeId, cs: u32) {
-        let class_id = self.class_of[v];
-        let class = resources.class(class_id);
-        let time = dfg.node(v).time();
-        self.table
-            .remove(class_id, class.occupancy(time).map(|off| cs + off));
+    /// The paper's `DownRotate(G, s, i)` through the context: rotates
+    /// the first `size` control steps of `schedule` down and returns the
+    /// new unwrapped length. The prefix goes into `rotated` (a reused
+    /// buffer); its nodes' reservations are released and their starts
+    /// cleared; `retiming` takes the +1 on each of them, with the
+    /// zero-delay set and the weights following; the fixed remainder and
+    /// the table are renumbered to start at step 1; and the prefix is
+    /// placed through the shared placement core. Makes the from-scratch
+    /// operator's decisions, so the result is bit-identical to it.
+    ///
+    /// `size` must lie in `1..schedule.length(dfg)`: the caller reports
+    /// any other size.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchedError::NoFeasibleSlot`] when a rotated node is
+    /// boxed in by fixed successors (as the from-scratch path would);
+    /// the context is stale afterwards.
+    pub fn down_rotate(
+        &mut self,
+        dfg: &Dfg,
+        resources: &ResourceSet,
+        retiming: &mut Retiming,
+        schedule: &mut Schedule,
+        size: u32,
+        rotated: &mut Vec<NodeId>,
+    ) -> Result<u32, SchedError> {
+        debug_assert!(
+            size > 0 && size < schedule.length(dfg),
+            "a rotation size lies inside the schedule"
+        );
+        schedule.prefix_nodes_into(size, rotated);
+        for &v in rotated.iter() {
+            let cs = schedule.start(v).expect("prefix nodes are scheduled");
+            let class_id = self.class_of[v];
+            let class = resources.class(class_id);
+            self.table.remove(
+                class_id,
+                class.occupancy(dfg.node(v).time()).map(|off| cs + off),
+            );
+            schedule.clear(v);
+        }
+        self.apply_down_rotation(dfg, retiming, rotated);
+        // The remainder can be empty even for size < length when
+        // multi-cycle tails pad the length past the last start step:
+        // then there is nothing to renumber.
+        self.normalize(schedule);
+        self.reschedule(dfg, Some(retiming), resources, schedule, rotated)?;
+        debug_assert_eq!(schedule.first_step(), Some(1));
+        Ok(schedule.length(dfg))
     }
 
-    /// Mirrors [`Schedule::shift`]`(delta)` on the reservation table in
-    /// O(1) (an origin move, no data motion).
-    pub fn shift(&mut self, delta: i64) {
-        self.table.shift_origin(delta);
+    /// Renumbers `schedule` to start at step 1, the table following by
+    /// an O(1) origin shift (no data motion).
+    fn normalize(&mut self, schedule: &mut Schedule) {
+        if let Some(first) = schedule.first_step() {
+            if first != 1 {
+                schedule.shift(1 - i64::from(first));
+                self.table.shift_origin(1 - i64::from(first));
+            }
+        }
     }
 
     /// Applies the down-rotation of `rotated` to `retiming` (+1 on every
@@ -230,7 +275,7 @@ impl SchedContext {
     /// `rotated` to the front of the kept sinks-first order and makes
     /// the weights of the new set active: memoized ones when the set
     /// was seen before, else one weight pass over the kept order.
-    pub fn apply_down_rotation(&mut self, dfg: &Dfg, retiming: &mut Retiming, rotated: &[NodeId]) {
+    fn apply_down_rotation(&mut self, dfg: &Dfg, retiming: &mut Retiming, rotated: &[NodeId]) {
         let csr = dfg.csr();
         retiming.apply_set(rotated, 1);
         let r = retiming.as_slice();
@@ -342,7 +387,7 @@ impl SchedContext {
             dfg.structure_fingerprint(),
             "context/graph mismatch"
         );
-        if self.zero.recompute(dfg, retiming, &self.twins) {
+        if self.zero.recompute(dfg, retiming) {
             // The kept order was sinks first for the old set only.
             self.ordered = false;
         }
@@ -371,12 +416,7 @@ impl SchedContext {
         let placed = self.reschedule(dfg, retiming, resources, schedule, &nodes);
         self.nodes = nodes;
         placed?;
-        if let Some(first) = schedule.first_step() {
-            if first != 1 {
-                schedule.shift(1 - i64::from(first));
-                self.shift(1 - i64::from(first));
-            }
-        }
+        self.normalize(schedule);
         #[cfg(debug_assertions)]
         {
             let reference = ListScheduler::new(self.policy)
@@ -400,19 +440,13 @@ impl SchedContext {
         &self.memo[self.active].weights
     }
 
-    /// Places the nodes of `free` (already released via
-    /// [`SchedContext::release`] and cleared from `schedule`) using the
-    /// maintained table, zero-delay set and weights. Funnels through the
-    /// same placement core as [`ListScheduler::reschedule`], so the
-    /// result is bit-identical to a from-scratch call — `debug_assert`ed
-    /// here against full recomputation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchedError::NoFeasibleSlot`] when a free node is boxed
-    /// in by fixed successors (as the from-scratch path would); the
-    /// context is stale afterwards.
-    pub fn reschedule(
+    /// Places the nodes of `free` (released from the table and cleared
+    /// from `schedule`) using the maintained table, zero-delay set and
+    /// weights. Funnels through the same placement core as
+    /// [`ListScheduler::reschedule`], so the result is bit-identical to
+    /// a from-scratch call — `debug_assert`ed here against full
+    /// recomputation.
+    fn reschedule(
         &mut self,
         dfg: &Dfg,
         retiming: Option<&Retiming>,
@@ -494,7 +528,7 @@ mod tests {
     }
 
     #[test]
-    fn context_reschedule_matches_from_scratch() {
+    fn context_down_rotation_matches_from_scratch() {
         let dfg = ring();
         let resources = ResourceSet::adders_multipliers(1, 1, false);
         let scheduler = ListScheduler::default();
@@ -503,29 +537,33 @@ mod tests {
 
         let mut ctx =
             SchedContext::new(&dfg, &scheduler, &resources, Some(&retiming), &schedule).unwrap();
+        let mut rotated = Vec::new();
 
         // Rotate the first control step down, twice, checking against the
         // from-scratch reschedule each time.
         for _ in 0..2 {
-            let rotated = schedule.prefix_nodes(1);
-            for &v in &rotated {
-                let cs = schedule.start(v).unwrap();
-                ctx.release(&dfg, &resources, v, cs);
-                schedule.clear(v);
-            }
-            ctx.apply_down_rotation(&dfg, &mut retiming, &rotated);
-            let first = schedule.first_step().unwrap();
-            if first != 1 {
-                schedule.shift(1 - i64::from(first));
-                ctx.shift(1 - i64::from(first));
-            }
             let mut reference = schedule.clone();
-            ctx.reschedule(&dfg, Some(&retiming), &resources, &mut schedule, &rotated)
+            let prefix = reference.prefix_nodes(1);
+            for &v in &prefix {
+                reference.clear(v);
+            }
+            reference.normalize();
+            let length = ctx
+                .down_rotate(
+                    &dfg,
+                    &resources,
+                    &mut retiming,
+                    &mut schedule,
+                    1,
+                    &mut rotated,
+                )
                 .unwrap();
+            assert_eq!(rotated, prefix);
             scheduler
-                .reschedule(&dfg, Some(&retiming), &resources, &mut reference, &rotated)
+                .reschedule(&dfg, Some(&retiming), &resources, &mut reference, &prefix)
                 .unwrap();
             assert_eq!(schedule, reference);
+            assert_eq!(length, reference.length(&dfg));
         }
     }
 
@@ -545,23 +583,19 @@ mod tests {
             let mut ctx =
                 SchedContext::new(&dfg, &scheduler, &resources, Some(&retiming), &schedule)
                     .unwrap();
+            let mut rotated = Vec::new();
             for _ in 0..3 {
-                let rotated = schedule.prefix_nodes(1);
-                for &v in &rotated {
-                    let cs = schedule.start(v).unwrap();
-                    ctx.release(&dfg, &resources, v, cs);
-                    schedule.clear(v);
-                }
-                ctx.apply_down_rotation(&dfg, &mut retiming, &rotated);
-                let first = schedule.first_step().unwrap();
-                if first != 1 {
-                    schedule.shift(1 - i64::from(first));
-                    ctx.shift(1 - i64::from(first));
-                }
                 // The debug_asserts inside compare weights and table
                 // against full recomputation.
-                ctx.reschedule(&dfg, Some(&retiming), &resources, &mut schedule, &rotated)
-                    .unwrap();
+                ctx.down_rotate(
+                    &dfg,
+                    &resources,
+                    &mut retiming,
+                    &mut schedule,
+                    1,
+                    &mut rotated,
+                )
+                .unwrap();
             }
         }
     }

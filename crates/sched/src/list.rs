@@ -158,21 +158,15 @@ impl Clone for ZeroSet {
 impl ZeroSet {
     /// Evaluates every edge's retimed delay, `d(e) + r(u) − r(v) == 0`,
     /// straight off the graph's flat [`CsrGraph`] arrays — no edge
-    /// objects touched. Builds the position maps the in-half is
-    /// gathered through; a rotation context keeps its own.
+    /// objects touched.
     #[must_use]
     pub fn compute(dfg: &Dfg, retiming: Option<&Retiming>) -> Self {
-        ZeroSet::compute_with(dfg, retiming, &CsrTwins::new(dfg.csr()))
-    }
-
-    /// [`ZeroSet::compute`] through the caller's position maps.
-    pub(crate) fn compute_with(dfg: &Dfg, retiming: Option<&Retiming>, twins: &CsrTwins) -> Self {
         let mut zero = ZeroSet {
             bits: Vec::new(),
             words: 0,
             key: 0,
         };
-        zero.recompute(dfg, retiming, twins);
+        zero.recompute(dfg, retiming);
         zero
     }
 
@@ -182,31 +176,21 @@ impl ZeroSet {
     /// from its retimed delay, and each word is compared with the one
     /// it replaces, so the fingerprint follows only the flipped edges,
     /// and the return value says whether any flipped. The in-half is
-    /// then gathered from the out-half through `twins`, without
-    /// arithmetic, when any did.
-    pub(crate) fn recompute(
-        &mut self,
-        dfg: &Dfg,
-        retiming: Option<&Retiming>,
-        twins: &CsrTwins,
-    ) -> bool {
+    /// then evaluated the same way, off the in-edge arrays, when any
+    /// did.
+    pub(crate) fn recompute(&mut self, dfg: &Dfg, retiming: Option<&Retiming>) -> bool {
         match retiming {
             Some(r) => {
                 let r = r.as_slice();
-                self.fill(dfg.csr(), twins, |u, v| r[u] - r[v])
+                self.fill(dfg.csr(), |u, v| r[u] - r[v])
             }
-            None => self.fill(dfg.csr(), twins, |_, _| 0),
+            None => self.fill(dfg.csr(), |_, _| 0),
         }
     }
 
     /// [`ZeroSet::recompute`] with the retiming's `r(u) − r(v)` as
     /// `shift(u, v)`.
-    fn fill(
-        &mut self,
-        csr: &CsrGraph,
-        twins: &CsrTwins,
-        shift: impl Fn(usize, usize) -> i64,
-    ) -> bool {
+    fn fill(&mut self, csr: &CsrGraph, shift: impl Fn(usize, usize) -> i64) -> bool {
         let words = csr.edge_count().div_ceil(64);
         let resized = words != self.words;
         self.words = words;
@@ -242,13 +226,13 @@ impl ZeroSet {
         }
         // An unchanged out-half leaves the in-half as it was.
         if changed || resized {
-            for (w, chunk) in twins.out_of_in.chunks(64).enumerate() {
-                let mut word = 0_u64;
-                for (k, &j) in chunk.iter().enumerate() {
-                    let j = j as usize;
-                    word |= ((outs[j / 64] >> (j % 64)) & 1) << k;
+            let (tails, delays) = (csr.in_tails(), csr.in_delays());
+            ins.fill(0);
+            for v in 0..csr.node_count() {
+                for i in csr.in_range(v) {
+                    let zero = i64::from(delays[i]) + shift(tails[i] as usize, v) == 0;
+                    ins[i / 64] |= u64::from(zero) << (i % 64);
                 }
-                ins[w] = word;
             }
         }
         self.key = key;
@@ -332,10 +316,11 @@ impl ZeroSet {
     }
 }
 
-/// Where each edge sits in the other CSR edge array: what a zero-set
-/// repair needs to keep a [`ZeroSet`]'s two halves in step. Built once
-/// per rotation context, in O(|E|); kept out of the graph's cached
-/// [`CsrGraph`], which every solve and served request builds.
+/// Where each edge sits in the other CSR edge array: what
+/// [`ZeroSet::down_rotate`]'s boundary repair needs to keep the set's
+/// two halves in step. Built once per rotation context, in O(|E|); kept
+/// out of the graph's cached [`CsrGraph`], which every solve and served
+/// request builds.
 #[derive(Clone, Debug)]
 pub(crate) struct CsrTwins {
     /// The in-position of the edge at each out-position.

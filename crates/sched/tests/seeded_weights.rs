@@ -80,23 +80,14 @@ fn rotate_through(
     let mut saved = retiming.clone();
     let mut ctx = SchedContext::new(g, &scheduler, &res, Some(&retiming), &schedule)
         .expect("the initial schedule is legal");
+    let mut rotated = Vec::new();
     for _ in 0..STEPS {
         let length = schedule.length(g);
         if length <= 1 {
             break;
         }
         let size = rng.range_u32(1, (length - 1).min(6));
-        let prefix = schedule.prefix_nodes(size);
-        for &v in &prefix {
-            ctx.release(g, &res, v, schedule.start(v).expect("scheduled"));
-            schedule.clear(v);
-        }
-        ctx.apply_down_rotation(g, &mut retiming, &prefix);
-        if let Some(first) = schedule.first_step() {
-            schedule.shift(1 - i64::from(first));
-            ctx.shift(1 - i64::from(first));
-        }
-        ctx.reschedule(g, Some(&retiming), &res, &mut schedule, &prefix)
+        ctx.down_rotate(g, &res, &mut retiming, &mut schedule, size, &mut rotated)
             .expect("a rotated prefix has no fixed zero-delay successors");
         after_step(&ctx, &retiming);
         if full_schedules && points.below(FULL_SCHEDULE_EVERY) == 0 {

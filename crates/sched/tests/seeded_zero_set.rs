@@ -2,7 +2,7 @@
 //! every rotation step.
 //!
 //! A `ZeroSet` keeps one bit per CSR out-position and one per
-//! in-position, and `SchedContext::apply_down_rotation` repairs them
+//! in-position, and each `SchedContext::down_rotate` step repairs them
 //! over the rotated set's boundary only: edges leaving the set are
 //! cleared, edges entering it recomputed, edges inside it skipped. The
 //! weight kernel and the placement core then read each node's
@@ -10,7 +10,8 @@
 //! (and every interleaved full schedule) this suite checks every
 //! position bit against the edge's retimed delay, the whole set against
 //! a from-scratch `ZeroSet::compute`, the active weights against the
-//! definitions, and the placement against a naive list scheduler.
+//! definitions, and the rotated set, retiming and placement against
+//! the step taken by hand with a naive list scheduler.
 //!
 //! The graphs cover what the bit ranges must get right: a hub node with
 //! more than 64 in- and out-edges, so its ranges span word boundaries;
@@ -140,6 +141,7 @@ fn rotate_and_check(g: &Dfg, policy: PriorityPolicy, seed: u64, at: &str) -> Cov
     let mut saved = retiming.clone();
     let mut ctx = SchedContext::new(g, &scheduler, &res, Some(&retiming), &schedule)
         .expect("the initial schedule is legal");
+    let mut rotated = Vec::new();
     check_positions(g, ctx.zero_set(), &retiming, at);
     let csr = g.csr();
     let spans = |range: std::ops::Range<usize>| {
@@ -153,24 +155,34 @@ fn rotate_and_check(g: &Dfg, policy: PriorityPolicy, seed: u64, at: &str) -> Cov
         }
         let at = format!("{at}, step {step}");
         let size = rng.range_u32(1, (length - 1).min(6));
+        // The oracle takes the step by hand: the prefix, its +1, the
+        // renumbered remainder and a naive placement.
         let prefix = schedule.prefix_nodes(size);
-        for &v in &prefix {
-            ctx.release(g, &res, v, schedule.start(v).expect("scheduled"));
-            schedule.clear(v);
-        }
-        let before = ctx.zero_set().clone();
-        ctx.apply_down_rotation(g, &mut retiming, &prefix);
-        check_positions(g, ctx.zero_set(), &retiming, &at);
-        if let Some(first) = schedule.first_step() {
-            schedule.shift(1 - i64::from(first));
-            ctx.shift(1 - i64::from(first));
-        }
+        let mut expected_retiming = retiming.clone();
+        expected_retiming.apply_set(&prefix, 1);
         let mut expected = schedule.clone();
-        naive_reschedule(g, policy, Some(&retiming), &res, &mut expected, &prefix)
-            .expect("the naive scheduler places a rotated prefix");
-        ctx.reschedule(g, Some(&retiming), &res, &mut schedule, &prefix)
+        for &v in &prefix {
+            expected.clear(v);
+        }
+        expected.normalize();
+        naive_reschedule(
+            g,
+            policy,
+            Some(&expected_retiming),
+            &res,
+            &mut expected,
+            &prefix,
+        )
+        .expect("the naive scheduler places a rotated prefix");
+        let before = ctx.zero_set().clone();
+        let length = ctx
+            .down_rotate(g, &res, &mut retiming, &mut schedule, size, &mut rotated)
             .expect("a rotated prefix has no fixed zero-delay successors");
+        assert_eq!(rotated, prefix, "{at}: rotated set");
+        assert_eq!(retiming, expected_retiming, "{at}: retiming");
+        check_positions(g, ctx.zero_set(), &retiming, &at);
         assert_eq!(schedule, expected, "{at}: placement");
+        assert_eq!(length, expected.length(g), "{at}: length");
         let reference = reference_weights(policy, g, Some(&retiming));
         assert_eq!(
             ctx.active_weights().as_slice(),
