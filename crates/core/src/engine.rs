@@ -223,9 +223,9 @@ pub trait StepMode {
 pub struct IncrementalStep {
     /// The current phase's context.
     ctx: Option<SchedContext>,
-    /// The latest rotated set. It outlives every rebuild (and, when a
-    /// batch solve hands the step from driver to driver, every item), so
-    /// only the first phase of the first solve grows it.
+    /// The latest rotated set. It outlives every context rebuild of the
+    /// run, so it grows only when a rotation frees more nodes than it
+    /// has room for.
     rotated: Vec<NodeId>,
 }
 

@@ -95,7 +95,7 @@ pub use objective::{Objective, Score};
 pub use phase::{BestSet, PhaseStats};
 pub use portfolio::{
     effective_jobs, parallel_indexed, parallel_indexed_isolated, IsolatedResult, Portfolio,
-    PortfolioOutcome, PruneSignal, SearchTask, SharedBound, TaskOutcome, TaskReport,
+    PortfolioOutcome, PruneSignal, SearchTask, SharedBound,
 };
 pub use rotate::{
     down_rotate, initial_state, is_down_rotatable, up_rotate, DownRotateOutcome, RotationState,

@@ -110,7 +110,7 @@ impl BestSet {
     /// in **insertion order** (first offered, first kept) provided it
     /// is not a duplicate and the set is below capacity; a larger score
     /// is rejected. Insertion order is load-bearing — the portfolio's
-    /// canonical merge re-offers each worker's states in this order, so
+    /// union merge re-offers each worker's states in this order, so
     /// the merged set (and everything derived from it, down to response
     /// bytes) is identical at every `--jobs` value.
     ///
@@ -157,20 +157,6 @@ impl BestSet {
                 self.fingerprints.push(fp);
                 true
             }
-        }
-    }
-
-    /// Merges another best set into this one (used when joining portfolio
-    /// workers), moving its states rather than cloning them. The donor's
-    /// states are re-offered in their own insertion order, so the merge
-    /// preserves the canonical tie-break documented on
-    /// [`BestSet::offer`].
-    pub fn merge(&mut self, other: BestSet) {
-        if other.score > self.score {
-            return;
-        }
-        for state in other.schedules {
-            let _ = self.offer_owned(other.score, state);
         }
     }
 
@@ -340,33 +326,6 @@ mod tests {
         }
         assert_eq!(by_ref.score, by_move.score);
         assert_eq!(by_ref.schedules, by_move.schedules);
-    }
-
-    #[test]
-    fn merge_unions_ties_and_prefers_shorter_lengths() {
-        let (g, sched, res) = setup();
-        let st = initial_state(&g, &sched, &res).unwrap();
-        let mut a = BestSet::new(4);
-        assert!(a.offer(Score::from_length(4), &st));
-        // A worse set is ignored entirely.
-        let mut worse = BestSet::new(4);
-        let mut shifted = st.clone();
-        shifted.schedule.shift(1);
-        assert!(worse.offer(Score::from_length(5), &shifted));
-        a.merge(worse);
-        assert_eq!(a.length(), 4);
-        assert_eq!(a.count(), 1);
-        // A tying set unions (with dedupe), a better one replaces.
-        let mut tie = BestSet::new(4);
-        assert!(tie.offer(Score::from_length(4), &st));
-        assert!(!tie.offer(Score::from_length(4), &shifted));
-        a.merge(tie);
-        assert_eq!(a.count(), 2, "duplicate dropped, new tie kept");
-        let mut better = BestSet::new(4);
-        assert!(better.offer(Score::from_length(3), &st));
-        a.merge(better);
-        assert_eq!(a.length(), 3);
-        assert_eq!(a.count(), 1);
     }
 
     #[test]

@@ -11,15 +11,10 @@
 //!
 //! ## The determinism protocol
 //!
-//! Tasks are indexed `0..n`. Two shared atomics coordinate pruning:
-//!
-//! * `incumbent` — the best packed [`Score`] published by any task
-//!   (under the default objective: the best wrapped length). Monotone
-//!   via `fetch_min` on the packed word; **advisory only** (its value
-//!   depends on thread timing, so it never drives control flow).
-//! * `achiever` — the lowest task index whose own best reached the
-//!   combined recurrence + resource lower bound
-//!   ([`rotsched_baselines::lower_bound`]). Also `fetch_min`.
+//! Tasks are indexed `0..n`. One shared atomic coordinates pruning:
+//! `achiever`, the lowest task index whose own best reached the
+//! combined recurrence + resource lower bound
+//! ([`rotsched_baselines::lower_bound`]), lowered by `fetch_min`.
 //!
 //! A task stops early in exactly two cases, both safe:
 //!
@@ -30,19 +25,22 @@
 //!    index. Such a task's result is discarded by the merge rule below,
 //!    so truncating its search cannot change the outcome.
 //!
-//! Merge rule: let `c` be the lowest-indexed task whose final best
-//! equals the bound. If `c` exists, the portfolio result is task `c`'s
-//! best set alone; otherwise it is the capacity-capped union of every
-//! task's best set, folded in index order. An induction over task
-//! indices shows `c` (and its entire search trajectory) is independent
-//! of scheduling: a task can only record itself as achiever if its
-//! untruncated run would reach the bound, and it can only be truncated
-//! by a strictly lower achiever — so every task below and including the
-//! first true achiever runs exactly as it would sequentially.
+//! Every task yields a [`HeuristicOutcome`]; a task skipped because a
+//! lower one already reached the bound, or one that panicked, yields an
+//! empty placeholder, which can never be canonical. Merge rule: let `c`
+//! be the lowest-indexed task whose final best equals the bound. If `c`
+//! exists, the portfolio result is task `c`'s best set alone; otherwise
+//! it is the capacity-capped union of every task's best set, folded in
+//! index order. An induction over task indices shows `c` (and its
+//! entire search trajectory) is independent of scheduling: a task can
+//! only record itself as achiever if its untruncated run would reach
+//! the bound, and it can only be truncated by a strictly lower achiever
+//! — so every task below and including the first true achiever runs
+//! exactly as it would sequentially.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::thread;
 
 use rotsched_baselines::lower_bound;
@@ -65,16 +63,11 @@ pub(crate) fn kernel_lower_bound(dfg: &Dfg, resources: &ResourceSet) -> Result<u
     Ok(u32::try_from(lower_bound(dfg, resources)?).unwrap_or(u32::MAX - 1))
 }
 
-/// The shared pruning state of one portfolio run.
-///
-/// The incumbent is a packed [`Score`] in a single `AtomicU64`: because
-/// scores are totally ordered as integers, the lock-free `fetch_min`
-/// protocol (and its determinism argument) carries over from the scalar
-/// days unchanged, whatever the objective.
+/// The shared pruning state of one portfolio run: the proven lower
+/// bound and the lowest index of a task that achieved it.
 #[derive(Debug)]
 pub struct SharedBound {
     bound: u32,
-    incumbent: AtomicU64,
     achiever: AtomicU32,
 }
 
@@ -84,7 +77,6 @@ impl SharedBound {
     pub fn new(bound: u32) -> Self {
         SharedBound {
             bound,
-            incumbent: AtomicU64::new(Score::NONE.to_bits()),
             achiever: AtomicU32::new(u32::MAX),
         }
     }
@@ -96,13 +88,6 @@ impl SharedBound {
     #[must_use]
     pub fn bound(&self) -> u32 {
         self.bound
-    }
-
-    /// The best score any task has published so far (advisory —
-    /// timing-dependent while workers are running).
-    #[must_use]
-    pub fn incumbent(&self) -> Score {
-        Score::from_bits(self.incumbent.load(Ordering::Relaxed))
     }
 
     /// A pruning handle for the task with the given index.
@@ -130,15 +115,12 @@ impl PruneSignal<'_> {
         self.shared.bound
     }
 
-    /// Publishes the task's current best score. Marks this task as a
+    /// Reports the task's current best score: marks this task as a
     /// bound achiever when the score reaches the packed lower bound
     /// (length at the bound, zero secondaries) — never for scores above it, and
     /// lengths *below* the bound cannot occur (the bound is proven; see
     /// the pruning test).
     pub fn record(&self, own_best: Score) {
-        self.shared
-            .incumbent
-            .fetch_min(own_best.to_bits(), Ordering::Relaxed);
         if own_best.achieves_bound(self.shared.bound) {
             self.shared
                 .achiever
@@ -189,75 +171,6 @@ pub enum SearchTask {
     PanicForTest,
 }
 
-impl SearchTask {
-    /// A short human-readable label ("h1/size=3/DescendantCount").
-    #[must_use]
-    pub fn label(&self) -> String {
-        match self {
-            SearchTask::Phase {
-                size,
-                alpha,
-                policy,
-            } => {
-                format!("h1/size={size}/alpha={alpha}/{policy:?}")
-            }
-            SearchTask::Sweep { config, policy } => format!(
-                "h2/alpha={}/rounds={}/{policy:?}",
-                config.rotations_per_phase, config.rounds
-            ),
-            SearchTask::PanicForTest => "panic-for-test".to_string(),
-        }
-    }
-}
-
-/// How one portfolio task ended — the structured per-task verdict.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum TaskOutcome {
-    /// The task ran its full search (possibly self-pruning at the
-    /// proven lower bound).
-    Completed,
-    /// The task was cut short by a strictly lower-indexed bound
-    /// achiever; its result is discarded by the canonical merge.
-    Pruned,
-    /// A [`Budget`] limit (deadline, rotation budget, or cancellation)
-    /// fired inside the task; its incumbent best still participates.
-    TimedOut,
-    /// The task panicked. The portfolio degrades to the surviving
-    /// workers' results instead of unwinding.
-    Panicked,
-}
-
-impl core::fmt::Display for TaskOutcome {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(match self {
-            TaskOutcome::Completed => "completed",
-            TaskOutcome::Pruned => "pruned",
-            TaskOutcome::TimedOut => "timed out",
-            TaskOutcome::Panicked => "panicked",
-        })
-    }
-}
-
-/// Per-task summary of a portfolio run.
-///
-/// For tasks above the canonical achiever these numbers are
-/// timing-dependent (the task may have been cross-pruned at any point);
-/// they are reported for diagnostics, never for results.
-#[derive(Clone, Debug)]
-pub struct TaskReport {
-    /// The task's label.
-    pub label: String,
-    /// The task's own best length, if it admitted any schedule.
-    pub best_length: Option<u32>,
-    /// Down-rotations the task performed.
-    pub rotations: usize,
-    /// Whether the task was stopped by a lower-indexed bound achiever.
-    pub cross_pruned: bool,
-    /// How the task ended.
-    pub outcome: TaskOutcome,
-}
-
 /// The deterministic result of a portfolio run.
 #[derive(Clone, Debug)]
 pub struct PortfolioOutcome {
@@ -278,9 +191,6 @@ pub struct PortfolioOutcome {
     /// whose best score reached the packed lower bound (length at the
     /// bound, zero secondaries).
     pub canonical_task: Option<usize>,
-    /// Advisory per-task summaries (timing-dependent above the
-    /// canonical achiever).
-    pub reports: Vec<TaskReport>,
     /// How many tasks panicked (each isolated; the portfolio degraded
     /// to the survivors).
     pub panicked_tasks: usize,
@@ -381,9 +291,9 @@ impl Portfolio {
     /// shared across threads and the merged outcome is identical for
     /// every job count.
     ///
-    /// Workers are panic-isolated: a task that panics is reported as
-    /// [`TaskOutcome::Panicked`] and the portfolio degrades to the
-    /// surviving workers' best rather than unwinding. The configured
+    /// Workers are panic-isolated: a task that panics is counted in
+    /// [`PortfolioOutcome::panicked_tasks`] and the portfolio degrades
+    /// to the surviving workers' best rather than unwinding. The configured
     /// [`Budget`] is armed once here and shared by every worker.
     ///
     /// # Errors
@@ -456,12 +366,10 @@ impl Portfolio {
         let meter = (!self.budget.is_unlimited()).then(|| self.budget.arm());
         let runs = parallel_indexed_isolated(self.jobs, self.tasks.len(), |i| {
             let index = u32::try_from(i).unwrap_or(u32::MAX);
-            run_task_with(
+            self.run_task(
                 dfg,
                 resources,
                 &self.tasks[i],
-                self.keep_best,
-                self.objective,
                 &shared.signal(index),
                 meter.as_ref(),
                 make_observer(i),
@@ -472,31 +380,21 @@ impl Portfolio {
         // empty placeholder (it can never be the canonical achiever); a
         // worker that returned an error propagates it, lowest index
         // first, exactly as the sequential path would.
-        let mut completed: Vec<(TaskRun, bool)> = Vec::with_capacity(runs.len());
+        let mut outcomes: Vec<HeuristicOutcome> = Vec::with_capacity(runs.len());
         let mut observers: Vec<Option<O>> = Vec::with_capacity(runs.len());
         let mut first_panic: Option<(usize, String)> = None;
         let mut panicked_tasks = 0;
         for (i, run) in runs.into_iter().enumerate() {
             match run {
                 Ok(result) => {
-                    let (task_run, observer) = result?;
-                    completed.push((task_run, false));
+                    let (outcome, observer) = result?;
+                    outcomes.push(outcome);
                     observers.push(Some(observer));
                 }
                 Err(payload) => {
                     panicked_tasks += 1;
-                    if first_panic.is_none() {
-                        first_panic = Some((i, panic_message(payload.as_ref())));
-                    }
-                    completed.push((
-                        TaskRun {
-                            best: BestSet::new(self.keep_best),
-                            phases: Vec::new(),
-                            replayed_phases: 0,
-                            cross_pruned: false,
-                        },
-                        true,
-                    ));
+                    first_panic.get_or_insert_with(|| (i, panic_message(payload.as_ref())));
+                    outcomes.push(no_result());
                     observers.push(None);
                 }
             }
@@ -506,78 +404,91 @@ impl Portfolio {
             return Err(RotationError::WorkerPanicked { task, message });
         }
 
-        let reports = self
-            .tasks
+        let stopped = outcomes.iter().find_map(|o| o.stopped);
+        let canonical_task = outcomes
             .iter()
-            .zip(&completed)
-            .map(|(task, (run, panicked))| TaskReport {
-                label: task.label(),
-                best_length: (!run.best.score.is_none()).then(|| run.best.length()),
-                rotations: run.phases.iter().map(|p| p.rotations).sum(),
-                cross_pruned: run.cross_pruned,
-                outcome: if *panicked {
-                    TaskOutcome::Panicked
-                } else if run.phases.iter().any(|p| p.stopped.is_some()) {
-                    TaskOutcome::TimedOut
-                } else if run.cross_pruned {
-                    TaskOutcome::Pruned
-                } else {
-                    TaskOutcome::Completed
-                },
-            })
-            .collect();
-        let stopped = completed
-            .iter()
-            .flat_map(|(run, _)| run.phases.iter())
-            .find_map(|p| p.stopped);
-        let completed: Vec<TaskRun> = completed.into_iter().map(|(run, _)| run).collect();
-
-        let canonical_task = completed
-            .iter()
-            .position(|run| run.best.score.achieves_bound(bound));
-        let mut best = BestSet::new(self.keep_best);
-        let mut phases = Vec::new();
-        let mut replayed_phases = 0;
-        match canonical_task {
-            Some(c) => {
-                // The canonical achiever ran exactly as it would have
-                // sequentially; its set IS the portfolio result.
-                for (i, run) in completed.into_iter().enumerate() {
-                    if i <= c {
-                        phases.extend(run.phases);
-                        replayed_phases += run.replayed_phases;
-                    }
-                    if i == c {
-                        best = run.best;
-                        break;
-                    }
+            .position(|o| o.best_score.achieves_bound(bound));
+        outcomes.truncate(canonical_task.map_or(outcomes.len(), |c| c + 1));
+        let (best_score, best) = if canonical_task.is_some() {
+            // The canonical achiever ran exactly as it would have
+            // sequentially; its set IS the portfolio result.
+            let winner = outcomes.last_mut().expect("the canonical task is kept");
+            (winner.best_score, std::mem::take(&mut winner.best))
+        } else {
+            // No pruning ever fired, so every task completed its full
+            // deterministic search: union in index order.
+            let mut union = BestSet::new(self.keep_best);
+            for outcome in &mut outcomes {
+                for state in outcome.best.drain(..) {
+                    let _ = union.offer_owned(outcome.best_score, state);
                 }
             }
-            None => {
-                // No pruning ever fired, so every task completed its
-                // full deterministic search: union in index order.
-                for run in completed {
-                    phases.extend(run.phases);
-                    replayed_phases += run.replayed_phases;
-                    best.merge(run.best);
-                }
-            }
-        }
+            (union.score, union.schedules)
+        };
+        let replayed_phases = outcomes.iter().map(|o| o.replayed_phases).sum();
+        let phases: Vec<PhaseStats> = outcomes.into_iter().flat_map(|o| o.phases).collect();
         Ok((
             PortfolioOutcome {
                 merged: HeuristicOutcome {
+                    best_length: best_score.length(),
+                    best_score,
+                    best,
+                    total_rotations: phases.iter().map(|p| p.rotations).sum(),
+                    phases,
                     stopped,
                     lower_bound: Some(bound),
                     replayed_phases,
-                    ..HeuristicOutcome::from_parts(best, phases)
                 },
                 canonical_task,
-                reports,
                 panicked_tasks,
             },
             observers,
         ))
     }
+
+    /// Runs one task through a [`SearchDriver`] monomorphized over the
+    /// worker's observer, returning the observer alongside the outcome
+    /// so traced runs can reclaim their recorders.
+    fn run_task<O: SearchObserver>(
+        &self,
+        dfg: &Dfg,
+        resources: &ResourceSet,
+        task: &SearchTask,
+        signal: &PruneSignal<'_>,
+        budget: Option<&BudgetMeter>,
+        observer: O,
+    ) -> Result<(HeuristicOutcome, O), RotationError> {
+        if signal.lost_to_lower_task() {
+            // A lower-indexed task already proved the bound: this task's
+            // result would be discarded, so skip the work entirely.
+            return Ok((no_result(), observer));
+        }
+        let (SearchTask::Phase { policy, .. } | SearchTask::Sweep { policy, .. }) = *task else {
+            panic!("injected test panic");
+        };
+        let scheduler = ListScheduler::new(policy);
+        let mut driver = SearchDriver::incremental(dfg, &scheduler, resources)
+            .with_prune(Some(signal))
+            .with_budget(budget)
+            .with_objective(self.objective)
+            .with_observer(observer);
+        let outcome = match task {
+            SearchTask::Phase { size, alpha, .. } => {
+                let (best, stats) = driver.initial_phase(self.keep_best, *size, *alpha)?;
+                HeuristicOutcome::from_parts(best, vec![stats])
+            }
+            SearchTask::Sweep { config, .. } => driver.heuristic2(config)?,
+            SearchTask::PanicForTest => unreachable!("the test task panicked above"),
+        };
+        Ok((outcome, driver.observer))
+    }
+}
+
+/// The outcome of a task that produced nothing — skipped, or panicked:
+/// an empty set whose score never achieves a bound, so it is never
+/// canonical and adds nothing to a union.
+fn no_result() -> HeuristicOutcome {
+    HeuristicOutcome::from_parts(BestSet::new(1), Vec::new())
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -588,91 +499,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// What one task produced.
-struct TaskRun {
-    best: BestSet,
-    phases: Vec<PhaseStats>,
-    /// See [`HeuristicOutcome::replayed_phases`].
-    replayed_phases: usize,
-    cross_pruned: bool,
-}
-
-/// Runs one task through a [`SearchDriver`] monomorphized over the
-/// worker's observer, returning the observer alongside the result so
-/// traced runs can reclaim their recorders.
-#[allow(clippy::too_many_arguments)]
-fn run_task_with<O: SearchObserver>(
-    dfg: &Dfg,
-    resources: &ResourceSet,
-    task: &SearchTask,
-    keep_best: usize,
-    objective: Objective,
-    signal: &PruneSignal<'_>,
-    budget: Option<&BudgetMeter>,
-    observer: O,
-) -> Result<(TaskRun, O), RotationError> {
-    if signal.lost_to_lower_task() {
-        // A lower-indexed task already proved the bound: this task's
-        // result would be discarded, so skip the work entirely.
-        return Ok((
-            TaskRun {
-                best: BestSet::new(keep_best),
-                phases: Vec::new(),
-                replayed_phases: 0,
-                cross_pruned: true,
-            },
-            observer,
-        ));
-    }
-    match task {
-        SearchTask::Phase {
-            size,
-            alpha,
-            policy,
-        } => {
-            let scheduler = ListScheduler::new(*policy);
-            let mut driver = SearchDriver::incremental(dfg, &scheduler, resources)
-                .with_prune(Some(signal))
-                .with_budget(budget)
-                .with_objective(objective)
-                .with_observer(observer);
-            let (best, stats) = driver.initial_phase(keep_best, *size, *alpha)?;
-            Ok((
-                TaskRun {
-                    best,
-                    phases: vec![stats],
-                    replayed_phases: 0,
-                    cross_pruned: signal.lost_to_lower_task(),
-                },
-                driver.observer,
-            ))
-        }
-        SearchTask::Sweep { config, policy } => {
-            let scheduler = ListScheduler::new(*policy);
-            let mut driver = SearchDriver::incremental(dfg, &scheduler, resources)
-                .with_prune(Some(signal))
-                .with_budget(budget)
-                .with_objective(objective)
-                .with_observer(observer);
-            let out = driver.heuristic2(config)?;
-            let mut best = BestSet::new(config.keep_best);
-            for state in out.best {
-                let _ = best.offer_owned(out.best_score, state);
-            }
-            Ok((
-                TaskRun {
-                    best,
-                    phases: out.phases,
-                    replayed_phases: out.replayed_phases,
-                    cross_pruned: signal.lost_to_lower_task(),
-                },
-                driver.observer,
-            ))
-        }
-        SearchTask::PanicForTest => panic!("injected test panic"),
     }
 }
 
@@ -742,7 +568,7 @@ pub fn effective_jobs(jobs: usize, count: usize) -> usize {
 /// Isolation is sound here because jobs are independent by contract —
 /// a job observes no other job's state, so a panicked job leaves
 /// nothing half-mutated that a survivor could read (the portfolio's
-/// shared pruning atomics are monotone and single-word, safe to observe
+/// shared pruning atomic is monotone and single-word, safe to observe
 /// at any point).
 pub fn parallel_indexed_isolated<T, F>(jobs: usize, count: usize, run: F) -> Vec<IsolatedResult<T>>
 where
@@ -840,7 +666,7 @@ mod tests {
         sig.record(Score::from_length(4));
         assert!(!sig.should_stop(Score::from_length(4)));
         assert!(!sig.lost_to_lower_task());
-        assert_eq!(shared.incumbent(), Score::from_length(4));
+        assert!(!shared.signal(6).lost_to_lower_task());
         // Unachieved sentinel never registers.
         assert!(!sig.should_stop(Score::NONE));
         // At the bound: self-prune fires and the achiever is recorded.
@@ -927,19 +753,19 @@ mod tests {
     }
 
     #[test]
-    fn reports_cover_every_task() {
+    fn panicked_task_is_counted_and_never_canonical() {
         let g = ring(5, 2);
         let res = ResourceSet::adders_multipliers(2, 0, false);
-        let p = Portfolio::standard(&g, &res, &config()).unwrap();
-        let n = p.tasks.len();
-        let out = p.run(&g, &res).unwrap();
-        assert_eq!(out.reports.len(), n);
-        assert!(out.reports.iter().all(|r| !r.label.is_empty()));
-        assert_eq!(out.panicked_tasks, 0);
-        assert!(out
-            .reports
-            .iter()
-            .all(|r| r.outcome != TaskOutcome::Panicked));
+        let clean = Portfolio::standard(&g, &res, &config()).unwrap();
+        assert_eq!(clean.run(&g, &res).unwrap().panicked_tasks, 0);
+        let mut p = clean;
+        // First, so no lower-indexed achiever can skip it.
+        p.tasks.insert(0, SearchTask::PanicForTest);
+        for jobs in [1, 2, 4] {
+            let out = p.clone().with_jobs(jobs).run(&g, &res).unwrap();
+            assert_eq!(out.panicked_tasks, 1, "jobs={jobs}");
+            assert_ne!(out.canonical_task, Some(0), "jobs={jobs}");
+        }
     }
 
     #[test]
@@ -981,13 +807,17 @@ mod tests {
         for jobs in [1, 2, 4] {
             let out = p.clone().with_jobs(jobs).run(&g, &res).unwrap();
             assert_eq!(out.panicked_tasks, 1, "jobs={jobs}");
-            assert_eq!(out.reports[0].outcome, TaskOutcome::Panicked);
-            assert_eq!(out.reports[0].best_length, None);
             let baseline = clean.clone().with_jobs(jobs).run(&g, &res).unwrap();
+            assert_eq!(
+                out.canonical_task,
+                baseline.canonical_task.map(|c| c + 1),
+                "the placeholder is never canonical, jobs={jobs}"
+            );
             assert_eq!(
                 out.merged.best_length, baseline.merged.best_length,
                 "survivors' best is unaffected"
             );
+            assert_eq!(out.merged.best, baseline.merged.best, "jobs={jobs}");
         }
     }
 

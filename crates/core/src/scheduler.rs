@@ -508,13 +508,7 @@ impl<'a> RotationScheduler<'a> {
         let (outcome, trace) =
             self.standard_portfolio()?
                 .run_traced(self.dfg, &self.resources, capacity)?;
-        let solved = package(
-            self.dfg,
-            &self.resources,
-            outcome.merged,
-            outcome.panicked_tasks,
-        )?;
-        Ok((solved, trace))
+        Ok((self.package_portfolio(outcome)?, trace))
     }
 
     /// Like [`RotationScheduler::solve_portfolio`], but runs a
@@ -531,7 +525,12 @@ impl<'a> RotationScheduler<'a> {
         &self,
         portfolio: &Portfolio,
     ) -> Result<SolveOutcome, RotationError> {
-        let outcome = portfolio.run(self.dfg, &self.resources)?;
+        self.package_portfolio(portfolio.run(self.dfg, &self.resources)?)
+    }
+
+    /// The one packaging path of the portfolio solves: the merged
+    /// result, degraded when a task panicked.
+    fn package_portfolio(&self, outcome: PortfolioOutcome) -> Result<SolveOutcome, RotationError> {
         package(
             self.dfg,
             &self.resources,

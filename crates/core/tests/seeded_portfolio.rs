@@ -3,10 +3,12 @@
 //! worker-thread count, and pruning must never produce a length below
 //! the combined lower bound.
 
+use std::cmp::Ordering;
+
 use rotsched_benchmarks::{all_benchmarks, random_dfg, RandomDfgConfig, TimingModel};
 use rotsched_core::{
-    initial_state, BestSet, Budget, HeuristicConfig, Objective, Portfolio, RotationScheduler,
-    SearchDriver, SearchTask, SharedBound,
+    initial_state, BestSet, Budget, HeuristicConfig, Objective, PhaseStats, Portfolio,
+    RotationScheduler, RotationState, Score, SearchDriver, SearchTask, SharedBound,
 };
 use rotsched_dfg::rng::SplitMix64;
 use rotsched_dfg::Dfg;
@@ -213,66 +215,120 @@ fn injected_panic_degrades_to_the_survivors_best_everywhere() {
     }
 }
 
-/// Checks every phase size `1..=β` of `g` under `res`: a one-task
-/// portfolio running the phase gives the best set and phase statistics
-/// of the from-scratch driver running `initial_state` → `offer` →
-/// `run_phase` under the same prune signal.
-fn assert_phase_task_matches_the_reference(what: &str, g: &Dfg, res: &ResourceSet) {
-    let (alpha, keep_best) = (8, 4);
-    let bound = u32::try_from(rotsched_baselines::lower_bound(g, res).expect("valid graph"))
-        .expect("small bound");
-    for policy in [
-        PriorityPolicy::DescendantCount,
-        PriorityPolicy::PathHeight,
-        PriorityPolicy::Mobility,
-        PriorityPolicy::InputOrder,
-    ] {
-        let scheduler = ListScheduler::new(policy);
-        let init = initial_state(g, &scheduler, res).expect("schedulable");
-        let beta = init.length(g).max(1);
-        for size in 1..=beta {
-            let portfolio = Portfolio {
-                tasks: vec![SearchTask::Phase {
-                    size,
-                    alpha,
-                    policy,
-                }],
-                jobs: 1,
-                keep_best,
-                budget: Budget::unlimited(),
-                objective: Objective::Length,
-            };
-            let out = portfolio.run(g, res).expect("runs");
+/// The combined lower bound of `g` under `res` as a kernel length.
+fn kernel_bound(g: &Dfg, res: &ResourceSet) -> u32 {
+    u32::try_from(rotsched_baselines::lower_bound(g, res).expect("valid graph"))
+        .expect("small bound")
+}
 
-            let shared = SharedBound::new(bound);
-            let signal = shared.signal(0);
-            let mut driver = SearchDriver::reference(g, &scheduler, res).with_prune(Some(&signal));
-            let mut state = init.clone();
+const POLICIES: [PriorityPolicy; 4] = [
+    PriorityPolicy::DescendantCount,
+    PriorityPolicy::PathHeight,
+    PriorityPolicy::Mobility,
+    PriorityPolicy::InputOrder,
+];
+
+/// What one task's search hands the merge: best score, best set,
+/// phase statistics and replayed phases.
+type TaskResult = (Score, Vec<RotationState>, Vec<PhaseStats>, usize);
+
+/// The from-scratch driver's run of one portfolio task under
+/// `objective` and the prune signal of a fresh shared bound:
+/// `initial_state` → `offer` → `run_phase` for a phase task,
+/// `heuristic2` for a sweep.
+fn reference_run(
+    task: &SearchTask,
+    keep_best: usize,
+    objective: Objective,
+    g: &Dfg,
+    res: &ResourceSet,
+) -> TaskResult {
+    let shared = SharedBound::new(kernel_bound(g, res));
+    let signal = shared.signal(0);
+    match *task {
+        SearchTask::Phase {
+            size,
+            alpha,
+            policy,
+        } => {
+            let scheduler = ListScheduler::new(policy);
+            let mut driver = SearchDriver::reference(g, &scheduler, res)
+                .with_prune(Some(&signal))
+                .with_objective(objective);
+            let mut state = initial_state(g, &scheduler, res).expect("schedulable");
             let mut best = BestSet::new(keep_best);
             let wrapped = state.wrapped_length(g, res).expect("wraps");
             driver.offer(&mut best, wrapped, &state);
             let stats = driver
                 .run_phase(&mut state, &mut best, size, alpha)
                 .expect("runs");
-
-            let what = format!("{what}, {policy:?}, size {size}");
-            assert_eq!(out.merged.best_score, best.score, "{what}: best score");
-            assert_eq!(out.merged.best, best.schedules, "{what}: best set");
-            assert_eq!(out.merged.phases, vec![stats], "{what}: phase stats");
+            (best.score, best.schedules, vec![stats], 0)
         }
+        SearchTask::Sweep { config, policy } => {
+            let scheduler = ListScheduler::new(policy);
+            let out = SearchDriver::reference(g, &scheduler, res)
+                .with_prune(Some(&signal))
+                .with_objective(objective)
+                .heuristic2(&config)
+                .expect("runs");
+            (out.best_score, out.best, out.phases, out.replayed_phases)
+        }
+        SearchTask::PanicForTest => unreachable!("no test task here"),
     }
 }
 
-/// A portfolio phase task starts on the context its initial schedule
-/// was built in, and that changes nothing it returns: on the five paper
-/// benchmarks and on random cyclic DFGs, every size `1..=β` under every
-/// policy matches the from-scratch reference.
-#[test]
-fn phase_task_matches_the_reference_phase_from_the_initial_state() {
+/// A one-thread portfolio of `tasks` with the given merge capacity,
+/// minimizing `objective`.
+fn portfolio_of(tasks: Vec<SearchTask>, keep_best: usize, objective: Objective) -> Portfolio {
+    Portfolio {
+        tasks,
+        jobs: 1,
+        keep_best,
+        budget: Budget::unlimited(),
+        objective,
+    }
+}
+
+/// Checks every policy and objective on `g` under `res`: a one-task
+/// portfolio running a Heuristic-2 sweep hands over exactly the
+/// from-scratch driver's `heuristic2` outcome under the same prune
+/// signal. Returns the replayed phases seen, for coverage.
+fn assert_sweep_task_matches_the_reference(what: &str, g: &Dfg, res: &ResourceSet) -> usize {
+    let config = HeuristicConfig {
+        rounds: 3,
+        ..config()
+    };
+    let mut replayed = 0;
+    for objective in Objective::ALL {
+        for policy in POLICIES {
+            let task = SearchTask::Sweep { config, policy };
+            let out = portfolio_of(vec![task.clone()], config.keep_best, objective)
+                .run(g, res)
+                .expect("runs");
+            let (score, best, phases, replayed_phases) =
+                reference_run(&task, config.keep_best, objective, g, res);
+            let what = format!("{what}, {policy:?}, {}", objective.mnemonic());
+            assert_eq!(out.merged.best_score, score, "{what}: best score");
+            assert_eq!(out.merged.best, best, "{what}: best set");
+            assert_eq!(out.merged.phases, phases, "{what}: phase stats");
+            assert_eq!(
+                out.merged.replayed_phases, replayed_phases,
+                "{what}: replayed phases"
+            );
+            replayed += replayed_phases;
+        }
+    }
+    replayed
+}
+
+/// The inputs the one-task oracles run on: the five paper benchmarks
+/// under two resource sets and random cyclic DFGs, each named.
+fn oracle_inputs() -> Vec<(String, Dfg, ResourceSet)> {
+    let mut inputs = Vec::new();
     for (name, g) in all_benchmarks(&TimingModel::paper()) {
         for (adders, mults, pipelined) in [(1, 1, false), (2, 2, true)] {
             let res = ResourceSet::adders_multipliers(adders, mults, pipelined);
-            assert_phase_task_matches_the_reference(&format!("{name} {adders}/{mults}"), &g, &res);
+            inputs.push((format!("{name} {adders}/{mults}"), g.clone(), res));
         }
     }
     for case in 0..CASES / 2 {
@@ -283,6 +339,171 @@ fn phase_task_matches_the_reference_phase_from_the_initial_state() {
             rng.range_u32(1, 2),
             rng.chance(0.5),
         );
-        assert_phase_task_matches_the_reference(&format!("case {case}"), &g, &res);
+        inputs.push((format!("case {case}"), g, res));
+    }
+    inputs
+}
+
+/// A portfolio sweep task returns its driver's outcome as is: on every
+/// oracle input, under every policy and objective, it matches the
+/// from-scratch `heuristic2`, replayed phases included. Only a
+/// multi-criteria sweep replays under a prune signal (a length-only one
+/// stops at the bound before it repeats), so the objectives are what
+/// keep the count under test.
+#[test]
+fn sweep_task_matches_the_reference_heuristic2() {
+    let replayed: usize = oracle_inputs()
+        .iter()
+        .map(|(what, g, res)| assert_sweep_task_matches_the_reference(what, g, res))
+        .sum();
+    assert!(replayed > 0, "no sweep replayed a phase");
+}
+
+/// How folding one task's set into the union went, for coverage.
+#[derive(Default)]
+struct UnionCoverage {
+    /// A worse set left the union as it was.
+    worse_skipped: usize,
+    /// A tying set appended its new states after the union's own.
+    ties_kept: usize,
+    /// A tying set offered a state the union already held.
+    duplicates_dropped: usize,
+    /// A better set replaced a non-empty union.
+    better_replaced: usize,
+}
+
+/// Folds `runs` in index order the way the merge must when no task
+/// reached the bound, with plain vectors rather than `BestSet`: a worse
+/// set is skipped, a tie appends its new states in insertion order (a
+/// duplicate dropped, the capacity respected) and a better set replaces
+/// the union. The phases and replay counts are every task's, in order.
+fn union_of(runs: Vec<TaskResult>, keep_best: usize, seen: &mut UnionCoverage) -> TaskResult {
+    let (mut score, mut union, mut phases, mut replayed) = (Score::NONE, Vec::new(), Vec::new(), 0);
+    for (own_score, own_best, own_phases, own_replayed) in runs {
+        phases.extend(own_phases);
+        replayed += own_replayed;
+        match own_score.cmp(&score) {
+            Ordering::Greater => seen.worse_skipped += 1,
+            Ordering::Less => {
+                seen.better_replaced += usize::from(!union.is_empty());
+                score = own_score;
+                union = own_best;
+                union.truncate(keep_best);
+            }
+            Ordering::Equal => {
+                for state in own_best {
+                    if union
+                        .iter()
+                        .any(|s: &RotationState| s.schedule == state.schedule)
+                    {
+                        seen.duplicates_dropped += 1;
+                    } else if union.len() < keep_best {
+                        seen.ties_kept += 1;
+                        union.push(state);
+                    }
+                }
+            }
+        }
+    }
+    (score, union, phases, replayed)
+}
+
+/// When no task reaches the bound nothing is pruned, so the merged
+/// result must be the in-index-order union of each task's own
+/// from-scratch run ([`union_of`]), at every job count. A length-only
+/// search reaches the bound on most graphs, so short phases keep it out
+/// of reach on some; a multi-criteria score achieves the bound only with
+/// zero secondaries, which only a graph with no delayed edge can give,
+/// so those portfolios go unpruned on most graphs. Three rounds let
+/// their sweeps replay, which keeps the summed replay count under test.
+#[test]
+fn unpruned_portfolio_merges_the_union_of_every_task_run() {
+    let config = HeuristicConfig {
+        rotations_per_phase: 2,
+        rounds: 3,
+        ..config()
+    };
+    let mut unpruned = [0; Objective::ALL.len()];
+    let mut seen = UnionCoverage::default();
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(0x0A11 ^ case);
+        let g = random_graph(&mut rng);
+        let res = ResourceSet::adders_multipliers(1, 1, rng.chance(0.5));
+        let p = Portfolio::standard(&g, &res, &config).expect("schedulable");
+        for (o, objective) in Objective::ALL.into_iter().enumerate() {
+            let p = p.clone().with_objective(objective);
+            let out = p.clone().run(&g, &res).expect("runs");
+            if out.canonical_task.is_some() {
+                continue;
+            }
+            unpruned[o] += 1;
+            let runs = p
+                .tasks
+                .iter()
+                .map(|task| reference_run(task, p.keep_best, objective, &g, &res))
+                .collect();
+            let (score, union, phases, replayed) = union_of(runs, p.keep_best, &mut seen);
+            for jobs in [1, 2, 4] {
+                let out = p.clone().with_jobs(jobs).run(&g, &res).expect("runs");
+                let what = format!("case {case}, {}, jobs {jobs}", objective.mnemonic());
+                assert_eq!(out.canonical_task, None, "{what}: canonical task");
+                assert_eq!(out.merged.best_score, score, "{what}: best score");
+                assert_eq!(out.merged.best, union, "{what}: best set");
+                assert_eq!(out.merged.phases, phases, "{what}: phase stats");
+                assert_eq!(out.merged.replayed_phases, replayed, "{what}: replayed");
+                assert_eq!(out.panicked_tasks, 0, "{what}: phantom panic");
+            }
+        }
+    }
+    assert!(unpruned[0] > 0, "no length-only portfolio went unpruned");
+    for (o, objective) in Objective::ALL.iter().enumerate().skip(1) {
+        assert!(
+            unpruned[o] >= CASES as usize * 3 / 4,
+            "only {} unpruned {} portfolios",
+            unpruned[o],
+            objective.mnemonic()
+        );
+    }
+    assert!(seen.worse_skipped > 0, "no worse set skipped");
+    assert!(seen.ties_kept > 0, "no tie kept");
+    assert!(seen.duplicates_dropped > 0, "no duplicate dropped");
+    assert!(seen.better_replaced > 0, "no better set replaced the union");
+}
+
+/// Checks every phase size `1..=β` of `g` under `res`: a one-task
+/// portfolio running the phase gives the best set and phase statistics
+/// of the from-scratch driver running `initial_state` → `offer` →
+/// `run_phase` under the same prune signal.
+fn assert_phase_task_matches_the_reference(what: &str, g: &Dfg, res: &ResourceSet) {
+    let (alpha, keep_best) = (8, 4);
+    for policy in POLICIES {
+        let init = initial_state(g, &ListScheduler::new(policy), res).expect("schedulable");
+        for size in 1..=init.length(g).max(1) {
+            let task = SearchTask::Phase {
+                size,
+                alpha,
+                policy,
+            };
+            let out = portfolio_of(vec![task.clone()], keep_best, Objective::Length)
+                .run(g, res)
+                .expect("runs");
+            let (score, best, phases, _) =
+                reference_run(&task, keep_best, Objective::Length, g, res);
+            let what = format!("{what}, {policy:?}, size {size}");
+            assert_eq!(out.merged.best_score, score, "{what}: best score");
+            assert_eq!(out.merged.best, best, "{what}: best set");
+            assert_eq!(out.merged.phases, phases, "{what}: phase stats");
+        }
+    }
+}
+
+/// A portfolio phase task starts on the context its initial schedule
+/// was built in, and that changes nothing it returns: on the five paper
+/// benchmarks and on random cyclic DFGs, every size `1..=β` under every
+/// policy matches the from-scratch reference.
+#[test]
+fn phase_task_matches_the_reference_phase_from_the_initial_state() {
+    for (what, g, res) in oracle_inputs() {
+        assert_phase_task_matches_the_reference(&what, &g, &res);
     }
 }
